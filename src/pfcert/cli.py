@@ -247,7 +247,8 @@ def cmd_limits(args) -> int:
         doc["total_scaling_w"] = 1.0 + est.lambda_w
         doc["total_scaling_d"] = 1.0 + est.lambda_d
     if args.with_oracle:
-        actual = oracle.actual_limit(case, direction=S_base, bracket=(1e-3, None))
+        net = oracle.prepare_network(case, V_G=red.V_G)
+        actual = oracle.actual_limit(case, direction=S_base, bracket=(1e-3, None), network=net)
         doc["lambda_actual"] = actual
         ref = 1.0 + actual if est.mode == "from_known_solution" else actual
         for key, lam in (("p", est.lambda_p), ("w", est.lambda_w), ("d", est.lambda_d)):
@@ -333,8 +334,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_oracle_limit(args) -> int:
     case, red, S_base = _load(args)
-    lo, hi = args.bracket_lo, args.bracket_hi
-    lam = oracle.actual_limit(case, direction=S_base, bracket=(lo, hi), tol=args.tol)
+    net = oracle.prepare_network(case, V_G=red.V_G)
+    lam = oracle.actual_limit(case, direction=S_base, bracket=(args.bracket_lo, args.bracket_hi), network=net)
     _emit(args, dumps_stable({"meta": {"case": args_case_name(case)}, "lambda_actual": lam}))
     return EXIT_OK
 

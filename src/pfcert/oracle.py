@@ -9,9 +9,8 @@ formulation once, to fix generator angles the way solved case files do.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,6 +34,85 @@ class NewtonResult:
     mismatch_norm: float  # inf-norm of the per-unit power mismatch
 
 
+class _NewtonKernel:
+    """Polar Newton power flow on a Jacobian sparsity pattern fixed once per network.
+
+    Unknowns: the angles of the `ang` buses, then the magnitudes of the `mag`
+    buses; equations: the active-power balances of `ang`, then the reactive
+    ones of `mag`. Jacobian entries are MATPOWER's complex-form dS/dV
+    (Zimmerman, Murillo-Sanchez & Thomas 2011), each p conj(q) + c with I = Y V,
+    U = V/|V| and (p, q, c) = (j V_i, [i=k] I_i - Y_ik V_k, 0) for dS_i/dVa_k,
+    (V_i, Y_ik U_k, [i=k] conj(I_i) U_i) for dS_i/dVm_k."""
+
+    def __init__(self, Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray):
+        nb, n = Y.shape[0], len(ang) + len(mag)
+        self.Y, self.ang, self.mag, self.var = Y, ang, mag, np.union1d(ang, mag)
+        pos_a, pos_m = np.full(nb, -1), np.full(nb, -1)  # row and column of each bus in J
+        pos_a[ang], pos_m[mag] = np.arange(len(ang)), np.arange(len(ang), n)
+        Yc = Y.tocoo()
+        Yc.eliminate_zeros()
+        row = (pos_a[Yc.row] >= 0) | (pos_m[Yc.row] >= 0)
+        parts = (row & (pos_a[Yc.col] >= 0), row & (pos_m[Yc.col] >= 0))  # the dS/dVa, then the dS/dVm entries
+        i, k, y = (np.concatenate([a[part] for part in parts]) for a in (Yc.row, Yc.col, Yc.data))
+        dm = np.arange(len(i)) >= np.count_nonzero(parts[0])
+        self.yr, self.yi, self.sign = y.real, y.imag, np.where(dm, 1.0, -1.0)
+        self.p, self.take = i + nb * dm, k + nb * dm  # into [jV, V] and [V, U]
+        self.diag_a = np.where((i == k) & ~dm, i, nb)  # into [I, 0]
+        self.diag_m = np.where((i == k) & dm, i, nb)  # into [conj(I) U, 0]
+        # Re(dS) goes to the P rows, Im(dS) to the Q rows; J's values are positions in [Re, Im]
+        P, Q, col = np.flatnonzero(pos_a[i] >= 0), np.flatnonzero(pos_m[i] >= 0), np.where(dm, pos_m[k], pos_a[k])
+        J = sp.csc_matrix((np.r_[P, len(i) + Q], (np.r_[pos_a[i[P]], pos_m[i[Q]]], np.r_[col[P], col[Q]])), (n, n))
+        self.gather, self.indices, self.indptr, self.shape = J.data, J.indices, J.indptr, J.shape
+
+    def jacobian(self, V: np.ndarray, I: np.ndarray) -> sp.csc_matrix:
+        """J at bus voltages V with I = Y V. Products are spelled out in real
+        arithmetic, unfused like scipy.sparse's, because NumPy's SIMD complex
+        multiply may fuse multiply-adds."""
+        U = V / np.abs(V)
+        x = np.concatenate([V, U])[self.take]
+        wr, wi = self.yr * x.real - self.yi * x.imag, self.yr * x.imag + self.yi * x.real
+        g = np.append(I, 0)[self.diag_a]
+        qr, qi = self.sign * wr + g.real, self.sign * wi + g.imag
+        cr = np.append(I.real * U.real + I.imag * U.imag, 0)[self.diag_m]
+        ci = np.append(I.real * U.imag - I.imag * U.real, 0)[self.diag_m]
+        p = np.concatenate([1j * V, V])[self.p]
+        data = np.r_[p.real * qr + p.imag * qi + cr, p.imag * qr - p.real * qi + ci][self.gather]
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    @np.errstate(all="ignore")  # overflow and 0/0 surface as the non-finite values checked below
+    def run(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, S_spec: np.ndarray, tol: float,
+            max_iter: int) -> NewtonResult:
+        """Iterate from the polar start (theta, vm) until max |V conj(Y V) - S_spec| over the
+        equations is below tol; V outside ang and mag stays fixed, and V_L of the result is
+        the whole bus-voltage vector. A singular or non-finite Jacobian gives converged=False."""
+        V, theta, vm = V.copy(), theta.copy(), vm.copy()
+        mismatch_norm = math.inf
+        for iteration in range(max_iter + 1):
+            V[self.var] = vm[self.var] * np.exp(1j * theta[self.var])
+            if np.any(vm[self.mag] <= 0):
+                return NewtonResult(False, V, iteration, math.inf)
+            I = self.Y @ V
+            S = V * np.conj(I) - S_spec
+            f = np.concatenate([S.real[self.ang], S.imag[self.mag]])
+            mismatch_norm = float(np.abs(f).max())
+            if mismatch_norm < tol:
+                return NewtonResult(True, V, iteration, mismatch_norm)
+            if iteration == max_iter or not math.isfinite(mismatch_norm):
+                break
+            J = self.jacobian(V, I)
+            if not np.isfinite(J.data).all():
+                break
+            try:
+                dx = spla.splu(J).solve(-f)
+            except RuntimeError:  # exactly singular
+                break
+            if not np.isfinite(dx).all():
+                break
+            theta[self.ang] += dx[: len(self.ang)]
+            vm[self.mag] += dx[len(self.ang):]
+        return NewtonResult(False, V, iteration, mismatch_norm)
+
+
 @dataclass(frozen=True)
 class PolarNetwork:
     """Per-case quantities shared by repeated Newton solves."""
@@ -44,14 +122,14 @@ class PolarNetwork:
     Y: sp.csc_matrix  # full admittance, generators first
     V_G: np.ndarray
     E: np.ndarray  # zero-load load voltages, the default start
+    kernel: _NewtonKernel  # load-bus angles and magnitudes
 
 
 def prepare_network(case: NetworkCase, V_G: np.ndarray | None = None) -> PolarNetwork:
     partition = partition_buses(case)
     generator_ids, load_ids = partition
     Y = build_admittance(case, partition)
-    if V_G is None:
-        V_G = generator_phasors(case, generator_ids)
+    V_G = np.asarray(generator_phasors(case, generator_ids) if V_G is None else V_G, dtype=complex)
     m = len(generator_ids)
     Y_LL = Y.matrix[m:, m:].tocsc()
     Y_LG = Y.matrix[m:, :m]
@@ -59,18 +137,16 @@ def prepare_network(case: NetworkCase, V_G: np.ndarray | None = None) -> PolarNe
         lu = spla.splu(Y_LL)
     except RuntimeError as exc:
         raise SingularNetworkError(f"Y_LL is singular: {exc}") from exc
-    E = lu.solve(-(Y_LG @ np.asarray(V_G, dtype=complex)))
+    E = lu.solve(-(Y_LG @ V_G))
+    load = np.arange(m, m + len(load_ids))
     return PolarNetwork(
         generator_ids=tuple(generator_ids),
         load_ids=tuple(load_ids),
         Y=Y.matrix,
-        V_G=np.asarray(V_G, dtype=complex),
+        V_G=V_G,
         E=E,
+        kernel=_NewtonKernel(Y.matrix, load, load),
     )
-
-
-def _power_injections(Y: sp.csc_matrix, V: np.ndarray) -> np.ndarray:
-    return V * np.conj(Y @ V)
 
 
 def newton_solve(
@@ -90,52 +166,12 @@ def newton_solve(
     """
     net = network if network is not None else prepare_network(case)
     m = len(net.generator_ids)
-    n = len(net.load_ids)
     if S_L is None:
         S_L = load_power_vector(case, net.load_ids)
-    S_L = np.asarray(S_L, dtype=complex)
-
-    V_L = net.E.copy() if start is None else np.array(start, dtype=complex)
-    theta = np.angle(V_L)
-    vm = np.abs(V_L)
-    L = slice(m, m + n)
-
-    mismatch_norm = math.inf
-    for iteration in range(max_iter + 1):
-        V = np.concatenate([net.V_G, vm * np.exp(1j * theta)])
-        mis = _power_injections(net.Y, V)[L] + S_L
-        mismatch_norm = float(np.abs(np.concatenate([mis.real, mis.imag])).max())
-        if not math.isfinite(mismatch_norm):
-            return NewtonResult(False, V[L], iteration, mismatch_norm)
-        if mismatch_norm < tol:
-            return NewtonResult(True, V[L], iteration, mismatch_norm)
-        if iteration == max_iter:
-            break
-
-        ib = np.arange(m + n)
-        Ibus = net.Y @ V
-        diagV = sp.csr_matrix((V, (ib, ib)))
-        diagI = sp.csr_matrix((Ibus, (ib, ib)))
-        diagVnorm = sp.csr_matrix((V / np.abs(V), (ib, ib)))
-        dS_dVm = diagV @ (net.Y @ diagVnorm).conj() + diagI.conj() @ diagVnorm
-        dS_dVa = 1j * diagV @ (diagI - net.Y @ diagV).conj()
-
-        Jaa = dS_dVa[L, L]
-        Jam = dS_dVm[L, L]
-        J = sp.bmat([[Jaa.real, Jam.real], [Jaa.imag, Jam.imag]], format="csc")
-        rhs = -np.concatenate([mis.real, mis.imag])
-        try:
-            dx = spla.spsolve(J, rhs)
-        except RuntimeError:
-            return NewtonResult(False, V[L], iteration, mismatch_norm)
-        if not np.all(np.isfinite(dx)):
-            return NewtonResult(False, V[L], iteration, mismatch_norm)
-        theta = theta + dx[:n]
-        vm = vm + dx[n:]
-        if np.any(vm <= 0):
-            return NewtonResult(False, vm * np.exp(1j * theta), iteration + 1, math.inf)
-
-    return NewtonResult(False, vm * np.exp(1j * theta), max_iter, mismatch_norm)
+    V = np.concatenate([net.V_G, net.E if start is None else np.asarray(start, dtype=complex)])
+    S_spec = np.concatenate([np.zeros(m), -np.asarray(S_L, dtype=complex)])
+    res = net.kernel.run(V, np.angle(V), np.abs(V), S_spec, tol, max_iter)
+    return replace(res, V_L=res.V_L[m:])
 
 
 def newton_base_case(case: NetworkCase, tol: float = 1e-8, max_iter: int = 30) -> dict[int, complex]:
@@ -155,10 +191,7 @@ def newton_base_case(case: NetworkCase, tol: float = 1e-8, max_iter: int = 30) -
     m = len(generator_ids)
 
     slack_bus = case.slack_bus if case.slack_bus in generator_ids else generator_ids[0]
-    slack = order.index(slack_bus)
-    pv = [k for k in range(m) if k != slack]
-    pq = list(range(m, nb))
-    non_slack = pv + pq
+    non_slack = np.delete(np.arange(nb), order.index(slack_bus))  # voltage-controlled, then load buses
 
     setpoint = {}
     p_sched = np.zeros(nb)
@@ -167,49 +200,15 @@ def newton_base_case(case: NetworkCase, tol: float = 1e-8, max_iter: int = 30) -
             setpoint.setdefault(g.bus, g.voltage_setpoint)
             p_sched[order.index(g.bus)] += g.active_power
     demand = np.array([case.bus(i).demand for i in order])
-    p_spec = p_sched - demand.real
-    q_spec = -demand.imag
 
-    vm = np.ones(nb)
-    for k in range(m):
-        vm[k] = setpoint[order[k]]
+    vm = np.array([setpoint.get(bus, 1.0) for bus in order])
     theta = np.full(nb, case.bus(slack_bus).voltage_angle)
 
-    for iteration in range(max_iter + 1):
-        V = vm * np.exp(1j * theta)
-        S = _power_injections(Y, V)
-        dp = S.real[non_slack] - p_spec[non_slack]
-        dq = S.imag[pq] - q_spec[pq]
-        f = np.concatenate([dp, dq])
-        if float(np.abs(f).max()) < tol:
-            return {order[k]: V[k] for k in range(nb)}
-        if iteration == max_iter:
-            break
-
-        ib = np.arange(nb)
-        Ibus = Y @ V
-        diagV = sp.csr_matrix((V, (ib, ib)))
-        diagI = sp.csr_matrix((Ibus, (ib, ib)))
-        diagVnorm = sp.csr_matrix((V / np.abs(V), (ib, ib)))
-        dS_dVm = diagV @ (Y @ diagVnorm).conj() + diagI.conj() @ diagVnorm
-        dS_dVa = 1j * diagV @ (diagI - Y @ diagV).conj()
-
-        J = sp.bmat(
-            [
-                [dS_dVa[non_slack][:, non_slack].real, dS_dVm[non_slack][:, pq].real],
-                [dS_dVa[pq][:, non_slack].imag, dS_dVm[pq][:, pq].imag],
-            ],
-            format="csc",
-        )
-        dx = spla.spsolve(J, -f)
-        theta[non_slack] += dx[: len(non_slack)]
-        vm[pq] += dx[len(non_slack):]
-        if np.any(vm <= 0) or not np.all(np.isfinite(vm)):
-            raise SingularNetworkError("base-case power flow diverged")
-
-    raise SingularNetworkError(
-        f"base-case power flow did not converge within {max_iter} iterations"
-    )
+    kernel = _NewtonKernel(Y, non_slack, np.arange(m, nb))
+    res = kernel.run(vm * np.exp(1j * theta), theta, vm, p_sched - demand, tol, max_iter)
+    if not res.converged:
+        raise SingularNetworkError(f"base-case power flow did not converge ({res.iterations} iterations)")
+    return {order[k]: res.V_L[k] for k in range(nb)}
 
 
 def solved_generator_phasors(case: NetworkCase) -> np.ndarray:
@@ -244,9 +243,8 @@ def actual_limit(
     warm = net.E.copy()
 
     def probe(lam: float, start: np.ndarray) -> NewtonResult:
-        return newton_solve(
-            case, lam * direction, start=start, tol=newton_tol, max_iter=newton_max_iter, network=net
-        )
+        return newton_solve(case, lam * direction, start=start, tol=newton_tol, max_iter=newton_max_iter,
+                            network=net)
 
     res = probe(lo, warm)
     if not res.converged:

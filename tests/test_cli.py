@@ -5,10 +5,11 @@ import math
 
 import pytest
 
+from pfcert import oracle
 from pfcert.cli import main
 from pfcert.oracle import two_bus_analytic
 
-from conftest import TWO_BUS_MATPOWER
+from conftest import TWO_BUS_MATPOWER, case_path
 
 
 @pytest.fixture
@@ -146,6 +147,26 @@ def test_oracle_limit_command(two_bus_file, tmp_path):
     assert run(["oracle-limit", "--case", two_bus_file, "--out", out]) == 0
     doc = json.loads(out.read_text())
     assert doc["lambda_actual"] == pytest.approx(2.0, abs=1e-4)
+
+
+def test_limits_oracle_uses_solved_generator_phasors(tmp_path):
+    out = tmp_path / "lim.json"
+    assert run(["limits", "--case", case_path("case9.m"), "--gen-phasors", "solved", "--with-oracle",
+                "--out", out]) == 0
+    assert '"lambda_actual": 2.63796875,' in out.read_text()  # the case-phasor limit is 2.65840625
+
+
+def test_oracle_limit_command_matches_limits_with_oracle(tmp_path, monkeypatch):
+    calls = []
+    newton_solve = oracle.newton_solve
+    monkeypatch.setattr(oracle, "newton_solve", lambda *a, **k: calls.append(1) or newton_solve(*a, **k))
+    case = case_path("case39.m")
+    assert run(["oracle-limit", "--case", case, "--out", tmp_path / "o.json"]) == 0
+    probes = len(calls)
+    assert run(["limits", "--case", case, "--with-oracle", "--out", tmp_path / "l.json"]) == 0
+    lam = json.loads((tmp_path / "o.json").read_text())["lambda_actual"]
+    assert lam == json.loads((tmp_path / "l.json").read_text())["lambda_actual"] == 2.47309375
+    assert probes == len(calls) - probes == 28  # not the fixed-point --tol as bisection width
 
 
 def test_certify_dump_reduction(two_bus_file, tmp_path):

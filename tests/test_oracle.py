@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from pfcert.admittance import fixed_point_residual, reduce_case
-from pfcert.net_model import CaseError
+from pfcert.admittance import build_admittance, fixed_point_residual, reduce_case
+from pfcert.net_model import CaseError, load_power_vector, partition_buses
 from pfcert.oracle import (
+    _NewtonKernel,
     actual_limit,
     newton_base_case,
     newton_solve,
@@ -112,3 +113,47 @@ def test_actual_limit_rejects_feasible_upper_end():
 def test_actual_limit_explicit_bracket():
     lam = actual_limit(make_two_bus(p=1.0), bracket=(4.0, 6.0), tol=1e-4)
     assert lam == pytest.approx(5.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("form", ["load", "base_case"])
+def test_newton_kernel_jacobian_matches_central_differences(form):
+    """Both solvers' index sets: load angles and magnitudes (newton_solve), and
+    non-slack angles with load magnitudes (newton_base_case)."""
+    case = case_path_case("case39.m")
+    generator_ids, load_ids = partition_buses(case)
+    Y = build_admittance(case).matrix
+    m, nb = len(generator_ids), len(generator_ids) + len(load_ids)
+    mag = np.arange(m, nb)
+    ang = mag if form == "load" else np.delete(np.arange(nb), generator_ids.index(case.slack_bus))
+    kernel = _NewtonKernel(Y, ang, mag)
+    rng = np.random.default_rng(7)
+    theta, vm = 0.2 * rng.standard_normal(nb), 1.0 + 0.05 * rng.standard_normal(nb)
+
+    def mismatch(dx):
+        th, v = theta.copy(), vm.copy()
+        th[ang] += dx[: len(ang)]
+        v[mag] += dx[len(ang):]
+        V = v * np.exp(1j * th)
+        S = V * np.conj(Y @ V)
+        return np.concatenate([S.real[ang], S.imag[mag]])
+
+    V = vm * np.exp(1j * theta)
+    J = kernel.jacobian(V, Y @ V).toarray()
+    h = 1e-6
+    fd = np.column_stack([(mismatch(h * e) - mismatch(-h * e)) / (2 * h) for e in np.eye(len(ang) + len(mag))])
+    assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
+
+
+@pytest.mark.filterwarnings("error")
+def test_newton_failures_are_structured_results():
+    case = case_path_case("case39.m")
+    net = prepare_network(case)
+    S = load_power_vector(case, net.load_ids)
+    start = net.E.copy()
+    start[3] = 0.0
+    hopeless = 10 * 2.47309375 * S  # 10x the true limit
+    for res in (newton_solve(case, S, start=start, network=net), newton_solve(case, hopeless, network=net)):
+        assert not res.converged and res.V_L.shape == S.shape
+    # x = 1 makes Y exact; at V = 0.5 the reactive row of the Jacobian is exactly zero
+    singular = newton_solve(make_two_bus(p=0.0, x=1.0), np.array([0.2j]), start=np.array([0.5 + 0j]))
+    assert not singular.converged and singular.iterations == 0
