@@ -249,11 +249,10 @@ def cmd_limits(args) -> int:
     if args.with_oracle:
         net = oracle.prepare_network(case, V_G=red.V_G)
         actual = oracle.actual_limit(case, direction=S_base, bracket=(1e-3, None), network=net)
-        doc["lambda_actual"] = actual
-        ref = 1.0 + actual if est.mode == "from_known_solution" else actual
+        doc["lambda_actual"] = actual  # a total scaling from zero load in both modes
         for key, lam in (("p", est.lambda_p), ("w", est.lambda_w), ("d", est.lambda_d)):
             bound = 1.0 + lam if est.mode == "from_known_solution" else lam
-            doc[f"relative_error_{key}"] = (ref - bound) / ref
+            doc[f"relative_error_{key}"] = (actual - bound) / actual
     if args.out_format == "csv":
         fields = [k for k in doc if k != "meta"]
         _emit(args, rows_to_csv(fields, [doc]))
@@ -379,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--known-solution", action="store_true", dest="known_solution")
     p.add_argument("--with-oracle", action="store_true", dest="with_oracle",
-                   help="also bisect the true limit and report relative errors")
+                   help="also locate the true limit (the nose) and report relative errors")
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("sweep", help="limit estimates over loading directions of two buses")
@@ -400,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-oracle", action="store_true", dest="with_oracle")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("oracle-limit", help="bisect the actual solvability limit")
+    p = sub.add_parser("oracle-limit", help="locate the actual solvability limit (the nose)")
     _add_common(p)
     p.add_argument("--bracket-lo", type=float, default=1e-3, dest="bracket_lo")
     p.add_argument("--bracket-hi", type=float, default=None, dest="bracket_hi")

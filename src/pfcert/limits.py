@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import oracle
 from .admittance import (
@@ -204,6 +203,8 @@ def _known_solution_limits(red: GridReduction, m0: StressMeasures) -> LimitEstim
     elif xi0 >= 1.0:
         lam_d = 0.0
     else:
+        from scipy.optimize import brentq  # only user; scipy.optimize is slow to import
+
         def dvij_gap(lam: float) -> float:
             return math.sqrt((1.0 + lam) * xi0) + math.sqrt(lam * eta0) - 1.0
 

@@ -1,5 +1,6 @@
-"""Independent ground truth: Newton power flow, loading-limit bisection,
-and the closed-form single-load oracle used throughout the test suite.
+"""Independent ground truth: Newton power flow, the loading limit by
+continuation to the nose, and the closed-form single-load oracle used
+throughout the test suite.
 
 The Newton solver treats generator buses as fixed phasors and solves the
 polar mismatch equations at the load buses with an analytic Jacobian. The
@@ -79,38 +80,81 @@ class _NewtonKernel:
         data = np.r_[p.real * qr + p.imag * qi + cr, p.imag * qr - p.real * qi + ci][self.gather]
         return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
-    @np.errstate(all="ignore")  # overflow and 0/0 surface as the non-finite values checked below
     def run(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, S_spec: np.ndarray, tol: float,
             max_iter: int) -> NewtonResult:
         """Iterate from the polar start (theta, vm) until max |V conj(Y V) - S_spec| over the
         equations is below tol; V outside ang and mag stays fixed, and V_L of the result is
         the whole bus-voltage vector. A singular or non-finite Jacobian gives converged=False."""
-        V, theta, vm = V.copy(), theta.copy(), vm.copy()
-        mismatch_norm = math.inf
+        y = np.r_[theta[self.ang], vm[self.mag], 0.0]
+        return self.correct(V, theta, vm, y, S_spec, None, len(y) - 1, tol, max_iter)[0]
+
+    @np.errstate(all="ignore")  # overflow and 0/0 surface as the non-finite values checked below
+    def correct(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, y: np.ndarray, S_spec: np.ndarray,
+                d: np.ndarray | None, fixed: int, tol: float,
+                max_iter: int) -> tuple[NewtonResult, np.ndarray, np.ndarray | None]:
+        """Newton on the mismatch V conj(Y V) - S_spec + lam d in the unknowns
+        y = (theta[ang], vm[mag], lam), holding y[fixed]. The matrix is J with its column
+        `fixed` replaced by the loading column (Re d[ang], Im d[mag]), so the step moves lam in
+        the held unknown's place; with `fixed` = lam's index it is J itself, and d=None is
+        Newton at a fixed loading. Given d, the iteration also gives up once the mismatch stops
+        falling, and a converged result comes with the tangent dy/dy[fixed] of the solution
+        curve (entry `fixed` is 1), solved with the last factor; a tangent needs a factor, so
+        the first iterate is never accepted. Returns the result, y and the tangent."""
+        V, theta, vm, y = V.copy(), theta.copy(), vm.copy(), y.copy()
+        na, lam = len(self.ang), len(y) - 1
+        col = None if d is None else np.r_[d.real[self.ang], d.imag[self.mag]]
+        lu = None
+        mismatch_norm = last = math.inf
         for iteration in range(max_iter + 1):
+            theta[self.ang], vm[self.mag] = y[:na], y[na:lam]
             V[self.var] = vm[self.var] * np.exp(1j * theta[self.var])
             if np.any(vm[self.mag] <= 0):
-                return NewtonResult(False, V, iteration, math.inf)
+                return NewtonResult(False, V, iteration, math.inf), y, None
             I = self.Y @ V
             S = V * np.conj(I) - S_spec
+            if d is not None:
+                S += y[lam] * d
             f = np.concatenate([S.real[self.ang], S.imag[self.mag]])
             mismatch_norm = float(np.abs(f).max())
-            if mismatch_norm < tol:
-                return NewtonResult(True, V, iteration, mismatch_norm)
-            if iteration == max_iter or not math.isfinite(mismatch_norm):
+            if mismatch_norm < tol and d is None:
+                return NewtonResult(True, V, iteration, mismatch_norm), y, None
+            if mismatch_norm < tol and lu is not None:
+                tangent = np.append(lu.solve(-held), 1.0)
+                tangent[[fixed, lam]] = tangent[[lam, fixed]]
+                if not np.isfinite(tangent).all():
+                    break
+                return NewtonResult(True, V, iteration, mismatch_norm), y, tangent
+            if iteration == max_iter or not math.isfinite(mismatch_norm) or d is not None and mismatch_norm >= last:
                 break
+            last = mismatch_norm
             J = self.jacobian(V, I)
             if not np.isfinite(J.data).all():
                 break
+            held = col
+            if fixed != lam:
+                J, held = _replace_column(J, fixed, col)
             try:
-                dx = spla.splu(J).solve(-f)
+                lu = spla.splu(J)
             except RuntimeError:  # exactly singular
                 break
+            dx = np.append(lu.solve(-f), 0.0)
             if not np.isfinite(dx).all():
                 break
-            theta[self.ang] += dx[: len(self.ang)]
-            vm[self.mag] += dx[len(self.ang):]
-        return NewtonResult(False, V, iteration, mismatch_norm)
+            dx[[fixed, lam]] = dx[[lam, fixed]]
+            y += dx
+        return NewtonResult(False, V, iteration, mismatch_norm), y, None
+
+
+def _replace_column(J: sp.csc_matrix, k: int, col: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray]:
+    """J with column k replaced by the dense vector col, and that column of J, dense."""
+    start, end = J.indptr[k], J.indptr[k + 1]
+    old = np.zeros(J.shape[0])
+    old[J.indices[start:end]] = J.data[start:end]
+    rows = np.flatnonzero(col)
+    indptr = J.indptr.copy()
+    indptr[k + 1:] += len(rows) - (end - start)
+    data = np.r_[J.data[:start], col[rows], J.data[end:]]
+    return sp.csc_matrix((data, np.r_[J.indices[:start], rows, J.indices[end:]], indptr), shape=J.shape), old
 
 
 @dataclass(frozen=True)
@@ -227,54 +271,95 @@ def actual_limit(
     newton_tol: float = 1e-8,
     newton_max_iter: int = 40,
 ) -> float:
-    """True solvability limit along a loading direction, by bisection.
+    """True solvability limit along a loading direction: the nose of its P-V curve.
 
-    Scales `direction` (default: the case demands) by lambda and bisects on
-    Newton feasibility, warm-starting every probe from the last feasible
-    solution. The lower bracket end must be feasible. Returns the bracket
-    midpoint once its width drops below tol.
+    Scales `direction` (default: the case demands) by lambda and follows the
+    solution branch through the solved point at lambda = bracket[0], which
+    must be feasible, by continuation (Ajjarapu & Christy 1992) to the
+    saddle-node point (Canizares & Alvarado 1993). Returns the lambda of a
+    solved point within tol of the nose; newton_tol and newton_max_iter set
+    the corrector. Raises CaseError when the nose is at or above bracket[1],
+    when lambda passes 2**60 * bracket[0], or when the corrector breaks down.
     """
     net = network if network is not None else prepare_network(case)
     if direction is None:
         direction = load_power_vector(case, net.load_ids)
-    direction = np.asarray(direction, dtype=complex)
+    return _nose(net, np.asarray(direction, dtype=complex), bracket, tol, newton_tol, newton_max_iter)[0]
 
+
+def _nose(net: PolarNetwork, direction: np.ndarray, bracket: tuple[float, float | None], tol: float,
+          newton_tol: float, newton_max_iter: int) -> tuple[float, np.ndarray]:
+    """actual_limit's lambda, and the bus voltages of the solved point it belongs to.
+
+    The unknowns are y = (load angles, load magnitudes, lambda). A step
+    predicts along the unit tangent t and corrects holding the unknown of
+    largest |t|, so the corrector stays nonsingular through the nose; the step
+    length follows the corrector's iteration count. Once t's lambda component
+    changes sign, the fold is the zero of g = dlambda/ds, s the magnitude of
+    the critical bus, found by a secant that keeps a sign-change bracket."""
     lo, hi = bracket
-    warm = net.E.copy()
+    if not lo > 0:
+        raise CaseError("bracket lower end must be positive")
+    if hi is not None and not hi > lo:
+        raise CaseError("bracket upper end must exceed the lower end")
+    m, n = len(net.generator_ids), len(net.load_ids)
+    V = np.concatenate([net.V_G, net.E])
+    theta, vm = np.angle(V), np.abs(V)
+    d = np.concatenate([np.zeros(m), direction])
+    lam = 2 * n  # index of lambda in y
 
-    def probe(lam: float, start: np.ndarray) -> NewtonResult:
-        return newton_solve(case, lam * direction, start=start, tol=newton_tol, max_iter=newton_max_iter,
-                            network=net)
+    def correct(y: np.ndarray, fixed: int) -> tuple[NewtonResult, np.ndarray, np.ndarray | None]:
+        res, y, t = net.kernel.correct(V, theta, vm, y, np.zeros_like(V), d, fixed, newton_tol, newton_max_iter)
+        if res.converged and hi is not None and y[lam] >= hi:
+            raise CaseError(f"upper bracket end lambda={hi} is feasible; widen the bracket")
+        return res, y, t
 
-    res = probe(lo, warm)
+    res, y, t = correct(np.r_[theta[m:], vm[m:], lo], lam)
     if not res.converged:
         raise CaseError(f"lower bracket end lambda={lo} is itself infeasible")
-    warm = res.V_L
+    t /= np.linalg.norm(t)
+    h = lo / t[lam]  # the first step doubles lambda
+    while True:
+        res1, y1, t1 = correct(y + h * t, int(np.argmax(np.abs(t))))
+        if res1.converged:
+            t1 /= np.linalg.norm(t1) if t1 @ t > 0 else -np.linalg.norm(t1)
+            # the critical bus: the load magnitude moving most, and the same way, at both ends
+            crit = n + int(np.argmax(t[n:lam] * t1[n:lam]))
+        # a step past the nose must leave s = y[crit] a parameter of the arc between its ends
+        if not res1.converged or t1[lam] < 0 and t[crit] * t1[crit] <= 0:
+            h *= 0.25
+            if h < 1e-10 * (1.0 + abs(y[lam])):
+                raise CaseError(f"continuation broke down near lambda={y[lam]}")
+            continue
+        if y1[lam] > 2.0**60 * lo:
+            raise CaseError("no nose below 2**60 times the lower bracket end; direction may be unbounded")
+        if t1[lam] < 0:
+            break
+        res, y, t = res1, y1, t1
+        h *= 2.0 ** min(2, max(-2, 3 - res1.iterations))
 
-    if hi is None:
-        hi = 2.0 * lo
-        for _ in range(60):
-            res = probe(hi, warm)
-            if not res.converged:
+    ends = [(y[crit], t[lam] / t[crit], y, t, res.V_L), (y1[crit], t1[lam] / t1[crit], y1, t1, res1.V_L)]
+    last, same = None, 0  # the end replaced last, and how many times in a row
+    while True:
+        (sa, ga, *_), (sb, gb, *_) = ends
+        slope = (gb - ga) / (sb - sa)
+        _, g, y, _, V_L = min(ends, key=lambda e: abs(e[1]))
+        # near the fold lambda = lambda* + slope (s - s*)^2 / 2, so lambda* - lambda = g^2 / (2 |slope|)
+        if g * g / (2.0 * abs(slope)) <= tol or abs(sb - sa) <= 1e-13:
+            return y[lam], V_L
+        s = 0.5 * (sa + sb) if same >= 2 else sa - ga / slope
+        s0, _, y0, t0, _ = min(ends, key=lambda e: abs(s - e[0]))  # start from the nearer end
+        while True:
+            res, y, t = correct(y0 + (s - s0) / t0[crit] * t0, crit)
+            if res.converged:
                 break
-            lo, warm = hi, res.V_L
-            hi *= 2.0
-        else:
-            raise CaseError("no infeasible upper bracket found; direction may be unbounded")
-    else:
-        if not hi > lo:
-            raise CaseError("bracket upper end must exceed the lower end")
-        if probe(hi, warm).converged:
-            raise CaseError(f"upper bracket end lambda={hi} is feasible; widen the bracket")
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        res = probe(mid, warm)
-        if res.converged:
-            lo, warm = mid, res.V_L
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            s = 0.5 * (s + s0)  # shrink toward the end that converged
+            if abs(s - s0) < 1e-12:
+                raise CaseError(f"corrector broke down at the nose near lambda={y0[lam]}")
+        side = int((t[lam] > 0) != (ga > 0))
+        same = same + 1 if side == last else 1
+        last = side
+        ends[side] = (y[crit], t[lam], y, t, res.V_L)
 
 
 def two_bus_analytic(p: float, q: float, x: float) -> tuple[complex, ...]:

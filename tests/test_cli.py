@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pfcert
 from pfcert import oracle
 from pfcert.cli import main
 from pfcert.oracle import two_bus_analytic
@@ -153,20 +158,31 @@ def test_limits_oracle_uses_solved_generator_phasors(tmp_path):
     out = tmp_path / "lim.json"
     assert run(["limits", "--case", case_path("case9.m"), "--gen-phasors", "solved", "--with-oracle",
                 "--out", out]) == 0
-    assert '"lambda_actual": 2.63796875,' in out.read_text()  # the case-phasor limit is 2.65840625
+    assert '"lambda_actual": 2.63792525,' in out.read_text()  # the case-phasor limit is 2.65839396
 
 
 def test_oracle_limit_command_matches_limits_with_oracle(tmp_path, monkeypatch):
     calls = []
-    newton_solve = oracle.newton_solve
-    monkeypatch.setattr(oracle, "newton_solve", lambda *a, **k: calls.append(1) or newton_solve(*a, **k))
+    correct = oracle._NewtonKernel.correct
+    monkeypatch.setattr(oracle._NewtonKernel, "correct", lambda *a, **k: calls.append(1) or correct(*a, **k))
     case = case_path("case39.m")
     assert run(["oracle-limit", "--case", case, "--out", tmp_path / "o.json"]) == 0
-    probes = len(calls)
+    work = len(calls)
     assert run(["limits", "--case", case, "--with-oracle", "--out", tmp_path / "l.json"]) == 0
     lam = json.loads((tmp_path / "o.json").read_text())["lambda_actual"]
-    assert lam == json.loads((tmp_path / "l.json").read_text())["lambda_actual"] == 2.47309375
-    assert probes == len(calls) - probes == 28  # not the fixed-point --tol as bisection width
+    assert lam == json.loads((tmp_path / "l.json").read_text())["lambda_actual"] == 2.47306774
+    assert work == len(calls) - work > 0  # the same solves: the fixed-point --tol does not reach the oracle
+
+
+def test_limits_known_solution_relative_error_is_against_the_true_limit(tmp_path):
+    out = tmp_path / "k.json"
+    assert run(["limits", "--case", case_path("case39.m"), "--known-solution", "--with-oracle", "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    actual = doc["lambda_actual"]  # a total scaling from zero load, like total_scaling_*
+    for key in "pwd":  # the printed inputs carry 9 significant digits
+        expected = (actual - doc[f"total_scaling_{key}"]) / actual
+        assert doc[f"relative_error_{key}"] == pytest.approx(expected, abs=1e-8)
+    assert doc["relative_error_p"] == pytest.approx(0.1175, abs=1e-4)
 
 
 def test_certify_dump_reduction(two_bus_file, tmp_path):
@@ -178,3 +194,10 @@ def test_certify_dump_reduction(two_bus_file, tmp_path):
     assert doc["load_ids"] == [2]
     assert doc["E"][0] == pytest.approx([1.0, 0.0])
     assert doc["Zhat"][0][0][1] == pytest.approx(0.1)
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    code = "import sys, pfcert.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(pfcert.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,12 +1,16 @@
-"""Newton oracle, base-case solve, bisection limit, and the closed-form two-bus."""
+"""Newton oracle, base-case solve, continuation limit, and the closed-form two-bus."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pfcert import limits
 from pfcert.admittance import build_admittance, fixed_point_residual, reduce_case
 from pfcert.net_model import CaseError, load_power_vector, partition_buses
 from pfcert.oracle import (
     _NewtonKernel,
+    _nose,
     actual_limit,
     newton_base_case,
     newton_solve,
@@ -16,6 +20,8 @@ from pfcert.oracle import (
 )
 
 from conftest import case_path, make_star, make_two_bus
+
+BUNDLED = ("case9", "case14", "case24_ieee_rts", "case30", "case39", "case57", "case118")
 
 
 def test_two_bus_analytic_cases():
@@ -157,3 +163,69 @@ def test_newton_failures_are_structured_results():
     # x = 1 makes Y exact; at V = 0.5 the reactive row of the Jacobian is exactly zero
     singular = newton_solve(make_two_bus(p=0.0, x=1.0), np.array([0.2j]), start=np.array([0.5 + 0j]))
     assert not singular.converged and singular.iterations == 0
+
+
+def perturbed_directions(S, count, seed):
+    rng = np.random.default_rng(seed)
+    return [S * rng.uniform(0.8, 1.2, len(S)) * np.exp(1j * rng.uniform(-0.2, 0.2, len(S))) for _ in range(count)]
+
+
+def condition(net, V):
+    sv = np.linalg.svd(net.kernel.jacobian(V, net.Y @ V).toarray(), compute_uv=False)
+    return sv[-1] / sv[0]
+
+
+def test_nose_jacobian_is_singular():
+    """The returned point is the saddle-node: its load-block Jacobian is singular,
+    unlike the solution at 0.9 times its loading. lambda is quadratic in the
+    critical magnitude at the fold, so the default tol = 1e-4 leaves the point
+    far enough away for a ratio of ~1e-5; tol = 1e-8 brings it below 1e-6."""
+    case = case_path_case("case39.m")
+    red, S = limits.prepare(case)
+    net = prepare_network(case, V_G=red.V_G)
+    for d in [S] + perturbed_directions(S, 1, seed=5):
+        lam, V = _nose(net, d, (1e-3, None), tol=1e-8, newton_tol=1e-8, newton_max_iter=40)
+        assert condition(net, V) <= 1e-6
+        below = newton_solve(case, 0.9 * lam * d, network=net)
+        assert below.converged
+        assert condition(net, np.concatenate([net.V_G, below.V_L])) >= 1e-3
+
+
+def test_actual_limit_two_bus_tight_tol():
+    assert actual_limit(make_two_bus(p=1.0), tol=1e-10) == pytest.approx(5.0, abs=1e-8)
+
+
+def test_actual_limit_zero_direction_raises(monkeypatch):
+    case = case_path_case("case39.m")
+    net = prepare_network(case)
+    calls = []
+    correct = _NewtonKernel.correct
+    monkeypatch.setattr(_NewtonKernel, "correct", lambda *a, **k: calls.append(1) or correct(*a, **k))
+    with pytest.raises(CaseError, match="unbounded"):
+        actual_limit(case, direction=np.zeros(len(net.load_ids)), bracket=(1e-3, None), network=net)
+    assert len(calls) < 100  # lambda grows geometrically to the 2**60 cap
+
+
+def test_actual_limit_corrector_breakdown_raises(monkeypatch):
+    correct = _NewtonKernel.correct
+    calls = []
+
+    def first_only(self, *args):
+        res, y, t = correct(self, *args)
+        calls.append(1)
+        return (res, y, t) if len(calls) == 1 else (replace(res, converged=False), y, None)
+
+    monkeypatch.setattr(_NewtonKernel, "correct", first_only)
+    with pytest.raises(CaseError, match="broke down"):
+        actual_limit(make_two_bus(p=1.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", BUNDLED)
+def test_actual_limit_bounds_lambda_p_on_bundled_cases(name):
+    case = case_path_case(f"{name}.m")
+    red, S = limits.prepare(case)
+    net = prepare_network(case, V_G=red.V_G)
+    for d in [S] + perturbed_directions(S, 3, seed=11):
+        lam = actual_limit(case, direction=d, bracket=(1e-3, None), network=net)
+        assert limits.lambda_all(red, d).lambda_p <= lam
