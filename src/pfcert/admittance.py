@@ -141,7 +141,6 @@ def reduce_network(Y: AdmittanceMatrix, partition, V_G: np.ndarray) -> GridReduc
     if np.any(V_G == 0):
         raise CaseError("V_G entries must be nonzero")
 
-    Y_GG = Y.matrix[:m, :m]
     Y_LG = Y.matrix[m:, :m].tocsc()
     Y_LL = Y.matrix[m:, m:].tocsc()
 
@@ -163,7 +162,6 @@ def reduce_network(Y: AdmittanceMatrix, partition, V_G: np.ndarray) -> GridReduc
         raise SingularNetworkError("equivalent voltage E has (near-)zero entries")
 
     Zhat = Z / np.outer(E, E.conj())
-    del Y_GG
     ones = np.ones(n, dtype=complex)
     return GridReduction(
         generator_ids=tuple(generator_ids),

@@ -29,7 +29,6 @@ REASON_LEVEL = "stress_level"
 REASON_SPREAD = "stress_spread"
 
 _MU_GRID = 63  # interior radii probed when bounding the contraction factor
-_MU_BOUNDARY_SAMPLES = 256
 
 
 @dataclass(frozen=True)
@@ -113,36 +112,24 @@ def estimate_contraction(m: StressMeasures, radii: DiscRadii) -> float | None:
     """Upper bound on the iteration contraction factor mu in [0, 1).
 
     mu is defined as sup over the invariant polydisc of max_i |u_i - 1|/|u_i|
-    divided by the polydisc scale r'. The sup is bounded per bus by
-    (|eta_i| + r' xi_i)/(|c_i| - r' xi_i); when that coarse bound is not
-    conclusive for any admissible r', the disc boundaries are sampled (the
-    ratio is the modulus of a Mobius map, so its maximum sits on the
-    boundary). Returns None when no bound below 1 is found.
+    divided by the polydisc scale r'. The map u -> 1 - 1/u sends the disc
+    |u - c_i| <= rho_i (c_i = 1 - eta_i, rho_i = r' xi_i, |c_i| > rho_i) onto
+    the disc with center 1 - conj(c_i)/(|c_i|^2 - rho_i^2) and radius
+    rho_i/(|c_i|^2 - rho_i^2), so the sup is that center's modulus plus the
+    radius: exact at every interior radius r' of the grid, hence an upper
+    bound on the minimax. A radius whose disc reaches the origin is skipped.
+    Returns None when no bound below 1 is found.
     """
     if radii.degenerate:
         return 0.0
     centers = 1.0 - m.eta_complex
-    abs_c = np.abs(centers)
-    best = math.inf
     ts = np.linspace(1.0 / (_MU_GRID + 1), _MU_GRID / (_MU_GRID + 1.0), _MU_GRID)
     grid = radii.r_lo + ts * (radii.r_hi - radii.r_lo)
-    for r in grid:
-        rho = r * m.xi
-        margin = abs_c - rho
-        if np.any(margin <= 0):
-            continue
-        coarse = float(((m.eta_abs + rho) / margin).max()) / r
-        best = min(best, coarse)
-    if best < 1.0:
-        return best
-    theta = np.exp(2j * np.pi * np.arange(_MU_BOUNDARY_SAMPLES) / _MU_BOUNDARY_SAMPLES)
-    for r in grid:
-        rho = r * m.xi
-        if np.any(abs_c <= rho):
-            continue
-        boundary = centers[:, None] + rho[:, None] * theta[None, :]
-        ratio = float((np.abs(boundary - 1.0) / np.abs(boundary)).max()) / r
-        best = min(best, ratio)
+    rho = grid[:, None] * m.xi
+    d = np.abs(centers) ** 2 - rho**2
+    safe = np.where(d > 0.0, d, 1.0)
+    sup = np.where(d > 0.0, np.abs(1.0 - centers.conj() / safe) + rho / safe, math.inf)
+    best = float((sup.max(axis=1) / grid).min())
     return best if best < 1.0 else None
 
 

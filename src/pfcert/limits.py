@@ -197,21 +197,15 @@ def _known_solution_limits(red: GridReduction, m0: StressMeasures) -> LimitEstim
     else:
         lam_w = (1.0 - xi0) ** 2 / (4.0 * xi0)
 
-    # dvijotham: sqrt((1 + lambda) xi0) + sqrt(lambda eta0) <= 1
+    # dvijotham: sqrt((1 + lambda) xi0) + sqrt(lambda eta0) <= 1, a quadratic
+    # in x = sqrt(lambda) whose positive root is taken in its stable form
     if xi0 == 0.0:
         lam_d = math.inf
     elif xi0 >= 1.0:
         lam_d = 0.0
     else:
-        from scipy.optimize import brentq  # only user; scipy.optimize is slow to import
-
-        def dvij_gap(lam: float) -> float:
-            return math.sqrt((1.0 + lam) * xi0) + math.sqrt(lam * eta0) - 1.0
-
-        hi = 1.0
-        while dvij_gap(hi) < 0.0:
-            hi *= 2.0
-        lam_d = float(brentq(dvij_gap, 0.0, hi, xtol=1e-14, rtol=1e-15))
+        x = (1.0 - xi0) / (math.sqrt(eta0) + math.sqrt(xi0 * (1.0 - xi0 + eta0)))
+        lam_d = x * x
 
     # polydisc: per-bus fused stress reaches 1, quadratic in lambda
     A = 2.0 * xi0 * eta0 - a_i**2 - np.abs(h_i) ** 2

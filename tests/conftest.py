@@ -10,6 +10,7 @@ import pytest
 from pfcert.net_model import BranchRecord, BusRecord, GenRecord, build_case
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
+BUNDLED = ("case9", "case14", "case24_ieee_rts", "case30", "case39", "case57", "case118")
 
 
 def _bus(bus_id, p=0.0, q=0.0, vm=1.0, va=0.0, gs=0.0, bs=0.0):

@@ -16,10 +16,12 @@ from pfcert.certificate import (
     voltage_bounds_to_dict,
 )
 from pfcert.fixed_point import evaluate_F
+from pfcert.limits import lambda_proposed, prepare
+from pfcert.net_model import load_case_file
 from pfcert.stress import NoCertificate, StressMeasures, compute_stress
 from pfcert.oracle import two_bus_analytic
 
-from conftest import make_two_bus, random_loads, random_ztilde
+from conftest import BUNDLED, case_path, make_two_bus, random_loads, random_ztilde
 
 ZT = np.array([[0.1j]])
 
@@ -207,3 +209,66 @@ def test_serialization_round_shapes():
     vb_doc = voltage_bounds_to_dict(voltage_bounds(cert, red))
     assert vb_doc["buses"][0]["bus"] == 2
     assert vb_doc["buses"][0]["magnitude"][0] == pytest.approx(0.9513174, abs=2e-6)
+
+
+def bundled(name):
+    return prepare(load_case_file(case_path(f"{name}.m")))
+
+
+def sampled_mu(m, radii, samples=20_000):
+    """mu on the 63-radius grid of estimate_contraction, with each disc's sup of
+    |u - 1|/|u| replaced by its maximum over `samples` boundary points
+    u = c + rho e^(i theta), the squared moduli expanded in cos and sin."""
+    grid = radii.r_lo + np.linspace(1.0 / 64, 63.0 / 64, 63) * (radii.r_hi - radii.r_lo)
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    cos, sin = np.cos(theta), np.sin(theta)
+    worst = np.zeros(grid.size)
+    for c, xi in zip(1.0 - m.eta_complex, m.xi):
+        rho = (grid * xi)[:, None]
+        num = abs(c - 1.0) ** 2 + rho**2 + 2.0 * rho * ((c.real - 1.0) * cos + c.imag * sin)
+        den = abs(c) ** 2 + rho**2 + 2.0 * rho * (c.real * cos + c.imag * sin)
+        per_radius = np.sqrt((num / den).max(axis=1))
+        worst = np.maximum(worst, np.where(abs(c) > grid * xi, per_radius, np.inf))
+    return float((worst / grid).min())
+
+
+def assert_mu_is_exact(m):
+    cert = certify(m)
+    assert cert.holds and cert.mu_bound is not None
+    reference = sampled_mu(m, cert.radii)
+    assert cert.mu_bound >= reference
+    assert cert.mu_bound == pytest.approx(reference, rel=1e-6)
+    return cert.mu_bound
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_mu_bound_is_the_exact_supremum_on_bundled_cases(name):
+    red, S = bundled(name)
+    lam = lambda_proposed(red, S).lambda_p
+    for fraction in (0.25, 0.5, 0.75, 0.95):
+        assert_mu_is_exact(compute_stress(red.Ztilde, fraction * lam * S))
+
+
+def test_mu_bound_is_the_exact_supremum_on_case39_at_twice_the_load():
+    # a 256-point boundary sample reads 0.927229397 here, below the supremum
+    red, S = bundled("case39")
+    mu = assert_mu_is_exact(compute_stress(red.Ztilde, 2.0 * S))
+    assert mu == pytest.approx(0.927284897, abs=5e-10)
+
+
+def test_mu_bound_is_the_exact_supremum_on_random_injections(rng):
+    red, _ = bundled("case9")
+    for _ in range(8):
+        direction = random_loads(rng, red.n_load)
+        lam = lambda_proposed(red, direction).lambda_p
+        assert_mu_is_exact(compute_stress(red.Ztilde, rng.uniform(0.05, 0.99) * lam * direction))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", BUNDLED)
+def test_mu_bound_below_one_up_to_the_limit(name):
+    red, S = bundled(name)
+    lam = lambda_proposed(red, S).lambda_p
+    for fraction in np.linspace(0.02, 0.999, 40):
+        cert = certify(compute_stress(red.Ztilde, fraction * lam * S))
+        assert cert.holds and 0.0 <= cert.mu_bound < 1.0

@@ -1,11 +1,16 @@
 """Limit estimation, dominance, sweeps, and bound profiles on desk-scale cases."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pfcert.admittance import reduce_case
+import pfcert
+from pfcert.admittance import reduce_case, renormalize_about_solution
 from pfcert.certificate import certify, certify_dvijotham, certify_wang
 from pfcert.fixed_point import solve_fixed_point
 from pfcert.limits import (
@@ -18,11 +23,11 @@ from pfcert.limits import (
     lambda_wang,
     prepare,
 )
-from pfcert.net_model import CaseError
-from pfcert.oracle import actual_limit
+from pfcert.net_model import CaseError, load_case_file
+from pfcert.oracle import actual_limit, newton_solve, prepare_network
 from pfcert.stress import compute_stress
 
-from conftest import make_star, make_two_bus, random_loads
+from conftest import BUNDLED, case_path, make_star, make_two_bus, random_loads
 
 
 def two_bus_setup(p=1.0):
@@ -254,3 +259,34 @@ def test_bound_profile_absence_pattern():
             for key in ("proposed", "wang", "dvijotham"):
                 if row[key] is not None:
                     assert row[key] <= row["actual"] + 1e-9
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_known_solution_dvijotham_limit_closes_its_condition(name):
+    case = load_case_file(case_path(f"{name}.m"))
+    red, S = prepare(case)
+    res = newton_solve(case, S, network=prepare_network(case, V_G=red.V_G))
+    assert res.converged
+    v0 = res.V_L / red.E
+    lam = lambda_all(red, S, with_known_solution=(v0, S)).lambda_d
+    m0 = compute_stress(renormalize_about_solution(red, v0, S).Ztilde, S, S)
+    gap = math.sqrt((1.0 + lam) * m0.xi_max) + math.sqrt(lam * m0.eta_max) - 1.0
+    assert 0.0 < lam < math.inf
+    assert abs(gap) < 1e-12
+
+
+def test_known_solution_limits_leave_scipy_optimize_out():
+    code = (
+        "import sys\n"
+        "from pfcert.limits import lambda_all, prepare\n"
+        "from pfcert.net_model import load_case_file\n"
+        "from pfcert.oracle import newton_solve, prepare_network\n"
+        f"case = load_case_file({str(case_path('case39.m'))!r})\n"
+        "red, S = prepare(case)\n"
+        "res = newton_solve(case, S, network=prepare_network(case, V_G=red.V_G))\n"
+        "lambda_all(red, S, with_known_solution=(res.V_L / red.E, S))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pfcert.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
