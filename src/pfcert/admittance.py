@@ -11,7 +11,8 @@ fixed-point map are built on.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,24 +50,27 @@ class AdmittanceMatrix:
 
 @dataclass(frozen=True)
 class GridReduction:
-    """Reduced network quantities over the load buses.
+    """The one per-network object: the load-block factor and what it gives.
 
-    Zhat is the E-normalized impedance (units 1/power in the per-unit system);
-    Ztilde additionally normalizes by a known solution v0 and equals Zhat when
-    v0 = 1, S0 = 0.
+    Built by reduce_network with Y_LL factored once. The dense matrices are
+    formed on first use: Z inverts Y_LL, Zhat is Z normalized by E (units
+    1/power in the per-unit system), and Ztilde additionally normalizes by a
+    known solution v0, equal to Zhat when v0 = 1, S0 = 0. Zhat and the
+    oracle's Newton kernel are kept in a cache that the re-centered copies of
+    renormalize_about_solution share.
     """
 
     generator_ids: tuple[int, ...]
     load_ids: tuple[int, ...]
+    Y: sp.csc_matrix  # full admittance, generators first
     Y_LL: sp.csc_matrix
     Y_LG: sp.csc_matrix
+    lu: spla.SuperLU  # factor of Y_LL
     V_G: np.ndarray
-    E: np.ndarray
-    Z: np.ndarray
-    Zhat: np.ndarray
-    Ztilde: np.ndarray
+    E: np.ndarray  # zero-load load voltages
     v0: np.ndarray
     S0: np.ndarray
+    _shared: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_load(self) -> int:
@@ -74,6 +78,39 @@ class GridReduction:
 
     def load_index(self, bus_id: int) -> int:
         return self.load_ids.index(bus_id)
+
+    @property
+    def Z(self) -> np.ndarray:  # solved anew on each use; only Zhat is kept
+        return self.lu.solve(np.eye(self.n_load, dtype=complex))
+
+    @property
+    def Zhat(self) -> np.ndarray:
+        if "Zhat" not in self._shared:
+            Z = self.Z
+            residual = np.abs(self.Y_LL @ Z - np.eye(self.n_load)).max()
+            if not np.isfinite(residual) or residual > FACTOR_TOL:
+                raise SingularNetworkError(
+                    f"Y_LL factorization residual {residual:.3e} exceeds {FACTOR_TOL:g}; "
+                    "the load subnetwork is singular or nearly so"
+                )
+            self._shared["Zhat"] = Z / np.outer(self.E, self.E.conj())
+        return self._shared["Zhat"]
+
+    @cached_property
+    def Ztilde(self) -> np.ndarray:
+        if np.all(self.v0 == 1) and not np.any(self.S0):
+            return self.Zhat
+        return self.Zhat / np.outer(self.v0, self.v0.conj())
+
+    @property
+    def kernel(self):
+        """The oracle's Newton kernel over the load-bus angles and magnitudes."""
+        if "kernel" not in self._shared:
+            from .oracle import _NewtonKernel  # oracle imports this module
+
+            load = np.arange(len(self.generator_ids), self.Y.shape[0])
+            self._shared["kernel"] = _NewtonKernel(self.Y, load, load)
+        return self._shared["kernel"]
 
 
 def build_admittance(case: NetworkCase, partition=None) -> AdmittanceMatrix:
@@ -126,7 +163,7 @@ def build_admittance(case: NetworkCase, partition=None) -> AdmittanceMatrix:
 
 
 def reduce_network(Y: AdmittanceMatrix, partition, V_G: np.ndarray) -> GridReduction:
-    """Factorize Y_LL once and compute E, Z, and the normalized impedance Zhat.
+    """Factorize Y_LL once and solve for E.
 
     Returns the reduction in the no-known-solution normalization (v0 = 1,
     S0 = 0, Ztilde = Zhat).
@@ -150,30 +187,19 @@ def reduce_network(Y: AdmittanceMatrix, partition, V_G: np.ndarray) -> GridReduc
         raise SingularNetworkError(f"Y_LL is singular: {exc}") from exc
 
     E = lu.solve(-(Y_LG @ V_G))
-    Z = lu.solve(np.eye(n, dtype=complex))
+    if not np.isfinite(E).all() or np.any(np.abs(E) < 1e-12):
+        raise SingularNetworkError("equivalent voltage E has non-finite or (near-)zero entries")
 
-    residual = np.abs(Y_LL @ Z - np.eye(n)).max()
-    if not np.isfinite(residual) or residual > FACTOR_TOL:
-        raise SingularNetworkError(
-            f"Y_LL factorization residual {residual:.3e} exceeds {FACTOR_TOL:g}; "
-            "the load subnetwork is singular or nearly so"
-        )
-    if np.any(np.abs(E) < 1e-12):
-        raise SingularNetworkError("equivalent voltage E has (near-)zero entries")
-
-    Zhat = Z / np.outer(E, E.conj())
-    ones = np.ones(n, dtype=complex)
     return GridReduction(
         generator_ids=tuple(generator_ids),
         load_ids=tuple(load_ids),
+        Y=Y.matrix,
         Y_LL=Y_LL,
         Y_LG=Y_LG,
+        lu=lu,
         V_G=V_G,
         E=E,
-        Z=Z,
-        Zhat=Zhat,
-        Ztilde=Zhat,
-        v0=ones,
+        v0=np.ones(n, dtype=complex),
         S0=np.zeros(n, dtype=complex),
     )
 
@@ -198,7 +224,8 @@ def renormalize_about_solution(red: GridReduction, v0: np.ndarray, S0: np.ndarra
     """Re-center the reduction on a known solution (v0, S0).
 
     v0 is in E-normalized coordinates and must satisfy the fixed-point
-    equations for load S0 to within SOLUTION_TOL.
+    equations for load S0 to within SOLUTION_TOL. The copy shares the
+    factor, Zhat and the Newton kernel with red.
     """
     v0 = np.asarray(v0, dtype=complex)
     S0 = np.asarray(S0, dtype=complex)
@@ -211,20 +238,7 @@ def renormalize_about_solution(red: GridReduction, v0: np.ndarray, S0: np.ndarra
         raise NotASolutionError(
             f"(v0, S0) residual {residual:.3e} >= {SOLUTION_TOL:g}: not a power-flow solution"
         )
-    Ztilde = red.Zhat / np.outer(v0, v0.conj())
-    return GridReduction(
-        generator_ids=red.generator_ids,
-        load_ids=red.load_ids,
-        Y_LL=red.Y_LL,
-        Y_LG=red.Y_LG,
-        V_G=red.V_G,
-        E=red.E,
-        Z=red.Z,
-        Zhat=red.Zhat,
-        Ztilde=Ztilde,
-        v0=v0,
-        S0=S0,
-    )
+    return replace(red, v0=v0, S0=S0)
 
 
 def reduction_dump(red: GridReduction) -> dict:

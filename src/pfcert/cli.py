@@ -126,8 +126,7 @@ def _solved_v0(case, red, S_base) -> np.ndarray:
     The solve pins the same generator phasors the reduction was built with,
     so the normalized solution is consistent with red.E.
     """
-    net = oracle.prepare_network(case, V_G=red.V_G)
-    res = oracle.newton_solve(case, S_base, network=net)
+    res = oracle.newton_solve(case, S_base, network=red)
     if not res.converged:
         raise SingularNetworkError("base-case power flow did not converge; no known solution")
     return res.V_L / red.E
@@ -247,8 +246,7 @@ def cmd_limits(args) -> int:
         doc["total_scaling_w"] = 1.0 + est.lambda_w
         doc["total_scaling_d"] = 1.0 + est.lambda_d
     if args.with_oracle:
-        net = oracle.prepare_network(case, V_G=red.V_G)
-        actual = oracle.actual_limit(case, direction=S_base, bracket=(1e-3, None), network=net)
+        actual = oracle.actual_limit(case, direction=S_base, bracket=(1e-3, None), network=red)
         doc["lambda_actual"] = actual  # a total scaling from zero load in both modes
         for key, lam in (("p", est.lambda_p), ("w", est.lambda_w), ("d", est.lambda_d)):
             bound = 1.0 + lam if est.mode == "from_known_solution" else lam
@@ -262,7 +260,7 @@ def cmd_limits(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    case, _, _ = _load(args)
+    case = load_case_file(args.case, args.format)
     if args.bus_a is None or args.bus_b is None:
         bus_a, bus_b = limits.default_sweep_buses(case)
     else:
@@ -271,8 +269,11 @@ def cmd_sweep(args) -> int:
         import json
 
         with open(args.direction_file, encoding="utf-8") as fh:
-            pairs_deg = json.load(fh)
-        pairs = [(math.radians(a), math.radians(b)) for a, b in pairs_deg]
+            try:
+                pairs = [(math.radians(a), math.radians(b)) for a, b in json.load(fh)]
+            except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+                raise CaseError(f"bad direction file {args.direction_file}: expected "
+                                f"[phi_a_deg, phi_b_deg] pairs ({exc})") from exc
     else:
         pairs = [(2.0 * math.pi * k / args.points,) * 2 for k in range(args.points)]
     sweep = limits.direction_sweep(
@@ -319,7 +320,7 @@ def _parse_grid(spec: str):
 
 
 def cmd_bounds(args) -> int:
-    case, _, _ = _load(args)
+    case = load_case_file(args.case, args.format)
     grid = _parse_grid(args.scale_grid)
     rows = limits.bound_profile(
         case, args.bus, grid, gen_phasors=args.gen_phasors, with_oracle=args.with_oracle
@@ -333,8 +334,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_oracle_limit(args) -> int:
     case, red, S_base = _load(args)
-    net = oracle.prepare_network(case, V_G=red.V_G)
-    lam = oracle.actual_limit(case, direction=S_base, bracket=(args.bracket_lo, args.bracket_hi), network=net)
+    lam = oracle.actual_limit(case, direction=S_base, bracket=(args.bracket_lo, args.bracket_hi), network=red)
     _emit(args, dumps_stable({"meta": {"case": args_case_name(case)}, "lambda_actual": lam}))
     return EXIT_OK
 
@@ -416,6 +416,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.tol <= 0:
         _error_json("input", "--tol must be positive")
+        return EXIT_INPUT
+    if args.max_iter < 1:
+        _error_json("input", "--max-iter must be at least 1")
         return EXIT_INPUT
     try:
         return args.func(args)

@@ -15,20 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracle
-from .admittance import (
-    GridReduction,
-    build_admittance,
-    reduce_network,
-    renormalize_about_solution,
-)
+from .admittance import GridReduction, reduce_case, renormalize_about_solution
 from .certificate import certify, certify_dvijotham, certify_wang, voltage_bounds
-from .net_model import (
-    CaseError,
-    NetworkCase,
-    generator_phasors,
-    load_power_vector,
-    partition_buses,
-)
+from .net_model import CaseError, NetworkCase, load_power_vector, partition_buses
 from .stress import StressMeasures, compute_stress
 
 _REL_EPS = 1e-12  # tolerance for xi == eta and set-membership decisions
@@ -67,15 +56,14 @@ def prepare(case: NetworkCase, gen_phasors: str = "case") -> tuple[GridReduction
     "case" uses setpoint magnitudes with case-file angles, "solved" fixes
     them from a conventional solved base case.
     """
-    partition = partition_buses(case)
     if gen_phasors == "case":
-        V_G = generator_phasors(case, partition[0])
+        V_G = None
     elif gen_phasors == "solved":
         V_G = oracle.solved_generator_phasors(case)
     else:
         raise CaseError(f"unknown gen_phasors mode {gen_phasors!r} (expected 'case' or 'solved')")
-    red = reduce_network(build_admittance(case, partition), partition, V_G)
-    return red, load_power_vector(case, partition[1])
+    red = reduce_case(case, V_G)
+    return red, load_power_vector(case, red.load_ids)
 
 
 def _min_positive_root(a: float, b: float, c: float) -> float | None:
@@ -388,14 +376,13 @@ def direction_sweep(
         raise CaseError("all candidate loads are zero; nothing to sweep")
 
     points = []
-    net = oracle.prepare_network(case, V_G=red.V_G) if with_oracle else None
     for phi_a, phi_b in angle_pairs:
         S = S_base.copy()
         S[ia] = magnitude * np.exp(1j * phi_a)
         S[ib] = magnitude * np.exp(1j * phi_b)
         est = lambda_all(red, S)
         if with_oracle:
-            actual = oracle.actual_limit(case, direction=S, bracket=(1e-3, None), network=net)
+            actual = oracle.actual_limit(case, direction=S, bracket=(1e-3, None), network=red)
             est = replace(est, lambda_actual=actual)
         points.append(SweepPoint(phi_a=float(phi_a), phi_b=float(phi_b), estimates=est))
     return SweepResult(bus_a=bus_a, bus_b=bus_b, magnitude=magnitude, points=tuple(points))
@@ -423,8 +410,7 @@ def bound_profile(
     zero = np.zeros_like(S_base)
     m_zero = compute_stress(red.Ztilde, zero)
 
-    net = oracle.prepare_network(case, V_G=red.V_G) if with_oracle else None
-    warm = net.E.copy() if with_oracle else None
+    warm = red.E
     newton_alive = with_oracle
 
     rows = []
@@ -447,7 +433,7 @@ def bound_profile(
 
         actual = None
         if newton_alive:
-            res = oracle.newton_solve(case, S, start=warm, network=net)
+            res = oracle.newton_solve(case, S, start=warm, network=red)
             if res.converged:
                 warm = res.V_L
                 actual = float(abs(res.V_L[k]))

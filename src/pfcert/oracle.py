@@ -17,14 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .admittance import SingularNetworkError, build_admittance
-from .net_model import (
-    CaseError,
-    NetworkCase,
-    generator_phasors,
-    load_power_vector,
-    partition_buses,
-)
+from .admittance import GridReduction, SingularNetworkError, build_admittance, reduce_case
+from .net_model import CaseError, NetworkCase, load_power_vector, partition_buses
 
 
 @dataclass(frozen=True)
@@ -157,49 +151,13 @@ def _replace_column(J: sp.csc_matrix, k: int, col: np.ndarray) -> tuple[sp.csc_m
     return sp.csc_matrix((data, np.r_[J.indices[:start], rows, J.indices[end:]], indptr), shape=J.shape), old
 
 
-@dataclass(frozen=True)
-class PolarNetwork:
-    """Per-case quantities shared by repeated Newton solves."""
-
-    generator_ids: tuple[int, ...]
-    load_ids: tuple[int, ...]
-    Y: sp.csc_matrix  # full admittance, generators first
-    V_G: np.ndarray
-    E: np.ndarray  # zero-load load voltages, the default start
-    kernel: _NewtonKernel  # load-bus angles and magnitudes
-
-
-def prepare_network(case: NetworkCase, V_G: np.ndarray | None = None) -> PolarNetwork:
-    partition = partition_buses(case)
-    generator_ids, load_ids = partition
-    Y = build_admittance(case, partition)
-    V_G = np.asarray(generator_phasors(case, generator_ids) if V_G is None else V_G, dtype=complex)
-    m = len(generator_ids)
-    Y_LL = Y.matrix[m:, m:].tocsc()
-    Y_LG = Y.matrix[m:, :m]
-    try:
-        lu = spla.splu(Y_LL)
-    except RuntimeError as exc:
-        raise SingularNetworkError(f"Y_LL is singular: {exc}") from exc
-    E = lu.solve(-(Y_LG @ V_G))
-    load = np.arange(m, m + len(load_ids))
-    return PolarNetwork(
-        generator_ids=tuple(generator_ids),
-        load_ids=tuple(load_ids),
-        Y=Y.matrix,
-        V_G=V_G,
-        E=E,
-        kernel=_NewtonKernel(Y.matrix, load, load),
-    )
-
-
 def newton_solve(
     case: NetworkCase,
     S_L: np.ndarray | None = None,
     start: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iter: int = 30,
-    network: PolarNetwork | None = None,
+    network: GridReduction | None = None,
 ) -> NewtonResult:
     """Solve the load-bus power-flow equations with fixed generator phasors.
 
@@ -207,8 +165,9 @@ def newton_solve(
     declared when the inf-norm of the complex power mismatch (per-unit)
     drops below tol. Non-convergence and singular Jacobians are reported as
     converged=False results so the solver can serve as a feasibility probe.
+    network is the case's reduction, from reduce_case(case) when None.
     """
-    net = network if network is not None else prepare_network(case)
+    net = network if network is not None else reduce_case(case)
     m = len(net.generator_ids)
     if S_L is None:
         S_L = load_power_vector(case, net.load_ids)
@@ -267,7 +226,7 @@ def actual_limit(
     direction: np.ndarray | None = None,
     bracket: tuple[float, float | None] = (1.0, None),
     tol: float = 1e-4,
-    network: PolarNetwork | None = None,
+    network: GridReduction | None = None,
     newton_tol: float = 1e-8,
     newton_max_iter: int = 40,
 ) -> float:
@@ -278,16 +237,17 @@ def actual_limit(
     must be feasible, by continuation (Ajjarapu & Christy 1992) to the
     saddle-node point (Canizares & Alvarado 1993). Returns the lambda of a
     solved point within tol of the nose; newton_tol and newton_max_iter set
-    the corrector. Raises CaseError when the nose is at or above bracket[1],
+    the corrector, and network is the case's reduction, from reduce_case(case)
+    when None. Raises CaseError when the nose is at or above bracket[1],
     when lambda passes 2**60 * bracket[0], or when the corrector breaks down.
     """
-    net = network if network is not None else prepare_network(case)
+    net = network if network is not None else reduce_case(case)
     if direction is None:
         direction = load_power_vector(case, net.load_ids)
     return _nose(net, np.asarray(direction, dtype=complex), bracket, tol, newton_tol, newton_max_iter)[0]
 
 
-def _nose(net: PolarNetwork, direction: np.ndarray, bracket: tuple[float, float | None], tol: float,
+def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float | None], tol: float,
           newton_tol: float, newton_max_iter: int) -> tuple[float, np.ndarray]:
     """actual_limit's lambda, and the bus voltages of the solved point it belongs to.
 

@@ -45,6 +45,18 @@ def make_star(loads=((1.0, 0.3), (0.8, 0.2), (0.5, 0.1)), x=0.1, vg=1.0):
     return build_case(100.0, buses, branches, [GenRecord(bus=1, voltage_setpoint=vg)], slack_bus=1)
 
 
+def make_weak_tie_star():
+    """Generator at bus 1 feeding 0.5+0.1j at bus 4 over x = 0.1; buses 2-3 (x = 0.1)
+    hang off bus 1 by x = 1e14, which leaves Y_LL nearly singular."""
+    return build_case(
+        100.0,
+        [_bus(1), _bus(2), _bus(3), _bus(4, p=0.5, q=0.1)],
+        [BranchRecord(1, 2, 1e14j, 0.0), BranchRecord(2, 3, 0.1j, 0.0), BranchRecord(1, 4, 0.1j, 0.0)],
+        [GenRecord(bus=1, voltage_setpoint=1.0)],
+        slack_bus=1,
+    )
+
+
 TWO_BUS_MATPOWER = """\
 function mpc = two_bus
 mpc.version = '2';

@@ -19,7 +19,7 @@ from pfcert.certificate import certify, certify_dvijotham, certify_wang, voltage
 from pfcert.fixed_point import check_convergence_rate, evaluate_F, solve_fixed_point
 from pfcert.limits import bound_profile, direction_sweep, lambda_all, prepare
 from pfcert.net_model import load_case_file
-from pfcert.oracle import actual_limit, newton_solve, prepare_network, two_bus_analytic
+from pfcert.oracle import actual_limit, newton_solve, two_bus_analytic
 from pfcert.stress import compute_stress
 
 import reference_values as ref
@@ -46,8 +46,7 @@ def load(name):
 
 def known_solution_estimates(name):
     case, red, S = load(name)
-    net = prepare_network(case, V_G=red.V_G)
-    res = newton_solve(case, S, network=net)
+    res = newton_solve(case, S, network=red)
     assert res.converged
     return lambda_all(red, S, with_known_solution=(res.V_L / red.E, S))
 
@@ -165,8 +164,7 @@ def test_criterion_3_actual_limits(name):
         pytest.skip("dataset not obtainable")
     actual_ref = ref.TABLE_FROM_ZERO[name][3]
     case, red, S = load(name)
-    net = prepare_network(case, V_G=red.V_G)
-    lam = actual_limit(case, direction=S, bracket=(1.0, None), network=net)
+    lam = actual_limit(case, direction=S, bracket=(1.0, None), network=red)
     ok = rel_err(lam, actual_ref) <= 0.02
     report(ok, f"criterion 3 ({name})", f"actual {lam:.4f}/{actual_ref}")
     if not ok:
@@ -341,8 +339,7 @@ def test_criterion_7_newton_fixed_point_agreement():
         m = compute_stress(red.Ztilde, S)
         if not certify(m).holds:
             continue
-        net = prepare_network(case, V_G=red.V_G)
-        nres = newton_solve(case, S, network=net, tol=1e-10)
+        nres = newton_solve(case, S, network=red, tol=1e-10)
         fres = solve_fixed_point(red, S, tol=1e-12)
         assert nres.converged and fres.converged
         gap = float(np.abs(nres.V_L - fres.V_L).max())

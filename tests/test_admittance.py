@@ -19,9 +19,9 @@ from pfcert.net_model import (
     generator_phasors,
     partition_buses,
 )
-from pfcert.oracle import two_bus_analytic
+from pfcert.oracle import actual_limit, newton_solve, two_bus_analytic
 
-from conftest import case_path, make_star, make_two_bus
+from conftest import case_path, make_star, make_two_bus, make_weak_tie_star
 
 
 def test_two_bus_matrix():
@@ -145,3 +145,46 @@ def test_renormalize_rejects_non_solution():
     red = reduce_case(make_two_bus())
     with pytest.raises(NotASolutionError):
         renormalize_about_solution(red, np.ones(1), np.array([2.5 + 0j]))
+
+
+def dense_formed(red):
+    """Whether red holds an n x n matrix, as a field or in the cache its copies share."""
+    n = red.n_load
+    held = list(vars(red).values()) + list(getattr(red, "_shared", {}).values())
+    return any(isinstance(v, np.ndarray) and v.shape == (n, n) for v in held)
+
+
+def test_oracle_alone_never_forms_the_dense_impedance():
+    case = case_path_case("case39.m")
+    red = reduce_case(case)
+    assert newton_solve(case, network=red).converged
+    assert actual_limit(case, bracket=(1e-3, None), network=red) > 1.0
+    assert not dense_formed(red)
+    red.Ztilde
+    assert dense_formed(red)
+
+
+def test_recentered_copy_shares_zhat_with_its_base():
+    case = case_path_case("case39.m")
+    red = reduce_case(case)
+    S = np.array([case.bus(i).demand for i in red.load_ids])
+    res = newton_solve(case, S, network=red)
+    red2 = renormalize_about_solution(red, res.V_L / red.E, S)
+    assert red2.Zhat is red.Zhat
+    assert red2.kernel is red.kernel
+    assert red.Ztilde is red.Zhat and red2.Ztilde is not red.Zhat
+    assert np.array_equal(red2.Ztilde, red.Zhat / np.outer(red2.v0, red2.v0.conj()))
+
+
+def test_weak_tie_fails_the_residual_check_but_not_the_oracle():
+    """A load pair tied to the generator by x = 1e14 makes Y_LL Z - I reach 0.125,
+    which the certificate path refuses; the oracle's load at bus 4 sees only its
+    own feeder, whose nose is the two-bus one."""
+    case = make_weak_tie_star()
+    red = reduce_case(case)
+    with pytest.raises(SingularNetworkError, match="residual 1.250e-01"):
+        red.Zhat
+    lam = actual_limit(case, bracket=(1e-3, None), network=red)
+    assert lam == pytest.approx(8.19803848, abs=1e-8)
+    nose = (abs(0.5 + 0.1j) - 0.1) / (2 * 0.1 * 0.5**2)  # (|S| - q) / (2 x p^2), the two-bus nose
+    assert nose - 1e-4 <= lam <= nose

@@ -8,13 +8,15 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg as spla
 
 import pfcert
 from pfcert import oracle
 from pfcert.cli import main
+from pfcert.net_model import emit_json
 from pfcert.oracle import two_bus_analytic
 
-from conftest import TWO_BUS_MATPOWER, case_path
+from conftest import TWO_BUS_MATPOWER, case_path, make_weak_tie_star
 
 
 @pytest.fixture
@@ -59,6 +61,12 @@ def test_missing_case_is_exit_2(tmp_path, capsys):
 
 def test_bad_tolerance_is_exit_2(two_bus_file, capsys):
     assert run(["solve", "--case", two_bus_file, "--tol", -1]) == 2
+
+
+def test_zero_max_iter_is_exit_2(two_bus_file, capsys):
+    assert run(["solve", "--case", two_bus_file, "--max-iter", 0]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "input", "message": "--max-iter must be at least 1"}
 
 
 def test_solve_emits_voltages(two_bus_file, tmp_path):
@@ -134,6 +142,17 @@ def test_sweep_with_direction_file(two_bus_file, tmp_path):
     assert lines[3].startswith("180,270,")
 
 
+@pytest.mark.parametrize("text", ["[[0, 10], [20", "[[0, 10, 5]]", '{"a": 1}'])
+def test_bad_direction_file_is_exit_2(text, tmp_path, capsys):
+    directions = tmp_path / "dirs.json"
+    directions.write_text(text)
+    assert run(["sweep", "--case", case_path("case9.m"), "--direction-file", directions]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "input" and "bad direction file" in err["message"]
+
+
 def test_bounds_grid(two_bus_file, tmp_path):
     out = tmp_path / "bounds.csv"
     code = run(
@@ -201,3 +220,43 @@ def test_cli_import_leaves_scipy_optimize_out():
     env = dict(os.environ, PYTHONPATH=str(Path(pfcert.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+COMMANDS = [
+    ["certify"],
+    ["certify", "--known-solution"],
+    ["solve"],
+    ["limits", "--with-oracle"],
+    ["limits", "--with-oracle", "--known-solution", "--gen-phasors", "solved"],
+    ["sweep", "--with-oracle", "--points", 3],
+    ["bounds", "--with-oracle", "--bus", 4, "--scale-grid", "1.0:2.0:0.5"],
+    ["oracle-limit"],
+]
+
+
+@pytest.mark.parametrize("args", COMMANDS, ids=[" ".join(map(str, a)) for a in COMMANDS])
+def test_every_command_factors_y_ll_once(args, tmp_path, monkeypatch):
+    """Y_LL is the only complex matrix pfcert factors; the oracle's Jacobians are real."""
+    splu = spla.splu
+    complex_factors = []
+
+    def counted(A, *a, **k):
+        if A.dtype.kind == "c":
+            complex_factors.append(A.shape)
+        return splu(A, *a, **k)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    command, *rest = args
+    assert run([command, "--case", case_path("case39.m"), *rest, "--out", tmp_path / "out"]) == 0
+    assert complex_factors == [(29, 29)]
+
+
+def test_oracle_limit_needs_no_dense_reduction(tmp_path, capsys):
+    """On the weak-tie star the factorization residual check fails, which only the
+    certificate path needs; the oracle's limit is still reported."""
+    path = tmp_path / "weak_tie.json"
+    path.write_text(emit_json(make_weak_tie_star()))
+    assert run(["certify", "--case", path]) == 3
+    assert "residual 1.250e-01" in json.loads(capsys.readouterr().err)["message"]
+    assert run(["oracle-limit", "--case", path, "--out", tmp_path / "o.json"]) == 0
+    assert json.loads((tmp_path / "o.json").read_text())["lambda_actual"] == 8.19803848

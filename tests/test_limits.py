@@ -24,7 +24,7 @@ from pfcert.limits import (
     prepare,
 )
 from pfcert.net_model import CaseError, load_case_file
-from pfcert.oracle import actual_limit, newton_solve, prepare_network
+from pfcert.oracle import actual_limit, newton_solve
 from pfcert.stress import compute_stress
 
 from conftest import BUNDLED, case_path, make_star, make_two_bus, random_loads
@@ -265,7 +265,7 @@ def test_bound_profile_absence_pattern():
 def test_known_solution_dvijotham_limit_closes_its_condition(name):
     case = load_case_file(case_path(f"{name}.m"))
     red, S = prepare(case)
-    res = newton_solve(case, S, network=prepare_network(case, V_G=red.V_G))
+    res = newton_solve(case, S, network=red)
     assert res.converged
     v0 = res.V_L / red.E
     lam = lambda_all(red, S, with_known_solution=(v0, S)).lambda_d
@@ -280,10 +280,10 @@ def test_known_solution_limits_leave_scipy_optimize_out():
         "import sys\n"
         "from pfcert.limits import lambda_all, prepare\n"
         "from pfcert.net_model import load_case_file\n"
-        "from pfcert.oracle import newton_solve, prepare_network\n"
+        "from pfcert.oracle import newton_solve\n"
         f"case = load_case_file({str(case_path('case39.m'))!r})\n"
         "red, S = prepare(case)\n"
-        "res = newton_solve(case, S, network=prepare_network(case, V_G=red.V_G))\n"
+        "res = newton_solve(case, S, network=red)\n"
         "lambda_all(red, S, with_known_solution=(res.V_L / red.E, S))\n"
         "print('scipy.optimize' in sys.modules)\n"
     )

@@ -14,7 +14,6 @@ from pfcert.oracle import (
     actual_limit,
     newton_base_case,
     newton_solve,
-    prepare_network,
     solved_generator_phasors,
     two_bus_analytic,
 )
@@ -70,7 +69,7 @@ def test_newton_star_matches_superposition_of_independent_feeders():
 
 def test_newton_network_reuse_and_warm_start():
     case = make_two_bus()
-    net = prepare_network(case)
+    net = reduce_case(case)
     first = newton_solve(case, np.array([2.0 + 0j]), network=net)
     second = newton_solve(case, np.array([2.1 + 0j]), start=first.V_L, network=net)
     assert second.converged and second.iterations <= first.iterations + 1
@@ -82,7 +81,7 @@ def test_base_case_matches_fixed_generator_solution():
     case = case_path_case("case9.m")
     phasors = newton_base_case(case)
     V_G = solved_generator_phasors(case)
-    net = prepare_network(case, V_G=V_G)
+    net = reduce_case(case, V_G)
     res = newton_solve(case, network=net)
     assert res.converged
     for k, bus in enumerate(net.load_ids):
@@ -153,7 +152,7 @@ def test_newton_kernel_jacobian_matches_central_differences(form):
 @pytest.mark.filterwarnings("error")
 def test_newton_failures_are_structured_results():
     case = case_path_case("case39.m")
-    net = prepare_network(case)
+    net = reduce_case(case)
     S = load_power_vector(case, net.load_ids)
     start = net.E.copy()
     start[3] = 0.0
@@ -182,13 +181,12 @@ def test_nose_jacobian_is_singular():
     far enough away for a ratio of ~1e-5; tol = 1e-8 brings it below 1e-6."""
     case = case_path_case("case39.m")
     red, S = limits.prepare(case)
-    net = prepare_network(case, V_G=red.V_G)
     for d in [S] + perturbed_directions(S, 1, seed=5):
-        lam, V = _nose(net, d, (1e-3, None), tol=1e-8, newton_tol=1e-8, newton_max_iter=40)
-        assert condition(net, V) <= 1e-6
-        below = newton_solve(case, 0.9 * lam * d, network=net)
+        lam, V = _nose(red, d, (1e-3, None), tol=1e-8, newton_tol=1e-8, newton_max_iter=40)
+        assert condition(red, V) <= 1e-6
+        below = newton_solve(case, 0.9 * lam * d, network=red)
         assert below.converged
-        assert condition(net, np.concatenate([net.V_G, below.V_L])) >= 1e-3
+        assert condition(red, np.concatenate([red.V_G, below.V_L])) >= 1e-3
 
 
 def test_actual_limit_two_bus_tight_tol():
@@ -197,7 +195,7 @@ def test_actual_limit_two_bus_tight_tol():
 
 def test_actual_limit_zero_direction_raises(monkeypatch):
     case = case_path_case("case39.m")
-    net = prepare_network(case)
+    net = reduce_case(case)
     calls = []
     correct = _NewtonKernel.correct
     monkeypatch.setattr(_NewtonKernel, "correct", lambda *a, **k: calls.append(1) or correct(*a, **k))
@@ -225,7 +223,6 @@ def test_actual_limit_corrector_breakdown_raises(monkeypatch):
 def test_actual_limit_bounds_lambda_p_on_bundled_cases(name):
     case = case_path_case(f"{name}.m")
     red, S = limits.prepare(case)
-    net = prepare_network(case, V_G=red.V_G)
     for d in [S] + perturbed_directions(S, 3, seed=11):
-        lam = actual_limit(case, direction=d, bracket=(1e-3, None), network=net)
+        lam = actual_limit(case, direction=d, bracket=(1e-3, None), network=red)
         assert limits.lambda_all(red, d).lambda_p <= lam
