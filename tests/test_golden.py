@@ -62,7 +62,10 @@ def produce(args: list, path: Path) -> tuple[int, bytes]:
     return code, path.read_bytes()
 
 
-@pytest.mark.parametrize("name, args", artifacts(), ids=[name for name, _ in artifacts()])
+ARTIFACTS = artifacts()
+
+
+@pytest.mark.parametrize("name, args", ARTIFACTS, ids=[name for name, _ in ARTIFACTS])
 def test_artifact_is_byte_identical(name, args, tmp_path):
     code, text = produce(args, tmp_path / name)
     assert text == (GOLDEN / name).read_bytes()
@@ -71,7 +74,7 @@ def test_artifact_is_byte_identical(name, args, tmp_path):
 
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    codes = {name: produce(args, GOLDEN / name)[0] for name, args in artifacts()}
+    codes = {name: produce(args, GOLDEN / name)[0] for name, args in ARTIFACTS}
     EXIT_CODES.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
 
 
