@@ -28,7 +28,7 @@ from .certificate import (
     voltage_bounds,
 )
 from .fixed_point import FixedPointResult, check_convergence_rate, evaluate_F, solve_fixed_point
-from .limits import LimitEstimates, SweepResult, bound_profile, direction_sweep, lambda_all, lambda_proposed
+from .limits import LimitEstimates, SweepResult, bound_profile, direction_sweep, lambda_all
 from .net_model import (
     BranchRecord,
     BusRecord,

@@ -166,7 +166,7 @@ def cmd_certify(args) -> int:
     }
     cert = certify(m)
     m_base = compute_stress(red_used.Ztilde, red_used.S0)
-    m_sigma = compute_stress(red_used.Ztilde, sigma)
+    m_sigma = compute_stress(red_used.Ztilde, sigma) if args.known_solution else m
     doc = {"meta": meta, "certificate": certificate_to_dict(cert)}
     doc["baselines"] = {
         "wang": _shell_dict(certify_wang(m_base, m_sigma)),
@@ -276,6 +276,8 @@ def cmd_sweep(args) -> int:
                                 f"[phi_a_deg, phi_b_deg] pairs ({exc})") from exc
     else:
         pairs = [(2.0 * math.pi * k / args.points,) * 2 for k in range(args.points)]
+    if not pairs:
+        raise CaseError("no directions to sweep: --points must be at least 1 and a direction file non-empty")
     sweep = limits.direction_sweep(
         case, bus_a, bus_b, pairs, gen_phasors=args.gen_phasors, with_oracle=args.with_oracle
     )
@@ -316,7 +318,9 @@ def _parse_grid(spec: str):
     if step <= 0:
         raise CaseError("grid step must be positive")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(max(count, 0))]
+    if count < 1:
+        raise CaseError(f"grid {spec!r} is empty: stop is below start")
+    return [start + k * step for k in range(count)]
 
 
 def cmd_bounds(args) -> int:

@@ -1,10 +1,16 @@
 """Solvability-limit estimation along loading directions, direction sweeps,
 and voltage-bound-versus-loading profiles for all three certificates.
 
-All estimators exploit the linear scaling of the stress measures:
-eta(lambda S) = lambda eta(S) and xi(lambda S) = lambda xi(S), which turns
-every certificate boundary into a per-bus quadratic (or closed form) in the
-scaling factor.
+Every closed-form limit is taken on one kind of load line, where the stress
+measures are affine in the scaling factor lambda:
+
+    xi_i(lambda) = x0_i + lambda x1_i,    eta_i(lambda) = lambda e1_i.
+
+Scaling from zero load gives x0 = 0, x1 = xi(S) and e1 = eta(S), since both
+measures scale with the load. About a known solution (v0, S0), increments
+along D = c S0 give x0 = x1 = xi(S0) and e1 = eta(S0) with lambda counted in
+units of 1/c. On such a line every certificate boundary is a per-bus
+quadratic or a closed form in lambda (_line_limits).
 """
 
 from __future__ import annotations
@@ -15,12 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracle
-from .admittance import GridReduction, reduce_case, renormalize_about_solution
+from .admittance import GridReduction, build_admittance, reduce_network, renormalize_about_solution
 from .certificate import certify, certify_dvijotham, certify_wang, voltage_bounds
-from .net_model import CaseError, NetworkCase, load_power_vector, partition_buses
+from .net_model import CaseError, NetworkCase, generator_phasors, load_power_vector, partition_buses
 from .stress import StressMeasures, compute_stress
-
-_REL_EPS = 1e-12  # tolerance for xi == eta and set-membership decisions
 
 
 @dataclass(frozen=True)
@@ -30,7 +34,6 @@ class LimitEstimates:
     lambda_d: float  # dvijotham-style shell condition
     critical_bus: int | None  # load bus whose quadratic binds lambda_p
     mode: str  # "from_zero" or "from_known_solution"
-    kappa: float | None  # intermediate rescaling of the from-zero procedure
     lambda_actual: float | None = None  # oracle limit, when requested
 
 
@@ -54,174 +57,86 @@ def prepare(case: NetworkCase, gen_phasors: str = "case") -> tuple[GridReduction
 
     gen_phasors selects where the fixed generator phasors come from:
     "case" uses setpoint magnitudes with case-file angles, "solved" fixes
-    them from a conventional solved base case.
+    them from a conventional solved base case. The admittance matrix is
+    assembled once, for the base case and the reduction alike.
     """
-    if gen_phasors == "case":
-        V_G = None
-    elif gen_phasors == "solved":
-        V_G = oracle.solved_generator_phasors(case)
-    else:
+    if gen_phasors not in ("case", "solved"):
         raise CaseError(f"unknown gen_phasors mode {gen_phasors!r} (expected 'case' or 'solved')")
-    red = reduce_case(case, V_G)
+    partition = partition_buses(case)
+    Y = build_admittance(case, partition)
+    if gen_phasors == "case":
+        V_G = generator_phasors(case, partition[0])
+    else:
+        V_G = oracle.solved_generator_phasors(case, Y)
+    red = reduce_network(Y, partition, V_G)
     return red, load_power_vector(case, red.load_ids)
 
 
-def _min_positive_root(a: float, b: float, c: float) -> float | None:
-    """Smallest positive root of a x^2 + b x + c = 0 (None when there is none)."""
-    if a == 0.0:
-        if b == 0.0:
-            return None
-        x = -c / b
-        return x if x > 0.0 else None
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return None
-    q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
-    roots = []
-    if q != 0.0:
-        roots.append(q / a)
-        roots.append(c / q)
-    else:  # b == 0 and c == 0
-        roots.append(0.0)
-    positive = [r for r in roots if r > 0.0]
-    return min(positive) if positive else None
+def _first_positive_roots(a, b, c) -> np.ndarray:
+    """Smallest positive root of a x^2 + b x + c = 0, elementwise (inf where none).
 
-
-def lambda_wang(m: StressMeasures) -> float:
-    """Largest scaling certified by the xi-only shell condition: 1/(4 xi)."""
-    if m.xi_max == 0.0:
-        return math.inf
-    return 1.0 / (4.0 * m.xi_max)
-
-
-def lambda_dvijotham(m: StressMeasures) -> float:
-    """Largest scaling with sqrt(lambda xi) + sqrt(lambda eta) <= 1."""
-    if m.xi_max == 0.0:
-        return math.inf
-    return (math.sqrt(m.xi_max) + math.sqrt(m.eta_max)) ** -2
-
-
-def lambda_proposed(red: GridReduction, S_L: np.ndarray) -> LimitEstimates:
-    """Largest scaling certified by the polydisc condition, scaling from zero.
-
-    Procedure: rescale the direction by kappa so the spread condition is
-    tight (xi - eta = 1), keep the buses whose fused stress meets or exceeds
-    1 there (stress grows monotonically up to that point, so the boundary
-    crossing is the first root), solve each bus's quadratic for its crossing,
-    and take the smallest.
+    The roots are q/a and c/q with q = -(b + sign(b) sqrt(b^2 - 4ac))/2, the
+    form without cancellation; with a = 0 the second is the linear root -c/b.
     """
-    S_L = np.asarray(S_L, dtype=complex)
-    if np.all(S_L == 0):
-        raise CaseError("base load direction is identically zero")
-    m = compute_stress(red.Ztilde, S_L)
-    xi, eta = m.xi_max, m.eta_max
-    if eta > xi * (1.0 + 1e-9):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -(b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b)) / 2.0
+        r1, r2 = q / a, c / q
+    return np.minimum(np.where(r1 > 0.0, r1, np.inf), np.where(r2 > 0.0, r2, np.inf))
+
+
+def _line_limits(
+    red: GridReduction, mode: str, m: StressMeasures, m0: StressMeasures | None = None, c: float = 1.0
+) -> LimitEstimates:
+    """All three limits on the load line with x1 = m.xi, e1 = m.eta_complex
+    and x0 = m0.xi (x0 = 0 when m0 is None).
+
+    Upper-case letters are bus-wise maxima (X0, X1, E1). The stress level
+    of bus i reaches 1 at the first positive root of A lambda^2 + B lambda + C,
+
+        A = 2 X1 E1 - x1^2 - |e1|^2
+        B = 2 (x1 + Re e1 - x0 x1 + X0 E1)
+        C = 2 x0 - x0^2 - 1,
+
+    and the spread X0 + lambda (X1 - E1) reaches 1 at (1 - X0)/(X1 - E1),
+    or already at 0 when X0 > 1.
+    Wang's (1 - X0)^2 > 4 lambda X1 closes at (1 - X0)^2 / (4 X1), and
+    Dvijotham's sqrt(X0 + lambda X1) + sqrt(lambda E1) <= 1 at t^2 with
+    t = (1 - X0)/(sqrt(E1) + sqrt(X1 (1 - X0) + X0 E1)). Every limit is
+    divided by c.
+    """
+    x0, X0 = (0.0, 0.0) if m0 is None else (m0.xi, m0.xi_max)
+    X1, E1 = m.xi_max, m.eta_max
+    if E1 > X1 * (1.0 + 1e-9):
         raise RuntimeError(
-            f"eta {eta} exceeds xi {xi}: impossible for sigma = S by the triangle inequality"
+            f"eta {E1} exceeds xi {X1}: impossible for sigma = S by the triangle inequality"
         )
-
-    equal_spread = (xi - eta) <= xi * _REL_EPS
-    kappa = 1.0 if equal_spread else 1.0 / (xi - eta)
-
-    # coefficients of the fused stress of bus i at scaling lambda * kappa:
-    #   a_i lambda^2 + b_i lambda, with the certificate boundary at value 1
-    a = kappa * kappa * (2.0 * xi * eta - m.xi**2 - m.eta_abs**2)
-    b = 2.0 * kappa * (m.xi + m.eta_complex.real)
-
-    if equal_spread:
-        members = np.arange(m.n)
-    else:
-        members = np.flatnonzero(a + b >= 1.0 - 1e-9)
-        if members.size == 0:
-            raise RuntimeError(
-                "no bus reaches the certificate boundary at the spread-tight scaling"
-            )
-
-    best_lambda = math.inf
-    best_bus = None
-    for i in members:
-        root = _min_positive_root(float(a[i]), float(b[i]), -1.0)
-        if root is None:
-            continue
-        if not equal_spread and root > 1.0 + 1e-6:
-            continue
-        if root < best_lambda:
-            best_lambda = root
-            best_bus = int(i)
-
-    if best_bus is None:
-        if not equal_spread:
-            raise RuntimeError("no boundary crossing found despite a non-empty bus set")
-        lam_p = math.inf  # stress level never reaches 1: certifiable at every scaling
-        critical = None
-    else:
-        lam_p = kappa * best_lambda
-        critical = red.load_ids[best_bus]
-
-    return LimitEstimates(
-        lambda_p=lam_p,
-        lambda_w=lambda_wang(m),
-        lambda_d=lambda_dvijotham(m),
-        critical_bus=critical,
-        mode="from_zero",
-        kappa=kappa,
+    level = _first_positive_roots(
+        2.0 * X1 * E1 - m.xi**2 - m.eta_abs**2,
+        2.0 * (m.xi + m.eta_complex.real - x0 * m.xi + X0 * E1),
+        2.0 * x0 - x0**2 - 1.0,
     )
-
-
-def _known_solution_limits(red: GridReduction, m0: StressMeasures) -> LimitEstimates:
-    """Maximum certified incremental scalings about a known solution, for
-    increments along the base load itself: sigma = lambda S0, total load
-    (1 + lambda) S0. Returns the incremental lambdas.
-    """
-    a_i = m0.xi  # per-bus xi at the base load, under the re-centered impedance
-    h_i = m0.eta_complex
-    xi0, eta0 = m0.xi_max, m0.eta_max
-
-    # wang: (1 - xi0)^2 - 4 lambda xi0 > 0
-    if xi0 == 0.0:
-        lam_w = math.inf
-    elif xi0 >= 1.0:
-        lam_w = 0.0
+    k = int(np.argmin(level))
+    margin = 1.0 - X0
+    if margin < 0.0:
+        spread = 0.0
+    elif X1 > E1:
+        spread = margin / (X1 - E1)
     else:
-        lam_w = (1.0 - xi0) ** 2 / (4.0 * xi0)
-
-    # dvijotham: sqrt((1 + lambda) xi0) + sqrt(lambda eta0) <= 1, a quadratic
-    # in x = sqrt(lambda) whose positive root is taken in its stable form
-    if xi0 == 0.0:
-        lam_d = math.inf
-    elif xi0 >= 1.0:
-        lam_d = 0.0
+        spread = math.inf
+    if margin <= 0.0:
+        lam_w = lam_d = 0.0
+    elif X1 == 0.0:
+        lam_w = lam_d = math.inf
     else:
-        x = (1.0 - xi0) / (math.sqrt(eta0) + math.sqrt(xi0 * (1.0 - xi0 + eta0)))
-        lam_d = x * x
-
-    # polydisc: per-bus fused stress reaches 1, quadratic in lambda
-    A = 2.0 * xi0 * eta0 - a_i**2 - np.abs(h_i) ** 2
-    B = 2.0 * (a_i + h_i.real - a_i**2 + xi0 * eta0)
-    C = 2.0 * a_i - a_i**2 - 1.0
-    lam_level = math.inf
-    critical = None
-    for i in range(m0.n):
-        root = _min_positive_root(float(A[i]), float(B[i]), float(C[i]))
-        if root is not None and root < lam_level:
-            lam_level = root
-            critical = red.load_ids[i]
-    # spread: (1 + lambda) xi0 - lambda eta0 <= 1
-    if xi0 > eta0:
-        lam_spread = (1.0 - xi0) / (xi0 - eta0)
-        if lam_spread < 0.0:
-            lam_spread = 0.0
-    else:
-        lam_spread = math.inf
-    lam_p = min(lam_level, lam_spread)
-
+        lam_w = margin**2 / (4.0 * X1)
+        t = margin / (math.sqrt(E1) + math.sqrt(X1 * margin + X0 * E1))
+        lam_d = t * t
     return LimitEstimates(
-        lambda_p=lam_p,
-        lambda_w=lam_w,
-        lambda_d=lam_d,
-        critical_bus=critical,
-        mode="from_known_solution",
-        kappa=None,
+        lambda_p=min(float(level[k]), spread) / c,
+        lambda_w=lam_w / c,
+        lambda_d=lam_d / c,
+        critical_bus=red.load_ids[k] if math.isfinite(level[k]) else None,
+        mode=mode,
     )
 
 
@@ -272,40 +187,43 @@ def lambda_all(
     Without a known solution, loads scale from zero (total load lambda S_L).
     With one, (v0, S0) re-centers the impedance matrix and the estimates are
     the maximum certified incremental scalings: increment lambda S_L on top
-    of the base S0. Directions proportional to S0 (the standard experiment)
-    use closed forms; arbitrary directions fall back to bisection on the
-    certificate conditions.
+    of the base S0. Both are load lines xi_i = x0_i + lambda x1_i,
+    eta_i = lambda e1_i with closed-form limits (from zero x0 = 0; about a
+    known solution, for S_L = c S0, x0 = x1 = xi(S0) and every limit is
+    divided by c). Other increment directions are not such a line, since
+    |S0 + lambda S_L| is not affine in lambda: lambda_p and lambda_d then
+    come from bisection on the certificate conditions.
     """
+    S_L = np.asarray(S_L, dtype=complex)
     if with_known_solution is None:
-        return lambda_proposed(red, S_L)
+        if np.all(S_L == 0):
+            raise CaseError("base load direction is identically zero")
+        return _line_limits(red, "from_zero", compute_stress(red.Ztilde, S_L))
     v0, S0 = with_known_solution
     red2 = renormalize_about_solution(red, v0, S0)
     S0 = np.asarray(S0, dtype=complex)
-    D = np.asarray(S_L, dtype=complex)
-    if np.all(D == 0):
+    if np.all(S_L == 0):
         raise CaseError("increment direction is identically zero")
 
+    mode = "from_known_solution"
     if np.all(S0 == 0):  # v0 is then the flat solution and Ztilde = Zhat
-        est = lambda_proposed(red2, D)
-        return replace(est, mode="from_known_solution")
-
-    c = _positive_scalar_ratio(D, S0)
+        return _line_limits(red2, mode, compute_stress(red2.Ztilde, S_L))
+    c = _positive_scalar_ratio(S_L, S0)
     if c is not None:
-        est = _known_solution_limits(red2, compute_stress(red2.Ztilde, S0, S0))
-        return replace(
-            est,
-            lambda_p=est.lambda_p / c,
-            lambda_w=est.lambda_w / c,
-            lambda_d=est.lambda_d / c,
-        )
-    return _known_solution_limits_generic(red2, S0, D)
+        m0 = compute_stress(red2.Ztilde, S0, S0)
+        return _line_limits(red2, mode, m0, m0, c)
+    return _skew_limits(red2, S0, S_L)
 
 
-def _known_solution_limits_generic(red: GridReduction, S0: np.ndarray, D: np.ndarray) -> LimitEstimates:
-    """Bisection fallback for increment directions not proportional to S0."""
+def _skew_limits(red: GridReduction, S0: np.ndarray, D: np.ndarray) -> LimitEstimates:
+    """Bisection for increment directions not proportional to S0.
+
+    Wang's condition, (1 - xi(S0))^2 - 4 lambda xi(D) > 0, needs only the
+    line's maxima, so lambda_w still comes from _line_limits.
+    """
     Zt = red.Ztilde
-    m_dir = compute_stress(Zt, D, D)
     m_base = compute_stress(Zt, S0, S0)
+    line = _line_limits(red, "from_known_solution", compute_stress(Zt, D, D), m_base)
 
     def proposed_holds(lam: float) -> bool:
         m = compute_stress(Zt, S0 + lam * D, lam * D)
@@ -315,22 +233,11 @@ def _known_solution_limits_generic(red: GridReduction, S0: np.ndarray, D: np.nda
         m = compute_stress(Zt, S0 + lam * D, lam * D)
         return math.sqrt(m.xi_max) + math.sqrt(m.eta_max) <= 1.0
 
-    # wang's condition is closed-form in lambda even for skew directions:
-    # (1 - xi(S0))^2 - 4 lambda xi(D) > 0
-    if m_base.xi_max >= 1.0:
-        lam_w = 0.0
-    elif m_dir.xi_max == 0.0:
-        lam_w = math.inf
-    else:
-        lam_w = (1.0 - m_base.xi_max) ** 2 / (4.0 * m_dir.xi_max)
-
-    return LimitEstimates(
+    return replace(
+        line,
         lambda_p=_first_failure(proposed_holds),
-        lambda_w=lam_w,
         lambda_d=_first_failure(dvij_holds),
         critical_bus=None,
-        mode="from_known_solution",
-        kappa=None,
     )
 
 

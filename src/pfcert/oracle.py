@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .admittance import GridReduction, SingularNetworkError, build_admittance, reduce_case
+from .admittance import AdmittanceMatrix, GridReduction, SingularNetworkError, build_admittance, reduce_case
 from .net_model import CaseError, NetworkCase, load_power_vector, partition_buses
 
 
@@ -177,21 +177,23 @@ def newton_solve(
     return replace(res, V_L=res.V_L[m:])
 
 
-def newton_base_case(case: NetworkCase, tol: float = 1e-8, max_iter: int = 30) -> dict[int, complex]:
+def newton_base_case(
+    case: NetworkCase, tol: float = 1e-8, max_iter: int = 30, admittance: AdmittanceMatrix | None = None
+) -> dict[int, complex]:
     """Conventional slack / voltage-controlled / load power flow on the whole case.
 
     Generator buses hold their setpoint magnitude and scheduled active power
     (the slack bus also holds its case-file angle and absorbs the imbalance);
     load buses hold their complex demand. Returns solved phasors for every
     bus. Used to fix generator angles from a solved operating point when the
-    case file carries flat ones.
+    case file carries flat ones. admittance is the case's matrix, from
+    build_admittance(case) when None.
     """
-    partition = partition_buses(case)
-    generator_ids, load_ids = partition
-    order = generator_ids + load_ids
-    Y = build_admittance(case, partition).matrix
+    Y = admittance if admittance is not None else build_admittance(case)
+    order = Y.bus_order
+    m = Y.n_gen
+    generator_ids = order[:m]
     nb = len(order)
-    m = len(generator_ids)
 
     slack_bus = case.slack_bus if case.slack_bus in generator_ids else generator_ids[0]
     non_slack = np.delete(np.arange(nb), order.index(slack_bus))  # voltage-controlled, then load buses
@@ -207,16 +209,16 @@ def newton_base_case(case: NetworkCase, tol: float = 1e-8, max_iter: int = 30) -
     vm = np.array([setpoint.get(bus, 1.0) for bus in order])
     theta = np.full(nb, case.bus(slack_bus).voltage_angle)
 
-    kernel = _NewtonKernel(Y, non_slack, np.arange(m, nb))
+    kernel = _NewtonKernel(Y.matrix, non_slack, np.arange(m, nb))
     res = kernel.run(vm * np.exp(1j * theta), theta, vm, p_sched - demand, tol, max_iter)
     if not res.converged:
         raise SingularNetworkError(f"base-case power flow did not converge ({res.iterations} iterations)")
     return {order[k]: res.V_L[k] for k in range(nb)}
 
 
-def solved_generator_phasors(case: NetworkCase) -> np.ndarray:
+def solved_generator_phasors(case: NetworkCase, admittance: AdmittanceMatrix | None = None) -> np.ndarray:
     """Generator phasors from a conventional solved base case, in partition order."""
-    phasors = newton_base_case(case)
+    phasors = newton_base_case(case, admittance=admittance)
     generator_ids, _ = partition_buses(case)
     return np.array([phasors[i] for i in generator_ids], dtype=complex)
 

@@ -16,7 +16,7 @@ from pfcert.certificate import (
     voltage_bounds_to_dict,
 )
 from pfcert.fixed_point import evaluate_F
-from pfcert.limits import lambda_proposed, prepare
+from pfcert.limits import lambda_all, prepare
 from pfcert.net_model import load_case_file
 from pfcert.stress import NoCertificate, StressMeasures, compute_stress
 from pfcert.oracle import two_bus_analytic
@@ -244,7 +244,7 @@ def assert_mu_is_exact(m):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_mu_bound_is_the_exact_supremum_on_bundled_cases(name):
     red, S = bundled(name)
-    lam = lambda_proposed(red, S).lambda_p
+    lam = lambda_all(red, S).lambda_p
     for fraction in (0.25, 0.5, 0.75, 0.95):
         assert_mu_is_exact(compute_stress(red.Ztilde, fraction * lam * S))
 
@@ -260,7 +260,7 @@ def test_mu_bound_is_the_exact_supremum_on_random_injections(rng):
     red, _ = bundled("case9")
     for _ in range(8):
         direction = random_loads(rng, red.n_load)
-        lam = lambda_proposed(red, direction).lambda_p
+        lam = lambda_all(red, direction).lambda_p
         assert_mu_is_exact(compute_stress(red.Ztilde, rng.uniform(0.05, 0.99) * lam * direction))
 
 
@@ -268,7 +268,7 @@ def test_mu_bound_is_the_exact_supremum_on_random_injections(rng):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_mu_bound_below_one_up_to_the_limit(name):
     red, S = bundled(name)
-    lam = lambda_proposed(red, S).lambda_p
+    lam = lambda_all(red, S).lambda_p
     for fraction in np.linspace(0.02, 0.999, 40):
         cert = certify(compute_stress(red.Ztilde, fraction * lam * S))
         assert cert.holds and 0.0 <= cert.mu_bound < 1.0

@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import pfcert
-from pfcert import oracle
+from pfcert import admittance, oracle
 from pfcert.cli import main
 from pfcert.net_model import emit_json
 from pfcert.oracle import two_bus_analytic
@@ -260,3 +260,42 @@ def test_oracle_limit_needs_no_dense_reduction(tmp_path, capsys):
     assert "residual 1.250e-01" in json.loads(capsys.readouterr().err)["message"]
     assert run(["oracle-limit", "--case", path, "--out", tmp_path / "o.json"]) == 0
     assert json.loads((tmp_path / "o.json").read_text())["lambda_actual"] == 8.19803848
+
+
+@pytest.mark.parametrize("args", [["certify"], ["limits", "--with-oracle"]], ids=["certify", "limits --with-oracle"])
+def test_solved_phasors_assemble_the_admittance_once(args, tmp_path, monkeypatch):
+    build = admittance.build_admittance
+    calls = []
+
+    def counted(*a, **k):
+        calls.append(1)
+        return build(*a, **k)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "pfcert" and getattr(module, "build_admittance", None) is build:
+            monkeypatch.setattr(module, "build_admittance", counted)
+    command, *rest = args
+    case = case_path("case39.m")
+    assert run([command, "--case", case, *rest, "--gen-phasors", "solved", "--out", tmp_path / "out"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--points", 0],
+        ["sweep", "--points", -3],
+        ["sweep", "--direction-file", "[]"],
+        ["bounds", "--bus", 5, "--scale-grid", "2:1:0.1"],
+    ],
+    ids=["points 0", "points -3", "empty direction file", "empty scale grid"],
+)
+def test_empty_grid_is_exit_2(args, tmp_path, capsys):
+    command, *rest = args
+    if "--direction-file" in rest:
+        rest[-1] = tmp_path / "dirs.json"
+        rest[-1].write_text("[]")
+    assert run([command, "--case", case_path("case9.m"), *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "input"

@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 import subprocess
 import sys
 from pathlib import Path
@@ -13,14 +14,14 @@ import pfcert
 from pfcert.admittance import reduce_case, renormalize_about_solution
 from pfcert.certificate import certify, certify_dvijotham, certify_wang
 from pfcert.fixed_point import solve_fixed_point
+from pfcert import limits
 from pfcert.limits import (
+    _first_positive_roots,
+    _line_limits,
     bound_profile,
     default_sweep_buses,
     direction_sweep,
     lambda_all,
-    lambda_dvijotham,
-    lambda_proposed,
-    lambda_wang,
     prepare,
 )
 from pfcert.net_model import CaseError, load_case_file
@@ -38,23 +39,21 @@ def two_bus_setup(p=1.0):
 
 def test_two_bus_closed_forms():
     _, red, S = two_bus_setup()
-    m = compute_stress(red.Ztilde, S)
-    assert lambda_wang(m) == pytest.approx(2.5, rel=1e-12)
-    assert lambda_dvijotham(m) == pytest.approx(2.5, rel=1e-12)
-    est = lambda_proposed(red, S)
+    est = lambda_all(red, S)
+    assert est.lambda_w == pytest.approx(2.5, rel=1e-12)
+    assert est.lambda_d == pytest.approx(2.5, rel=1e-12)
     assert est.lambda_p == pytest.approx(5.0, abs=1e-9)
-    assert est.kappa == 1.0
     assert est.critical_bus == 2
     assert est.mode == "from_zero"
 
 
 def test_zero_load_limits_are_unbounded():
     _, red, S = two_bus_setup()
-    zero = compute_stress(red.Ztilde, np.zeros(1, dtype=complex))
-    assert math.isinf(lambda_wang(zero))
-    assert math.isinf(lambda_dvijotham(zero))
+    zero = _line_limits(red, "from_zero", compute_stress(red.Ztilde, np.zeros(1, dtype=complex)))
+    assert math.isinf(zero.lambda_w)
+    assert math.isinf(zero.lambda_d)
     with pytest.raises(CaseError, match="identically zero"):
-        lambda_proposed(red, np.zeros(1, dtype=complex))
+        lambda_all(red, np.zeros(1, dtype=complex))
 
 
 def test_pure_reactive_injection_never_binds():
@@ -62,14 +61,14 @@ def test_pure_reactive_injection_never_binds():
     # stays certified and the true problem is solvable for all scalings too
     _, red, _ = two_bus_setup()
     S = np.array([-3j])
-    est = lambda_proposed(red, S)
+    est = lambda_all(red, S)
     assert math.isinf(est.lambda_p)
 
 
 def test_proposed_limit_matches_certificate_boundary():
     case = make_star(loads=((1.0, 0.4), (0.6, 0.1), (0.2, 0.3)))
     red, S = prepare(case)
-    est = lambda_proposed(red, S)
+    est = lambda_all(red, S)
     eps = 1e-6 * est.lambda_p
     below = certify(compute_stress(red.Ztilde, (est.lambda_p - eps) * S))
     above = certify(compute_stress(red.Ztilde, (est.lambda_p + eps) * S))
@@ -79,8 +78,8 @@ def test_proposed_limit_matches_certificate_boundary():
 def test_baseline_limits_match_their_boundaries():
     case = make_star(loads=((1.0, 0.4), (0.6, 0.1), (0.2, 0.3)))
     red, S = prepare(case)
-    m = compute_stress(red.Ztilde, S)
-    lam_w, lam_d = lambda_wang(m), lambda_dvijotham(m)
+    est = lambda_all(red, S)
+    lam_w, lam_d = est.lambda_w, est.lambda_d
     zero = compute_stress(red.Ztilde, np.zeros_like(S))
     eps = 1e-9
     assert certify_wang(zero, compute_stress(red.Ztilde, (lam_w - eps) * S)).holds
@@ -94,7 +93,7 @@ def test_dominance_and_ordering(rng):
     red, _ = prepare(case)
     for _ in range(50):
         S = random_loads(rng, 3)
-        est = lambda_proposed(red, S)
+        est = lambda_all(red, S)
         assert est.lambda_p >= est.lambda_w - 1e-9
         assert est.lambda_p >= est.lambda_d - 1e-9
         assert est.lambda_d >= est.lambda_w - 1e-12
@@ -188,7 +187,7 @@ def make_triangle():
 def test_oracle_limit_never_below_certificate():
     case = make_triangle()
     red, S = prepare(case)
-    est = lambda_proposed(red, S)
+    est = lambda_all(red, S)
     actual = actual_limit(case, direction=S, bracket=(1e-2, None))
     assert actual >= est.lambda_p - 1e-6
     assert actual > est.lambda_p  # meshed coupling leaves a real margin
@@ -290,3 +289,109 @@ def test_known_solution_limits_leave_scipy_optimize_out():
     env = dict(os.environ, PYTHONPATH=str(Path(pfcert.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def assert_closes(holds, lam):
+    """The condition holds just below the scaling lam and fails just above it."""
+    assert 0.0 < lam < math.inf
+    assert holds((1.0 - 1e-9) * lam)
+    assert not holds((1.0 + 1e-9) * lam)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_from_zero_limits_close_their_conditions(name):
+    red, S = prepare(load_case_file(case_path(f"{name}.m")))
+    rng = np.random.default_rng(BUNDLED.index(name))
+    zero = compute_stress(red.Ztilde, np.zeros_like(S))
+    for d in [S] + [random_loads(rng, red.n_load) for _ in range(5)]:
+        est = lambda_all(red, d)
+
+        def stress(lam):
+            return compute_stress(red.Ztilde, lam * d)
+
+        assert_closes(lambda lam: certify(stress(lam)).holds, est.lambda_p)
+        assert_closes(lambda lam: certify_wang(zero, stress(lam)).holds, est.lambda_w)
+        assert_closes(lambda lam: certify_dvijotham(stress(lam)).holds, est.lambda_d)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_known_solution_limits_close_their_conditions(name, c):
+    case = load_case_file(case_path(f"{name}.m"))
+    red, S = prepare(case)
+    res = newton_solve(case, S, network=red)
+    assert res.converged
+    v0 = res.V_L / red.E
+    est = lambda_all(red, c * S, with_known_solution=(v0, S))
+    Zt = renormalize_about_solution(red, v0, S).Ztilde
+    base = compute_stress(Zt, S)
+
+    def stress(lam):
+        return compute_stress(Zt, S + lam * c * S, lam * c * S)
+
+    assert_closes(lambda lam: certify(stress(lam)).holds, est.lambda_p)
+    assert_closes(lambda lam: certify_wang(base, compute_stress(Zt, lam * c * S)).holds, est.lambda_w)
+    assert_closes(lambda lam: certify_dvijotham(stress(lam)).holds, est.lambda_d)
+
+
+def test_line_past_the_spread_boundary_certifies_nothing():
+    # x0 > 1 fails the spread at lambda = 0 (from zero, x0 = 0, the spread
+    # never binds before the level), and every limit is then 0
+    _, red, S = two_bus_setup()
+    m = compute_stress(red.Ztilde, S)
+    est = _line_limits(red, "from_known_solution", m, replace(m, xi=np.array([1.5]), xi_max=1.5))
+    assert est.lambda_p == est.lambda_w == est.lambda_d == 0.0
+
+
+ROOT_CASES = [  # a, b, c, smallest positive root of a x^2 + b x + c
+    (0.0, 2.0, -1.0, 0.5),  # a = 0: the linear root
+    (0.0, 2.0, 1.0, math.inf),  # a = 0 with a negative linear root
+    (0.0, 0.0, -1.0, math.inf),  # a = b = 0: no root
+    (1.0, 0.0, 1.0, math.inf),  # negative discriminant
+    (1.0, -3.0, 0.0, 3.0),  # c = 0: the root 0 is not positive
+    (1.0, -3.0, 2.0, 1.0),  # two positive roots: the first
+    (-1.0, 1.0, 2.0, 2.0),  # one positive and one negative root
+]
+
+
+@pytest.mark.filterwarnings("error")
+def test_first_positive_roots_edge_cases():
+    a, b, c, expected = (np.array(col) for col in zip(*ROOT_CASES))
+    assert np.array_equal(_first_positive_roots(a, b, c), expected)
+    for row in ROOT_CASES:
+        assert _first_positive_roots(*row[:3]) == row[3]
+
+
+def min_positive_root(a, b, c):
+    """Scalar reference: smallest positive root of a x^2 + b x + c = 0 (inf when none)."""
+    if a == 0.0:
+        if b == 0.0:
+            return math.inf
+        x = -c / b
+        return x if x > 0.0 else math.inf
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return math.inf
+    q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
+    roots = [q / a, c / q] if q != 0.0 else [0.0]
+    return min([r for r in roots if r > 0.0], default=math.inf)
+
+
+@pytest.mark.filterwarnings("error")
+def test_first_positive_roots_match_the_scalar_reference(rng):
+    a, b, c = rng.normal(size=(3, 3000))
+    a[::7] = 0.0
+    b[::11] = 0.0
+    c[::5] = 0.0
+    expected = [min_positive_root(*abc) for abc in zip(a, b, c)]
+    assert np.array_equal(_first_positive_roots(a, b, c), expected)
+
+
+def test_closed_form_limits_take_one_stress_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(limits, "compute_stress", lambda *a: calls.append(1) or compute_stress(*a))
+    _, red, S, v0 = known_solution_setup()
+    lambda_all(red, S)
+    lambda_all(red, 2 * S, with_known_solution=(v0, S))
+    lambda_all(red, S, with_known_solution=(np.ones(1, dtype=complex), np.zeros(1, dtype=complex)))
+    assert len(calls) == 3
