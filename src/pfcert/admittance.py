@@ -64,7 +64,6 @@ class GridReduction:
     load_ids: tuple[int, ...]
     Y: sp.csc_matrix  # full admittance, generators first
     Y_LL: sp.csc_matrix
-    Y_LG: sp.csc_matrix
     lu: spla.SuperLU  # factor of Y_LL
     V_G: np.ndarray
     E: np.ndarray  # zero-load load voltages
@@ -178,7 +177,6 @@ def reduce_network(Y: AdmittanceMatrix, partition, V_G: np.ndarray) -> GridReduc
     if np.any(V_G == 0):
         raise CaseError("V_G entries must be nonzero")
 
-    Y_LG = Y.matrix[m:, :m].tocsc()
     Y_LL = Y.matrix[m:, m:].tocsc()
 
     try:
@@ -186,7 +184,7 @@ def reduce_network(Y: AdmittanceMatrix, partition, V_G: np.ndarray) -> GridReduc
     except RuntimeError as exc:
         raise SingularNetworkError(f"Y_LL is singular: {exc}") from exc
 
-    E = lu.solve(-(Y_LG @ V_G))
+    E = lu.solve(-(Y.matrix[m:, :m] @ V_G))
     if not np.isfinite(E).all() or np.any(np.abs(E) < 1e-12):
         raise SingularNetworkError("equivalent voltage E has non-finite or (near-)zero entries")
 
@@ -195,7 +193,6 @@ def reduce_network(Y: AdmittanceMatrix, partition, V_G: np.ndarray) -> GridReduc
         load_ids=tuple(load_ids),
         Y=Y.matrix,
         Y_LL=Y_LL,
-        Y_LG=Y_LG,
         lu=lu,
         V_G=V_G,
         E=E,

@@ -133,14 +133,15 @@ def estimate_contraction(m: StressMeasures, radii: DiscRadii) -> float | None:
     return best if best < 1.0 else None
 
 
-def certify_wang(m_base: StressMeasures, m_incr: StressMeasures) -> ShellCertificate:
+def certify_wang(m_base: StressMeasures | None, m_incr: StressMeasures) -> ShellCertificate:
     """Baseline shell certificate driven by xi alone.
 
-    m_base carries xi at the known base load S0 (zero in the from-scratch
-    mode), m_incr carries xi at the increment sigma. Requires xi(S0) < 1;
-    holds when (1 - xi(S0))^2 - 4 xi(sigma) > 0 (strict).
+    m_base carries xi at the known base load S0 (None for S0 = 0, the
+    from-scratch mode, where xi(S0) = 0), m_incr carries xi at the increment
+    sigma. Requires xi(S0) < 1; holds when (1 - xi(S0))^2 - 4 xi(sigma) > 0
+    (strict).
     """
-    xi0 = m_base.xi_max
+    xi0 = 0.0 if m_base is None else m_base.xi_max
     xis = m_incr.xi_max
     if xi0 >= 1.0:
         raise NoCertificate(f"xi at the base load is {xi0:.6g} >= 1; shell condition undefined")

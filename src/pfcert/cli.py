@@ -115,35 +115,18 @@ def _emit(args, text: str) -> None:
 
 
 def _load(args):
+    """The case, its reduction and its base load. With --known-solution the
+    reduction is re-centered on the Newton-solved base point, whose solve pins
+    the reduction's own generator phasors, so it is consistent with red.E.
+    """
     case = load_case_file(args.case, args.format)
     red, S_base = limits.prepare(case, args.gen_phasors)
+    if getattr(args, "known_solution", False):
+        res = oracle.newton_solve(case, S_base, network=red)
+        if not res.converged:
+            raise SingularNetworkError("base-case power flow did not converge; no known solution")
+        red = renormalize_about_solution(red, res.V_L / red.E, S_base)
     return case, red, S_base
-
-
-def _solved_v0(case, red, S_base) -> np.ndarray:
-    """Normalized base operating point from the Newton oracle.
-
-    The solve pins the same generator phasors the reduction was built with,
-    so the normalized solution is consistent with red.E.
-    """
-    res = oracle.newton_solve(case, S_base, network=red)
-    if not res.converged:
-        raise SingularNetworkError("base-case power flow did not converge; no known solution")
-    return res.V_L / red.E
-
-
-def _stress_at_scale(case, red, S_base, scale: float, known_solution: bool):
-    """Stress measures for total load scale * S_base, optionally re-centered
-    on the solved base operating point (increment sigma = (scale-1) S_base).
-
-    Returns (measures, reduction actually used, increment sigma).
-    """
-    S_total = scale * S_base
-    if not known_solution:
-        return compute_stress(red.Ztilde, S_total), red, S_total
-    red2 = renormalize_about_solution(red, _solved_v0(case, red, S_base), S_base)
-    sigma = (scale - 1.0) * S_base
-    return compute_stress(red2.Ztilde, S_total, sigma), red2, sigma
 
 
 def args_case_name(case) -> str:
@@ -157,7 +140,9 @@ def args_case_name(case) -> str:
 
 def cmd_certify(args) -> int:
     case, red, S_base = _load(args)
-    m, red_used, sigma = _stress_at_scale(case, red, S_base, args.scale, args.known_solution)
+    S = args.scale * S_base
+    sigma = S - red.S0
+    m = compute_stress(red.Ztilde, S, sigma)
     meta = {
         "case": args_case_name(case),
         "gen_phasor_source": args.gen_phasors,
@@ -165,23 +150,25 @@ def cmd_certify(args) -> int:
         "known_solution": args.known_solution,
     }
     cert = certify(m)
-    m_base = compute_stress(red_used.Ztilde, red_used.S0)
-    m_sigma = compute_stress(red_used.Ztilde, sigma) if args.known_solution else m
+    if args.known_solution:
+        wang = certify_wang(compute_stress(red.Ztilde, red.S0), compute_stress(red.Ztilde, sigma))
+    else:
+        wang = certify_wang(None, m)
     doc = {"meta": meta, "certificate": certificate_to_dict(cert)}
     doc["baselines"] = {
-        "wang": _shell_dict(certify_wang(m_base, m_sigma)),
+        "wang": _shell_dict(wang),
         "dvijotham": _shell_dict(certify_dvijotham(m)),
     }
     excluded = excluded_gen_bus_demand(case)
     if excluded:
         doc["meta"]["demand_at_generator_buses_excluded"] = sorted(excluded)
     if cert.holds:
-        doc["voltage_bounds"] = voltage_bounds_to_dict(voltage_bounds(cert, red_used))
+        doc["voltage_bounds"] = voltage_bounds_to_dict(voltage_bounds(cert, red))
     if args.dump_reduction:
         from .admittance import reduction_dump
 
         with open(args.dump_reduction, "w", encoding="utf-8") as fh:
-            fh.write(dumps_stable(reduction_dump(red_used)))
+            fh.write(dumps_stable(reduction_dump(red)))
     _emit(args, dumps_stable(doc))
     return EXIT_OK if cert.holds else EXIT_CERT_FAILS
 
@@ -225,11 +212,7 @@ def cmd_solve(args) -> int:
 
 def cmd_limits(args) -> int:
     case, red, S_base = _load(args)
-    if args.known_solution:
-        v0 = _solved_v0(case, red, S_base)
-        est = limits.lambda_all(red, S_base, with_known_solution=(v0, S_base))
-    else:
-        est = limits.lambda_all(red, S_base)
+    est = limits.lambda_all(red, S_base)
     doc = {
         "meta": {
             "case": args_case_name(case),

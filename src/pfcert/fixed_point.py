@@ -1,14 +1,15 @@
 """The fixed-point power-flow map and its certified iteration.
 
 In normalized coordinates u (load voltage over E v0) the power-flow
-equations read
+equations at total load S read
 
-    u = F(u) = 1 - Ztilde sigma* + Ztilde (I - diag(u*)^-1) S*
+    u = F(u) = 1 + Ztilde (S0* - diag(u*)^-1 S*)
 
-which reduces to u = 1 - Zhat diag(u*)^-1 S* when the reduction is not
-re-centered on a known solution. Under a holding certificate the iteration
-u <- F(u) converges linearly to the unique solution in the certified
-polydisc from any start in the outer region.
+where (v0, S0) is the known solution the reduction is re-centered on, so
+the increment sigma = S - S0 comes from the reduction. Without one (v0 = 1,
+S0 = 0) this is u = 1 - Zhat diag(u*)^-1 S*. Under a holding certificate
+the iteration u <- F(u) converges linearly to the unique solution in the
+certified polydisc from any start in the outer region.
 """
 
 from __future__ import annotations
@@ -38,21 +39,18 @@ class FixedPointResult:
     note: str | None = None
 
 
-def evaluate_F(u: np.ndarray, red: GridReduction, S_L: np.ndarray, sigma_L: np.ndarray | None = None) -> np.ndarray:
+def evaluate_F(u: np.ndarray, red: GridReduction, S_L: np.ndarray) -> np.ndarray:
     """One application of the fixed-point map; u must have no zero entries."""
     u = np.asarray(u, dtype=complex)
     S_L = np.asarray(S_L, dtype=complex)
-    sigma_L = S_L if sigma_L is None else np.asarray(sigma_L, dtype=complex)
     if np.any(u == 0):
         raise ValueError("fixed-point map undefined: iterate has zero entries")
-    rhs = (S_L.conj() - sigma_L.conj()) - S_L.conj() / u.conj()
-    return 1.0 + red.Ztilde @ rhs
+    return 1.0 + red.Ztilde @ (red.S0.conj() - S_L.conj() / u.conj())
 
 
 def solve_fixed_point(
     red: GridReduction,
     S_L: np.ndarray,
-    sigma_L: np.ndarray | None = None,
     start: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iter: int = 1000,
@@ -69,7 +67,6 @@ def solve_fixed_point(
     if tol <= 0:
         raise ValueError("tol must be positive")
     S_L = np.asarray(S_L, dtype=complex)
-    sigma = S_L if sigma_L is None else np.asarray(sigma_L, dtype=complex)
     u = np.ones(red.n_load, dtype=complex) if start is None else np.array(start, dtype=complex)
     if np.any(u == 0):
         raise ValueError("start vector has zero entries")
@@ -82,7 +79,7 @@ def solve_fixed_point(
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        fu = evaluate_F(u, red, S_L, sigma)
+        fu = evaluate_F(u, red, S_L)
         residual = float(np.abs(u - fu).max())
         trace.append(residual)
         u = fu
@@ -124,7 +121,6 @@ def check_convergence_rate(
     m: StressMeasures,
     red: GridReduction,
     S_L: np.ndarray,
-    sigma_L: np.ndarray | None = None,
 ) -> bool:
     """Verify the certified linear decay along a recorded iterate trace.
 
@@ -138,9 +134,7 @@ def check_convergence_rate(
     if not cert.holds or cert.mu_bound is None or not (0.0 <= cert.mu_bound < 1.0):
         raise ValueError("rate check requires a holding certificate with mu_bound < 1")
 
-    ref = solve_fixed_point(
-        red, S_L, sigma_L, start=result.iterates[0], tol=1e-13, max_iter=20000
-    )
+    ref = solve_fixed_point(red, S_L, start=result.iterates[0], tol=1e-13, max_iter=20000)
     if not ref.converged:
         raise ValueError("high-precision reference solve did not converge")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracle
-from .admittance import GridReduction, build_admittance, reduce_network, renormalize_about_solution
+from .admittance import GridReduction, build_admittance, reduce_network
 from .certificate import certify, certify_dvijotham, certify_wang, voltage_bounds
 from .net_model import CaseError, NetworkCase, generator_phasors, load_power_vector, partition_buses
 from .stress import StressMeasures, compute_stress
@@ -177,53 +177,40 @@ def _first_failure(holds, lo: float = 0.0) -> float:
     return 0.5 * (lo + hi)
 
 
-def lambda_all(
-    red: GridReduction,
-    S_L: np.ndarray,
-    with_known_solution: tuple[np.ndarray, np.ndarray] | None = None,
-) -> LimitEstimates:
+def lambda_all(red: GridReduction, S_L: np.ndarray) -> LimitEstimates:
     """All three limit estimates along the direction S_L.
 
-    Without a known solution, loads scale from zero (total load lambda S_L).
-    With one, (v0, S0) re-centers the impedance matrix and the estimates are
+    The mode follows red.S0. On a reduction from reduce_network (S0 = 0),
+    loads scale from zero: total load lambda S_L. On one re-centered on a
+    known solution (v0, S0) by renormalize_about_solution, the estimates are
     the maximum certified incremental scalings: increment lambda S_L on top
-    of the base S0. Both are load lines xi_i = x0_i + lambda x1_i,
-    eta_i = lambda e1_i with closed-form limits (from zero x0 = 0; about a
-    known solution, for S_L = c S0, x0 = x1 = xi(S0) and every limit is
-    divided by c). Other increment directions are not such a line, since
-    |S0 + lambda S_L| is not affine in lambda: lambda_p and lambda_d then
-    come from bisection on the certificate conditions.
+    of S0. Both are load lines xi_i = x0_i + lambda x1_i, eta_i = lambda e1_i
+    with closed-form limits (from zero x0 = 0; about a known solution, for
+    S_L = c S0, x0 = x1 = xi(S0) and every limit is divided by c). Other
+    increment directions are not such a line, since |S0 + lambda S_L| is
+    not affine in lambda: lambda_p and lambda_d then come from bisection on
+    the certificate conditions.
     """
     S_L = np.asarray(S_L, dtype=complex)
-    if with_known_solution is None:
-        if np.all(S_L == 0):
-            raise CaseError("base load direction is identically zero")
-        return _line_limits(red, "from_zero", compute_stress(red.Ztilde, S_L))
-    v0, S0 = with_known_solution
-    red2 = renormalize_about_solution(red, v0, S0)
-    S0 = np.asarray(S0, dtype=complex)
     if np.all(S_L == 0):
-        raise CaseError("increment direction is identically zero")
-
-    mode = "from_known_solution"
-    if np.all(S0 == 0):  # v0 is then the flat solution and Ztilde = Zhat
-        return _line_limits(red2, mode, compute_stress(red2.Ztilde, S_L))
-    c = _positive_scalar_ratio(S_L, S0)
+        raise CaseError("load direction is identically zero")
+    if not red.S0.any():
+        return _line_limits(red, "from_zero", compute_stress(red.Ztilde, S_L))
+    c = _positive_scalar_ratio(S_L, red.S0)
     if c is not None:
-        m0 = compute_stress(red2.Ztilde, S0, S0)
-        return _line_limits(red2, mode, m0, m0, c)
-    return _skew_limits(red2, S0, S_L)
+        m0 = compute_stress(red.Ztilde, red.S0)
+        return _line_limits(red, "from_known_solution", m0, m0, c)
+    return _skew_limits(red, S_L)
 
 
-def _skew_limits(red: GridReduction, S0: np.ndarray, D: np.ndarray) -> LimitEstimates:
+def _skew_limits(red: GridReduction, D: np.ndarray) -> LimitEstimates:
     """Bisection for increment directions not proportional to S0.
 
     Wang's condition, (1 - xi(S0))^2 - 4 lambda xi(D) > 0, needs only the
     line's maxima, so lambda_w still comes from _line_limits.
     """
-    Zt = red.Ztilde
-    m_base = compute_stress(Zt, S0, S0)
-    line = _line_limits(red, "from_known_solution", compute_stress(Zt, D, D), m_base)
+    Zt, S0 = red.Ztilde, red.S0
+    line = _line_limits(red, "from_known_solution", compute_stress(Zt, D), compute_stress(Zt, S0))
 
     def proposed_holds(lam: float) -> bool:
         m = compute_stress(Zt, S0 + lam * D, lam * D)
@@ -314,8 +301,6 @@ def bound_profile(
     except ValueError as exc:
         raise CaseError(f"bus {bus_id} is not a load bus") from exc
     scale = float(abs(red.E[k] * red.v0[k]))
-    zero = np.zeros_like(S_base)
-    m_zero = compute_stress(red.Ztilde, zero)
 
     warm = red.E
     newton_alive = with_oracle
@@ -332,7 +317,7 @@ def bound_profile(
         else:
             proposed = None
 
-        wang = certify_wang(m_zero, m)
+        wang = certify_wang(None, m)
         wang_low = scale * wang.magnitude_interval()[0] if wang.holds else None
 
         dvij = certify_dvijotham(m)

@@ -32,8 +32,6 @@ class StressMeasures:
     xi_max: float
     gamma_max: float
     Delta: float  # (1 - gamma)^2 - 4 xi^2 eta^2
-    S_L: np.ndarray
-    sigma_L: np.ndarray
 
     @property
     def n(self) -> int:
@@ -60,7 +58,10 @@ class DiscRadii:
 def compute_stress(Ztilde: np.ndarray, S_L: np.ndarray, sigma_L: np.ndarray | None = None) -> StressMeasures:
     """Stress measures of total load S_L and incremental load sigma_L.
 
-    In the no-known-solution mode pass sigma_L = S_L (or omit it).
+    xi follows S_L and eta follows sigma_L. On a reduction re-centered on a
+    known solution (v0, S0), pass Ztilde with sigma_L = S_L - S0; from zero
+    load, and for measures of a direction rather than a state, omit sigma_L
+    (it defaults to S_L).
     """
     Ztilde = np.asarray(Ztilde, dtype=complex)
     S_L = np.asarray(S_L, dtype=complex)
@@ -91,8 +92,6 @@ def compute_stress(Ztilde: np.ndarray, S_L: np.ndarray, sigma_L: np.ndarray | No
         xi_max=xi_max,
         gamma_max=gamma_max,
         Delta=delta,
-        S_L=S_L,
-        sigma_L=sigma_L,
     )
 
 

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+from pfcert.admittance import renormalize_about_solution
 from pfcert.certificate import certify, certify_dvijotham, certify_wang, voltage_bounds
 from pfcert.fixed_point import check_convergence_rate, evaluate_F, solve_fixed_point
 from pfcert.limits import bound_profile, direction_sweep, lambda_all, prepare
@@ -48,7 +49,7 @@ def known_solution_estimates(name):
     case, red, S = load(name)
     res = newton_solve(case, S, network=red)
     assert res.converged
-    return lambda_all(red, S, with_known_solution=(res.V_L / red.E, S))
+    return lambda_all(renormalize_about_solution(red, res.V_L / red.E, S), S)
 
 
 def rel_err(value, reference):

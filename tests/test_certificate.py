@@ -67,8 +67,6 @@ def test_spread_boundary_is_non_strict():
         xi_max=1.2,
         gamma_max=0.1,
         Delta=(1 - 0.1) ** 2 - 4 * 1.2**2 * 0.2**2,
-        S_L=np.array([0j]),
-        sigma_L=np.array([0j]),
     )
     assert m.stress_spread == pytest.approx(1.0)
     cert = certify(m)
@@ -98,6 +96,11 @@ def test_wang_shell_examples():
 
     with pytest.raises(NoCertificate):
         certify_wang(stress(10.0), m24)  # xi at the base >= 1
+
+
+@pytest.mark.parametrize("p", [0.0, 2.4, 2.5, 3.0])
+def test_wang_without_base_measures_is_the_zero_base(p):
+    assert certify_wang(None, stress(p)) == certify_wang(stress(0.0), stress(p))
 
 
 def test_dvijotham_shell_examples():
@@ -144,8 +147,6 @@ def test_full_circle_flag_when_disc_reaches_origin():
         xi_max=0.5,
         gamma_max=0.0,
         Delta=1.0 - 4 * 0.5**2 * 0.9**2,
-        S_L=np.array([1 + 0j]),
-        sigma_L=np.array([1 + 0j]),
     )
     red = reduce_case(make_two_bus())
     cert = certify(m)

@@ -299,3 +299,29 @@ def test_empty_grid_is_exit_2(args, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "input"
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["certify"], 1),
+        (["certify", "--known-solution", "--scale", 1.2], 3),
+        (["bounds", "--bus", 4, "--scale-grid", "1.0:2.0:0.5"], 3),
+    ],
+    ids=["certify", "certify --known-solution", "bounds, 3 points"],
+)
+def test_stress_calls_per_command(args, expected, tmp_path, monkeypatch):
+    """A zero base load needs no stress call: Wang reads xi(S0) = 0 directly."""
+    compute_stress = pfcert.stress.compute_stress
+    calls = []
+
+    def counted(*a, **k):
+        calls.append(1)
+        return compute_stress(*a, **k)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "pfcert" and getattr(module, "compute_stress", None) is compute_stress:
+            monkeypatch.setattr(module, "compute_stress", counted)
+    command, *rest = args
+    assert run([command, "--case", case_path("case39.m"), *rest, "--out", tmp_path / "out"]) in (0, 1)
+    assert len(calls) == expected

@@ -6,10 +6,12 @@ import pytest
 from pfcert.admittance import reduce_case, renormalize_about_solution
 from pfcert.certificate import certify
 from pfcert.fixed_point import check_convergence_rate, evaluate_F, solve_fixed_point
+from pfcert.limits import prepare
+from pfcert.net_model import load_case_file
 from pfcert.oracle import newton_solve, two_bus_analytic
 from pfcert.stress import compute_stress
 
-from conftest import make_star, make_two_bus
+from conftest import BUNDLED, case_path, make_star, make_two_bus
 
 HIGH = two_bus_analytic(2.5, 0.0, 0.1)[0]
 
@@ -96,10 +98,28 @@ def test_known_solution_recentering_solves_increment():
     red2 = renormalize_about_solution(red, base.u, S0)
     sigma = np.array([0.8 + 0j])
     total = S0 + sigma
-    res = solve_fixed_point(red2, total, sigma, tol=1e-12)
+    res = solve_fixed_point(red2, total, tol=1e-12)
     assert res.converged
     direct = two_bus_analytic(1.8, 0.0, 0.1)[0]
     assert res.V_L[0] == pytest.approx(direct, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_recentered_solve_matches_newton_on_bundled_cases(name):
+    # re-centered on the Newton base point, 1.2x the base load is the increment 0.2 S
+    case = load_case_file(case_path(f"{name}.m"))
+    red, S0 = prepare(case)
+    base = newton_solve(case, S0, network=red)
+    assert base.converged
+    red2 = renormalize_about_solution(red, base.V_L / red.E, S0)
+    S = 1.2 * S0
+    cert = certify(compute_stress(red2.Ztilde, S, S - red2.S0))
+    assert cert.holds
+    res = solve_fixed_point(red2, S, certificate=cert)  # checks the polydisc containment
+    assert res.converged
+    nt = newton_solve(case, S, network=red)
+    assert nt.converged
+    assert np.abs(res.V_L - nt.V_L).max() < 1e-8
 
 
 def test_rate_bound_two_bus():

@@ -102,8 +102,8 @@ def test_dominance_and_ordering(rng):
 def test_known_solution_with_zero_base_equals_from_zero():
     _, red, S = two_bus_setup()
     from_zero = lambda_all(red, S)
-    known = lambda_all(red, S, with_known_solution=(np.ones(1, dtype=complex), np.zeros(1, dtype=complex)))
-    assert known.mode == "from_known_solution"
+    known = lambda_all(renormalize_about_solution(red, np.ones(1, dtype=complex), np.zeros(1, dtype=complex)), S)
+    assert known.mode == "from_zero"
     assert known.lambda_p == pytest.approx(from_zero.lambda_p, rel=1e-12)
     assert known.lambda_w == pytest.approx(from_zero.lambda_w, rel=1e-12)
     assert known.lambda_d == pytest.approx(from_zero.lambda_d, rel=1e-12)
@@ -118,10 +118,8 @@ def known_solution_setup(p=1.0):
 
 def test_known_solution_limits_match_certificate_boundary():
     _, red, S, v0 = known_solution_setup()
-    est = lambda_all(red, S, with_known_solution=(v0, S))
+    est = lambda_all(renormalize_about_solution(red, v0, S), S)
     assert est.mode == "from_known_solution"
-    from pfcert.admittance import renormalize_about_solution
-
     red2 = renormalize_about_solution(red, v0, S)
     lam = est.lambda_p
     for offset, expect in ((-1e-6, True), (1e-6, False)):
@@ -133,15 +131,15 @@ def test_known_solution_exceeds_from_zero_total_scaling():
     # re-centering on the solved base point certifies at least as much total load
     _, red, S, v0 = known_solution_setup()
     from_zero = lambda_all(red, S)
-    known = lambda_all(red, S, with_known_solution=(v0, S))
+    known = lambda_all(renormalize_about_solution(red, v0, S), S)
     assert 1 + known.lambda_p >= from_zero.lambda_p - 1e-9
 
 
 def test_known_solution_direction_scaling_consistency():
     # asking for increments along 2 S must halve the certified lambda exactly
     _, red, S, v0 = known_solution_setup()
-    est1 = lambda_all(red, S, with_known_solution=(v0, S))
-    est2 = lambda_all(red, 2 * S, with_known_solution=(v0, S))
+    est1 = lambda_all(renormalize_about_solution(red, v0, S), S)
+    est2 = lambda_all(renormalize_about_solution(red, v0, S), 2 * S)
     assert est2.lambda_p == pytest.approx(est1.lambda_p / 2, rel=1e-12)
     assert est2.lambda_w == pytest.approx(est1.lambda_w / 2, rel=1e-12)
     assert est2.lambda_d == pytest.approx(est1.lambda_d / 2, rel=1e-12)
@@ -152,10 +150,8 @@ def test_known_solution_generic_direction_bisection():
     red, S = prepare(case)
     sol = solve_fixed_point(red, S, tol=1e-12)
     skew = S * np.array([1.0, 0.2 + 0.1j, 3.0])  # not a positive multiple of S
-    est = lambda_all(red, skew, with_known_solution=(sol.u, S))
+    est = lambda_all(renormalize_about_solution(red, sol.u, S), skew)
     assert est.lambda_p > 0
-    from pfcert.admittance import renormalize_about_solution
-
     red2 = renormalize_about_solution(red, sol.u, S)
     lam = est.lambda_p
     m_ok = compute_stress(red2.Ztilde, S + (lam * (1 - 1e-9)) * skew, lam * (1 - 1e-9) * skew)
@@ -267,7 +263,7 @@ def test_known_solution_dvijotham_limit_closes_its_condition(name):
     res = newton_solve(case, S, network=red)
     assert res.converged
     v0 = res.V_L / red.E
-    lam = lambda_all(red, S, with_known_solution=(v0, S)).lambda_d
+    lam = lambda_all(renormalize_about_solution(red, v0, S), S).lambda_d
     m0 = compute_stress(renormalize_about_solution(red, v0, S).Ztilde, S, S)
     gap = math.sqrt((1.0 + lam) * m0.xi_max) + math.sqrt(lam * m0.eta_max) - 1.0
     assert 0.0 < lam < math.inf
@@ -277,13 +273,14 @@ def test_known_solution_dvijotham_limit_closes_its_condition(name):
 def test_known_solution_limits_leave_scipy_optimize_out():
     code = (
         "import sys\n"
+        "from pfcert.admittance import renormalize_about_solution\n"
         "from pfcert.limits import lambda_all, prepare\n"
         "from pfcert.net_model import load_case_file\n"
         "from pfcert.oracle import newton_solve\n"
         f"case = load_case_file({str(case_path('case39.m'))!r})\n"
         "red, S = prepare(case)\n"
         "res = newton_solve(case, S, network=red)\n"
-        "lambda_all(red, S, with_known_solution=(res.V_L / red.E, S))\n"
+        "lambda_all(renormalize_about_solution(red, res.V_L / red.E, S), S)\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(pfcert.__file__).parents[1]))
@@ -322,7 +319,7 @@ def test_known_solution_limits_close_their_conditions(name, c):
     res = newton_solve(case, S, network=red)
     assert res.converged
     v0 = res.V_L / red.E
-    est = lambda_all(red, c * S, with_known_solution=(v0, S))
+    est = lambda_all(renormalize_about_solution(red, v0, S), c * S)
     Zt = renormalize_about_solution(red, v0, S).Ztilde
     base = compute_stress(Zt, S)
 
@@ -392,6 +389,6 @@ def test_closed_form_limits_take_one_stress_call(monkeypatch):
     monkeypatch.setattr(limits, "compute_stress", lambda *a: calls.append(1) or compute_stress(*a))
     _, red, S, v0 = known_solution_setup()
     lambda_all(red, S)
-    lambda_all(red, 2 * S, with_known_solution=(v0, S))
-    lambda_all(red, S, with_known_solution=(np.ones(1, dtype=complex), np.zeros(1, dtype=complex)))
+    lambda_all(renormalize_about_solution(red, v0, S), 2 * S)
+    lambda_all(renormalize_about_solution(red, np.ones(1, dtype=complex), np.zeros(1, dtype=complex)), S)
     assert len(calls) == 3
