@@ -11,6 +11,7 @@ formulation once, to fix generator angles the way solved case files do.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,7 +38,10 @@ class _NewtonKernel:
     ones of `mag`. Jacobian entries are MATPOWER's complex-form dS/dV
     (Zimmerman, Murillo-Sanchez & Thomas 2011), each p conj(q) + c with I = Y V,
     U = V/|V| and (p, q, c) = (j V_i, [i=k] I_i - Y_ik V_k, 0) for dS_i/dVa_k,
-    (V_i, Y_ik U_k, [i=k] conj(I_i) U_i) for dS_i/dVm_k."""
+    (V_i, Y_ik U_k, [i=k] conj(I_i) U_i) for dS_i/dVm_k. The CSC matrix J and
+    the buffers its values are gathered from are allocated once, with the
+    kernel: an iteration computes only the entry values, into J.data. jacobian
+    returns J itself, the kernel's own matrix, which its next call overwrites."""
 
     def __init__(self, Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray):
         nb, n = Y.shape[0], len(ang) + len(mag)
@@ -51,28 +55,36 @@ class _NewtonKernel:
         i, k, y = (np.concatenate([a[part] for part in parts]) for a in (Yc.row, Yc.col, Yc.data))
         dm = np.arange(len(i)) >= np.count_nonzero(parts[0])
         self.yr, self.yi, self.sign = y.real, y.imag, np.where(dm, 1.0, -1.0)
-        self.p, self.take = i + nb * dm, k + nb * dm  # into [jV, V] and [V, U]
-        self.diag_a = np.where((i == k) & ~dm, i, nb)  # into [I, 0]
-        self.diag_m = np.where((i == k) & dm, i, nb)  # into [conj(I) U, 0]
-        # Re(dS) goes to the P rows, Im(dS) to the Q rows; J's values are positions in [Re, Im]
+        self.p, self.take = i + nb * dm, k + nb * dm  # into jV_V = [jV, V] and V_U = [V, U]
+        self.diag_a = np.where((i == k) & ~dm, i, nb)  # into I_0 = [I, 0]
+        self.diag_m = np.where((i == k) & dm, i, nb)  # into IU_0 = [conj(I) U, 0]
+        self.V_U, self.jV_V = np.empty(2 * nb, complex), np.empty(2 * nb, complex)
+        self.I_0, self.IU_0 = np.zeros(nb + 1, complex), np.zeros(nb + 1, complex)  # slot nb stays 0
+        self.re_im = np.empty(2 * len(i))  # [Re dS, Im dS] per entry
+        # Re(dS) goes to the P rows, Im(dS) to the Q rows; J's values are positions in re_im
         P, Q, col = np.flatnonzero(pos_a[i] >= 0), np.flatnonzero(pos_m[i] >= 0), np.where(dm, pos_m[k], pos_a[k])
-        J = sp.csc_matrix((np.r_[P, len(i) + Q], (np.r_[pos_a[i[P]], pos_m[i[Q]]], np.r_[col[P], col[Q]])), (n, n))
-        self.gather, self.indices, self.indptr, self.shape = J.data, J.indices, J.indptr, J.shape
+        self.J = sp.csc_matrix((np.r_[P, len(i) + Q], (np.r_[pos_a[i[P]], pos_m[i[Q]]], np.r_[col[P], col[Q]])), (n, n))
+        self.gather, self.J.data = self.J.data, np.empty(self.J.nnz)
 
     def jacobian(self, V: np.ndarray, I: np.ndarray) -> sp.csc_matrix:
-        """J at bus voltages V with I = Y V. Products are spelled out in real
-        arithmetic, unfused like scipy.sparse's, because NumPy's SIMD complex
-        multiply may fuse multiply-adds."""
+        """J at bus voltages V with I = Y V. The matrix is the kernel's own, and the next call
+        overwrites its values. Products are spelled out in real arithmetic, unfused like
+        scipy.sparse's, because NumPy's SIMD complex multiply may fuse multiply-adds."""
+        nb, m = len(V), len(self.yr)
         U = V / np.abs(V)
-        x = np.concatenate([V, U])[self.take]
+        self.V_U[:nb], self.V_U[nb:] = V, U
+        x = self.V_U[self.take]
         wr, wi = self.yr * x.real - self.yi * x.imag, self.yr * x.imag + self.yi * x.real
-        g = np.append(I, 0)[self.diag_a]
+        self.I_0[:nb] = I
+        g = self.I_0[self.diag_a]
         qr, qi = self.sign * wr + g.real, self.sign * wi + g.imag
-        cr = np.append(I.real * U.real + I.imag * U.imag, 0)[self.diag_m]
-        ci = np.append(I.real * U.imag - I.imag * U.real, 0)[self.diag_m]
-        p = np.concatenate([1j * V, V])[self.p]
-        data = np.r_[p.real * qr + p.imag * qi + cr, p.imag * qr - p.real * qi + ci][self.gather]
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+        self.IU_0.real[:nb], self.IU_0.imag[:nb] = I.real * U.real + I.imag * U.imag, I.real * U.imag - I.imag * U.real
+        c = self.IU_0[self.diag_m]
+        self.jV_V[:nb], self.jV_V[nb:] = 1j * V, V
+        p = self.jV_V[self.p]
+        self.re_im[:m], self.re_im[m:] = p.real * qr + p.imag * qi + c.real, p.imag * qr - p.real * qi + c.imag
+        np.take(self.re_im, self.gather, out=self.J.data)
+        return self.J
 
     def run(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, S_spec: np.ndarray, tol: float,
             max_iter: int) -> NewtonResult:
@@ -96,19 +108,21 @@ class _NewtonKernel:
         the first iterate is never accepted. Returns the result, y and the tangent."""
         V, theta, vm, y = V.copy(), theta.copy(), vm.copy(), y.copy()
         na, lam = len(self.ang), len(y) - 1
-        col = None if d is None else np.r_[d.real[self.ang], d.imag[self.mag]]
+        col = None if d is None else np.concatenate([d.real[self.ang], d.imag[self.mag]])
+        refill = None if fixed == lam else self.held_column(fixed, col)
+        f, dx = np.empty(lam), np.empty(lam + 1)
         lu = None
         mismatch_norm = last = math.inf
         for iteration in range(max_iter + 1):
             theta[self.ang], vm[self.mag] = y[:na], y[na:lam]
             V[self.var] = vm[self.var] * np.exp(1j * theta[self.var])
-            if np.any(vm[self.mag] <= 0):
+            if (vm[self.mag] <= 0).any():
                 return NewtonResult(False, V, iteration, math.inf), y, None
             I = self.Y @ V
             S = V * np.conj(I) - S_spec
             if d is not None:
                 S += y[lam] * d
-            f = np.concatenate([S.real[self.ang], S.imag[self.mag]])
+            f[:na], f[na:] = S.real[self.ang], S.imag[self.mag]
             mismatch_norm = float(np.abs(f).max())
             if mismatch_norm < tol and d is None:
                 return NewtonResult(True, V, iteration, mismatch_norm), y, None
@@ -124,31 +138,40 @@ class _NewtonKernel:
             J = self.jacobian(V, I)
             if not np.isfinite(J.data).all():
                 break
-            held = col
-            if fixed != lam:
-                J, held = _replace_column(J, fixed, col)
+            A, held = (J, col) if refill is None else refill()
             try:
-                lu = spla.splu(J)
+                lu = spla.splu(A)
             except RuntimeError:  # exactly singular
                 break
-            dx = np.append(lu.solve(-f), 0.0)
+            dx[:lam], dx[lam] = lu.solve(-f), 0.0
             if not np.isfinite(dx).all():
                 break
-            dx[[fixed, lam]] = dx[[lam, fixed]]
+            dx[fixed], dx[lam] = dx[lam], dx[fixed]
             y += dx
         return NewtonResult(False, V, iteration, mismatch_norm), y, None
 
+    def held_column(self, k: int, col: np.ndarray) -> Callable[[], tuple[sp.csc_matrix, np.ndarray]]:
+        """J with its column k replaced by the nonzero entries of the dense vector col. The
+        matrix and its pattern are made here, once; the returned function copies J's current
+        values into it and returns it with J's column k, dense, both overwritten by the next
+        call."""
+        J = self.J
+        start, end = J.indptr[k], J.indptr[k + 1]
+        rows = np.flatnonzero(col)
+        stop = start + len(rows)
+        indptr = J.indptr.copy()
+        indptr[k + 1:] += stop - end
+        indices = np.concatenate([J.indices[:start], rows, J.indices[end:]])
+        A = sp.csc_matrix((np.zeros(len(indices)), indices, indptr), shape=J.shape)
+        A.data[start:stop] = col[rows]
+        old = np.zeros(J.shape[0])
 
-def _replace_column(J: sp.csc_matrix, k: int, col: np.ndarray) -> tuple[sp.csc_matrix, np.ndarray]:
-    """J with column k replaced by the dense vector col, and that column of J, dense."""
-    start, end = J.indptr[k], J.indptr[k + 1]
-    old = np.zeros(J.shape[0])
-    old[J.indices[start:end]] = J.data[start:end]
-    rows = np.flatnonzero(col)
-    indptr = J.indptr.copy()
-    indptr[k + 1:] += len(rows) - (end - start)
-    data = np.r_[J.data[:start], col[rows], J.data[end:]]
-    return sp.csc_matrix((data, np.r_[J.indices[:start], rows, J.indices[end:]], indptr), shape=J.shape), old
+        def refill() -> tuple[sp.csc_matrix, np.ndarray]:
+            A.data[:start], A.data[stop:] = J.data[:start], J.data[end:]
+            old[J.indices[start:end]] = J.data[start:end]
+            return A, old
+
+        return refill
 
 
 def newton_solve(

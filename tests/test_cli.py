@@ -153,6 +153,16 @@ def test_bad_direction_file_is_exit_2(text, tmp_path, capsys):
     assert err["error"] == "input" and "bad direction file" in err["message"]
 
 
+@pytest.mark.parametrize("bus", [["--bus-a", 9], ["--bus-b", 5]])
+def test_sweep_with_one_bus_is_exit_2(bus, capsys):
+    """One bus of the pair alone used to be dropped for the default pair."""
+    assert run(["sweep", "--case", case_path("case9.m"), *bus]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "input" and "--bus-a and --bus-b" in err["message"]
+
+
 def test_bounds_grid(two_bus_file, tmp_path):
     out = tmp_path / "bounds.csv"
     code = run(

@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from pfcert import limits
+from pfcert import limits, oracle
 from pfcert.admittance import build_admittance, fixed_point_residual, reduce_case
 from pfcert.net_model import CaseError, load_power_vector, partition_buses
 from pfcert.oracle import (
@@ -123,7 +125,10 @@ def test_actual_limit_explicit_bracket():
 @pytest.mark.parametrize("form", ["load", "base_case"])
 def test_newton_kernel_jacobian_matches_central_differences(form):
     """Both solvers' index sets: load angles and magnitudes (newton_solve), and
-    non-slack angles with load magnitudes (newton_base_case)."""
+    non-slack angles with load magnitudes (newton_base_case). The kernel refills
+    one matrix, so a second state checks that nothing of the first is left over
+    (the zero slots its diagonal terms are gathered from stay zero), and that a
+    factor made before the refill still solves exactly as it did."""
     case = case_path_case("case39.m")
     generator_ids, load_ids = partition_buses(case)
     Y = build_admittance(case).matrix
@@ -132,21 +137,94 @@ def test_newton_kernel_jacobian_matches_central_differences(form):
     ang = mag if form == "load" else np.delete(np.arange(nb), generator_ids.index(case.slack_bus))
     kernel = _NewtonKernel(Y, ang, mag)
     rng = np.random.default_rng(7)
-    theta, vm = 0.2 * rng.standard_normal(nb), 1.0 + 0.05 * rng.standard_normal(nb)
+    b = rng.standard_normal(len(ang) + len(mag))
+    first = lu = None
+    for _ in range(2):
+        theta, vm = 0.2 * rng.standard_normal(nb), 1.0 + 0.05 * rng.standard_normal(nb)
 
-    def mismatch(dx):
-        th, v = theta.copy(), vm.copy()
-        th[ang] += dx[: len(ang)]
-        v[mag] += dx[len(ang):]
-        V = v * np.exp(1j * th)
-        S = V * np.conj(Y @ V)
-        return np.concatenate([S.real[ang], S.imag[mag]])
+        def mismatch(dx):
+            th, v = theta.copy(), vm.copy()
+            th[ang] += dx[: len(ang)]
+            v[mag] += dx[len(ang):]
+            V = v * np.exp(1j * th)
+            S = V * np.conj(Y @ V)
+            return np.concatenate([S.real[ang], S.imag[mag]])
 
-    V = vm * np.exp(1j * theta)
-    J = kernel.jacobian(V, Y @ V).toarray()
-    h = 1e-6
-    fd = np.column_stack([(mismatch(h * e) - mismatch(-h * e)) / (2 * h) for e in np.eye(len(ang) + len(mag))])
-    assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
+        V = vm * np.exp(1j * theta)
+        J = kernel.jacobian(V, Y @ V)
+        assert first is None or J is first  # the kernel's own matrix, refilled
+        h = 1e-6
+        fd = np.column_stack([(mismatch(h * e) - mismatch(-h * e)) / (2 * h) for e in np.eye(len(ang) + len(mag))])
+        assert np.abs(J.toarray() - fd).max() <= 1e-6 * np.abs(J.toarray()).max()
+        if lu is None:
+            first, lu = J, spla.splu(J)
+            x = lu.solve(b)
+    assert lu.solve(b).tobytes() == x.tobytes()
+
+
+def _replace_column(J, k, col):
+    """J with column k replaced by the dense vector col, and that column of J, dense,
+    as a fresh matrix each call: the reference for _NewtonKernel.held_column."""
+    start, end = J.indptr[k], J.indptr[k + 1]
+    old = np.zeros(J.shape[0])
+    old[J.indices[start:end]] = J.data[start:end]
+    rows = np.flatnonzero(col)
+    indptr = J.indptr.copy()
+    indptr[k + 1:] += len(rows) - (end - start)
+    data = np.r_[J.data[:start], col[rows], J.data[end:]]
+    return sp.csc_matrix((data, np.r_[J.indices[:start], rows, J.indices[end:]], indptr), shape=J.shape), old
+
+
+@pytest.mark.parametrize("name", ["case9", "case39"])
+def test_held_column_matches_fresh_matrix(name):
+    """Bit for bit, pattern included: SuperLU's column order follows the pattern.
+    The loading columns are the base load's and that of its first loaded bus
+    alone, zero elsewhere, so every held column shrinks for the second."""
+    case = case_path_case(f"{name}.m")
+    red, S = limits.prepare(case)
+    kernel, n = red.kernel, 2 * len(S)
+    one = np.where(np.arange(len(S)) == np.flatnonzero(S)[0], S, 0)
+    cols = [np.concatenate([d.real, d.imag]) for d in (S, one)]
+    refills = [[kernel.held_column(k, col) for k in range(n)] for col in cols]  # made before any refill
+    rng = np.random.default_rng(3)
+    shrunk = 0
+    for _ in range(2):
+        V = np.concatenate([red.V_G, red.E * (1 + 0.05 * rng.standard_normal(len(S)))])
+        J = kernel.jacobian(V, red.Y @ V)
+        for col, plans in zip(cols, refills):
+            for k in range(n):
+                A, old = plans[k]()
+                ref, ref_old = _replace_column(J, k, col)
+                for a, b in ((A.data, ref.data), (A.indices, ref.indices), (A.indptr, ref.indptr), (old, ref_old)):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                shrunk += A.nnz < J.nnz
+    assert shrunk >= 2 * n
+
+
+def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
+    """The Jacobian is refilled in place: each corrector call builds at most its
+    held-column matrix, plus one for the kernel itself, and the limit takes as
+    many factorizations as with a new matrix every iteration (42 on case39's
+    base direction)."""
+    case = case_path_case("case39.m")
+    red, S = limits.prepare(case)
+    counts = {}
+
+    def counting(name, fn):
+        counts[name] = 0
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(oracle.spla, "splu", counting("splu", oracle.spla.splu))
+    monkeypatch.setattr(oracle.sp, "csc_matrix", counting("csc_matrix", oracle.sp.csc_matrix))
+    monkeypatch.setattr(_NewtonKernel, "correct", counting("correct", _NewtonKernel.correct))
+    actual_limit(case, direction=S, bracket=(1e-3, None), network=red)
+    assert counts["splu"] == 42
+    assert counts["csc_matrix"] <= counts["correct"] + 1
 
 
 @pytest.mark.filterwarnings("error")
