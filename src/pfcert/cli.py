@@ -246,7 +246,10 @@ def cmd_sweep(args) -> int:
     if (args.bus_a is None) != (args.bus_b is None):
         raise CaseError("give both --bus-a and --bus-b, or neither for the default pair")
     case = load_case_file(args.case, args.format)
-    bus_a, bus_b = limits.default_sweep_buses(case) if args.bus_a is None else (args.bus_a, args.bus_b)
+    if args.bus_a is None or args.bus_b is None:
+        bus_a, bus_b = limits.default_sweep_buses(case)
+    else:
+        bus_a, bus_b = args.bus_a, args.bus_b
     if args.direction_file:
         import json
 

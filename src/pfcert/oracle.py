@@ -38,10 +38,9 @@ class _NewtonKernel:
     ones of `mag`. Jacobian entries are MATPOWER's complex-form dS/dV
     (Zimmerman, Murillo-Sanchez & Thomas 2011), each p conj(q) + c with I = Y V,
     U = V/|V| and (p, q, c) = (j V_i, [i=k] I_i - Y_ik V_k, 0) for dS_i/dVa_k,
-    (V_i, Y_ik U_k, [i=k] conj(I_i) U_i) for dS_i/dVm_k. The CSC matrix J and
-    the buffers its values are gathered from are allocated once, with the
-    kernel: an iteration computes only the entry values, into J.data. jacobian
-    returns J itself, the kernel's own matrix, which its next call overwrites."""
+    (V_i, Y_ik U_k, [i=k] conj(I_i) U_i) for dS_i/dVm_k. The kernel is not
+    written to after it is built, so threads may share it: the matrices that
+    iterations refill belong to the caller."""
 
     def __init__(self, Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray):
         nb, n = Y.shape[0], len(ang) + len(mag)
@@ -55,36 +54,34 @@ class _NewtonKernel:
         i, k, y = (np.concatenate([a[part] for part in parts]) for a in (Yc.row, Yc.col, Yc.data))
         dm = np.arange(len(i)) >= np.count_nonzero(parts[0])
         self.yr, self.yi, self.sign = y.real, y.imag, np.where(dm, 1.0, -1.0)
-        self.p, self.take = i + nb * dm, k + nb * dm  # into jV_V = [jV, V] and V_U = [V, U]
-        self.diag_a = np.where((i == k) & ~dm, i, nb)  # into I_0 = [I, 0]
-        self.diag_m = np.where((i == k) & dm, i, nb)  # into IU_0 = [conj(I) U, 0]
-        self.V_U, self.jV_V = np.empty(2 * nb, complex), np.empty(2 * nb, complex)
-        self.I_0, self.IU_0 = np.zeros(nb + 1, complex), np.zeros(nb + 1, complex)  # slot nb stays 0
-        self.re_im = np.empty(2 * len(i))  # [Re dS, Im dS] per entry
-        # Re(dS) goes to the P rows, Im(dS) to the Q rows; J's values are positions in re_im
+        self.p, self.take = i + nb * dm, k + nb * dm  # into [jV, V] and [V, U]
+        self.diag_a = np.where((i == k) & ~dm, i, nb)  # into [I, 0]
+        self.diag_m = np.where((i == k) & dm, i, nb)  # into [conj(I) U, 0]
+        # Re(dS) goes to the P rows, Im(dS) to the Q rows; J's values are positions in [Re, Im]
         P, Q, col = np.flatnonzero(pos_a[i] >= 0), np.flatnonzero(pos_m[i] >= 0), np.where(dm, pos_m[k], pos_a[k])
-        self.J = sp.csc_matrix((np.r_[P, len(i) + Q], (np.r_[pos_a[i[P]], pos_m[i[Q]]], np.r_[col[P], col[Q]])), (n, n))
-        self.gather, self.J.data = self.J.data, np.empty(self.J.nnz)
+        J = sp.csc_matrix((np.r_[P, len(i) + Q], (np.r_[pos_a[i[P]], pos_m[i[Q]]], np.r_[col[P], col[Q]])), (n, n))
+        self.gather, self.indices, self.indptr, self.shape = J.data, J.indices, J.indptr, J.shape
 
-    def jacobian(self, V: np.ndarray, I: np.ndarray) -> sp.csc_matrix:
-        """J at bus voltages V with I = Y V. The matrix is the kernel's own, and the next call
-        overwrites its values. Products are spelled out in real arithmetic, unfused like
+    def matrix(self) -> sp.csc_matrix:
+        """A new matrix with J's pattern, for `jacobian` to fill."""
+        return sp.csc_matrix((np.empty(len(self.indices)), self.indices, self.indptr), shape=self.shape)
+
+    def jacobian(self, V: np.ndarray, I: np.ndarray, J: sp.csc_matrix | None = None) -> sp.csc_matrix:
+        """J at bus voltages V with I = Y V, written into the values of J, a matrix from
+        `matrix`, or of a new one. Products are spelled out in real arithmetic, unfused like
         scipy.sparse's, because NumPy's SIMD complex multiply may fuse multiply-adds."""
-        nb, m = len(V), len(self.yr)
         U = V / np.abs(V)
-        self.V_U[:nb], self.V_U[nb:] = V, U
-        x = self.V_U[self.take]
+        x = np.concatenate([V, U])[self.take]
         wr, wi = self.yr * x.real - self.yi * x.imag, self.yr * x.imag + self.yi * x.real
-        self.I_0[:nb] = I
-        g = self.I_0[self.diag_a]
+        g = np.concatenate([I, [0]])[self.diag_a]
         qr, qi = self.sign * wr + g.real, self.sign * wi + g.imag
-        self.IU_0.real[:nb], self.IU_0.imag[:nb] = I.real * U.real + I.imag * U.imag, I.real * U.imag - I.imag * U.real
-        c = self.IU_0[self.diag_m]
-        self.jV_V[:nb], self.jV_V[nb:] = 1j * V, V
-        p = self.jV_V[self.p]
-        self.re_im[:m], self.re_im[m:] = p.real * qr + p.imag * qi + c.real, p.imag * qr - p.real * qi + c.imag
-        np.take(self.re_im, self.gather, out=self.J.data)
-        return self.J
+        cr = np.concatenate([I.real * U.real + I.imag * U.imag, [0]])[self.diag_m]
+        ci = np.concatenate([I.real * U.imag - I.imag * U.real, [0]])[self.diag_m]
+        p = np.concatenate([1j * V, V])[self.p]
+        re_im = np.concatenate([p.real * qr + p.imag * qi + cr, p.imag * qr - p.real * qi + ci])
+        J = self.matrix() if J is None else J
+        np.take(re_im, self.gather, out=J.data)
+        return J
 
     def run(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, S_spec: np.ndarray, tol: float,
             max_iter: int) -> NewtonResult:
@@ -96,8 +93,8 @@ class _NewtonKernel:
 
     @np.errstate(all="ignore")  # overflow and 0/0 surface as the non-finite values checked below
     def correct(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, y: np.ndarray, S_spec: np.ndarray,
-                d: np.ndarray | None, fixed: int, tol: float,
-                max_iter: int) -> tuple[NewtonResult, np.ndarray, np.ndarray | None]:
+                d: np.ndarray | None, fixed: int, tol: float, max_iter: int,
+                J: sp.csc_matrix | None = None) -> tuple[NewtonResult, np.ndarray, np.ndarray | None]:
         """Newton on the mismatch V conj(Y V) - S_spec + lam d in the unknowns
         y = (theta[ang], vm[mag], lam), holding y[fixed]. The matrix is J with its column
         `fixed` replaced by the loading column (Re d[ang], Im d[mag]), so the step moves lam in
@@ -105,10 +102,12 @@ class _NewtonKernel:
         Newton at a fixed loading. Given d, the iteration also gives up once the mismatch stops
         falling, and a converged result comes with the tangent dy/dy[fixed] of the solution
         curve (entry `fixed` is 1), solved with the last factor; a tangent needs a factor, so
-        the first iterate is never accepted. Returns the result, y and the tangent."""
+        the first iterate is never accepted. Every iteration refills J, a matrix from `matrix`
+        (a new one when None), so a caller correcting many times can make it once. Returns
+        the result, y and the tangent."""
         V, theta, vm, y = V.copy(), theta.copy(), vm.copy(), y.copy()
         na, lam = len(self.ang), len(y) - 1
-        col = None if d is None else np.concatenate([d.real[self.ang], d.imag[self.mag]])
+        col = None if d is None else np.r_[d.real[self.ang], d.imag[self.mag]]
         refill = None if fixed == lam else self.held_column(fixed, col)
         f, dx = np.empty(lam), np.empty(lam + 1)
         lu = None
@@ -116,7 +115,7 @@ class _NewtonKernel:
         for iteration in range(max_iter + 1):
             theta[self.ang], vm[self.mag] = y[:na], y[na:lam]
             V[self.var] = vm[self.var] * np.exp(1j * theta[self.var])
-            if (vm[self.mag] <= 0).any():
+            if np.any(vm[self.mag] <= 0):
                 return NewtonResult(False, V, iteration, math.inf), y, None
             I = self.Y @ V
             S = V * np.conj(I) - S_spec
@@ -135,10 +134,10 @@ class _NewtonKernel:
             if iteration == max_iter or not math.isfinite(mismatch_norm) or d is not None and mismatch_norm >= last:
                 break
             last = mismatch_norm
-            J = self.jacobian(V, I)
+            J = self.jacobian(V, I, J)
             if not np.isfinite(J.data).all():
                 break
-            A, held = (J, col) if refill is None else refill()
+            A, held = (J, col) if refill is None else refill(J)
             try:
                 lu = spla.splu(A)
             except RuntimeError:  # exactly singular
@@ -150,25 +149,24 @@ class _NewtonKernel:
             y += dx
         return NewtonResult(False, V, iteration, mismatch_norm), y, None
 
-    def held_column(self, k: int, col: np.ndarray) -> Callable[[], tuple[sp.csc_matrix, np.ndarray]]:
+    def held_column(self, k: int, col: np.ndarray) -> Callable[[sp.csc_matrix], tuple[sp.csc_matrix, np.ndarray]]:
         """J with its column k replaced by the nonzero entries of the dense vector col. The
-        matrix and its pattern are made here, once; the returned function copies J's current
-        values into it and returns it with J's column k, dense, both overwritten by the next
-        call."""
-        J = self.J
-        start, end = J.indptr[k], J.indptr[k + 1]
+        matrix and its pattern are made here, once per corrector call; the returned function
+        copies the values of J, a matrix from `matrix`, into it and returns it with J's column k,
+        dense, both overwritten by its next call."""
+        start, end = self.indptr[k], self.indptr[k + 1]
         rows = np.flatnonzero(col)
         stop = start + len(rows)
-        indptr = J.indptr.copy()
+        indptr = self.indptr.copy()
         indptr[k + 1:] += stop - end
-        indices = np.concatenate([J.indices[:start], rows, J.indices[end:]])
-        A = sp.csc_matrix((np.zeros(len(indices)), indices, indptr), shape=J.shape)
+        indices = np.concatenate([self.indices[:start], rows, self.indices[end:]])
+        A = sp.csc_matrix((np.zeros(len(indices)), indices, indptr), shape=self.shape)
         A.data[start:stop] = col[rows]
-        old = np.zeros(J.shape[0])
+        old = np.zeros(self.shape[0])
 
-        def refill() -> tuple[sp.csc_matrix, np.ndarray]:
+        def refill(J: sp.csc_matrix) -> tuple[sp.csc_matrix, np.ndarray]:
             A.data[:start], A.data[stop:] = J.data[:start], J.data[end:]
-            old[J.indices[start:end]] = J.data[start:end]
+            old[self.indices[start:end]] = J.data[start:end]
             return A, old
 
         return refill
@@ -292,9 +290,10 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
     theta, vm = np.angle(V), np.abs(V)
     d = np.concatenate([np.zeros(m), direction])
     lam = 2 * n  # index of lambda in y
+    J = net.kernel.matrix()  # refilled by every corrector iteration of this limit
 
     def correct(y: np.ndarray, fixed: int) -> tuple[NewtonResult, np.ndarray, np.ndarray | None]:
-        res, y, t = net.kernel.correct(V, theta, vm, y, np.zeros_like(V), d, fixed, newton_tol, newton_max_iter)
+        res, y, t = net.kernel.correct(V, theta, vm, y, np.zeros_like(V), d, fixed, newton_tol, newton_max_iter, J)
         if res.converged and hi is not None and y[lam] >= hi:
             raise CaseError(f"upper bracket end lambda={hi} is feasible; widen the bracket")
         return res, y, t

@@ -1,5 +1,7 @@
 """Newton oracle, base-case solve, continuation limit, and the closed-form two-bus."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -125,10 +127,10 @@ def test_actual_limit_explicit_bracket():
 @pytest.mark.parametrize("form", ["load", "base_case"])
 def test_newton_kernel_jacobian_matches_central_differences(form):
     """Both solvers' index sets: load angles and magnitudes (newton_solve), and
-    non-slack angles with load magnitudes (newton_base_case). The kernel refills
-    one matrix, so a second state checks that nothing of the first is left over
-    (the zero slots its diagonal terms are gathered from stay zero), and that a
-    factor made before the refill still solves exactly as it did."""
+    non-slack angles with load magnitudes (newton_base_case). The corrector
+    refills one matrix, so a second state checks that nothing of the first is
+    left over, and that a factor made before the refill still solves exactly as
+    it did: the tangent is solved with the last factor."""
     case = case_path_case("case39.m")
     generator_ids, load_ids = partition_buses(case)
     Y = build_admittance(case).matrix
@@ -136,9 +138,10 @@ def test_newton_kernel_jacobian_matches_central_differences(form):
     mag = np.arange(m, nb)
     ang = mag if form == "load" else np.delete(np.arange(nb), generator_ids.index(case.slack_bus))
     kernel = _NewtonKernel(Y, ang, mag)
+    J0 = kernel.matrix()
     rng = np.random.default_rng(7)
     b = rng.standard_normal(len(ang) + len(mag))
-    first = lu = None
+    lu = None
     for _ in range(2):
         theta, vm = 0.2 * rng.standard_normal(nb), 1.0 + 0.05 * rng.standard_normal(nb)
 
@@ -151,13 +154,14 @@ def test_newton_kernel_jacobian_matches_central_differences(form):
             return np.concatenate([S.real[ang], S.imag[mag]])
 
         V = vm * np.exp(1j * theta)
-        J = kernel.jacobian(V, Y @ V)
-        assert first is None or J is first  # the kernel's own matrix, refilled
+        J = kernel.jacobian(V, Y @ V, J0)
+        assert J is J0  # refilled, not made anew
+        assert J.data.tobytes() == kernel.jacobian(V, Y @ V).data.tobytes()
         h = 1e-6
         fd = np.column_stack([(mismatch(h * e) - mismatch(-h * e)) / (2 * h) for e in np.eye(len(ang) + len(mag))])
         assert np.abs(J.toarray() - fd).max() <= 1e-6 * np.abs(J.toarray()).max()
         if lu is None:
-            first, lu = J, spla.splu(J)
+            lu = spla.splu(J)
             x = lu.solve(b)
     assert lu.solve(b).tobytes() == x.tobytes()
 
@@ -185,7 +189,7 @@ def test_held_column_matches_fresh_matrix(name):
     kernel, n = red.kernel, 2 * len(S)
     one = np.where(np.arange(len(S)) == np.flatnonzero(S)[0], S, 0)
     cols = [np.concatenate([d.real, d.imag]) for d in (S, one)]
-    refills = [[kernel.held_column(k, col) for k in range(n)] for col in cols]  # made before any refill
+    refills = [[kernel.held_column(k, col) for k in range(n)] for col in cols]  # made before any values
     rng = np.random.default_rng(3)
     shrunk = 0
     for _ in range(2):
@@ -193,7 +197,7 @@ def test_held_column_matches_fresh_matrix(name):
         J = kernel.jacobian(V, red.Y @ V)
         for col, plans in zip(cols, refills):
             for k in range(n):
-                A, old = plans[k]()
+                A, old = plans[k](J)
                 ref, ref_old = _replace_column(J, k, col)
                 for a, b in ((A.data, ref.data), (A.indices, ref.indices), (A.indptr, ref.indptr), (old, ref_old)):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -202,10 +206,10 @@ def test_held_column_matches_fresh_matrix(name):
 
 
 def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
-    """The Jacobian is refilled in place: each corrector call builds at most its
-    held-column matrix, plus one for the kernel itself, and the limit takes as
-    many factorizations as with a new matrix every iteration (42 on case39's
-    base direction)."""
+    """The Jacobian is refilled in place: the limit makes one matrix for all its
+    corrector calls, each call at most one more for its held column, and one is
+    the kernel's own; it takes as many factorizations as with a new matrix every
+    iteration (42 on case39's base direction)."""
     case = case_path_case("case39.m")
     red, S = limits.prepare(case)
     counts = {}
@@ -225,6 +229,37 @@ def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
     actual_limit(case, direction=S, bracket=(1e-3, None), network=red)
     assert counts["splu"] == 42
     assert counts["csc_matrix"] <= counts["correct"] + 1
+
+
+def test_kernel_is_read_only_across_threads():
+    """The kernel is cached on the reduction and shared by its re-centred
+    copies, so no call writes to it: two threads running limits on one
+    reduction, switching as often as the interpreter allows, get the
+    sequential results bit for bit, and the kernel's arrays are unchanged."""
+    case = case_path_case("case9.m")
+    red, S = limits.prepare(case)
+    arrays = lambda: {k: v.tobytes() for k, v in vars(red.kernel).items() if isinstance(v, np.ndarray)}
+    before = arrays()
+    rng = np.random.default_rng(5)
+    directions = [S * (0.5 + rng.random(len(S))) for _ in range(4)]
+    want = [actual_limit(case, direction=d, bracket=(1e-3, None), network=red) for d in directions]
+    got = [[], []]
+
+    def work(out):
+        out.extend(actual_limit(case, direction=d, bracket=(1e-3, None), network=red) for d in directions)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want, want]
+    assert arrays() == before
 
 
 @pytest.mark.filterwarnings("error")
