@@ -237,11 +237,3 @@ def renormalize_about_solution(red: GridReduction, v0: np.ndarray, S0: np.ndarra
         )
     return replace(red, v0=v0, S0=S0)
 
-
-def reduction_dump(red: GridReduction) -> dict:
-    """E and Zhat as JSON-ready structures ([re, im] pairs) for debugging."""
-    return {
-        "load_ids": list(red.load_ids),
-        "E": [[z.real, z.imag] for z in red.E],
-        "Zhat": [[[z.real, z.imag] for z in row] for row in red.Zhat],
-    }

@@ -202,49 +202,3 @@ def voltage_bounds(cert: Certificate, red: GridReduction) -> VoltageBounds:
         full_circle=full,
     )
 
-
-def certificate_to_dict(cert: Certificate) -> dict:
-    """JSON-ready view of a certificate (complex numbers as [re, im] pairs)."""
-    m = cert.measures
-    out = {
-        "holds": cert.holds,
-        "reason": cert.reason,
-        "stress": {
-            "eta_max": m.eta_max,
-            "xi_max": m.xi_max,
-            "gamma_max": m.gamma_max,
-            "delta": m.Delta,
-            "stress_level": m.stress_level,
-            "stress_spread": m.stress_spread,
-        },
-    }
-    if cert.holds:
-        out["radii"] = {
-            "r_lo": cert.radii.r_lo,
-            "r_hi": cert.radii.r_hi,
-            "degenerate": cert.radii.degenerate,
-        }
-        out["disc_centers"] = [[z.real, z.imag] for z in cert.disc_centers]
-        out["disc_radii"] = list(map(float, cert.disc_radii))
-        out["solutionless_radius"] = cert.solutionless_radius
-        out["mu_bound"] = cert.mu_bound
-    return out
-
-
-def voltage_bounds_to_dict(vb: VoltageBounds) -> dict:
-    """JSON-ready view of voltage bounds, angles in degrees."""
-    deg = 180.0 / math.pi
-    return {
-        "buses": [
-            {
-                "bus": bus,
-                "magnitude": [float(vb.magnitude_low[k]), float(vb.magnitude_high[k])],
-                "angle_deg": [float(vb.angle_low[k] * deg), float(vb.angle_high[k] * deg)],
-                "approx": [float(vb.approx[k].real), float(vb.approx[k].imag)],
-                "approx_magnitude": float(abs(vb.approx[k])),
-                "approx_angle_deg": float(np.angle(vb.approx[k]) * deg),
-                "full_circle": bool(vb.full_circle[k]),
-            }
-            for k, bus in enumerate(vb.load_ids)
-        ]
-    }

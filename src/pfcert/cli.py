@@ -1,30 +1,31 @@
 """Command-line front end: certify / solve / limits / sweep / bounds / oracle-limit.
 
+Every command is one pipeline: _load the case and its reduction, compute,
+emit one artifact. Each command defines only the options it reads: all
+take --case, --format, --gen-phasors and --out; solve, limits, sweep and
+bounds also take --out-format {json,csv}, and only solve takes the
+fixed-point solver's --tol and --max-iter.
+
 Exit codes: 0 success, 1 certificate does not hold (for `certify`), 2 input
-error, 3 numerical failure. Errors are also emitted as structured JSON on
-stderr. All emitted artifacts are deterministic: stable field order and
-floats at 9 significant digits (non-finite values become JSON null).
+error (usage errors included), 3 numerical failure. Every error is also
+written to stderr as one JSON line. This module alone knows the artifact
+format: stable field order, floats at 9 significant digits (non-finite
+values become JSON null, empty CSV cells) and complex values as [re, im].
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import json
 import math
 import sys
 
 import numpy as np
 
 from . import __version__, limits, oracle
-from .admittance import NotASolutionError, SingularNetworkError, renormalize_about_solution
-from .certificate import (
-    certificate_to_dict,
-    certify,
-    certify_dvijotham,
-    certify_wang,
-    voltage_bounds,
-    voltage_bounds_to_dict,
-)
+from .admittance import GridReduction, NotASolutionError, SingularNetworkError, renormalize_about_solution
+from .certificate import Certificate, VoltageBounds, certify, certify_dvijotham, certify_wang, voltage_bounds
 from .fixed_point import solve_fixed_point
 from .net_model import CaseError, excluded_gen_bus_demand, load_case_file
 from .stress import NoCertificate, compute_stress
@@ -33,6 +34,8 @@ EXIT_OK = 0
 EXIT_CERT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+
+_BRACKETED = (dict, list, tuple, np.ndarray, complex, np.complexfloating)  # lists of these print one per line
 
 
 # ---------------------------------------------------------------------------
@@ -47,11 +50,15 @@ def format_float(x: float) -> str:
 
 
 def dumps_stable(obj, indent: int = 0) -> str:
-    """JSON text with insertion-ordered keys and fixed float formatting."""
+    """JSON text with insertion-ordered keys and fixed float formatting.
+
+    A complex value prints as the pair [re, im] and is laid out like a
+    two-element list, so a list of complex values prints one pair per line.
+    """
     pad = " " * indent
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -60,8 +67,6 @@ def dumps_stable(obj, indent: int = 0) -> str:
     if isinstance(obj, (complex, np.complexfloating)):
         return f"[{format_float(obj.real)}, {format_float(obj.imag)}]"
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     if isinstance(obj, dict):
         if not obj:
@@ -74,8 +79,7 @@ def dumps_stable(obj, indent: int = 0) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq)
-        if flat:
+        if not any(isinstance(v, _BRACKETED) for v in seq):
             return "[" + ", ".join(dumps_stable(v) for v in seq) + "]"
         items = ",\n".join(f"{pad} {dumps_stable(v, indent + 1)}" for v in seq)
         return "[\n" + items + "\n" + pad + "]"
@@ -83,20 +87,65 @@ def dumps_stable(obj, indent: int = 0) -> str:
 
 
 def rows_to_csv(fieldnames: list[str], rows: list[dict]) -> str:
+    """One line per row; each cell is its JSON text, with null left empty."""
     buf = io.StringIO()
     buf.write(",".join(fieldnames) + "\n")
     for row in rows:
-        cells = []
-        for name in fieldnames:
-            v = row.get(name)
-            if v is None:
-                cells.append("")
-            elif isinstance(v, (float, np.floating)):
-                cells.append("" if not math.isfinite(v) else format_float(float(v)))
-            else:
-                cells.append(str(v))
-        buf.write(",".join(cells) + "\n")
+        cells = (dumps_stable(row.get(name)) for name in fieldnames)
+        buf.write(",".join("" if cell == "null" else cell for cell in cells) + "\n")
     return buf.getvalue()
+
+
+def certificate_to_dict(cert: Certificate) -> dict:
+    """The certificate as an artifact section."""
+    m = cert.measures
+    out = {
+        "holds": cert.holds,
+        "reason": cert.reason,
+        "stress": {
+            "eta_max": m.eta_max,
+            "xi_max": m.xi_max,
+            "gamma_max": m.gamma_max,
+            "delta": m.Delta,
+            "stress_level": m.stress_level,
+            "stress_spread": m.stress_spread,
+        },
+    }
+    if cert.holds:
+        out["radii"] = {
+            "r_lo": cert.radii.r_lo,
+            "r_hi": cert.radii.r_hi,
+            "degenerate": cert.radii.degenerate,
+        }
+        out["disc_centers"] = cert.disc_centers
+        out["disc_radii"] = cert.disc_radii
+        out["solutionless_radius"] = cert.solutionless_radius
+        out["mu_bound"] = cert.mu_bound
+    return out
+
+
+def voltage_bounds_to_dict(vb: VoltageBounds) -> dict:
+    """The voltage enclosures as an artifact section, angles in degrees."""
+    deg = 180.0 / math.pi
+    return {
+        "buses": [
+            {
+                "bus": bus,
+                "magnitude": [vb.magnitude_low[k], vb.magnitude_high[k]],
+                "angle_deg": [vb.angle_low[k] * deg, vb.angle_high[k] * deg],
+                "approx": vb.approx[k],
+                "approx_magnitude": abs(vb.approx[k]),
+                "approx_angle_deg": np.angle(vb.approx[k]) * deg,
+                "full_circle": vb.full_circle[k],
+            }
+            for k, bus in enumerate(vb.load_ids)
+        ]
+    }
+
+
+def reduction_dump(red: GridReduction) -> dict:
+    """E and Zhat, for debugging."""
+    return {"load_ids": red.load_ids, "E": red.E, "Zhat": red.Zhat}
 
 
 def _emit(args, text: str) -> None:
@@ -107,6 +156,11 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _emit_table(args, doc: dict, fields: list[str], rows: list[dict]) -> None:
+    """doc as JSON, or with --out-format csv the rows' fields as CSV."""
+    _emit(args, rows_to_csv(fields, rows) if args.out_format == "csv" else dumps_stable(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +219,6 @@ def cmd_certify(args) -> int:
     if cert.holds:
         doc["voltage_bounds"] = voltage_bounds_to_dict(voltage_bounds(cert, red))
     if args.dump_reduction:
-        from .admittance import reduction_dump
-
         with open(args.dump_reduction, "w", encoding="utf-8") as fh:
             fh.write(dumps_stable(reduction_dump(red)))
     _emit(args, dumps_stable(doc))
@@ -181,6 +233,10 @@ def _shell_dict(shell) -> dict:
 
 
 def cmd_solve(args) -> int:
+    if args.tol <= 0:
+        raise CaseError("--tol must be positive")
+    if args.max_iter < 1:
+        raise CaseError("--max-iter must be at least 1")
     case, red, S_base = _load(args)
     S = args.scale * S_base
     res = solve_fixed_point(red, S, tol=args.tol, max_iter=args.max_iter)
@@ -190,23 +246,14 @@ def cmd_solve(args) -> int:
             f"(residual {res.residual:.3e}): {res.note}"
         )
     rows = [
-        {
-            "bus": bus,
-            "magnitude": float(abs(res.V_L[k])),
-            "angle_deg": float(np.degrees(np.angle(res.V_L[k]))),
-            "re": float(res.V_L[k].real),
-            "im": float(res.V_L[k].imag),
-        }
-        for k, bus in enumerate(red.load_ids)
+        {"bus": bus, "magnitude": abs(v), "angle_deg": np.degrees(np.angle(v)), "re": v.real, "im": v.imag}
+        for bus, v in zip(red.load_ids, res.V_L)
     ]
-    if args.out_format == "csv":
-        _emit(args, rows_to_csv(["bus", "magnitude", "angle_deg", "re", "im"], rows))
-    else:
-        doc = {
-            "meta": {"scale": args.scale, "iterations": res.iterations, "residual": res.residual},
-            "voltages": rows,
-        }
-        _emit(args, dumps_stable(doc))
+    doc = {
+        "meta": {"scale": args.scale, "iterations": res.iterations, "residual": res.residual},
+        "voltages": rows,
+    }
+    _emit_table(args, doc, list(rows[0]), rows)
     return EXIT_OK
 
 
@@ -234,25 +281,14 @@ def cmd_limits(args) -> int:
         for key, lam in (("p", est.lambda_p), ("w", est.lambda_w), ("d", est.lambda_d)):
             bound = 1.0 + lam if est.mode == "from_known_solution" else lam
             doc[f"relative_error_{key}"] = (actual - bound) / actual
-    if args.out_format == "csv":
-        fields = [k for k in doc if k != "meta"]
-        _emit(args, rows_to_csv(fields, [doc]))
-    else:
-        _emit(args, dumps_stable(doc))
+    _emit_table(args, doc, [k for k in doc if k != "meta"], [doc])
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     if (args.bus_a is None) != (args.bus_b is None):
         raise CaseError("give both --bus-a and --bus-b, or neither for the default pair")
-    case = load_case_file(args.case, args.format)
-    if args.bus_a is None or args.bus_b is None:
-        bus_a, bus_b = limits.default_sweep_buses(case)
-    else:
-        bus_a, bus_b = args.bus_a, args.bus_b
     if args.direction_file:
-        import json
-
         with open(args.direction_file, encoding="utf-8") as fh:
             try:
                 pairs = [(math.radians(a), math.radians(b)) for a, b in json.load(fh)]
@@ -263,9 +299,12 @@ def cmd_sweep(args) -> int:
         pairs = [(2.0 * math.pi * k / args.points,) * 2 for k in range(args.points)]
     if not pairs:
         raise CaseError("no directions to sweep: --points must be at least 1 and a direction file non-empty")
-    sweep = limits.direction_sweep(
-        case, bus_a, bus_b, pairs, gen_phasors=args.gen_phasors, with_oracle=args.with_oracle
-    )
+    case, red, S_base = _load(args)
+    if args.bus_a is None:
+        bus_a, bus_b = limits.default_sweep_buses(red, S_base)
+    else:
+        bus_a, bus_b = args.bus_a, args.bus_b
+    sweep = limits.direction_sweep(case, red, S_base, bus_a, bus_b, pairs, args.with_oracle)
     rows = []
     for pt in sweep.points:
         row = {
@@ -277,29 +316,26 @@ def cmd_sweep(args) -> int:
             "lambda_actual": pt.estimates.lambda_actual,
         }
         rows.append(row)
-    if args.out_format == "csv":
-        _emit(
-            args,
-            rows_to_csv(
-                ["phi_a_deg", "phi_b_deg", "lambda_p", "lambda_w", "lambda_d", "lambda_actual"], rows
-            ),
-        )
-    else:
-        doc = {
-            "meta": {"bus_a": sweep.bus_a, "bus_b": sweep.bus_b, "magnitude": sweep.magnitude},
-            "points": rows,
-        }
-        _emit(args, dumps_stable(doc))
+    doc = {
+        "meta": {"bus_a": sweep.bus_a, "bus_b": sweep.bus_b, "magnitude": sweep.magnitude},
+        "points": rows,
+    }
+    _emit_table(args, doc, list(rows[0]), rows)
     return EXIT_OK
 
 
 def _parse_grid(spec: str):
-    parts = spec.split(":")
+    try:
+        parts = [float(p) for p in spec.split(":")]
+    except ValueError as exc:
+        raise CaseError(f"bad grid {spec!r}: {exc}") from exc
+    if not all(map(math.isfinite, parts)):
+        raise CaseError(f"bad grid {spec!r}: values must be finite")
     if len(parts) == 1:
-        return [float(parts[0])]
+        return parts
     if len(parts) != 3:
         raise CaseError(f"bad grid {spec!r}: expected start:stop:step")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = parts
     if step <= 0:
         raise CaseError("grid step must be positive")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -309,15 +345,10 @@ def _parse_grid(spec: str):
 
 
 def cmd_bounds(args) -> int:
-    case = load_case_file(args.case, args.format)
     grid = _parse_grid(args.scale_grid)
-    rows = limits.bound_profile(
-        case, args.bus, grid, gen_phasors=args.gen_phasors, with_oracle=args.with_oracle
-    )
-    if args.out_format == "csv":
-        _emit(args, rows_to_csv(["lambda", "proposed", "wang", "dvijotham", "actual"], rows))
-    else:
-        _emit(args, dumps_stable({"meta": {"bus": args.bus}, "profile": rows}))
+    case, red, S_base = _load(args)
+    rows = limits.bound_profile(case, red, S_base, args.bus, grid, args.with_oracle)
+    _emit_table(args, {"meta": {"bus": args.bus}, "profile": rows}, list(rows[0]), rows)
     return EXIT_OK
 
 
@@ -333,19 +364,26 @@ def cmd_oracle_limit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are input errors like any other; the
+    subparsers are of this class too."""
+
+    def error(self, message):
+        raise CaseError(f"{self.prog}: {message}")
+
+
+def _add_common(p: argparse.ArgumentParser, out_format: bool = False) -> None:
     p.add_argument("--case", required=True, help="case file path (.m or .json)")
     p.add_argument("--format", choices=["matpower", "json"], default=None, help="case format (default: by suffix)")
     p.add_argument("--gen-phasors", choices=["case", "solved"], default="case", dest="gen_phasors",
                    help="generator phasor source: case file or solved base case")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--out-format", choices=["json", "csv"], default="json", dest="out_format")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
+    if out_format:
+        p.add_argument("--out-format", choices=["json", "csv"], default="json", dest="out_format")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pfcert", description=__doc__)
+    parser = _Parser(prog="pfcert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pfcert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -359,19 +397,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("solve", help="solve the power flow by certified fixed-point iteration")
-    _add_common(p)
+    _add_common(p, out_format=True)
     p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("limits", help="solvability-limit estimates along the base direction")
-    _add_common(p)
+    _add_common(p, out_format=True)
     p.add_argument("--known-solution", action="store_true", dest="known_solution")
     p.add_argument("--with-oracle", action="store_true", dest="with_oracle",
                    help="also locate the true limit (the nose) and report relative errors")
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("sweep", help="limit estimates over loading directions of two buses")
-    _add_common(p)
+    _add_common(p, out_format=True)
     p.add_argument("--bus-a", type=int, default=None, dest="bus_a")
     p.add_argument("--bus-b", type=int, default=None, dest="bus_b")
     p.add_argument("--points", type=int, default=36, help="uniform angle grid size")
@@ -381,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bounds", help="voltage bound profile at one bus versus loading")
-    _add_common(p)
+    _add_common(p, out_format=True)
     p.add_argument("--bus", type=int, required=True)
     p.add_argument("--scale-grid", default="1.0:2.5:0.01", dest="scale_grid",
                    help="loading grid start:stop:step")
@@ -398,18 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error_json(kind: str, message: str) -> None:
-    sys.stderr.write(dumps_stable({"error": kind, "message": message}) + "\n")
+    sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.tol <= 0:
-        _error_json("input", "--tol must be positive")
-        return EXIT_INPUT
-    if args.max_iter < 1:
-        _error_json("input", "--max-iter must be at least 1")
-        return EXIT_INPUT
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CaseError, FileNotFoundError, IsADirectoryError) as exc:
         _error_json("input", str(exc))

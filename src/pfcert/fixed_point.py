@@ -21,7 +21,6 @@ import numpy as np
 
 from .admittance import GridReduction
 from .certificate import Certificate
-from .stress import StressMeasures
 
 DIVERGENCE_CUTOFF = 1e-6  # abort when an iterate approaches the conjugate-inversion pole
 CONTAINMENT_SLACK = 1e-8
@@ -118,7 +117,6 @@ def solve_fixed_point(
 def check_convergence_rate(
     result: FixedPointResult,
     cert: Certificate,
-    m: StressMeasures,
     red: GridReduction,
     S_L: np.ndarray,
 ) -> bool:
@@ -142,7 +140,7 @@ def check_convergence_rate(
         return all(float(np.abs(un - ref.u).max()) == 0.0 for un in result.iterates[1:])
 
     mu = cert.mu_bound
-    prefactor = cert.radii.r_hi * m.xi_max * (1.0 + mu)
+    prefactor = cert.radii.r_hi * cert.measures.xi_max * (1.0 + mu)
     ratio = 2.0 * mu / (1.0 + mu * mu)
     for n, un in enumerate(result.iterates):
         err = float(np.abs(un - ref.u).max())

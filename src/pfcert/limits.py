@@ -228,10 +228,9 @@ def _skew_limits(red: GridReduction, D: np.ndarray) -> LimitEstimates:
     )
 
 
-def default_sweep_buses(case: NetworkCase) -> tuple[int, int]:
-    """First two load buses with nonzero real power demand."""
-    _, load_ids = partition_buses(case)
-    hot = [i for i in load_ids if case.bus(i).demand.real != 0.0]
+def default_sweep_buses(red: GridReduction, S_base: np.ndarray) -> tuple[int, int]:
+    """First two load buses with nonzero real base load."""
+    hot = [bus for bus, s in zip(red.load_ids, S_base) if s.real != 0.0]
     if len(hot) < 2:
         raise CaseError("direction sweep needs at least two load buses with real power demand")
     return hot[0], hot[1]
@@ -239,10 +238,11 @@ def default_sweep_buses(case: NetworkCase) -> tuple[int, int]:
 
 def direction_sweep(
     case: NetworkCase,
+    red: GridReduction,
+    S_base: np.ndarray,
     bus_a: int,
     bus_b: int,
     angle_pairs,
-    gen_phasors: str = "case",
     with_oracle: bool = False,
 ) -> SweepResult:
     """Limit estimates while the two chosen loads swing around the power circle.
@@ -252,7 +252,6 @@ def direction_sweep(
     stays at base load, and the limits are recomputed per grid point with
     the reduction held fixed.
     """
-    red, S_base = prepare(case, gen_phasors)
     if bus_a == bus_b:
         raise CaseError("sweep buses must differ")
     try:
@@ -284,9 +283,10 @@ def direction_sweep(
 
 def bound_profile(
     case: NetworkCase,
+    red: GridReduction,
+    S_base: np.ndarray,
     bus_id: int,
     lambda_grid,
-    gen_phasors: str = "case",
     with_oracle: bool = True,
 ):
     """Voltage-magnitude lower bounds at one bus as the whole system load scales.
@@ -295,7 +295,6 @@ def bound_profile(
     once that condition stops holding) and the actual solved voltage (absent
     once the Newton oracle stops converging). Absence is data, not an error.
     """
-    red, S_base = prepare(case, gen_phasors)
     try:
         k = red.load_index(bus_id)
     except ValueError as exc:

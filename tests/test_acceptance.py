@@ -217,7 +217,7 @@ def test_criterion_4_voltage_bound_reproduction():
 def test_criterion_5_bound_profile():
     case, _, _ = load("case39")
     grid = [round(1.0 + 0.01 * k, 2) for k in range(151)]
-    rows = bound_profile(case, 4, grid, with_oracle=False)
+    rows = bound_profile(case, *prepare(case), 4, grid, with_oracle=False)
     first = rows[0]
     last = {}
     for key in ("proposed", "wang", "dvijotham"):
@@ -358,7 +358,7 @@ def test_criterion_7_convergence_rate_bound():
         assert cert.holds and cert.mu_bound is not None
         res = solve_fixed_point(red, S, record_iterates=True)
         assert res.converged
-        assert check_convergence_rate(res, cert, m, red, S)
+        assert check_convergence_rate(res, cert, red, S)
         checked.append(res.iterations)
     assert report(True, "criterion 7 (rate bound)", f"traces of lengths {checked} all inside the bound")
 
@@ -366,7 +366,7 @@ def test_criterion_7_convergence_rate_bound():
 def test_criterion_7_sweep_dominance_case9():
     case, _, _ = load("case9")
     pairs = [(2 * math.pi * k / 36,) * 2 for k in range(36)]
-    sweep = direction_sweep(case, *_first_two_loads(case), pairs)
+    sweep = direction_sweep(case, *prepare(case), *_first_two_loads(case), pairs)
     ok = all(
         pt.estimates.lambda_p >= pt.estimates.lambda_w - 1e-9
         and pt.estimates.lambda_p >= pt.estimates.lambda_d - 1e-9
@@ -378,7 +378,7 @@ def test_criterion_7_sweep_dominance_case9():
 def _first_two_loads(case):
     from pfcert.limits import default_sweep_buses
 
-    return default_sweep_buses(case)
+    return default_sweep_buses(*prepare(case))
 
 
 def test_case39_critical_bus_is_4():

@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 
 from pfcert.admittance import reduce_case
-from pfcert.certificate import (
-    REASON_LEVEL,
-    certificate_to_dict,
-    certify,
-    certify_dvijotham,
-    certify_wang,
-    voltage_bounds,
-    voltage_bounds_to_dict,
-)
+from pfcert.certificate import REASON_LEVEL, certify, certify_dvijotham, certify_wang, voltage_bounds
+from pfcert.cli import certificate_to_dict, voltage_bounds_to_dict
 from pfcert.fixed_point import evaluate_F
 from pfcert.limits import lambda_all, prepare
 from pfcert.net_model import load_case_file

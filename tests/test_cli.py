@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import pfcert
-from pfcert import admittance, oracle
+from pfcert import admittance, cli, oracle
 from pfcert.cli import main
 from pfcert.net_model import emit_json
 from pfcert.oracle import two_bus_analytic
@@ -52,6 +53,13 @@ def test_certify_failure_is_exit_1_with_artifact(two_bus_file, tmp_path):
     assert doc["certificate"]["reason"] == "stress_level"
 
 
+def test_certify_zero_load_prints_infinite_radii_as_null(two_bus_file, tmp_path):
+    out = tmp_path / "cert.json"
+    assert run(["certify", "--case", two_bus_file, "--scale", 0, "--out", out]) == 0
+    text = out.read_text()
+    assert '"r_hi": null' in text and '"solutionless_radius": null' in text
+
+
 def test_missing_case_is_exit_2(tmp_path, capsys):
     code = run(["certify", "--case", tmp_path / "missing.m"])
     assert code == 2
@@ -67,6 +75,32 @@ def test_zero_max_iter_is_exit_2(two_bus_file, capsys):
     assert run(["solve", "--case", two_bus_file, "--max-iter", 0]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "input", "message": "--max-iter must be at least 1"}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [],
+        ["certify", "--case", "{case}", "--tol", "1e-12"],
+        ["certify", "--case", "{case}", "--out-format", "csv"],
+        ["oracle-limit", "--case", "{case}", "--max-iter", "5"],
+        ["solve", "--case", "{case}", "--scale", "abc"],
+        ["solve", "--case", "{case}", "--tol", "-1"],
+        ["certify", "--case", "{missing}"],
+        ["bounds", "--case", "{case}", "--bus", "2", "--scale-grid", "1:x:0.1"],
+        ["bounds", "--case", "{case}", "--bus", "2", "--scale-grid", "nan:2:0.1"],
+    ],
+    ids=["no command", "certify --tol", "certify --out-format", "oracle-limit --max-iter", "bad value",
+         "solve --tol -1", "missing case", "grid not a number", "grid not finite"],
+)
+def test_input_errors_are_one_json_line(args, two_bus_file, tmp_path, capsys):
+    args = [a.format(case=two_bus_file, missing=tmp_path / "missing.m") for a in args]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "input"
 
 
 def test_solve_emits_voltages(two_bus_file, tmp_path):
@@ -105,6 +139,18 @@ def test_limits_json_and_determinism(two_bus_file, tmp_path):
     assert doc["lambda_p"] == pytest.approx(2.0, rel=1e-9)  # base p = 2.5 -> 5.0 / 2.5
     assert doc["lambda_actual"] == pytest.approx(2.0, abs=1e-4)
     assert doc["relative_error_p"] == pytest.approx(0.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("extra", [[], ["--known-solution"]], ids=["from zero", "known solution"])
+def test_limits_csv_is_the_json_without_meta(extra, two_bus_file, tmp_path):
+    json_out, csv_out = tmp_path / "l.json", tmp_path / "l.csv"
+    assert run(["limits", "--case", two_bus_file, "--with-oracle", *extra, "--out", json_out]) == 0
+    assert run(["limits", "--case", two_bus_file, "--with-oracle", *extra, "--out", csv_out,
+                "--out-format", "csv"]) == 0
+    doc = json.loads(json_out.read_text())
+    header, values = (line.split(",") for line in csv_out.read_text().splitlines())
+    assert header == [key for key in doc if key != "meta"]
+    assert [None if v == "" else float(v) for v in values] == [doc[key] for key in header]
 
 
 def test_limits_known_solution_reports_total_scaling(two_bus_file, tmp_path):
@@ -174,6 +220,12 @@ def test_bounds_grid(two_bus_file, tmp_path):
     assert lines[0] == "lambda,proposed,wang,dvijotham,actual"
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == pytest.approx(1.0)
+
+
+def test_bounds_single_point_grid(two_bus_file, tmp_path):
+    out = tmp_path / "bounds.json"
+    assert run(["bounds", "--case", two_bus_file, "--bus", 2, "--scale-grid", "1.5", "--out", out]) == 0
+    assert [row["lambda"] for row in json.loads(out.read_text())["profile"]] == [1.5]
 
 
 def test_oracle_limit_command(two_bus_file, tmp_path):
@@ -297,8 +349,10 @@ def test_solved_phasors_assemble_the_admittance_once(args, tmp_path, monkeypatch
         ["sweep", "--points", -3],
         ["sweep", "--direction-file", "[]"],
         ["bounds", "--bus", 5, "--scale-grid", "2:1:0.1"],
+        ["bounds", "--bus", 5, "--scale-grid", "1:2"],
+        ["bounds", "--bus", 5, "--scale-grid", "1:2:0"],
     ],
-    ids=["points 0", "points -3", "empty direction file", "empty scale grid"],
+    ids=["points 0", "points -3", "empty direction file", "empty scale grid", "grid without step", "zero grid step"],
 )
 def test_empty_grid_is_exit_2(args, tmp_path, capsys):
     command, *rest = args
@@ -335,3 +389,40 @@ def test_stress_calls_per_command(args, expected, tmp_path, monkeypatch):
     command, *rest = args
     assert run([command, "--case", case_path("case39.m"), *rest, "--out", tmp_path / "out"]) in (0, 1)
     assert len(calls) == expected
+
+
+COMMAND_INPUTS = {
+    "certify": [],
+    "solve": [],
+    "limits": [],
+    "sweep": ["--points", 2],
+    "bounds": ["--bus", 5, "--scale-grid", "1.0:1.2:0.1"],
+    "oracle-limit": [],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_INPUTS))
+def test_every_command_reads_every_option_it_defines(command, tmp_path, monkeypatch):
+    """An option a command accepts but never reads would be silently ignored.
+    Only the reads of the command function count, from its dispatch on."""
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    def parse_args(argv):
+        parsed = vars(parser_parse_args(argv))
+        func = parsed.pop("func")
+        return Recorder(**parsed, func=lambda args: reads.clear() or func(args))
+
+    parser = cli.build_parser()
+    parser_parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", parse_args)
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    args = [command, "--case", case_path("case9.m"), *COMMAND_INPUTS[command], "--out", tmp_path / "out"]
+    assert run(args) == 0
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
+    assert defined - reads == set()

@@ -128,7 +128,7 @@ def test_rate_bound_two_bus():
     m = compute_stress(red.Ztilde, S)
     cert = certify(m)
     res = solve_fixed_point(red, S, record_iterates=True)
-    assert check_convergence_rate(res, cert, m, red, S)
+    assert check_convergence_rate(res, cert, red, S)
 
 
 def test_rate_bound_zero_load_vacuous():
@@ -137,7 +137,7 @@ def test_rate_bound_zero_load_vacuous():
     m = compute_stress(red.Ztilde, S)
     cert = certify(m)
     res = solve_fixed_point(red, S, record_iterates=True)
-    assert check_convergence_rate(res, cert, m, red, S)
+    assert check_convergence_rate(res, cert, red, S)
 
 
 def test_rate_check_requires_trace():
@@ -147,7 +147,7 @@ def test_rate_check_requires_trace():
     cert = certify(m)
     res = solve_fixed_point(red, S)
     with pytest.raises(ValueError, match="recorded iterates"):
-        check_convergence_rate(res, cert, m, red, S)
+        check_convergence_rate(res, cert, red, S)
 
 
 def test_geometric_decay_of_recorded_errors():

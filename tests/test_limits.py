@@ -192,7 +192,7 @@ def test_oracle_limit_never_below_certificate():
 def test_sweep_dominance_on_star():
     case = make_star()
     pairs = [(2 * math.pi * k / 8,) * 2 for k in range(8)]
-    sweep = direction_sweep(case, 2, 3, pairs)
+    sweep = direction_sweep(case, *prepare(case), 2, 3, pairs)
     assert len(sweep.points) == 8
     for pt in sweep.points:
         assert pt.estimates.lambda_p >= pt.estimates.lambda_w - 1e-9
@@ -201,7 +201,7 @@ def test_sweep_dominance_on_star():
 def test_sweep_single_point_consistency():
     case = make_star(loads=((1.0, 0.0), (1.0, 0.0), (1.0, 0.5)))
     red, S = prepare(case)
-    sweep = direction_sweep(case, 2, 3, [(0.0, 0.0)])
+    sweep = direction_sweep(case, *prepare(case), 2, 3, [(0.0, 0.0)])
     S_mod = S.copy()
     S_mod[0] = sweep.magnitude
     S_mod[1] = sweep.magnitude
@@ -211,7 +211,7 @@ def test_sweep_single_point_consistency():
 
 def test_sweep_rescaling_matches_rest_norm():
     case = make_star(loads=((1.0, 0.0), (1.0, 0.0), (1.0, 0.5)))
-    sweep = direction_sweep(case, 2, 3, [(0.0, 0.0)])
+    sweep = direction_sweep(case, *prepare(case), 2, 3, [(0.0, 0.0)])
     rest = abs(complex(1.0, 0.5))
     assert math.sqrt(2) * sweep.magnitude == pytest.approx(rest)
 
@@ -219,22 +219,22 @@ def test_sweep_rescaling_matches_rest_norm():
 def test_sweep_validation():
     case = make_star()
     with pytest.raises(CaseError, match="differ"):
-        direction_sweep(case, 2, 2, [(0.0, 0.0)])
+        direction_sweep(case, *prepare(case), 2, 2, [(0.0, 0.0)])
     with pytest.raises(CaseError, match="load buses"):
-        direction_sweep(case, 1, 2, [(0.0, 0.0)])
+        direction_sweep(case, *prepare(case), 1, 2, [(0.0, 0.0)])
 
 
 def test_default_sweep_buses_requires_two_active_loads():
     case = make_star(loads=((1.0, 0.2), (0.0, 0.4), (0.0, 0.0)))
     with pytest.raises(CaseError, match="at least two"):
-        default_sweep_buses(case)
-    assert default_sweep_buses(make_star()) == (2, 3)
+        default_sweep_buses(*prepare(case))
+    assert default_sweep_buses(*prepare(make_star())) == (2, 3)
 
 
 def test_bound_profile_zero_load_equals_equivalent_voltage():
     case = make_two_bus(p=1.0)
     red, _ = prepare(case)
-    rows = bound_profile(case, 2, [0.0], with_oracle=False)
+    rows = bound_profile(case, *prepare(case), 2, [0.0], with_oracle=False)
     assert rows[0]["proposed"] == pytest.approx(abs(red.E[0]))
     assert rows[0]["wang"] == pytest.approx(abs(red.E[0]))
     assert rows[0]["dvijotham"] == pytest.approx(abs(red.E[0]))
@@ -242,7 +242,7 @@ def test_bound_profile_zero_load_equals_equivalent_voltage():
 
 def test_bound_profile_absence_pattern():
     case = make_two_bus(p=1.0)  # limits: wang/dvijotham at 2.5, proposed 5, actual 5
-    rows = bound_profile(case, 2, [1.0, 2.0, 3.0, 4.5, 5.5], with_oracle=True)
+    rows = bound_profile(case, *prepare(case), 2, [1.0, 2.0, 3.0, 4.5, 5.5], with_oracle=True)
     by_lam = {row["lambda"]: row for row in rows}
     assert by_lam[2.0]["wang"] is not None and by_lam[3.0]["wang"] is None
     assert by_lam[2.0]["dvijotham"] is not None and by_lam[3.0]["dvijotham"] is None
