@@ -43,7 +43,7 @@ from .net_model import (
     partition_buses,
     validate_connectivity,
 )
-from .oracle import NewtonResult, actual_limit, newton_base_case, newton_solve, two_bus_analytic
+from .oracle import NewtonResult, actual_limit, newton_base_case, newton_solve
 from .stress import DiscRadii, NoCertificate, StressMeasures, compute_radii, compute_stress
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -372,6 +372,15 @@ class _Parser(argparse.ArgumentParser):
         raise CaseError(f"{self.prog}: {message}")
 
 
+def finite(text: str) -> float:
+    """A float option value that must be finite, like every --scale-grid value;
+    argparse reports any other as an invalid finite value."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(text)
+    return x
+
+
 def _add_common(p: argparse.ArgumentParser, out_format: bool = False) -> None:
     p.add_argument("--case", required=True, help="case file path (.m or .json)")
     p.add_argument("--format", choices=["matpower", "json"], default=None, help="case format (default: by suffix)")
@@ -389,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="evaluate the solvability certificates")
     _add_common(p)
-    p.add_argument("--scale", type=float, default=1.0, help="load scaling factor on the base demand")
+    p.add_argument("--scale", type=finite, default=1.0, help="load scaling factor on the base demand")
     p.add_argument("--known-solution", action="store_true", dest="known_solution",
                    help="build the certificate around the solved base operating point")
     p.add_argument("--dump-reduction", default=None, dest="dump_reduction",
@@ -398,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve the power flow by certified fixed-point iteration")
     _add_common(p, out_format=True)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=finite, default=1.0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
     p.set_defaults(func=cmd_solve)

@@ -1,6 +1,5 @@
-"""Independent ground truth: Newton power flow, the loading limit by
-continuation to the nose, and the closed-form single-load oracle used
-throughout the test suite.
+"""Independent ground truth: Newton power flow and the loading limit by
+continuation to the nose.
 
 The Newton solver treats generator buses as fixed phasors and solves the
 polar mismatch equations at the load buses with an analytic Jacobian. The
@@ -16,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._dsolve import _superlu
 
 from .admittance import AdmittanceMatrix, GridReduction, SingularNetworkError, build_admittance, reduce_case
 from .net_model import CaseError, NetworkCase, load_power_vector, partition_buses
@@ -38,9 +37,11 @@ class _NewtonKernel:
     ones of `mag`. Jacobian entries are MATPOWER's complex-form dS/dV
     (Zimmerman, Murillo-Sanchez & Thomas 2011), each p conj(q) + c with I = Y V,
     U = V/|V| and (p, q, c) = (j V_i, [i=k] I_i - Y_ik V_k, 0) for dS_i/dVa_k,
-    (V_i, Y_ik U_k, [i=k] conj(I_i) U_i) for dS_i/dVm_k. The kernel is not
-    written to after it is built, so threads may share it: the matrices that
-    iterations refill belong to the caller."""
+    (V_i, Y_ik U_k, [i=k] conj(I_i) U_i) for dS_i/dVm_k. J is CSC arrays alone:
+    the kernel keeps its pattern (indices, indptr), and the caller owns its values,
+    one float64 array per solve or limit that every iteration refills; `factor`
+    hands such arrays to SuperLU. The kernel is not written to after it is built,
+    so threads may share it."""
 
     def __init__(self, Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray):
         nb, n = Y.shape[0], len(ang) + len(mag)
@@ -60,16 +61,13 @@ class _NewtonKernel:
         # Re(dS) goes to the P rows, Im(dS) to the Q rows; J's values are positions in [Re, Im]
         P, Q, col = np.flatnonzero(pos_a[i] >= 0), np.flatnonzero(pos_m[i] >= 0), np.where(dm, pos_m[k], pos_a[k])
         J = sp.csc_matrix((np.r_[P, len(i) + Q], (np.r_[pos_a[i[P]], pos_m[i[Q]]], np.r_[col[P], col[Q]])), (n, n))
-        self.gather, self.indices, self.indptr, self.shape = J.data, J.indices, J.indptr, J.shape
+        # canonical CSC (sorted rows, no duplicates), with the index type SuperLU takes
+        self.gather, self.indices, self.indptr = J.data, J.indices.astype(np.intc), J.indptr.astype(np.intc)
 
-    def matrix(self) -> sp.csc_matrix:
-        """A new matrix with J's pattern, for `jacobian` to fill."""
-        return sp.csc_matrix((np.empty(len(self.indices)), self.indices, self.indptr), shape=self.shape)
-
-    def jacobian(self, V: np.ndarray, I: np.ndarray, J: sp.csc_matrix | None = None) -> sp.csc_matrix:
-        """J at bus voltages V with I = Y V, written into the values of J, a matrix from
-        `matrix`, or of a new one. Products are spelled out in real arithmetic, unfused like
-        scipy.sparse's, because NumPy's SIMD complex multiply may fuse multiply-adds."""
+    def jacobian(self, V: np.ndarray, I: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The values of J at bus voltages V with I = Y V, in the pattern (indices, indptr),
+        written into out or a new array. Products are spelled out in real arithmetic, unfused
+        like scipy.sparse's, because NumPy's SIMD complex multiply may fuse multiply-adds."""
         U = V / np.abs(V)
         x = np.concatenate([V, U])[self.take]
         wr, wi = self.yr * x.real - self.yi * x.imag, self.yr * x.imag + self.yi * x.real
@@ -79,22 +77,28 @@ class _NewtonKernel:
         ci = np.concatenate([I.real * U.imag - I.imag * U.real, [0]])[self.diag_m]
         p = np.concatenate([1j * V, V])[self.p]
         re_im = np.concatenate([p.real * qr + p.imag * qi + cr, p.imag * qr - p.real * qi + ci])
-        J = self.matrix() if J is None else J
-        np.take(re_im, self.gather, out=J.data)
-        return J
+        return re_im.take(self.gather, out=out)
+
+    def factor(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+        """SuperLU's LU factor of the square CSC matrix (data, indices, indptr): float64
+        values, np.intc indices, canonical. This is the call scipy 1.17.1's spla.splu makes,
+        arguments and options alike, without its checks and casts of arrays that are
+        already in this form. Raises RuntimeError when the matrix is exactly singular."""
+        return _superlu.gstrf(len(indptr) - 1, len(data), data, indices, indptr, csc_construct_func=sp.csc_array,
+                              ilu=False, options=dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None))
 
     def run(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, S_spec: np.ndarray, tol: float,
             max_iter: int) -> NewtonResult:
         """Iterate from the polar start (theta, vm) until max |V conj(Y V) - S_spec| over the
         equations is below tol; V outside ang and mag stays fixed, and V_L of the result is
         the whole bus-voltage vector. A singular or non-finite Jacobian gives converged=False."""
-        y = np.r_[theta[self.ang], vm[self.mag], 0.0]
+        y = np.concatenate([theta[self.ang], vm[self.mag], [0.0]])
         return self.correct(V, theta, vm, y, S_spec, None, len(y) - 1, tol, max_iter)[0]
 
     @np.errstate(all="ignore")  # overflow and 0/0 surface as the non-finite values checked below
     def correct(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, y: np.ndarray, S_spec: np.ndarray,
                 d: np.ndarray | None, fixed: int, tol: float, max_iter: int,
-                J: sp.csc_matrix | None = None) -> tuple[NewtonResult, np.ndarray, np.ndarray | None]:
+                J: np.ndarray | None = None) -> tuple[NewtonResult, np.ndarray, np.ndarray | None]:
         """Newton on the mismatch V conj(Y V) - S_spec + lam d in the unknowns
         y = (theta[ang], vm[mag], lam), holding y[fixed]. The matrix is J with its column
         `fixed` replaced by the loading column (Re d[ang], Im d[mag]), so the step moves lam in
@@ -102,12 +106,12 @@ class _NewtonKernel:
         Newton at a fixed loading. Given d, the iteration also gives up once the mismatch stops
         falling, and a converged result comes with the tangent dy/dy[fixed] of the solution
         curve (entry `fixed` is 1), solved with the last factor; a tangent needs a factor, so
-        the first iterate is never accepted. Every iteration refills J, a matrix from `matrix`
-        (a new one when None), so a caller correcting many times can make it once. Returns
-        the result, y and the tangent."""
+        the first iterate is never accepted. Every iteration refills J, the values of J's
+        pattern (a new array when None), so a caller correcting many times can make it once.
+        Returns the result, y and the tangent."""
         V, theta, vm, y = V.copy(), theta.copy(), vm.copy(), y.copy()
         na, lam = len(self.ang), len(y) - 1
-        col = None if d is None else np.r_[d.real[self.ang], d.imag[self.mag]]
+        col = None if d is None else np.concatenate([d.real[self.ang], d.imag[self.mag]])
         refill = None if fixed == lam else self.held_column(fixed, col)
         f, dx = np.empty(lam), np.empty(lam + 1)
         lu = None
@@ -115,18 +119,18 @@ class _NewtonKernel:
         for iteration in range(max_iter + 1):
             theta[self.ang], vm[self.mag] = y[:na], y[na:lam]
             V[self.var] = vm[self.var] * np.exp(1j * theta[self.var])
-            if np.any(vm[self.mag] <= 0):
+            if (vm[self.mag] <= 0).any():
                 return NewtonResult(False, V, iteration, math.inf), y, None
             I = self.Y @ V
-            S = V * np.conj(I) - S_spec
+            S = V * I.conj() - S_spec
             if d is not None:
                 S += y[lam] * d
             f[:na], f[na:] = S.real[self.ang], S.imag[self.mag]
-            mismatch_norm = float(np.abs(f).max())
+            mismatch_norm = float(abs(f).max())
             if mismatch_norm < tol and d is None:
                 return NewtonResult(True, V, iteration, mismatch_norm), y, None
             if mismatch_norm < tol and lu is not None:
-                tangent = np.append(lu.solve(-held), 1.0)
+                tangent = np.concatenate([lu.solve(-held), [1.0]])
                 tangent[[fixed, lam]] = tangent[[lam, fixed]]
                 if not np.isfinite(tangent).all():
                     break
@@ -135,11 +139,11 @@ class _NewtonKernel:
                 break
             last = mismatch_norm
             J = self.jacobian(V, I, J)
-            if not np.isfinite(J.data).all():
+            if not np.isfinite(J).all():
                 break
-            A, held = (J, col) if refill is None else refill(J)
+            *A, held = (J, self.indices, self.indptr, col) if refill is None else refill(J)
             try:
-                lu = spla.splu(A)
+                lu = self.factor(*A)
             except RuntimeError:  # exactly singular
                 break
             dx[:lam], dx[lam] = lu.solve(-f), 0.0
@@ -149,25 +153,26 @@ class _NewtonKernel:
             y += dx
         return NewtonResult(False, V, iteration, mismatch_norm), y, None
 
-    def held_column(self, k: int, col: np.ndarray) -> Callable[[sp.csc_matrix], tuple[sp.csc_matrix, np.ndarray]]:
+    def held_column(self, k: int, col: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarray, ...]]:
         """J with its column k replaced by the nonzero entries of the dense vector col. The
-        matrix and its pattern are made here, once per corrector call; the returned function
-        copies the values of J, a matrix from `matrix`, into it and returns it with J's column k,
-        dense, both overwritten by its next call."""
+        held matrix's arrays are made here, once per corrector call; the returned function
+        copies J's values (an array from `jacobian`) into them and returns the held matrix's
+        (data, indices, indptr) and J's column k, dense, the data and column overwritten by
+        its next call."""
         start, end = self.indptr[k], self.indptr[k + 1]
         rows = np.flatnonzero(col)
         stop = start + len(rows)
         indptr = self.indptr.copy()
         indptr[k + 1:] += stop - end
-        indices = np.concatenate([self.indices[:start], rows, self.indices[end:]])
-        A = sp.csc_matrix((np.zeros(len(indices)), indices, indptr), shape=self.shape)
-        A.data[start:stop] = col[rows]
-        old = np.zeros(self.shape[0])
+        indices = np.concatenate([self.indices[:start], rows, self.indices[end:]], dtype=np.intc)
+        data = np.zeros(len(indices))
+        data[start:stop] = col[rows]
+        old = np.zeros(len(indptr) - 1)
 
-        def refill(J: sp.csc_matrix) -> tuple[sp.csc_matrix, np.ndarray]:
-            A.data[:start], A.data[stop:] = J.data[:start], J.data[end:]
-            old[self.indices[start:end]] = J.data[start:end]
-            return A, old
+        def refill(J: np.ndarray) -> tuple[np.ndarray, ...]:
+            data[:start], data[stop:] = J[:start], J[end:]
+            old[self.indices[start:end]] = J[start:end]
+            return data, indices, indptr, old
 
         return refill
 
@@ -290,7 +295,7 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
     theta, vm = np.angle(V), np.abs(V)
     d = np.concatenate([np.zeros(m), direction])
     lam = 2 * n  # index of lambda in y
-    J = net.kernel.matrix()  # refilled by every corrector iteration of this limit
+    J = np.empty(len(net.kernel.indices))  # J's values, refilled by every corrector iteration of this limit
 
     def correct(y: np.ndarray, fixed: int) -> tuple[NewtonResult, np.ndarray, np.ndarray | None]:
         res, y, t = net.kernel.correct(V, theta, vm, y, np.zeros_like(V), d, fixed, newton_tol, newton_max_iter, J)
@@ -344,21 +349,3 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
         same = same + 1 if side == last else 1
         last = side
         ends[side] = (y[crit], t[lam], y, t, res.V_L)
-
-
-def two_bus_analytic(p: float, q: float, x: float) -> tuple[complex, ...]:
-    """All load-voltage solutions of one load p + jq behind a pure reactance x.
-
-    With v = a + jb and E = 1: b = -x p and a solves a^2 - a + (q x + x^2 p^2) = 0.
-    Returns the high-voltage root first; empty when no solution exists.
-    """
-    if x <= 0:
-        raise ValueError("reactance x must be positive")
-    disc = 1.0 - 4.0 * q * x - 4.0 * x * x * p * p
-    b = -x * p
-    if disc < 0:
-        return ()
-    if disc == 0:
-        return (complex(0.5, b),)
-    root = math.sqrt(disc)
-    return (complex((1.0 + root) / 2.0, b), complex((1.0 - root) / 2.0, b))

@@ -19,9 +19,10 @@ from pfcert.net_model import (
     generator_phasors,
     partition_buses,
 )
-from pfcert.oracle import actual_limit, newton_solve, two_bus_analytic
+from pfcert.oracle import actual_limit, newton_solve
 
 from conftest import case_path, make_star, make_two_bus, make_weak_tie_star
+from reference_values import two_bus_analytic
 
 
 def test_two_bus_matrix():

@@ -15,9 +15,9 @@ import pfcert
 from pfcert import admittance, cli, oracle
 from pfcert.cli import main
 from pfcert.net_model import emit_json
-from pfcert.oracle import two_bus_analytic
 
 from conftest import TWO_BUS_MATPOWER, case_path, make_weak_tie_star
+from reference_values import two_bus_analytic
 
 
 @pytest.fixture
@@ -101,6 +101,17 @@ def test_input_errors_are_one_json_line(args, two_bus_file, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "input"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_non_finite_scale_is_an_input_error(command, value, two_bus_file, capsys):
+    """Rejected by argparse, before any load is scaled; `--scale=` lets -inf through as a value."""
+    assert run([command, "--case", two_bus_file, f"--scale={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"pfcert {command}: argument --scale: invalid finite value: '{value}'"
+    assert json.loads(captured.err) == {"error": "input", "message": message}
 
 
 def test_solve_emits_voltages(two_bus_file, tmp_path):

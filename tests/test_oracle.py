@@ -19,10 +19,10 @@ from pfcert.oracle import (
     newton_base_case,
     newton_solve,
     solved_generator_phasors,
-    two_bus_analytic,
 )
 
 from conftest import case_path, make_star, make_two_bus
+from reference_values import two_bus_analytic
 
 BUNDLED = ("case9", "case14", "case24_ieee_rts", "case30", "case39", "case57", "case118")
 
@@ -128,9 +128,9 @@ def test_actual_limit_explicit_bracket():
 def test_newton_kernel_jacobian_matches_central_differences(form):
     """Both solvers' index sets: load angles and magnitudes (newton_solve), and
     non-slack angles with load magnitudes (newton_base_case). The corrector
-    refills one matrix, so a second state checks that nothing of the first is
-    left over, and that a factor made before the refill still solves exactly as
-    it did: the tangent is solved with the last factor."""
+    refills one values array, so a second state checks that nothing of the first
+    is left over, and that a factor made before the refill still solves exactly
+    as it did: the tangent is solved with the last factor."""
     case = case_path_case("case39.m")
     generator_ids, load_ids = partition_buses(case)
     Y = build_admittance(case).matrix
@@ -138,9 +138,10 @@ def test_newton_kernel_jacobian_matches_central_differences(form):
     mag = np.arange(m, nb)
     ang = mag if form == "load" else np.delete(np.arange(nb), generator_ids.index(case.slack_bus))
     kernel = _NewtonKernel(Y, ang, mag)
-    J0 = kernel.matrix()
+    n = len(ang) + len(mag)
+    J0 = np.empty(len(kernel.indices))
     rng = np.random.default_rng(7)
-    b = rng.standard_normal(len(ang) + len(mag))
+    b = rng.standard_normal(n)
     lu = None
     for _ in range(2):
         theta, vm = 0.2 * rng.standard_normal(nb), 1.0 + 0.05 * rng.standard_normal(nb)
@@ -156,12 +157,13 @@ def test_newton_kernel_jacobian_matches_central_differences(form):
         V = vm * np.exp(1j * theta)
         J = kernel.jacobian(V, Y @ V, J0)
         assert J is J0  # refilled, not made anew
-        assert J.data.tobytes() == kernel.jacobian(V, Y @ V).data.tobytes()
+        assert J.tobytes() == kernel.jacobian(V, Y @ V).tobytes()
+        dense = sp.csc_matrix((J, kernel.indices, kernel.indptr), shape=(n, n)).toarray()
         h = 1e-6
-        fd = np.column_stack([(mismatch(h * e) - mismatch(-h * e)) / (2 * h) for e in np.eye(len(ang) + len(mag))])
-        assert np.abs(J.toarray() - fd).max() <= 1e-6 * np.abs(J.toarray()).max()
+        fd = np.column_stack([(mismatch(h * e) - mismatch(-h * e)) / (2 * h) for e in np.eye(n)])
+        assert np.abs(dense - fd).max() <= 1e-6 * np.abs(dense).max()
         if lu is None:
-            lu = spla.splu(J)
+            lu = kernel.factor(J, kernel.indices, kernel.indptr)
             x = lu.solve(b)
     assert lu.solve(b).tobytes() == x.tobytes()
 
@@ -181,9 +183,9 @@ def _replace_column(J, k, col):
 
 @pytest.mark.parametrize("name", ["case9", "case39"])
 def test_held_column_matches_fresh_matrix(name):
-    """Bit for bit, pattern included: SuperLU's column order follows the pattern.
-    The loading columns are the base load's and that of its first loaded bus
-    alone, zero elsewhere, so every held column shrinks for the second."""
+    """Bit for bit, pattern and index type included: SuperLU's column order follows
+    the pattern. The loading columns are the base load's and that of its first
+    loaded bus alone, zero elsewhere, so every held column shrinks for the second."""
     case = case_path_case(f"{name}.m")
     red, S = limits.prepare(case)
     kernel, n = red.kernel, 2 * len(S)
@@ -194,24 +196,60 @@ def test_held_column_matches_fresh_matrix(name):
     shrunk = 0
     for _ in range(2):
         V = np.concatenate([red.V_G, red.E * (1 + 0.05 * rng.standard_normal(len(S)))])
-        J = kernel.jacobian(V, red.Y @ V)
+        J = sp.csc_matrix((kernel.jacobian(V, red.Y @ V), kernel.indices, kernel.indptr), shape=(n, n))
         for col, plans in zip(cols, refills):
             for k in range(n):
-                A, old = plans[k](J)
+                data, indices, indptr, old = plans[k](J.data)
                 ref, ref_old = _replace_column(J, k, col)
-                for a, b in ((A.data, ref.data), (A.indices, ref.indices), (A.indptr, ref.indptr), (old, ref_old)):
+                for a, b in ((data, ref.data), (indices, ref.indices), (indptr, ref.indptr), (old, ref_old)):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-                shrunk += A.nnz < J.nnz
+                shrunk += len(data) < J.nnz
     assert shrunk >= 2 * n
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_factor_is_splu_bit_for_bit(name):
+    """_NewtonKernel.factor calls SuperLU's private entry point the way spla.splu
+    does; if a scipy release changes that call, this test fails first. The matrices
+    are the load-form Jacobian at the no-load voltages, and the same matrix with its
+    column 0 replaced by the base load's loading column."""
+    red, S = limits.prepare(case_path_case(f"{name}.m"))
+    kernel = red.kernel
+    V = np.concatenate([red.V_G, red.E])
+    J = kernel.jacobian(V, red.Y @ V)
+    held = kernel.held_column(0, np.concatenate([S.real, S.imag]))(J)[:3]
+    rng = np.random.default_rng(13)
+    for data, indices, indptr in ((J, kernel.indices, kernel.indptr), held):
+        n = len(indptr) - 1
+        ours = kernel.factor(data, indices, indptr)
+        theirs = spla.splu(sp.csc_matrix((data, indices, indptr), shape=(n, n)))
+        for a, b in ((ours.perm_r, theirs.perm_r), (ours.perm_c, theirs.perm_c)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in ((ours.L, theirs.L), (ours.U, theirs.U)):
+            for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        rhs = rng.standard_normal(n)
+        assert ours.solve(rhs).tobytes() == theirs.solve(rhs).tobytes()
+
+
+def test_factor_raises_on_a_singular_matrix_like_splu():
+    """An exactly singular matrix (its middle column zero) raises RuntimeError from
+    both, which the corrector reads as a breakdown."""
+    data = np.array([1.0, 2.0, 3.0])
+    indices, indptr = np.array([0, 2, 2], dtype=np.intc), np.array([0, 2, 2, 3], dtype=np.intc)
+    with pytest.raises(RuntimeError):
+        reduce_case(make_two_bus()).kernel.factor(data, indices, indptr)
+    with pytest.raises(RuntimeError):
+        spla.splu(sp.csc_matrix((data, indices, indptr), shape=(3, 3)))
+
+
 def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
-    """The Jacobian is refilled in place: the limit makes one matrix for all its
-    corrector calls, each call at most one more for its held column, and one is
-    the kernel's own; it takes as many factorizations as with a new matrix every
-    iteration (42 on case39's base direction)."""
+    """The Jacobian is refilled in place: once the kernel exists, the limit builds no
+    scipy.sparse matrix at all, and it takes as many factorizations as with a new matrix every iteration (42 on case39's
+    base direction)."""
     case = case_path_case("case39.m")
     red, S = limits.prepare(case)
+    red.kernel  # built on first use
     counts = {}
 
     def counting(name, fn):
@@ -223,12 +261,11 @@ def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(oracle.spla, "splu", counting("splu", oracle.spla.splu))
-    monkeypatch.setattr(oracle.sp, "csc_matrix", counting("csc_matrix", oracle.sp.csc_matrix))
-    monkeypatch.setattr(_NewtonKernel, "correct", counting("correct", _NewtonKernel.correct))
+    monkeypatch.setattr(_NewtonKernel, "factor", counting("factor", _NewtonKernel.factor))
+    monkeypatch.setattr(sp._base._spbase, "__init__", counting("sparse", sp._base._spbase.__init__))
     actual_limit(case, direction=S, bracket=(1e-3, None), network=red)
-    assert counts["splu"] == 42
-    assert counts["csc_matrix"] <= counts["correct"] + 1
+    assert counts["factor"] == 42
+    assert counts["sparse"] == 0
 
 
 def test_kernel_is_read_only_across_threads():
@@ -283,7 +320,9 @@ def perturbed_directions(S, count, seed):
 
 
 def condition(net, V):
-    sv = np.linalg.svd(net.kernel.jacobian(V, net.Y @ V).toarray(), compute_uv=False)
+    kernel, n = net.kernel, 2 * len(net.load_ids)
+    J = sp.csc_matrix((kernel.jacobian(V, net.Y @ V), kernel.indices, kernel.indptr), shape=(n, n))
+    sv = np.linalg.svd(J.toarray(), compute_uv=False)
     return sv[-1] / sv[0]
 
 
