@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from pfcert import limits, oracle
+from pfcert import limits
 from pfcert.admittance import build_admittance, fixed_point_residual, reduce_case
 from pfcert.net_model import CaseError, load_power_vector, partition_buses
 from pfcert.oracle import (
@@ -245,11 +245,11 @@ def test_factor_raises_on_a_singular_matrix_like_splu():
 
 def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
     """The Jacobian is refilled in place: once the kernel exists, the limit builds no
-    scipy.sparse matrix at all, and it takes as many factorizations as with a new matrix every iteration (42 on case39's
-    base direction)."""
+    scipy.sparse matrix at all, and it takes as many factorizations as with a new
+    matrix every iteration (42 on case39's base direction)."""
     case = case_path_case("case39.m")
     red, S = limits.prepare(case)
-    red.kernel  # built on first use
+    red.kernel  # built on first use, so before the counting starts
     counts = {}
 
     def counting(name, fn):
