@@ -27,7 +27,7 @@ from .certificate import (
     certify_wang,
     voltage_bounds,
 )
-from .fixed_point import FixedPointResult, check_convergence_rate, evaluate_F, solve_fixed_point
+from .fixed_point import FixedPointResult, evaluate_F, solve_fixed_point
 from .limits import LimitEstimates, SweepResult, bound_profile, direction_sweep, lambda_all
 from .net_model import (
     BranchRecord,
@@ -37,7 +37,6 @@ from .net_model import (
     IslandError,
     NetworkCase,
     build_case,
-    emit_json,
     load_case,
     load_case_file,
     partition_buses,

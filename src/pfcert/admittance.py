@@ -44,9 +44,6 @@ class AdmittanceMatrix:
     def dimension(self) -> int:
         return len(self.bus_order)
 
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
 
 @dataclass(frozen=True)
 class GridReduction:

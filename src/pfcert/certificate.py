@@ -29,6 +29,7 @@ REASON_LEVEL = "stress_level"
 REASON_SPREAD = "stress_spread"
 
 _MU_GRID = 63  # interior radii probed when bounding the contraction factor
+_MU_FRACTIONS = np.linspace(1.0 / (_MU_GRID + 1), _MU_GRID / (_MU_GRID + 1.0), _MU_GRID)
 
 
 @dataclass(frozen=True)
@@ -117,19 +118,22 @@ def estimate_contraction(m: StressMeasures, radii: DiscRadii) -> float | None:
     the disc with center 1 - conj(c_i)/(|c_i|^2 - rho_i^2) and radius
     rho_i/(|c_i|^2 - rho_i^2), so the sup is that center's modulus plus the
     radius: exact at every interior radius r' of the grid, hence an upper
-    bound on the minimax. A radius whose disc reaches the origin is skipped.
-    Returns None when no bound below 1 is found.
+    bound on the minimax. Only the admissible radii enter: a boolean row mask
+    keeps those whose discs all miss the origin (|c_i| > rho_i for every i).
+    Returns None when no radius is admissible or no bound below 1 is found.
     """
     if radii.degenerate:
         return 0.0
     centers = 1.0 - m.eta_complex
-    ts = np.linspace(1.0 / (_MU_GRID + 1), _MU_GRID / (_MU_GRID + 1.0), _MU_GRID)
-    grid = radii.r_lo + ts * (radii.r_hi - radii.r_lo)
+    grid = radii.r_lo + _MU_FRACTIONS * (radii.r_hi - radii.r_lo)
     rho = grid[:, None] * m.xi
     d = np.abs(centers) ** 2 - rho**2
-    safe = np.where(d > 0.0, d, 1.0)
-    sup = np.where(d > 0.0, np.abs(1.0 - centers.conj() / safe) + rho / safe, math.inf)
-    best = float((sup.max(axis=1) / grid).min())
+    admissible = (d > 0.0).all(axis=1)
+    if not admissible.any():
+        return None
+    rho, d = rho[admissible], d[admissible]
+    sup = np.abs(1.0 - centers.conj() / d) + rho / d
+    best = float((sup.max(axis=1) / grid[admissible]).min())
     return best if best < 1.0 else None
 
 

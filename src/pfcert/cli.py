@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the power flow by certified fixed-point iteration")
     _add_common(p, out_format=True)
     p.add_argument("--scale", type=finite, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=finite, default=1e-10)
     p.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
     p.set_defaults(func=cmd_solve)
 

@@ -192,7 +192,7 @@ def lambda_all(red: GridReduction, S_L: np.ndarray) -> LimitEstimates:
     the certificate conditions.
     """
     S_L = np.asarray(S_L, dtype=complex)
-    if np.all(S_L == 0):
+    if not S_L.any():
         raise CaseError("load direction is identically zero")
     if not red.S0.any():
         return _line_limits(red, "from_zero", compute_stress(red.Ztilde, S_L))

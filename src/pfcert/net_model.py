@@ -449,67 +449,3 @@ def _parse_json(source: str) -> NetworkCase:
 
     slack = doc.get("slack_bus")
     return build_case(float(doc["base_mva"]), buses, branches, gens, None if slack is None else int(slack))
-
-
-def _degrees_exact(rad: float) -> float:
-    """Degrees value whose radians() conversion reproduces `rad` bit-exactly.
-
-    The radian conversion contracts by ~0.0175, so several adjacent degree
-    floats round to each radian float; walk to one of them so emitted files
-    reload without drift.
-    """
-    deg = math.degrees(rad)
-    back = math.radians(deg)
-    if back == rad:
-        return deg
-    target = math.inf if back < rad else -math.inf
-    candidate = deg
-    for _ in range(64):
-        candidate = math.nextafter(candidate, target)
-        back = math.radians(candidate)
-        if back == rad:
-            return candidate
-        if (target > 0) != (back < rad):
-            break
-    return deg
-
-
-def emit_json(case: NetworkCase) -> str:
-    """Serialize a case to the canonical JSON form (full float precision)."""
-    doc = {
-        "base_mva": case.base_mva,
-        "buses": [
-            {
-                "id": b.id,
-                "demand": [b.demand.real, b.demand.imag],
-                "shunt": [b.shunt.real, b.shunt.imag],
-                "voltage_magnitude": b.voltage_magnitude,
-                "voltage_angle_deg": _degrees_exact(b.voltage_angle),
-            }
-            for b in case.buses
-        ],
-        "branches": [
-            {
-                "from_bus": br.from_bus,
-                "to_bus": br.to_bus,
-                "series_impedance": [br.series_impedance.real, br.series_impedance.imag],
-                "charging": br.charging,
-                "tap_ratio": br.tap_ratio,
-                "phase_shift_deg": _degrees_exact(br.phase_shift),
-                "in_service": br.in_service,
-            }
-            for br in case.branches
-        ],
-        "gens": [
-            {
-                "bus": g.bus,
-                "voltage_setpoint": g.voltage_setpoint,
-                "active_power": g.active_power,
-                "in_service": g.in_service,
-            }
-            for g in case.gens
-        ],
-    }
-    if case.slack_bus is not None:
-        doc["slack_bus"] = case.slack_bus
-    return json.dumps(doc, indent=1)

@@ -1,13 +1,16 @@
-"""Shared fixtures: hand-built desk-scale cases and data-file paths."""
+"""Shared fixtures: hand-built desk-scale cases, data-file paths, and a JSON
+case writer for round trips through the loader."""
 
 from __future__ import annotations
 
+import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pfcert.net_model import BranchRecord, BusRecord, GenRecord, build_case
+from pfcert.net_model import BranchRecord, BusRecord, GenRecord, NetworkCase, build_case
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 BUNDLED = ("case9", "case14", "case24_ieee_rts", "case30", "case39", "case57", "case118")
@@ -107,3 +110,67 @@ def random_ztilde(rng, n, scale=0.1):
 
 def random_loads(rng, n, scale=1.0):
     return scale * (rng.normal(size=n) * 0.5 + 1.0 + 1j * rng.normal(size=n) * 0.3)
+
+
+def _degrees_exact(rad: float) -> float:
+    """Degrees value whose radians() conversion reproduces `rad` bit-exactly.
+
+    The radian conversion contracts by ~0.0175, so several adjacent degree
+    floats round to each radian float; walk to one of them so emitted files
+    reload without drift.
+    """
+    deg = math.degrees(rad)
+    back = math.radians(deg)
+    if back == rad:
+        return deg
+    target = math.inf if back < rad else -math.inf
+    candidate = deg
+    for _ in range(64):
+        candidate = math.nextafter(candidate, target)
+        back = math.radians(candidate)
+        if back == rad:
+            return candidate
+        if (target > 0) != (back < rad):
+            break
+    return deg
+
+
+def emit_json(case: NetworkCase) -> str:
+    """Serialize a case to the canonical JSON form (full float precision)."""
+    doc = {
+        "base_mva": case.base_mva,
+        "buses": [
+            {
+                "id": b.id,
+                "demand": [b.demand.real, b.demand.imag],
+                "shunt": [b.shunt.real, b.shunt.imag],
+                "voltage_magnitude": b.voltage_magnitude,
+                "voltage_angle_deg": _degrees_exact(b.voltage_angle),
+            }
+            for b in case.buses
+        ],
+        "branches": [
+            {
+                "from_bus": br.from_bus,
+                "to_bus": br.to_bus,
+                "series_impedance": [br.series_impedance.real, br.series_impedance.imag],
+                "charging": br.charging,
+                "tap_ratio": br.tap_ratio,
+                "phase_shift_deg": _degrees_exact(br.phase_shift),
+                "in_service": br.in_service,
+            }
+            for br in case.branches
+        ],
+        "gens": [
+            {
+                "bus": g.bus,
+                "voltage_setpoint": g.voltage_setpoint,
+                "active_power": g.active_power,
+                "in_service": g.in_service,
+            }
+            for g in case.gens
+        ],
+    }
+    if case.slack_bus is not None:
+        doc["slack_bus"] = case.slack_bus
+    return json.dumps(doc, indent=1)

@@ -1,13 +1,21 @@
-"""Frozen reference values for the acceptance suite.
+"""Frozen reference values and reference implementations for the test suite.
 
 Solvability-limit tables for the standard test systems (from-zero estimates,
 known-solution certified total scalings, and true limits), plus the 39-bus
 base-loading voltage-bound coordinates and the bus-4 bound-profile anchors;
-and the closed-form solutions of one load behind a reactance, the two-bus
-reference of the whole suite.
+the closed-form solutions of one load behind a reactance, the two-bus
+reference of the whole suite; the certified convergence-rate check; and
+plain forms of the fixed-point loop and of the contraction bound, which the
+package's lean versions must match bit for bit.
 """
 
 import math
+
+import numpy as np
+
+from pfcert.admittance import GridReduction
+from pfcert.certificate import Certificate
+from pfcert.fixed_point import DIVERGENCE_CUTOFF, FixedPointResult, evaluate_F, solve_fixed_point
 
 
 # case -> (lambda_p, lambda_d, lambda_w, actual)
@@ -92,3 +100,98 @@ def two_bus_analytic(p: float, q: float, x: float) -> tuple[complex, ...]:
         return (complex(0.5, b),)
     root = math.sqrt(disc)
     return (complex((1.0 + root) / 2.0, b), complex((1.0 - root) / 2.0, b))
+
+
+def check_convergence_rate(
+    result: FixedPointResult,
+    cert: Certificate,
+    red: GridReduction,
+    S_L: np.ndarray,
+) -> bool:
+    """Verify the certified linear decay along a recorded iterate trace.
+
+    Every iterate must satisfy ||u^n - u_ref||_inf < r_hi xi (1 + mu)
+    (2 mu / (1 + mu^2))^(n/2) against a high-precision reference solve.
+    """
+    if result.iterates is None:
+        raise ValueError("result has no recorded iterates; solve with record_iterates=True")
+    if not result.converged:
+        raise ValueError("rate check requires a converged result")
+    if not cert.holds or cert.mu_bound is None or not (0.0 <= cert.mu_bound < 1.0):
+        raise ValueError("rate check requires a holding certificate with mu_bound < 1")
+
+    ref = solve_fixed_point(red, S_L, start=result.iterates[0], tol=1e-13, max_iter=20000)
+    if not ref.converged:
+        raise ValueError("high-precision reference solve did not converge")
+
+    if cert.radii.degenerate:  # zero load: the map is constant, errors must vanish
+        return all(float(np.abs(un - ref.u).max()) == 0.0 for un in result.iterates[1:])
+
+    mu = cert.mu_bound
+    prefactor = cert.radii.r_hi * cert.measures.xi_max * (1.0 + mu)
+    ratio = 2.0 * mu / (1.0 + mu * mu)
+    for n, un in enumerate(result.iterates):
+        err = float(np.abs(un - ref.u).max())
+        if not err < prefactor * ratio ** (n / 2.0):
+            return False
+    return True
+
+
+def reference_fixed_point(red, S_L, start=None, tol=1e-10, max_iter=1000, record_iterates=False):
+    """The fixed-point loop applying evaluate_F, with all its checks, at every step."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    S_L = np.asarray(S_L, dtype=complex)
+    u = np.ones(red.n_load, dtype=complex) if start is None else np.array(start, dtype=complex)
+    if np.any(u == 0):
+        raise ValueError("start vector has zero entries")
+
+    trace = []
+    iterates = [u.copy()] if record_iterates else []
+    converged = False
+    note = None
+    residual = math.inf
+    iterations = 0
+
+    for iterations in range(1, max_iter + 1):
+        fu = evaluate_F(u, red, S_L)
+        residual = float(np.abs(u - fu).max())
+        trace.append(residual)
+        u = fu
+        if record_iterates:
+            iterates.append(u.copy())
+        if residual < tol:
+            converged = True
+            break
+        if np.any(np.abs(u) < DIVERGENCE_CUTOFF):
+            note = "diverged: iterate magnitude fell below the inversion cutoff"
+            break
+    else:
+        note = f"no convergence within {max_iter} iterations"
+
+    return FixedPointResult(
+        converged=converged,
+        u=u,
+        V_L=red.E * red.v0 * u,
+        iterations=iterations,
+        residual=residual,
+        trace=tuple(trace),
+        iterates=tuple(iterates) if record_iterates else None,
+        note=note,
+    )
+
+
+def reference_contraction(m, radii, n_grid=63):
+    """The contraction bound on the full radius grid: a radius whose disc
+    reaches the origin gets an infinite supremum instead of being masked out."""
+    if radii.degenerate:
+        return 0.0
+    centers = 1.0 - m.eta_complex
+    ts = np.linspace(1.0 / (n_grid + 1), n_grid / (n_grid + 1.0), n_grid)
+    grid = radii.r_lo + ts * (radii.r_hi - radii.r_lo)
+    rho = grid[:, None] * m.xi
+    d = np.abs(centers) ** 2 - rho**2
+    safe = np.where(d > 0.0, d, 1.0)
+    sup = np.where(d > 0.0, np.abs(1.0 - centers.conj() / safe) + rho / safe, math.inf)
+    best = float((sup.max(axis=1) / grid).min())
+    return best if best < 1.0 else None

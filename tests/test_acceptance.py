@@ -17,7 +17,7 @@ import pytest
 
 from pfcert.admittance import renormalize_about_solution
 from pfcert.certificate import certify, certify_dvijotham, certify_wang, voltage_bounds
-from pfcert.fixed_point import check_convergence_rate, evaluate_F, solve_fixed_point
+from pfcert.fixed_point import evaluate_F, solve_fixed_point
 from pfcert.limits import bound_profile, direction_sweep, lambda_all, prepare
 from pfcert.net_model import load_case_file
 from pfcert.oracle import actual_limit, newton_solve
@@ -25,7 +25,7 @@ from pfcert.stress import compute_stress
 
 import reference_values as ref
 from conftest import DATA_DIR, make_star, make_two_bus
-from reference_values import two_bus_analytic
+from reference_values import check_convergence_rate, two_bus_analytic
 
 AVAILABLE = ("case9", "case14", "case24_ieee_rts", "case30", "case39", "case57", "case118")
 MANDATORY = ("case9", "case14", "case30", "case39", "case57", "case118")

@@ -28,7 +28,7 @@ from reference_values import two_bus_analytic
 def test_two_bus_matrix():
     Y = build_admittance(make_two_bus())
     expected = np.array([[-10j, 10j], [10j, -10j]])
-    assert np.allclose(Y.dense(), expected, atol=1e-12)
+    assert np.allclose(Y.matrix.toarray(), expected, atol=1e-12)
 
 
 def test_line_charging_shifts_diagonal():
@@ -36,8 +36,8 @@ def test_line_charging_shifts_diagonal():
     branches = [BranchRecord(1, 2, 0.1j, 0.2)]
     case = NetworkCase(case.base_mva, case.buses, tuple(branches), case.gens, case.slack_bus)
     Y = build_admittance(case)
-    assert np.allclose(np.diag(Y.dense()), [-9.9j, -9.9j], atol=1e-12)
-    assert np.allclose(Y.dense()[0, 1], 10j, atol=1e-12)
+    assert np.allclose(np.diag(Y.matrix.toarray()), [-9.9j, -9.9j], atol=1e-12)
+    assert np.allclose(Y.matrix.toarray()[0, 1], 10j, atol=1e-12)
 
 
 def test_zero_impedance_branch_rejected_at_assembly():
@@ -60,7 +60,7 @@ def test_tap_and_shift_stamps():
     branch = BranchRecord(1, 2, 0.1j, 0.0, tap_ratio=tap, phase_shift=shift)
     Y = build_admittance(
         NetworkCase(case.base_mva, case.buses, (branch,), case.gens, case.slack_bus)
-    ).dense()
+    ).matrix.toarray()
     ys = 1 / 0.1j
     t = tap * np.exp(1j * shift)
     assert Y[0, 0] == pytest.approx(ys / tap**2)
@@ -71,7 +71,7 @@ def test_tap_and_shift_stamps():
 
 def test_row_sums_vanish_without_shunts():
     case = make_star(loads=((1.0, 0.2), (0.4, 0.1), (0.3, 0.0), (0.2, 0.05)))
-    Y = build_admittance(case).dense()
+    Y = build_admittance(case).matrix.toarray()
     assert np.abs(Y.sum(axis=1)).max() < 1e-12
 
 

@@ -6,15 +6,22 @@ import numpy as np
 import pytest
 
 from pfcert.admittance import reduce_case
-from pfcert.certificate import REASON_LEVEL, certify, certify_dvijotham, certify_wang, voltage_bounds
+from pfcert.certificate import (
+    REASON_LEVEL,
+    certify,
+    certify_dvijotham,
+    certify_wang,
+    estimate_contraction,
+    voltage_bounds,
+)
 from pfcert.cli import certificate_to_dict, voltage_bounds_to_dict
 from pfcert.fixed_point import evaluate_F
 from pfcert.limits import lambda_all, prepare
 from pfcert.net_model import load_case_file
-from pfcert.stress import NoCertificate, StressMeasures, compute_stress
+from pfcert.stress import DiscRadii, NoCertificate, StressMeasures, compute_stress
 
 from conftest import BUNDLED, case_path, make_two_bus, random_loads, random_ztilde
-from reference_values import two_bus_analytic
+from reference_values import reference_contraction, two_bus_analytic
 
 ZT = np.array([[0.1j]])
 
@@ -232,6 +239,7 @@ def assert_mu_is_exact(m):
     reference = sampled_mu(m, cert.radii)
     assert cert.mu_bound >= reference
     assert cert.mu_bound == pytest.approx(reference, rel=1e-6)
+    assert cert.mu_bound == reference_contraction(m, cert.radii)  # bit for bit
     return cert.mu_bound
 
 
@@ -266,3 +274,32 @@ def test_mu_bound_below_one_up_to_the_limit(name):
     for fraction in np.linspace(0.02, 0.999, 40):
         cert = certify(compute_stress(red.Ztilde, fraction * lam * S))
         assert cert.holds and 0.0 <= cert.mu_bound < 1.0
+
+
+def synthetic_measures(eta, xi):
+    """Stress measures from given per-bus eta and xi, gamma as compute_stress forms it."""
+    eta, xi = np.asarray(eta, dtype=complex), np.asarray(xi, dtype=float)
+    gamma = 2.0 * (xi + eta.real) - xi**2 - np.abs(eta) ** 2
+    g, x, e = float(gamma.max()), float(xi.max()), float(np.abs(eta).max())
+    return StressMeasures(eta, np.abs(eta), xi, gamma, e, x, g, (1 - g - 2 * x * e) * (1 - g + 2 * x * e))
+
+
+def test_mu_bound_skips_radii_whose_discs_reach_the_origin():
+    # bus 0's disc reaches the origin once r * 0.5 >= 1, at r = 2, so only
+    # the leading radii are admissible; past that, bus 1 alone would give a
+    # smaller (and meaningless) value, so a radius let in by mistake shows
+    m = synthetic_measures([0.0, 0.3 + 0.1j], [0.5, 0.05])
+    radii = DiscRadii(r_lo=0.5, r_hi=4.0)
+    grid = radii.r_lo + np.linspace(1.0 / 64, 63.0 / 64, 63) * (radii.r_hi - radii.r_lo)
+    reaches = (grid[:, None] * m.xi >= np.abs(1.0 - m.eta_complex)).any(axis=1)
+    assert not reaches[0] and reaches[-1]
+    mu = estimate_contraction(m, radii)
+    assert mu is not None and 0.0 < mu < 1.0
+    assert mu == reference_contraction(m, radii)
+
+
+def test_mu_bound_is_none_when_no_radius_is_admissible():
+    m = synthetic_measures([0.0, 0.3 + 0.1j], [0.5, 0.05])
+    radii = DiscRadii(r_lo=2.5, r_hi=4.0)  # r * 0.5 >= 1.25 > |1 - eta_0| on the whole grid
+    assert estimate_contraction(m, radii) is None
+    assert reference_contraction(m, radii) is None

@@ -14,9 +14,8 @@ import scipy.sparse.linalg as spla
 import pfcert
 from pfcert import admittance, cli, oracle
 from pfcert.cli import main
-from pfcert.net_model import emit_json
 
-from conftest import TWO_BUS_MATPOWER, case_path, make_weak_tie_star
+from conftest import TWO_BUS_MATPOWER, case_path, emit_json, make_weak_tie_star
 from reference_values import two_bus_analytic
 
 
@@ -111,6 +110,16 @@ def test_non_finite_scale_is_an_input_error(command, value, two_bus_file, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     message = f"pfcert {command}: argument --scale: invalid finite value: '{value}'"
+    assert json.loads(captured.err) == {"error": "input", "message": message}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tol_is_an_input_error(value, two_bus_file, capsys):
+    """Rejected by argparse: a NaN tolerance never stops the loop, and an infinite one stops it at once."""
+    assert run(["solve", "--case", two_bus_file, f"--tol={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"pfcert solve: argument --tol: invalid finite value: '{value}'"
     assert json.loads(captured.err) == {"error": "input", "message": message}
 
 

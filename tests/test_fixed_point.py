@@ -1,18 +1,20 @@
 """Fixed-point map evaluation, iteration, containment, and rate certification."""
 
+import math
+
 import numpy as np
 import pytest
 
 from pfcert.admittance import reduce_case, renormalize_about_solution
 from pfcert.certificate import certify
-from pfcert.fixed_point import check_convergence_rate, evaluate_F, solve_fixed_point
-from pfcert.limits import prepare
+from pfcert.fixed_point import evaluate_F, solve_fixed_point
+from pfcert.limits import lambda_all, prepare
 from pfcert.net_model import load_case_file
 from pfcert.oracle import newton_solve
 from pfcert.stress import compute_stress
 
 from conftest import BUNDLED, case_path, make_star, make_two_bus
-from reference_values import two_bus_analytic
+from reference_values import check_convergence_rate, reference_fixed_point, two_bus_analytic
 
 HIGH = two_bus_analytic(2.5, 0.0, 0.1)[0]
 
@@ -90,6 +92,61 @@ def test_agrees_with_newton():
     nt = newton_solve(case, S, tol=1e-10)
     assert fp.converged and nt.converged
     assert np.abs(fp.V_L - nt.V_L).max() < 1e-6
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_tol_must_be_positive_and_finite(tol):
+    red = reduce_case(make_two_bus())
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solve_fixed_point(red, np.array([2.5 + 0j]), tol=tol)
+
+
+def assert_same_solve(res, ref):
+    """Equal in every field: the floats by their bits, the arrays by np.array_equal."""
+    assert [x.hex() for x in res.trace] == [x.hex() for x in ref.trace]
+    assert res.residual.hex() == ref.residual.hex()
+    assert (res.iterations, res.converged, res.note) == (ref.iterations, ref.converged, ref.note)
+    assert np.array_equal(res.u, ref.u) and np.array_equal(res.V_L, ref.V_L)
+    assert (res.iterates is None) == (ref.iterates is None)
+    if res.iterates is not None:
+        assert len(res.iterates) == len(ref.iterates)
+        assert all(np.array_equal(a, b) for a, b in zip(res.iterates, ref.iterates))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_solve_matches_the_reference_loop_on_bundled_cases(name):
+    red, S0 = prepare(load_case_file(case_path(f"{name}.m")))
+    base = solve_fixed_point(red, S0, tol=1e-12)
+    assert base.converged
+    known = renormalize_about_solution(red, base.u, S0)
+    assert known.S0.any()
+    for r, direction, offset in ((red, S0, 0.0), (known, S0, S0)):
+        lam = lambda_all(r, direction).lambda_p
+        for fraction in (0.25, 0.5, 0.95):
+            S = offset + fraction * lam * direction
+            res = solve_fixed_point(r, S)
+            assert res.converged
+            assert_same_solve(res, reference_fixed_point(r, S))
+
+
+def test_solve_matches_the_reference_loop_when_recording_iterates():
+    red, S = prepare(load_case_file(case_path("case39.m")))
+    S = 0.9 * lambda_all(red, S).lambda_p * S
+    start = np.full(red.n_load, 0.9 + 0.1j)
+    res = solve_fixed_point(red, S, start=start, record_iterates=True)
+    assert res.converged and len(res.iterates) == res.iterations + 1
+    assert_same_solve(res, reference_fixed_point(red, S, start=start, record_iterates=True))
+
+
+def test_solve_matches_the_reference_loop_on_its_failure_paths():
+    red = reduce_case(make_two_bus())
+    for S, max_iter, note in (
+        (np.array([2.5 + 0j]), 3, "no convergence within 3 iterations"),
+        (np.array([10.0 + 0j]), 300, "diverged: iterate magnitude fell below the inversion cutoff"),
+    ):
+        res = solve_fixed_point(red, S, max_iter=max_iter, record_iterates=True)
+        assert res.note == note
+        assert_same_solve(res, reference_fixed_point(red, S, max_iter=max_iter, record_iterates=True))
 
 
 def test_known_solution_recentering_solves_increment():

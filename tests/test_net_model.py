@@ -11,7 +11,6 @@ from pfcert.net_model import (
     GenRecord,
     IslandError,
     build_case,
-    emit_json,
     excluded_gen_bus_demand,
     load_case,
     load_case_file,
@@ -19,7 +18,7 @@ from pfcert.net_model import (
     validate_connectivity,
 )
 
-from conftest import TWO_BUS_MATPOWER, case_path, make_star, make_two_bus
+from conftest import TWO_BUS_MATPOWER, case_path, emit_json, make_star, make_two_bus
 
 
 def test_two_bus_matpower_parse():
