@@ -30,7 +30,8 @@ def patch(path: Path) -> None:
         cols[7] = f"{abs(v):.7g}"
         cols[8] = f"{np.degrees(np.angle(v)):.7g}"
         out_rows.append("\t" + "\t".join(cols) + ";")
-    text = text[: m.start(1)] + "\n" + "\n".join(out_rows) + "\n" + text[m.end(1):]
+    # the body's first line is the rest of the "mpc.bus = [" line, kept as it is
+    text = text[: m.start(1)] + "\n".join(out_rows) + "\n" + text[m.end(1):]
     path.write_text(text)
     print(f"patched {path.name}")
 

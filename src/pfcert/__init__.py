@@ -23,6 +23,7 @@ from .certificate import (
     ShellCertificate,
     VoltageBounds,
     certify,
+    certify_all,
     certify_dvijotham,
     certify_wang,
     voltage_bounds,

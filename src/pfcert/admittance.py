@@ -37,24 +37,20 @@ class AdmittanceMatrix:
     """Complex bus admittance matrix in the generators-first bus ordering."""
 
     matrix: sp.csc_matrix
-    bus_order: tuple[int, ...]
+    bus_order: tuple[int, ...]  # the partition: generator ids, then load ids
     n_gen: int
-
-    @property
-    def dimension(self) -> int:
-        return len(self.bus_order)
 
 
 @dataclass(frozen=True)
 class GridReduction:
     """The one per-network object: the load-block factor and what it gives.
 
-    Built by reduce_network with Y_LL factored once. The dense matrices are
-    formed on first use: Z inverts Y_LL, Zhat is Z normalized by E (units
-    1/power in the per-unit system), and Ztilde additionally normalizes by a
-    known solution v0, equal to Zhat when v0 = 1, S0 = 0. Zhat and the
-    oracle's Newton kernel are kept in a cache that the re-centered copies of
-    renormalize_about_solution share.
+    Built by reduce_network, from a case by reduce_case, with Y_LL factored
+    once. The dense matrices are formed on first use: Z inverts Y_LL, Zhat is
+    Z normalized by E (units 1/power in the per-unit system), and Ztilde
+    additionally normalizes by a known solution v0, equal to Zhat when v0 = 1,
+    S0 = 0. Zhat and the oracle's Newton kernel are kept in a cache that the
+    re-centered copies of renormalize_about_solution share.
     """
 
     generator_ids: tuple[int, ...]
@@ -109,16 +105,15 @@ class GridReduction:
         return self._shared["kernel"]
 
 
-def build_admittance(case: NetworkCase, partition=None) -> AdmittanceMatrix:
-    """Assemble the nodal admittance matrix from branch pi-models and bus shunts.
+def build_admittance(case: NetworkCase) -> AdmittanceMatrix:
+    """Assemble the nodal admittance matrix from branch pi-models and bus shunts,
+    in the order of partition_buses(case).
 
     Branch stamps follow the from-side off-nominal tap convention: with series
     admittance y, charging b, tap t and shift phi, the from/to blocks are
     (y + jb/2)/t^2, -y/(t e^{-j phi}), -y/(t e^{j phi}), y + jb/2.
     """
-    if partition is None:
-        partition = partition_buses(case)
-    generator_ids, load_ids = partition
+    generator_ids, load_ids = partition_buses(case)
     order = generator_ids + load_ids
     pos = {bus_id: k for k, bus_id in enumerate(order)}
     n = len(order)
@@ -158,14 +153,13 @@ def build_admittance(case: NetworkCase, partition=None) -> AdmittanceMatrix:
     return AdmittanceMatrix(matrix=matrix, bus_order=order, n_gen=len(generator_ids))
 
 
-def reduce_network(Y: AdmittanceMatrix, partition, V_G: np.ndarray) -> GridReduction:
-    """Factorize Y_LL once and solve for E.
+def reduce_network(Y: AdmittanceMatrix, V_G: np.ndarray) -> GridReduction:
+    """Factorize Y_LL once and solve for E, with V_G in Y's generator order.
 
     Returns the reduction in the no-known-solution normalization (v0 = 1,
     S0 = 0, Ztilde = Zhat).
     """
-    generator_ids, load_ids = partition
-    m, n = len(generator_ids), len(load_ids)
+    m, n = Y.n_gen, len(Y.bus_order) - Y.n_gen
     if n < 1:
         raise CaseError("reduction requires at least one load bus")
     V_G = np.asarray(V_G, dtype=complex)
@@ -186,8 +180,8 @@ def reduce_network(Y: AdmittanceMatrix, partition, V_G: np.ndarray) -> GridReduc
         raise SingularNetworkError("equivalent voltage E has non-finite or (near-)zero entries")
 
     return GridReduction(
-        generator_ids=tuple(generator_ids),
-        load_ids=tuple(load_ids),
+        generator_ids=Y.bus_order[:m],
+        load_ids=Y.bus_order[m:],
         Y=Y.matrix,
         Y_LL=Y_LL,
         lu=lu,
@@ -198,13 +192,22 @@ def reduce_network(Y: AdmittanceMatrix, partition, V_G: np.ndarray) -> GridReduc
     )
 
 
-def reduce_case(case: NetworkCase, V_G: np.ndarray | None = None) -> GridReduction:
-    """build_admittance + reduce_network with generator phasors from the case."""
-    partition = partition_buses(case)
-    Y = build_admittance(case, partition)
-    if V_G is None:
-        V_G = generator_phasors(case, partition[0])
-    return reduce_network(Y, partition, V_G)
+def reduce_case(case: NetworkCase, gen_phasors: str = "case") -> GridReduction:
+    """The reduction of a case: build_admittance, then reduce_network.
+
+    gen_phasors selects where the fixed generator phasors come from:
+    "case" uses setpoint magnitudes with case-file angles, "solved" fixes
+    them from a conventional solved base case. The admittance matrix is
+    assembled once, for the base case and the reduction alike.
+    """
+    if gen_phasors not in ("case", "solved"):
+        raise CaseError(f"unknown gen_phasors mode {gen_phasors!r} (expected 'case' or 'solved')")
+    Y = build_admittance(case)
+    if gen_phasors == "case":
+        return reduce_network(Y, generator_phasors(case, Y.bus_order[: Y.n_gen]))
+    from .oracle import solved_generator_phasors  # oracle imports this module
+
+    return reduce_network(Y, solved_generator_phasors(case, Y))
 
 
 def fixed_point_residual(red: GridReduction, v: np.ndarray, S: np.ndarray) -> float:

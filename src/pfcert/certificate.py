@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admittance import GridReduction
-from .stress import DiscRadii, NoCertificate, StressMeasures, compute_radii
+from .stress import DiscRadii, NoCertificate, StressMeasures, compute_radii, compute_stress
 
 REASON_LEVEL = "stress_level"
 REASON_SPREAD = "stress_spread"
@@ -137,16 +137,33 @@ def estimate_contraction(m: StressMeasures, radii: DiscRadii) -> float | None:
     return best if best < 1.0 else None
 
 
-def certify_wang(m_base: StressMeasures | None, m_incr: StressMeasures) -> ShellCertificate:
+def certify_all(red: GridReduction, S: np.ndarray) -> tuple[Certificate, ShellCertificate, ShellCertificate]:
+    """The polydisc, Wang and Dvijotham certificates at total load S on red.
+
+    The increment is sigma = S - red.S0: the stress measures follow S and
+    sigma, and Wang's condition takes xi at S0 and at sigma. From zero load
+    these are 0 and xi(S), which take no stress calls of their own.
+    """
+    sigma = S - red.S0
+    m = compute_stress(red.Ztilde, S, sigma)
+    if red.S0.any():
+        wang = certify_wang(compute_stress(red.Ztilde, red.S0), compute_stress(red.Ztilde, sigma))
+    else:
+        wang = _wang(0.0, m.xi_max)
+    return certify(m), wang, certify_dvijotham(m)
+
+
+def certify_wang(m_base: StressMeasures, m_incr: StressMeasures) -> ShellCertificate:
     """Baseline shell certificate driven by xi alone.
 
-    m_base carries xi at the known base load S0 (None for S0 = 0, the
-    from-scratch mode, where xi(S0) = 0), m_incr carries xi at the increment
-    sigma. Requires xi(S0) < 1; holds when (1 - xi(S0))^2 - 4 xi(sigma) > 0
-    (strict).
+    m_base carries xi at the known base load S0 (zero load from scratch),
+    m_incr carries xi at the increment sigma. Requires xi(S0) < 1; holds
+    when (1 - xi(S0))^2 - 4 xi(sigma) > 0 (strict).
     """
-    xi0 = 0.0 if m_base is None else m_base.xi_max
-    xis = m_incr.xi_max
+    return _wang(m_base.xi_max, m_incr.xi_max)
+
+
+def _wang(xi0: float, xis: float) -> ShellCertificate:
     if xi0 >= 1.0:
         raise NoCertificate(f"xi at the base load is {xi0:.6g} >= 1; shell condition undefined")
     disc = (1.0 - xi0) ** 2 - 4.0 * xis

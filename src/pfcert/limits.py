@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import oracle
-from .admittance import GridReduction, build_admittance, reduce_network
-from .certificate import certify, certify_dvijotham, certify_wang, voltage_bounds
-from .net_model import CaseError, NetworkCase, generator_phasors, load_power_vector, partition_buses
+from .admittance import GridReduction, reduce_case
+from .certificate import certify_all, voltage_bounds
+from .net_model import CaseError, NetworkCase, load_power_vector
 from .stress import StressMeasures, compute_stress
 
 
@@ -53,22 +53,8 @@ class SweepResult:
 
 
 def prepare(case: NetworkCase, gen_phasors: str = "case") -> tuple[GridReduction, np.ndarray]:
-    """Reduce a case and extract its base load vector.
-
-    gen_phasors selects where the fixed generator phasors come from:
-    "case" uses setpoint magnitudes with case-file angles, "solved" fixes
-    them from a conventional solved base case. The admittance matrix is
-    assembled once, for the base case and the reduction alike.
-    """
-    if gen_phasors not in ("case", "solved"):
-        raise CaseError(f"unknown gen_phasors mode {gen_phasors!r} (expected 'case' or 'solved')")
-    partition = partition_buses(case)
-    Y = build_admittance(case, partition)
-    if gen_phasors == "case":
-        V_G = generator_phasors(case, partition[0])
-    else:
-        V_G = oracle.solved_generator_phasors(case, Y)
-    red = reduce_network(Y, partition, V_G)
+    """reduce_case(case, gen_phasors) and the case's base load vector."""
+    red = reduce_case(case, gen_phasors)
     return red, load_power_vector(case, red.load_ids)
 
 
@@ -291,6 +277,8 @@ def bound_profile(
 ):
     """Voltage-magnitude lower bounds at one bus as the whole system load scales.
 
+    Grid point lambda is the total load lambda S_base, on a re-centered
+    reduction too (its certificates then take the increment from red.S0).
     Per grid point: the lower bound from each certificate's region (absent
     once that condition stops holding) and the actual solved voltage (absent
     once the Newton oracle stops converging). Absence is data, not an error.
@@ -307,19 +295,9 @@ def bound_profile(
     rows = []
     for lam in lambda_grid:
         S = lam * S_base
-        m = compute_stress(red.Ztilde, S)
-
-        cert = certify(m)
-        if cert.holds:
-            vb = voltage_bounds(cert, red)
-            proposed = float(vb.magnitude_low[k])
-        else:
-            proposed = None
-
-        wang = certify_wang(None, m)
+        cert, wang, dvij = certify_all(red, S)
+        proposed = float(voltage_bounds(cert, red).magnitude_low[k]) if cert.holds else None
         wang_low = scale * wang.magnitude_interval()[0] if wang.holds else None
-
-        dvij = certify_dvijotham(m)
         dvij_low = scale * dvij.magnitude_interval()[0] if dvij.holds else None
 
         actual = None

@@ -3,7 +3,9 @@
 Cases are normalized to per-unit on the system MVA base with angles in
 radians. Buses are split into generator buses (voltage phasor fixed) and
 load buses (complex demand fixed), generators first; that ordering fixes
-the row/column permutation used by every downstream matrix.
+the row/column permutation used by every downstream matrix. Which buses
+hold a generator, and at which setpoint, is decided once, by
+NetworkCase.generator_buses.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +48,6 @@ class IslandError(CaseError):
 @dataclass(frozen=True)
 class BusRecord:
     id: int
-    kind: str  # "generator" or "load", derived from in-service gen records
     demand: complex  # consumed power, per-unit (positive = consumption)
     shunt: complex  # shunt admittance G + jB, per-unit
     voltage_magnitude: float
@@ -70,6 +73,11 @@ class GenRecord:
     in_service: bool = True
 
 
+class GeneratorBus(NamedTuple):
+    setpoint: float  # voltage magnitude the bus holds: its first in-service generator's
+    active_power: float  # scheduled output of all its in-service generators, per-unit
+
+
 @dataclass(frozen=True)
 class NetworkCase:
     base_mva: float
@@ -81,13 +89,28 @@ class NetworkCase:
     def bus(self, bus_id: int) -> BusRecord:
         return self._bus_index[bus_id]
 
-    @property
+    @cached_property
     def _bus_index(self) -> dict[int, BusRecord]:
-        idx = getattr(self, "_bus_index_cache", None)
-        if idx is None:
-            idx = {b.id: b for b in self.buses}
-            object.__setattr__(self, "_bus_index_cache", idx)
-        return idx
+        return {b.id: b for b in self.buses}
+
+    @cached_property
+    def generator_buses(self) -> dict[int, GeneratorBus]:
+        """The generator model, decided here once: every bus hosting an in-service
+        generator, in order of first appearance in gens. The bus holds the first such
+        generator's setpoint, with a warning when a later one disagrees."""
+        record: dict[int, GeneratorBus] = {}
+        for g in self.gens:
+            if not g.in_service:
+                continue
+            first = record.get(g.bus, GeneratorBus(g.voltage_setpoint, 0.0))
+            if abs(first.setpoint - g.voltage_setpoint) > 1e-6:
+                warnings.warn(
+                    f"bus {g.bus}: multiple in-service generators disagree on voltage "
+                    f"setpoint ({first.setpoint} vs {g.voltage_setpoint}); keeping the first",
+                    stacklevel=3,
+                )
+            record[g.bus] = first._replace(active_power=first.active_power + g.active_power)
+        return record
 
 
 def build_case(
@@ -97,7 +120,7 @@ def build_case(
     gens: list[GenRecord],
     slack_bus: int | None = None,
 ) -> NetworkCase:
-    """Derive bus kinds, validate structural invariants, and freeze the case.
+    """Validate structural invariants and freeze the case.
 
     Partition counts (at least one generator and one load bus) are checked by
     partition_buses, not here, so pathological cases can still be constructed
@@ -122,52 +145,35 @@ def build_case(
         if br.in_service and br.series_impedance == 0:
             raise CaseError(f"in-service branch {br.from_bus}-{br.to_bus} has zero series impedance")
 
-    gen_buses: set[int] = set()
-    setpoint: dict[int, float] = {}
     for g in gens:
         if g.bus not in seen:
             raise CaseError(f"generator references unknown bus {g.bus}")
-        if not g.in_service:
-            continue
-        if g.voltage_setpoint <= 0:
-            raise CaseError(f"generator at bus {g.bus} has non-positive voltage setpoint")
-        if g.bus in setpoint:
-            if abs(setpoint[g.bus] - g.voltage_setpoint) > 1e-6:
-                warnings.warn(
-                    f"bus {g.bus}: multiple in-service generators disagree on voltage "
-                    f"setpoint ({setpoint[g.bus]} vs {g.voltage_setpoint}); keeping the first",
-                    stacklevel=2,
-                )
-        else:
-            setpoint[g.bus] = g.voltage_setpoint
-        gen_buses.add(g.bus)
-
-    typed = []
-    for b in buses:
-        kind = "generator" if b.id in gen_buses else "load"
-        if kind == "generator" and b.voltage_magnitude <= 0:
-            raise CaseError(f"generator bus {b.id} has non-positive voltage magnitude")
-        typed.append(replace(b, kind=kind))
 
     if slack_bus is not None and slack_bus not in seen:
         raise CaseError(f"slack bus {slack_bus} is not a bus in the case")
 
-    return NetworkCase(
+    case = NetworkCase(
         base_mva=float(base_mva),
-        buses=tuple(typed),
+        buses=tuple(buses),
         branches=tuple(branches),
         gens=tuple(gens),
         slack_bus=slack_bus,
     )
+    for bus_id, gen in case.generator_buses.items():
+        if gen.setpoint <= 0:
+            raise CaseError(f"generator at bus {bus_id} has non-positive voltage setpoint")
+        if case.bus(bus_id).voltage_magnitude <= 0:
+            raise CaseError(f"generator bus {bus_id} has non-positive voltage magnitude")
+    return case
 
 
 def partition_buses(case: NetworkCase) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split bus ids into (generator_ids, load_ids), each sorted ascending.
 
-    A bus is a generator bus iff it hosts at least one in-service generator.
-    The concatenation generators-first defines the global matrix ordering.
+    A bus is a generator bus iff case.generator_buses records it. The
+    concatenation generators-first defines the global matrix ordering.
     """
-    gen_buses = {g.bus for g in case.gens if g.in_service}
+    gen_buses = case.generator_buses
     generator_ids = tuple(sorted(b.id for b in case.buses if b.id in gen_buses))
     load_ids = tuple(sorted(b.id for b in case.buses if b.id not in gen_buses))
     if not generator_ids:
@@ -199,12 +205,9 @@ def validate_connectivity(case: NetworkCase) -> None:
 
 def generator_phasors(case: NetworkCase, generator_ids: tuple[int, ...]) -> np.ndarray:
     """Fixed phasors for the generator buses: setpoint magnitude, case-file angle."""
-    setpoint: dict[int, float] = {}
-    for g in case.gens:
-        if g.in_service and g.bus not in setpoint:
-            setpoint[g.bus] = g.voltage_setpoint
+    gen = case.generator_buses
     return np.array(
-        [setpoint[i] * cmath.exp(1j * case.bus(i).voltage_angle) for i in generator_ids],
+        [gen[i].setpoint * cmath.exp(1j * case.bus(i).voltage_angle) for i in generator_ids],
         dtype=complex,
     )
 
@@ -221,8 +224,7 @@ def excluded_gen_bus_demand(case: NetworkCase) -> dict[int, complex]:
     local demand, so these loads do not enter the load power vector; they are
     reported so output metadata can flag the exclusion.
     """
-    gen_buses = {g.bus for g in case.gens if g.in_service}
-    return {b.id: b.demand for b in case.buses if b.id in gen_buses and b.demand != 0}
+    return {b.id: b.demand for b in case.buses if b.id in case.generator_buses and b.demand != 0}
 
 
 def load_case(source: str, format: str = "matpower") -> NetworkCase:
@@ -333,7 +335,6 @@ def _parse_matpower(source: str) -> NetworkCase:
         buses.append(
             BusRecord(
                 id=bus_id,
-                kind="load",
                 demand=complex(row[2], row[3]) / base,
                 shunt=complex(row[4], row[5]) / base,
                 voltage_magnitude=row[7],
@@ -413,7 +414,6 @@ def _parse_json(source: str) -> NetworkCase:
         buses = [
             BusRecord(
                 id=int(b["id"]),
-                kind="load",
                 demand=_as_complex(b.get("demand", [0, 0]), f"bus {b.get('id')}: demand"),
                 shunt=_as_complex(b.get("shunt", [0, 0]), f"bus {b.get('id')}: shunt"),
                 voltage_magnitude=float(b.get("voltage_magnitude", 1.0)),

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg._dsolve import _superlu
 
 from .admittance import AdmittanceMatrix, GridReduction, SingularNetworkError, build_admittance, reduce_case
-from .net_model import CaseError, NetworkCase, load_power_vector, partition_buses
+from .net_model import CaseError, NetworkCase, load_power_vector
 
 
 @dataclass(frozen=True)
@@ -224,15 +224,11 @@ def newton_base_case(
     slack_bus = case.slack_bus if case.slack_bus in generator_ids else generator_ids[0]
     non_slack = np.delete(np.arange(nb), order.index(slack_bus))  # voltage-controlled, then load buses
 
-    setpoint = {}
-    p_sched = np.zeros(nb)
-    for g in case.gens:
-        if g.in_service:
-            setpoint.setdefault(g.bus, g.voltage_setpoint)
-            p_sched[order.index(g.bus)] += g.active_power
+    gen = case.generator_buses
+    p_sched = np.array([gen[bus].active_power if bus in gen else 0.0 for bus in order])
     demand = np.array([case.bus(i).demand for i in order])
 
-    vm = np.array([setpoint.get(bus, 1.0) for bus in order])
+    vm = np.array([gen[bus].setpoint if bus in gen else 1.0 for bus in order])
     theta = np.full(nb, case.bus(slack_bus).voltage_angle)
 
     kernel = _NewtonKernel(Y.matrix, non_slack, np.arange(m, nb))
@@ -242,11 +238,10 @@ def newton_base_case(
     return {order[k]: res.V_L[k] for k in range(nb)}
 
 
-def solved_generator_phasors(case: NetworkCase, admittance: AdmittanceMatrix | None = None) -> np.ndarray:
-    """Generator phasors from a conventional solved base case, in partition order."""
+def solved_generator_phasors(case: NetworkCase, admittance: AdmittanceMatrix) -> np.ndarray:
+    """Generator phasors from a conventional solved base case, in the admittance's order."""
     phasors = newton_base_case(case, admittance=admittance)
-    generator_ids, _ = partition_buses(case)
-    return np.array([phasors[i] for i in generator_ids], dtype=complex)
+    return np.array([phasors[i] for i in admittance.bus_order[: admittance.n_gen]], dtype=complex)
 
 
 def actual_limit(

@@ -19,7 +19,6 @@ BUNDLED = ("case9", "case14", "case24_ieee_rts", "case30", "case39", "case57", "
 def _bus(bus_id, p=0.0, q=0.0, vm=1.0, va=0.0, gs=0.0, bs=0.0):
     return BusRecord(
         id=bus_id,
-        kind="load",
         demand=complex(p, q),
         shunt=complex(gs, bs),
         voltage_magnitude=vm,

@@ -9,6 +9,7 @@ from pfcert.admittance import reduce_case
 from pfcert.certificate import (
     REASON_LEVEL,
     certify,
+    certify_all,
     certify_dvijotham,
     certify_wang,
     estimate_contraction,
@@ -99,8 +100,11 @@ def test_wang_shell_examples():
 
 
 @pytest.mark.parametrize("p", [0.0, 2.4, 2.5, 3.0])
-def test_wang_without_base_measures_is_the_zero_base(p):
-    assert certify_wang(None, stress(p)) == certify_wang(stress(0.0), stress(p))
+def test_wang_from_zero_load_is_the_zero_base(p):
+    red = reduce_case(make_two_bus())
+    assert np.array_equal(red.Ztilde, ZT)
+    _, wang, _ = certify_all(red, np.array([complex(p)]))
+    assert wang == certify_wang(stress(0.0), stress(p))
 
 
 def test_dvijotham_shell_examples():

@@ -165,7 +165,7 @@ def make_triangle():
     from pfcert.net_model import BranchRecord, BusRecord, GenRecord, build_case
 
     def bus(i, p=0.0, q=0.0):
-        return BusRecord(i, "load", complex(p, q), 0j, 1.0, 0.0)
+        return BusRecord(i, complex(p, q), 0j, 1.0, 0.0)
 
     return build_case(
         100.0,
@@ -238,6 +238,17 @@ def test_bound_profile_zero_load_equals_equivalent_voltage():
     assert rows[0]["proposed"] == pytest.approx(abs(red.E[0]))
     assert rows[0]["wang"] == pytest.approx(abs(red.E[0]))
     assert rows[0]["dvijotham"] == pytest.approx(abs(red.E[0]))
+
+
+def test_bound_profile_about_a_known_solution_starts_at_it():
+    """Re-centered on the solved base point, the zero-increment certificate at
+    lambda = 1 is the single point v0, so the proposed bound is |V0| itself."""
+    case = load_case_file(case_path("case9.m"))
+    red, S = prepare(case)
+    res = newton_solve(case, S, network=red)
+    recentered = renormalize_about_solution(red, res.V_L / red.E, S)
+    rows = bound_profile(case, recentered, S, 4, [1.0], with_oracle=False)
+    assert rows[0]["proposed"] == pytest.approx(abs(res.V_L[red.load_index(4)]), abs=1e-12)
 
 
 def test_bound_profile_absence_pattern():

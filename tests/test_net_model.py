@@ -1,6 +1,9 @@
 """Parsing, validation, partitioning, and round-trip behavior of case models."""
 
+import importlib.util
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +15,14 @@ from pfcert.net_model import (
     IslandError,
     build_case,
     excluded_gen_bus_demand,
+    generator_phasors,
     load_case,
     load_case_file,
+    load_power_vector,
     partition_buses,
     validate_connectivity,
 )
+from pfcert.oracle import newton_base_case
 
 from conftest import TWO_BUS_MATPOWER, case_path, emit_json, make_star, make_two_bus
 
@@ -196,6 +202,38 @@ def test_duplicate_gen_setpoint_disagreement_warns():
     gens = [GenRecord(bus=1, voltage_setpoint=1.0), GenRecord(bus=1, voltage_setpoint=1.01)]
     with pytest.warns(UserWarning, match="disagree"):
         build_case(100.0, star.buses, list(star.branches), gens)
+
+
+def test_first_in_service_setpoint_wins_and_out_of_service_buses_stay_loads():
+    """Bus 1 has two in-service generators that disagree, and the first one's
+    setpoint is the one both the reduction's phasors and the base-case solve
+    hold; bus 2's only generator is out of service, so it stays a load bus
+    whose demand is counted, while bus 1's demand is the excluded one."""
+    star = make_star()
+    buses = [replace(star.buses[0], demand=0.2 + 0.05j), *star.buses[1:]]
+    gens = [
+        GenRecord(bus=1, voltage_setpoint=1.02),
+        GenRecord(bus=1, voltage_setpoint=1.05),
+        GenRecord(bus=2, voltage_setpoint=1.1, in_service=False),
+    ]
+    with pytest.warns(UserWarning, match="keeping the first"):
+        case = build_case(100.0, buses, list(star.branches), gens, slack_bus=1)
+    assert partition_buses(case) == ((1,), (2, 3, 4))
+    assert generator_phasors(case, (1,)).tolist() == [1.02 + 0j]
+    assert abs(newton_base_case(case)[1]) == pytest.approx(1.02, abs=1e-12)
+    assert load_power_vector(case, (2, 3, 4)).tolist() == [b.demand for b in star.buses[1:]]
+    assert excluded_gen_bus_demand(case) == {1: 0.2 + 0.05j}
+
+
+def test_patching_the_solved_state_again_changes_no_byte(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("patch_solved_state", root / "scripts" / "patch_solved_state.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    copy = tmp_path / "case39.m"
+    copy.write_bytes(case_path("case39.m").read_bytes())
+    script.patch(copy)
+    assert copy.read_bytes() == case_path("case39.m").read_bytes()
 
 
 def test_gen_bus_demand_is_reported_not_counted():

@@ -18,7 +18,6 @@ from pfcert.oracle import (
     actual_limit,
     newton_base_case,
     newton_solve,
-    solved_generator_phasors,
 )
 
 from conftest import case_path, make_star, make_two_bus
@@ -84,8 +83,7 @@ def test_base_case_matches_fixed_generator_solution():
     Newton run must reproduce the same load voltages."""
     case = case_path_case("case9.m")
     phasors = newton_base_case(case)
-    V_G = solved_generator_phasors(case)
-    net = reduce_case(case, V_G)
+    net = reduce_case(case, gen_phasors="solved")
     res = newton_solve(case, network=net)
     assert res.converged
     for k, bus in enumerate(net.load_ids):
