@@ -2,9 +2,9 @@
 
 Every command is one pipeline: _load the case and its reduction, compute,
 emit one artifact. Each command defines only the options it reads: all
-take --case, --format, --gen-phasors and --out; solve, limits, sweep and
-bounds also take --out-format {json,csv}, and only solve takes the
-fixed-point solver's --tol and --max-iter.
+take --case (a .json file is read as JSON, any other as MATPOWER),
+--gen-phasors and --out; solve, limits, sweep and bounds also take
+--out-format {json,csv}, and only solve takes --tol and --max-iter.
 
 Exit codes: 0 success, 1 certificate does not hold (for `certify`), 2 input
 error (usage errors included), 3 numerical failure. Every error is also
@@ -173,7 +173,7 @@ def _load(args):
     reduction is re-centered on the Newton-solved base point, whose solve pins
     the reduction's own generator phasors, so it is consistent with red.E.
     """
-    case = load_case_file(args.case, args.format)
+    case = load_case_file(args.case)
     red, S_base = limits.prepare(case, args.gen_phasors)
     if getattr(args, "known_solution", False):
         res = oracle.newton_solve(case, S_base, network=red)
@@ -266,7 +266,7 @@ def cmd_limits(args) -> int:
         doc["total_scaling_w"] = 1.0 + est.lambda_w
         doc["total_scaling_d"] = 1.0 + est.lambda_d
     if args.with_oracle:
-        actual = oracle.actual_limit(case, direction=S_base, bracket=(1e-3, None), network=red)
+        actual = oracle.actual_limit(case, direction=S_base, network=red)
         doc["lambda_actual"] = actual  # a total scaling from zero load in both modes
         for key, lam in (("p", est.lambda_p), ("w", est.lambda_w), ("d", est.lambda_d)):
             bound = 1.0 + lam if est.mode == "from_known_solution" else lam
@@ -285,6 +285,8 @@ def cmd_sweep(args) -> int:
             except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
                 raise CaseError(f"bad direction file {args.direction_file}: expected "
                                 f"[phi_a_deg, phi_b_deg] pairs ({exc})") from exc
+        if not all(math.isfinite(phi) for pair in pairs for phi in pair):
+            raise CaseError(f"bad direction file {args.direction_file}: angles must be finite")
     else:
         pairs = [(2.0 * math.pi * k / args.points,) * 2 for k in range(args.points)]
     if not pairs:
@@ -344,7 +346,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_oracle_limit(args) -> int:
     case, red, S_base = _load(args)
-    lam = oracle.actual_limit(case, direction=S_base, bracket=(args.bracket_lo, args.bracket_hi), network=red)
+    lam = oracle.actual_limit(case, direction=S_base, network=red)
     _emit(args, dumps_stable({"meta": {"case": args_case_name(case)}, "lambda_actual": lam}))
     return EXIT_OK
 
@@ -372,8 +374,7 @@ def finite(text: str) -> float:
 
 
 def _add_common(p: argparse.ArgumentParser, out_format: bool = False) -> None:
-    p.add_argument("--case", required=True, help="case file path (.m or .json)")
-    p.add_argument("--format", choices=["matpower", "json"], default=None, help="case format (default: by suffix)")
+    p.add_argument("--case", required=True, help="case file path (.json: JSON form; otherwise MATPOWER)")
     p.add_argument("--gen-phasors", choices=["case", "solved"], default="case", dest="gen_phasors",
                    help="generator phasor source: case file or solved base case")
     p.add_argument("--out", default=None, help="output file (default stdout)")
@@ -429,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-limit", help="locate the actual solvability limit (the nose)")
     _add_common(p)
-    p.add_argument("--bracket-lo", type=float, default=1e-3, dest="bracket_lo")
-    p.add_argument("--bracket-hi", type=float, default=None, dest="bracket_hi")
     p.set_defaults(func=cmd_oracle_limit)
 
     return parser

@@ -34,7 +34,6 @@ class FixedPointResult:
     iterations: int
     residual: float  # ||u - F(u)||_inf at the last iterate
     trace: tuple[float, ...] | None  # per-iteration residual norms
-    iterates: tuple[np.ndarray, ...] | None  # u^0, u^1, ... when recorded
     note: str | None = None
 
 
@@ -58,7 +57,6 @@ def solve_fixed_point(
     start: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iter: int = 1000,
-    record_iterates: bool = False,
     certificate: Certificate | None = None,
 ) -> FixedPointResult:
     """Iterate u <- F(u) until ||u - F(u)||_inf < tol.
@@ -71,7 +69,8 @@ def solve_fixed_point(
     tol (0 < tol < inf) and start (no zero entry) are checked once per
     solve, and the steps apply F without evaluate_F's checks: no iterate
     with a zero entry is ever mapped, since the loop stops as soon as an
-    entry falls below DIVERGENCE_CUTOFF in magnitude.
+    entry falls below DIVERGENCE_CUTOFF in magnitude. With max_iter=k and
+    no earlier convergence, u is the k-th iterate from start.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -81,7 +80,6 @@ def solve_fixed_point(
     Zt, S0c, Sc = red.Ztilde, red.S0.conj(), np.asarray(S_L, dtype=complex).conj()
 
     trace: list[float] = []
-    iterates: list[np.ndarray] = [u.copy()] if record_iterates else []
     converged = False
     note = None
     residual = math.inf
@@ -92,8 +90,6 @@ def solve_fixed_point(
         residual = float(np.abs(u - fu).max())
         trace.append(residual)
         u = fu
-        if record_iterates:
-            iterates.append(u.copy())
         if residual < tol:
             converged = True
             break
@@ -120,6 +116,5 @@ def solve_fixed_point(
         iterations=iterations,
         residual=residual,
         trace=tuple(trace),
-        iterates=tuple(iterates) if record_iterates else None,
         note=note,
     )

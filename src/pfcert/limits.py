@@ -141,11 +141,11 @@ def _positive_scalar_ratio(direction: np.ndarray, S0: np.ndarray) -> float | Non
     return c
 
 
-def _first_failure(holds, lo: float = 0.0) -> float:
+def _first_failure(holds) -> float:
     """sup of the leading interval of scalings on which `holds` is true."""
-    if not holds(lo if lo > 0 else 1e-12):
+    if not holds(1e-12):
         return 0.0
-    hi = max(2.0 * lo, 1.0)
+    lo, hi = 0.0, 1.0
     for _ in range(200):
         if not holds(hi):
             break
@@ -261,7 +261,7 @@ def direction_sweep(
         S[ib] = magnitude * np.exp(1j * phi_b)
         est = lambda_all(red, S)
         if with_oracle:
-            actual = oracle.actual_limit(case, direction=S, bracket=(1e-3, None), network=red)
+            actual = oracle.actual_limit(case, direction=S, network=red)
             est = replace(est, lambda_actual=actual)
         points.append(SweepPoint(phi_a=float(phi_a), phi_b=float(phi_b), estimates=est))
     return SweepResult(bus_a=bus_a, bus_b=bus_b, magnitude=magnitude, points=tuple(points))

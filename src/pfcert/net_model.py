@@ -17,6 +17,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -124,17 +125,20 @@ def build_case(
 
     Partition counts (at least one generator and one load bus) are checked by
     partition_buses, not here, so pathological cases can still be constructed
-    and probed.
+    and probed. Every numeric field must be finite.
     """
-    if base_mva <= 0:
-        raise CaseError(f"base_mva must be positive, got {base_mva}")
+    if not 0 < base_mva < math.inf:
+        raise CaseError(f"base_mva must be positive and finite, got {base_mva}")
+    for record in (*buses, *branches, *gens):
+        for name, value in vars(record).items():
+            if not cmath.isfinite(value):
+                raise CaseError(f"non-finite {name} in {record}")
 
-    ids = [b.id for b in buses]
     seen: set[int] = set()
-    for i in ids:
-        if i in seen:
-            raise CaseError(f"duplicate bus id {i}")
-        seen.add(i)
+    for b in buses:
+        if b.id in seen:
+            raise CaseError(f"duplicate bus id {b.id}")
+        seen.add(b.id)
 
     for br in branches:
         for end in (br.from_bus, br.to_bus):
@@ -235,25 +239,24 @@ def load_case(source: str, format: str = "matpower") -> NetworkCase:
     JSON schema (see README). All quantities are converted to per-unit on
     base_mva; angles to radians.
     """
-    if format == "matpower":
-        case = _parse_matpower(source)
-    elif format == "json":
-        case = _parse_json(source)
-    else:
+    parsers = {"matpower": _parse_matpower, "json": _parse_json}
+    if format not in parsers:
         raise CaseError(f"unknown case format {format!r} (expected 'matpower' or 'json')")
+    try:
+        case = parsers[format](source)
+    except CaseError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:  # a value the parser cannot convert, such as int(NaN)
+        raise CaseError(f"bad value in the case: {exc}") from exc
     validate_connectivity(case)
     partition_buses(case)
     return case
 
 
-def load_case_file(path, format: str | None = None) -> NetworkCase:
-    """load_case on a file path, inferring the format from the suffix when unset."""
-    from pathlib import Path
-
+def load_case_file(path) -> NetworkCase:
+    """load_case on a file path: JSON for a .json suffix, MATPOWER otherwise."""
     p = Path(path)
-    if format is None:
-        format = "json" if p.suffix.lower() == ".json" else "matpower"
-    return load_case(p.read_text(encoding="utf-8"), format)
+    return load_case(p.read_text(encoding="utf-8"), "json" if p.suffix.lower() == ".json" else "matpower")
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +386,7 @@ def _parse_matrix(name: str, body: list[str], start_line: int) -> list[list[floa
         if not chunk:
             continue
         try:
-            rows.append([float(tok) for tok in re.split(r"[,\s]+", chunk) if tok])
+            rows.append([float(tok) for tok in chunk.replace(",", " ").split()])
         except ValueError as exc:
             raise CaseSyntaxError(f"bad number in matrix '{name}': {exc}", start_line)
     return rows

@@ -20,6 +20,10 @@ from scipy.sparse.linalg._dsolve import _superlu
 from .admittance import AdmittanceMatrix, GridReduction, SingularNetworkError, build_admittance, reduce_case
 from .net_model import CaseError, NetworkCase, load_power_vector
 
+NEWTON_TOL = 1e-8  # per-unit power mismatch of a converged Newton solve or corrector
+NEWTON_MAX_ITER = 30  # iterations per solve at a fixed loading
+CORRECTOR_MAX_ITER = 40  # iterations per continuation corrector
+
 
 @dataclass(frozen=True)
 class NewtonResult:
@@ -87,13 +91,12 @@ class _NewtonKernel:
         return _superlu.gstrf(len(indptr) - 1, len(data), data, indices, indptr, csc_construct_func=sp.csc_array,
                               ilu=False, options=dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None))
 
-    def run(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, S_spec: np.ndarray, tol: float,
-            max_iter: int) -> NewtonResult:
-        """Iterate from the polar start (theta, vm) until max |V conj(Y V) - S_spec| over the
-        equations is below tol; V outside ang and mag stays fixed, and V_L of the result is
-        the whole bus-voltage vector. A singular or non-finite Jacobian gives converged=False."""
+    def run(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, S_spec: np.ndarray, tol: float) -> NewtonResult:
+        """Iterate from the polar start (theta, vm), NEWTON_MAX_ITER times at most, until max
+        |V conj(Y V) - S_spec| over the equations is below tol; V outside ang and mag stays fixed,
+        and V_L is the whole bus-voltage vector. A singular or non-finite Jacobian gives converged=False."""
         y = np.concatenate([theta[self.ang], vm[self.mag], [0.0]])
-        return self.correct(V, theta, vm, y, S_spec, None, len(y) - 1, tol, max_iter)[0]
+        return self.correct(V, theta, vm, y, S_spec, None, len(y) - 1, tol, NEWTON_MAX_ITER)[0]
 
     @np.errstate(all="ignore")  # overflow and 0/0 surface as the non-finite values checked below
     def correct(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, y: np.ndarray, S_spec: np.ndarray,
@@ -181,8 +184,7 @@ def newton_solve(
     case: NetworkCase,
     S_L: np.ndarray | None = None,
     start: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 30,
+    tol: float = NEWTON_TOL,
     network: GridReduction | None = None,
 ) -> NewtonResult:
     """Solve the load-bus power-flow equations with fixed generator phasors.
@@ -199,12 +201,12 @@ def newton_solve(
         S_L = load_power_vector(case, net.load_ids)
     V = np.concatenate([net.V_G, net.E if start is None else np.asarray(start, dtype=complex)])
     S_spec = np.concatenate([np.zeros(m), -np.asarray(S_L, dtype=complex)])
-    res = net.kernel.run(V, np.angle(V), np.abs(V), S_spec, tol, max_iter)
+    res = net.kernel.run(V, np.angle(V), np.abs(V), S_spec, tol)
     return replace(res, V_L=res.V_L[m:])
 
 
 def newton_base_case(
-    case: NetworkCase, tol: float = 1e-8, max_iter: int = 30, admittance: AdmittanceMatrix | None = None
+    case: NetworkCase, tol: float = NEWTON_TOL, admittance: AdmittanceMatrix | None = None
 ) -> dict[int, complex]:
     """Conventional slack / voltage-controlled / load power flow on the whole case.
 
@@ -232,7 +234,7 @@ def newton_base_case(
     theta = np.full(nb, case.bus(slack_bus).voltage_angle)
 
     kernel = _NewtonKernel(Y.matrix, non_slack, np.arange(m, nb))
-    res = kernel.run(vm * np.exp(1j * theta), theta, vm, p_sched - demand, tol, max_iter)
+    res = kernel.run(vm * np.exp(1j * theta), theta, vm, p_sched - demand, tol)
     if not res.converged:
         raise SingularNetworkError(f"base-case power flow did not converge ({res.iterations} iterations)")
     return {order[k]: res.V_L[k] for k in range(nb)}
@@ -247,11 +249,9 @@ def solved_generator_phasors(case: NetworkCase, admittance: AdmittanceMatrix) ->
 def actual_limit(
     case: NetworkCase,
     direction: np.ndarray | None = None,
-    bracket: tuple[float, float | None] = (1.0, None),
+    bracket: tuple[float, float | None] = (1e-3, None),
     tol: float = 1e-4,
     network: GridReduction | None = None,
-    newton_tol: float = 1e-8,
-    newton_max_iter: int = 40,
 ) -> float:
     """True solvability limit along a loading direction: the nose of its P-V curve.
 
@@ -259,19 +259,19 @@ def actual_limit(
     solution branch through the solved point at lambda = bracket[0], which
     must be feasible, by continuation (Ajjarapu & Christy 1992) to the
     saddle-node point (Canizares & Alvarado 1993). Returns the lambda of a
-    solved point within tol of the nose; newton_tol and newton_max_iter set
-    the corrector, and network is the case's reduction, from reduce_case(case)
-    when None. Raises CaseError when the nose is at or above bracket[1],
-    when lambda passes 2**60 * bracket[0], or when the corrector breaks down.
+    solved point within tol of the nose (each corrector: NEWTON_TOL within
+    CORRECTOR_MAX_ITER iterations); network is the case's reduction, from
+    reduce_case(case) when None. Raises CaseError when the nose is at or above
+    bracket[1], when lambda passes 2**60 * bracket[0], or when a corrector breaks down.
     """
     net = network if network is not None else reduce_case(case)
     if direction is None:
         direction = load_power_vector(case, net.load_ids)
-    return _nose(net, np.asarray(direction, dtype=complex), bracket, tol, newton_tol, newton_max_iter)[0]
+    return _nose(net, np.asarray(direction, dtype=complex), bracket, tol)[0]
 
 
-def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float | None], tol: float,
-          newton_tol: float, newton_max_iter: int) -> tuple[float, np.ndarray]:
+def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float | None],
+          tol: float) -> tuple[float, np.ndarray]:
     """actual_limit's lambda, and the bus voltages of the solved point it belongs to.
 
     The unknowns are y = (load angles, load magnitudes, lambda). A step
@@ -293,7 +293,7 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
     J = np.empty(len(net.kernel.indices))  # J's values, refilled by every corrector iteration of this limit
 
     def correct(y: np.ndarray, fixed: int) -> tuple[NewtonResult, np.ndarray, np.ndarray | None]:
-        res, y, t = net.kernel.correct(V, theta, vm, y, np.zeros_like(V), d, fixed, newton_tol, newton_max_iter, J)
+        res, y, t = net.kernel.correct(V, theta, vm, y, np.zeros_like(V), d, fixed, NEWTON_TOL, CORRECTOR_MAX_ITER, J)
         if res.converged and hi is not None and y[lam] >= hi:
             raise CaseError(f"upper bracket end lambda={hi} is feasible; widen the bracket")
         return res, y, t

@@ -102,42 +102,47 @@ def two_bus_analytic(p: float, q: float, x: float) -> tuple[complex, ...]:
     return (complex((1.0 + root) / 2.0, b), complex((1.0 - root) / 2.0, b))
 
 
+def fixed_point_iterates(red: GridReduction, S_L: np.ndarray) -> list:
+    """u^0 = 1, u^1, ... of solve_fixed_point's own loop, to its converged iterate:
+    u^k is the u of the same solve stopped by max_iter=k."""
+    res = solve_fixed_point(red, S_L)
+    if not res.converged:
+        raise ValueError("rate check requires a converged solve")
+    return [solve_fixed_point(red, S_L, max_iter=k).u for k in range(res.iterations + 1)]
+
+
 def check_convergence_rate(
-    result: FixedPointResult,
     cert: Certificate,
     red: GridReduction,
     S_L: np.ndarray,
 ) -> bool:
-    """Verify the certified linear decay along a recorded iterate trace.
+    """Verify the certified linear decay along the package's iterates from u^0 = 1.
 
     Every iterate must satisfy ||u^n - u_ref||_inf < r_hi xi (1 + mu)
     (2 mu / (1 + mu^2))^(n/2) against a high-precision reference solve.
     """
-    if result.iterates is None:
-        raise ValueError("result has no recorded iterates; solve with record_iterates=True")
-    if not result.converged:
-        raise ValueError("rate check requires a converged result")
     if not cert.holds or cert.mu_bound is None or not (0.0 <= cert.mu_bound < 1.0):
         raise ValueError("rate check requires a holding certificate with mu_bound < 1")
+    iterates = fixed_point_iterates(red, S_L)
 
-    ref = solve_fixed_point(red, S_L, start=result.iterates[0], tol=1e-13, max_iter=20000)
+    ref = solve_fixed_point(red, S_L, start=iterates[0], tol=1e-13, max_iter=20000)
     if not ref.converged:
         raise ValueError("high-precision reference solve did not converge")
 
     if cert.radii.degenerate:  # zero load: the map is constant, errors must vanish
-        return all(float(np.abs(un - ref.u).max()) == 0.0 for un in result.iterates[1:])
+        return all(float(np.abs(un - ref.u).max()) == 0.0 for un in iterates[1:])
 
     mu = cert.mu_bound
     prefactor = cert.radii.r_hi * cert.measures.xi_max * (1.0 + mu)
     ratio = 2.0 * mu / (1.0 + mu * mu)
-    for n, un in enumerate(result.iterates):
+    for n, un in enumerate(iterates):
         err = float(np.abs(un - ref.u).max())
         if not err < prefactor * ratio ** (n / 2.0):
             return False
     return True
 
 
-def reference_fixed_point(red, S_L, start=None, tol=1e-10, max_iter=1000, record_iterates=False):
+def reference_fixed_point(red, S_L, start=None, tol=1e-10, max_iter=1000):
     """The fixed-point loop applying evaluate_F, with all its checks, at every step."""
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -147,7 +152,6 @@ def reference_fixed_point(red, S_L, start=None, tol=1e-10, max_iter=1000, record
         raise ValueError("start vector has zero entries")
 
     trace = []
-    iterates = [u.copy()] if record_iterates else []
     converged = False
     note = None
     residual = math.inf
@@ -158,8 +162,6 @@ def reference_fixed_point(red, S_L, start=None, tol=1e-10, max_iter=1000, record
         residual = float(np.abs(u - fu).max())
         trace.append(residual)
         u = fu
-        if record_iterates:
-            iterates.append(u.copy())
         if residual < tol:
             converged = True
             break
@@ -176,7 +178,6 @@ def reference_fixed_point(red, S_L, start=None, tol=1e-10, max_iter=1000, record
         iterations=iterations,
         residual=residual,
         trace=tuple(trace),
-        iterates=tuple(iterates) if record_iterates else None,
         note=note,
     )
 

@@ -14,6 +14,7 @@ import scipy.sparse.linalg as spla
 import pfcert
 from pfcert import admittance, cli, oracle
 from pfcert.cli import main
+from pfcert.net_model import load_case_file
 
 from conftest import TWO_BUS_MATPOWER, case_path, emit_json, make_weak_tie_star
 from reference_values import two_bus_analytic
@@ -59,6 +60,35 @@ def test_certify_zero_load_prints_infinite_radii_as_null(two_bus_file, tmp_path)
     assert '"r_hi": null' in text and '"solutionless_radius": null' in text
 
 
+@pytest.mark.parametrize("command", ["certify", "limits"])
+@pytest.mark.parametrize("old, new", [
+    ("\t5\t1\t90\t30\t", "\t5\t1\tNaN\t30\t"),  # bus 5's Pd
+    ("\t1\t4\t0\t0.0576\t", "\t1\t4\t0\tInf\t"),  # branch 1-4's reactance
+    ("\t5\t1\t90\t30\t", "\tNaN\t1\t90\t30\t"),  # bus 5's number
+], ids=["bus Pd", "branch x", "bus number"])
+def test_non_finite_case_data_is_an_input_error(command, old, new, tmp_path, capsys):
+    """Unchecked, a NaN load prints null stress values and limits, and an infinite
+    reactance cuts generator bus 1 off while the rest still certifies."""
+    text = case_path("case9.m").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "case9.m"
+    path.write_text(text.replace(old, new))
+    assert run([command, "--case", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "input" and ("non-finite" in err["message"] or "NaN" in err["message"])
+
+
+def test_json_case_gives_the_matpower_artifact(tmp_path):
+    """A .json case is read as the JSON form, and its artifact is the .m case's byte for byte."""
+    path = tmp_path / "case9.json"
+    path.write_text(emit_json(load_case_file(case_path("case9.m"))))
+    out = tmp_path / "cert.json"
+    assert run(["certify", "--case", path, "--scale", 1.5, "--out", out]) == 0
+    assert out.read_bytes() == (Path(__file__).with_name("golden") / "case9.certify.1.5.json").read_bytes()
+
+
 def test_missing_case_is_exit_2(tmp_path, capsys):
     code = run(["certify", "--case", tmp_path / "missing.m"])
     assert code == 2
@@ -88,9 +118,13 @@ def test_zero_max_iter_is_exit_2(two_bus_file, capsys):
         ["certify", "--case", "{missing}"],
         ["bounds", "--case", "{case}", "--bus", "2", "--scale-grid", "1:x:0.1"],
         ["bounds", "--case", "{case}", "--bus", "2", "--scale-grid", "nan:2:0.1"],
+        ["certify", "--case", "{case}", "--format", "json"],
+        ["oracle-limit", "--case", "{case}", "--bracket-lo", "1"],
+        ["oracle-limit", "--case", "{case}", "--bracket-hi", "9"],
     ],
     ids=["no command", "certify --tol", "certify --out-format", "oracle-limit --max-iter", "bad value",
-         "solve --tol -1", "missing case", "grid not a number", "grid not finite"],
+         "solve --tol -1", "missing case", "grid not a number", "grid not finite", "certify --format",
+         "oracle-limit --bracket-lo", "oracle-limit --bracket-hi"],
 )
 def test_input_errors_are_one_json_line(args, two_bus_file, tmp_path, capsys):
     args = [a.format(case=two_bus_file, missing=tmp_path / "missing.m") for a in args]
@@ -208,7 +242,7 @@ def test_sweep_with_direction_file(two_bus_file, tmp_path):
     assert lines[3].startswith("180,270,")
 
 
-@pytest.mark.parametrize("text", ["[[0, 10], [20", "[[0, 10, 5]]", '{"a": 1}'])
+@pytest.mark.parametrize("text", ["[[0, 10], [20", "[[0, 10, 5]]", '{"a": 1}', "[[NaN, 0], [10, 20]]", "[[Infinity, 0]]"])
 def test_bad_direction_file_is_exit_2(text, tmp_path, capsys):
     directions = tmp_path / "dirs.json"
     directions.write_text(text)

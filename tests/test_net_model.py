@@ -175,6 +175,26 @@ def test_json_bad_complex_pair():
         load_case(json.dumps(doc), "json")
 
 
+@pytest.mark.parametrize("where, value", [
+    (("base_mva",), math.nan),
+    (("buses", 1, "voltage_angle_deg"), -math.inf),
+    (("buses", 1, "id"), math.nan),
+    (("branches", 0, "charging"), math.nan),
+    (("gens", 0, "voltage_setpoint"), math.inf),
+])
+def test_json_non_finite_values_rejected(where, value):
+    import json
+
+    doc = json.loads(emit_json(make_two_bus()))
+    *path, key = where
+    target = doc
+    for step in path:
+        target = target[step]
+    target[key] = value
+    with pytest.raises(CaseError, match="finite|NaN"):
+        load_case(json.dumps(doc), "json")
+
+
 def test_json_invalid_document():
     with pytest.raises(CaseSyntaxError):
         load_case("{not json", "json")
