@@ -354,7 +354,7 @@ def _parse_matpower(source: str) -> NetworkCase:
                 bus=int(row[0]),
                 voltage_setpoint=row[5],
                 active_power=row[1] / base,
-                in_service=row[7] > 0,
+                in_service=math.ceil(row[7]) > 0,  # positive; ceil raises on NaN and inf
             )
         )
 
@@ -371,7 +371,7 @@ def _parse_matpower(source: str) -> NetworkCase:
                 charging=row[4],
                 tap_ratio=tap,
                 phase_shift=math.radians(row[9]),
-                in_service=row[10] > 0,
+                in_service=math.ceil(row[10]) > 0,
             )
         )
 
@@ -434,7 +434,7 @@ def _parse_json(source: str) -> NetworkCase:
                 charging=float(br.get("charging", 0.0)),
                 tap_ratio=float(br.get("tap_ratio", 1.0)),
                 phase_shift=math.radians(float(br.get("phase_shift_deg", 0.0))),
-                in_service=bool(br.get("in_service", True)),
+                in_service=math.ceil(br.get("in_service", True)) > 0,  # as in MATPOWER: positive, NaN and inf raise
             )
             for br in doc.get("branches", [])
         ]
@@ -443,7 +443,7 @@ def _parse_json(source: str) -> NetworkCase:
                 bus=int(g["bus"]),
                 voltage_setpoint=float(g["voltage_setpoint"]),
                 active_power=float(g.get("active_power", 0.0)),
-                in_service=bool(g.get("in_service", True)),
+                in_service=math.ceil(g.get("in_service", True)) > 0,
             )
             for g in doc.get("gens", [])
         ]

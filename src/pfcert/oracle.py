@@ -250,7 +250,7 @@ def actual_limit(
     case: NetworkCase,
     direction: np.ndarray | None = None,
     bracket: tuple[float, float | None] = (1e-3, None),
-    tol: float = 1e-4,
+    tol: float = 1e-10,
     network: GridReduction | None = None,
 ) -> float:
     """True solvability limit along a loading direction: the nose of its P-V curve.
@@ -259,9 +259,10 @@ def actual_limit(
     solution branch through the solved point at lambda = bracket[0], which
     must be feasible, by continuation (Ajjarapu & Christy 1992) to the
     saddle-node point (Canizares & Alvarado 1993). Returns the lambda of a
-    solved point within tol of the nose (each corrector: NEWTON_TOL within
-    CORRECTOR_MAX_ITER iterations); network is the case's reduction, from
-    reduce_case(case) when None. Raises CaseError when the nose is at or above
+    solved point that the fold's quadratic model puts within tol of the nose,
+    whatever the path; 1e-10 is below the 9 digits the CLI prints (each
+    corrector: NEWTON_TOL within CORRECTOR_MAX_ITER iterations). network is the
+    case's reduction, from reduce_case(case) when None. Raises CaseError when the nose is at or above
     bracket[1], when lambda passes 2**60 * bracket[0], or when a corrector breaks down.
     """
     net = network if network is not None else reduce_case(case)
@@ -276,8 +277,9 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
 
     The unknowns are y = (load angles, load magnitudes, lambda). A step
     predicts along the unit tangent t and corrects holding the unknown of
-    largest |t|, so the corrector stays nonsingular through the nose; the step
-    length follows the corrector's iteration count. Once t's lambda component
+    largest |t|, so the corrector stays nonsingular through the nose. The first
+    step moves no load magnitude by more than 0.1 p.u. (doubles lambda when none
+    moves); later lengths follow the corrector's iteration count. Once t's lambda component
     changes sign, the fold is the zero of g = dlambda/ds, s the magnitude of
     the critical bus, found by a secant that keeps a sign-change bracket."""
     lo, hi = bracket
@@ -302,7 +304,8 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
     if not res.converged:
         raise CaseError(f"lower bracket end lambda={lo} is itself infeasible")
     t /= np.linalg.norm(t)
-    h = lo / t[lam]  # the first step doubles lambda
+    dv = np.abs(t[n:lam]).max()  # the largest load-magnitude rate; 0 for a zero direction
+    h = 0.1 / dv if dv > 0 else lo / t[lam]
     while True:
         res1, y1, t1 = correct(y + h * t, int(np.argmax(np.abs(t))))
         if res1.converged:

@@ -185,6 +185,6 @@ def test_weak_tie_fails_the_residual_check_but_not_the_oracle():
     with pytest.raises(SingularNetworkError, match="residual 1.250e-01"):
         red.Zhat
     lam = actual_limit(case, bracket=(1e-3, None), network=red)
-    assert lam == pytest.approx(8.19803848, abs=1e-8)
+    assert lam == pytest.approx(8.19803903, abs=1e-8)
     nose = (abs(0.5 + 0.1j) - 0.1) / (2 * 0.1 * 0.5**2)  # (|S| - q) / (2 x p^2), the two-bus nose
-    assert nose - 1e-4 <= lam <= nose
+    assert nose - 1e-10 <= lam <= nose

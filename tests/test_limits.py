@@ -216,6 +216,19 @@ def test_sweep_rescaling_matches_rest_norm():
     assert math.sqrt(2) * sweep.magnitude == pytest.approx(rest)
 
 
+def test_case118_sweep_oracle_reaches_lambda_p():
+    """Between 20 and 130 degrees bus 2's own nose binds on case118, so lambda_p is
+    exact there. The default oracle tolerance keeps lambda_actual within 1e-9 of
+    it at every one of 36 angles (measured gap <= 8e-11); tol = 1e-4 left it up
+    to 9.3e-5 below lambda_p at 12 of them."""
+    case = load_case_file(case_path("case118.m"))
+    red, S = prepare(case)
+    pairs = [(2 * math.pi * k / 36,) * 2 for k in range(36)]
+    sweep = direction_sweep(case, red, S, *default_sweep_buses(red, S), pairs, with_oracle=True)
+    for pt in sweep.points:
+        assert pt.estimates.lambda_actual >= pt.estimates.lambda_p - 1e-9
+
+
 def test_sweep_validation():
     case = make_star()
     with pytest.raises(CaseError, match="differ"):

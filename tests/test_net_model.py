@@ -195,6 +195,18 @@ def test_json_non_finite_values_rejected(where, value):
         load_case(json.dumps(doc), "json")
 
 
+@pytest.mark.parametrize("kind", ["branches", "gens"])
+@pytest.mark.parametrize("status", [math.nan, math.inf])
+def test_json_non_finite_status_rejected(kind, status):
+    """json reads NaN and Infinity, and bool(NaN) is True: such a status is an input error."""
+    import json
+
+    doc = json.loads(emit_json(make_two_bus()))
+    doc[kind][0]["in_service"] = status
+    with pytest.raises(CaseError, match="NaN|infinity"):
+        load_case(json.dumps(doc), "json")
+
+
 def test_json_invalid_document():
     with pytest.raises(CaseSyntaxError):
         load_case("{not json", "json")

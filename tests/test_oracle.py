@@ -244,7 +244,7 @@ def test_factor_raises_on_a_singular_matrix_like_splu():
 def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
     """The Jacobian is refilled in place: once the kernel exists, the limit builds no
     scipy.sparse matrix at all, and it takes as many factorizations as with a new
-    matrix every iteration (42 on case39's base direction)."""
+    matrix every iteration (22 on case39's base direction)."""
     case = case_path_case("case39.m")
     red, S = limits.prepare(case)
     red.kernel  # built on first use, so before the counting starts
@@ -262,7 +262,7 @@ def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
     monkeypatch.setattr(_NewtonKernel, "factor", counting("factor", _NewtonKernel.factor))
     monkeypatch.setattr(sp._base._spbase, "__init__", counting("sparse", sp._base._spbase.__init__))
     actual_limit(case, direction=S, bracket=(1e-3, None), network=red)
-    assert counts["factor"] == 42
+    assert counts["factor"] == 22
     assert counts["sparse"] == 0
 
 
@@ -327,7 +327,7 @@ def condition(net, V):
 def test_nose_jacobian_is_singular():
     """The returned point is the saddle-node: its load-block Jacobian is singular,
     unlike the solution at 0.9 times its loading. lambda is quadratic in the
-    critical magnitude at the fold, so the default tol = 1e-4 leaves the point
+    critical magnitude at the fold, so tol = 1e-4 leaves the point
     far enough away for a ratio of ~1e-5; tol = 1e-8 brings it below 1e-6."""
     case = case_path_case("case39.m")
     red, S = limits.prepare(case)
@@ -341,6 +341,24 @@ def test_nose_jacobian_is_singular():
 
 def test_actual_limit_two_bus_tight_tol():
     assert actual_limit(make_two_bus(p=1.0), tol=1e-10) == pytest.approx(5.0, abs=1e-8)
+
+
+def test_actual_limit_two_bus_default_tol_reaches_the_exact_nose():
+    """The default fold tolerance puts the two-bus limit within 1e-9 of its
+    exact nose 5.0 (4.9999999999986; the former default, 1e-4, gave 4.9999975)."""
+    assert actual_limit(make_two_bus(p=1.0)) == pytest.approx(5.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("gen_phasors", ["case", "solved"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_default_oracle_agrees_with_a_tighter_fold(name, gen_phasors):
+    """The default answer does not depend on the continuation's path: on every
+    bundled base direction it is within 1e-9 of a tol = 1e-13 run (measured:
+    at most 4.5e-11)."""
+    case = case_path_case(f"{name}.m")
+    red, S = limits.prepare(case, gen_phasors)
+    tight = actual_limit(case, direction=S, tol=1e-13, network=red)
+    assert actual_limit(case, direction=S, network=red) == pytest.approx(tight, abs=1e-9)
 
 
 def test_actual_limit_zero_direction_raises(monkeypatch):
