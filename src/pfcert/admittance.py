@@ -46,8 +46,8 @@ class GridReduction:
     """The one per-network object: the load-block factor and what it gives.
 
     Built by reduce_network, from a case by reduce_case, with Y_LL factored
-    once. The dense matrices are formed on first use: Z inverts Y_LL, Zhat is
-    Z normalized by E (units 1/power in the per-unit system), and Ztilde
+    once. The dense matrices are formed on first use: Zhat is Z = Y_LL^-1
+    normalized by E (units 1/power in the per-unit system), and Ztilde
     additionally normalizes by a known solution v0, equal to Zhat when v0 = 1,
     S0 = 0. Zhat and the oracle's Newton kernel are kept in a cache that the
     re-centered copies of renormalize_about_solution share.
@@ -72,13 +72,9 @@ class GridReduction:
         return self.load_ids.index(bus_id)
 
     @property
-    def Z(self) -> np.ndarray:  # solved anew on each use; only Zhat is kept
-        return self.lu.solve(np.eye(self.n_load, dtype=complex))
-
-    @property
     def Zhat(self) -> np.ndarray:
         if "Zhat" not in self._shared:
-            Z = self.Z
+            Z = self.lu.solve(np.eye(self.n_load, dtype=complex))
             residual = np.abs(self.Y_LL @ Z - np.eye(self.n_load)).max()
             if not np.isfinite(residual) or residual > FACTOR_TOL:
                 raise SingularNetworkError(
@@ -212,9 +208,10 @@ def reduce_case(case: NetworkCase, gen_phasors: str = "case") -> GridReduction:
 
 def fixed_point_residual(red: GridReduction, v: np.ndarray, S: np.ndarray) -> float:
     """Residual ||v - (1 - Zhat diag(v*)^-1 S*)||_inf of the E-normalized equations."""
+    from .fixed_point import _map  # fixed_point imports this module
+
     v = np.asarray(v, dtype=complex)
-    S = np.asarray(S, dtype=complex)
-    return float(np.abs(v - (1.0 - red.Zhat @ (S.conj() / v.conj()))).max())
+    return float(np.abs(v - _map(v, red.Zhat, 0.0, np.asarray(S, dtype=complex).conj())).max())
 
 
 def renormalize_about_solution(red: GridReduction, v0: np.ndarray, S0: np.ndarray) -> GridReduction:

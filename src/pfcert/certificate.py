@@ -37,10 +37,9 @@ class Certificate:
     holds: bool
     reason: str | None  # which condition failed, when holds is False
     measures: StressMeasures
-    radii: DiscRadii | None
+    radii: DiscRadii | None  # r_hi bounds the region that holds no other solution
     disc_centers: np.ndarray | None  # 1 - eta_i, in normalized (u) coordinates
     disc_radii: np.ndarray | None  # r_lo * xi_i
-    solutionless_radius: float | None  # r_hi
     mu_bound: float | None  # contraction factor estimate, < 1 when available
 
 
@@ -91,7 +90,6 @@ def certify(m: StressMeasures) -> Certificate:
             radii=None,
             disc_centers=None,
             disc_radii=None,
-            solutionless_radius=None,
             mu_bound=None,
         )
     radii = compute_radii(m)
@@ -104,7 +102,6 @@ def certify(m: StressMeasures) -> Certificate:
         radii=radii,
         disc_centers=centers,
         disc_radii=disc_radii,
-        solutionless_radius=radii.r_hi,
         mu_bound=estimate_contraction(m, radii),
     )
 

@@ -1,10 +1,11 @@
-"""Command-line front end: certify / solve / limits / sweep / bounds / oracle-limit.
+"""Command-line front end: certify / solve / limits / sweep / bounds.
 
 Every command is one pipeline: _load the case and its reduction, compute,
 emit one artifact. Each command defines only the options it reads: all
 take --case (a .json file is read as JSON, any other as MATPOWER),
 --gen-phasors and --out; solve, limits, sweep and bounds also take
 --out-format {json,csv}, and only solve takes --tol and --max-iter.
+`limits --with-oracle` prints the nose along the base direction.
 
 Exit codes: 0 success, 1 certificate does not hold (for `certify`), 2 input
 error (usage errors included), 3 numerical failure. Every error is also
@@ -119,7 +120,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
         }
         out["disc_centers"] = cert.disc_centers
         out["disc_radii"] = cert.disc_radii
-        out["solutionless_radius"] = cert.solutionless_radius
         out["mu_bound"] = cert.mu_bound
     return out
 
@@ -344,13 +344,6 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_limit(args) -> int:
-    case, red, S_base = _load(args)
-    lam = oracle.actual_limit(case, direction=S_base, network=red)
-    _emit(args, dumps_stable({"meta": {"case": args_case_name(case)}, "lambda_actual": lam}))
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
@@ -427,10 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="loading grid start:stop:step")
     p.add_argument("--with-oracle", action="store_true", dest="with_oracle")
     p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("oracle-limit", help="locate the actual solvability limit (the nose)")
-    _add_common(p)
-    p.set_defaults(func=cmd_oracle_limit)
 
     return parser
 

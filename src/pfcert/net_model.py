@@ -259,6 +259,14 @@ def load_case_file(path) -> NetworkCase:
     return load_case(p.read_text(encoding="utf-8"), "json" if p.suffix.lower() == ".json" else "matpower")
 
 
+def _bus_number(value, field: str) -> int:
+    """A bus number read from field; int() alone would read bus 5.7 as bus 5."""
+    number = int(value)
+    if number != value:
+        raise CaseError(f"{field} {value!r} is not an integer bus number")
+    return number
+
+
 # ---------------------------------------------------------------------------
 # MATPOWER parsing
 # ---------------------------------------------------------------------------
@@ -332,7 +340,7 @@ def _parse_matpower(source: str) -> NetworkCase:
     for k, row in enumerate(bus_rows):
         if len(row) < 13:
             raise CaseSyntaxError(f"bus row {k + 1} has {len(row)} columns, expected >= 13", bus_line)
-        bus_id = int(row[0])
+        bus_id = _bus_number(row[0], f"bus row {k + 1}: bus_i")
         if int(row[1]) == 3 and slack_bus is None:
             slack_bus = bus_id
         buses.append(
@@ -351,7 +359,7 @@ def _parse_matpower(source: str) -> NetworkCase:
             raise CaseSyntaxError(f"gen row {k + 1} has {len(row)} columns, expected >= 8", gen_line)
         gens.append(
             GenRecord(
-                bus=int(row[0]),
+                bus=_bus_number(row[0], f"gen row {k + 1}: bus"),
                 voltage_setpoint=row[5],
                 active_power=row[1] / base,
                 in_service=math.ceil(row[7]) > 0,  # positive; ceil raises on NaN and inf
@@ -365,8 +373,8 @@ def _parse_matpower(source: str) -> NetworkCase:
         tap = row[8] if row[8] != 0 else 1.0
         branches.append(
             BranchRecord(
-                from_bus=int(row[0]),
-                to_bus=int(row[1]),
+                from_bus=_bus_number(row[0], f"branch row {k + 1}: fbus"),
+                to_bus=_bus_number(row[1], f"branch row {k + 1}: tbus"),
                 series_impedance=complex(row[2], row[3]),
                 charging=row[4],
                 tap_ratio=tap,
@@ -416,7 +424,7 @@ def _parse_json(source: str) -> NetworkCase:
     try:
         buses = [
             BusRecord(
-                id=int(b["id"]),
+                id=_bus_number(b["id"], "bus id"),
                 demand=_as_complex(b.get("demand", [0, 0]), f"bus {b.get('id')}: demand"),
                 shunt=_as_complex(b.get("shunt", [0, 0]), f"bus {b.get('id')}: shunt"),
                 voltage_magnitude=float(b.get("voltage_magnitude", 1.0)),
@@ -426,8 +434,8 @@ def _parse_json(source: str) -> NetworkCase:
         ]
         branches = [
             BranchRecord(
-                from_bus=int(br["from_bus"]),
-                to_bus=int(br["to_bus"]),
+                from_bus=_bus_number(br["from_bus"], "branch from_bus"),
+                to_bus=_bus_number(br["to_bus"], "branch to_bus"),
                 series_impedance=_as_complex(
                     br["series_impedance"], f"branch {br.get('from_bus')}-{br.get('to_bus')}: series_impedance"
                 ),
@@ -440,7 +448,7 @@ def _parse_json(source: str) -> NetworkCase:
         ]
         gens = [
             GenRecord(
-                bus=int(g["bus"]),
+                bus=_bus_number(g["bus"], "gen bus"),
                 voltage_setpoint=float(g["voltage_setpoint"]),
                 active_power=float(g.get("active_power", 0.0)),
                 in_service=math.ceil(g.get("in_service", True)) > 0,
@@ -451,4 +459,5 @@ def _parse_json(source: str) -> NetworkCase:
         raise CaseError(f"missing required field {exc.args[0]!r}")
 
     slack = doc.get("slack_bus")
-    return build_case(float(doc["base_mva"]), buses, branches, gens, None if slack is None else int(slack))
+    slack = None if slack is None else _bus_number(slack, "slack_bus")
+    return build_case(float(doc["base_mva"]), buses, branches, gens, slack)

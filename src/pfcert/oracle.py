@@ -20,7 +20,8 @@ from scipy.sparse.linalg._dsolve import _superlu
 from .admittance import AdmittanceMatrix, GridReduction, SingularNetworkError, build_admittance, reduce_case
 from .net_model import CaseError, NetworkCase, load_power_vector
 
-NEWTON_TOL = 1e-8  # per-unit power mismatch of a converged Newton solve or corrector
+NEWTON_TOL = 1e-8  # per-unit power mismatch of a converged Newton solve or continuation corrector
+FOLD_TOL = 1e-12  # per-unit power mismatch of the fold secant's correctors, whose point is returned
 NEWTON_MAX_ITER = 30  # iterations per solve at a fixed loading
 CORRECTOR_MAX_ITER = 40  # iterations per continuation corrector
 
@@ -261,7 +262,8 @@ def actual_limit(
     saddle-node point (Canizares & Alvarado 1993). Returns the lambda of a
     solved point that the fold's quadratic model puts within tol of the nose,
     whatever the path; 1e-10 is below the 9 digits the CLI prints (each
-    corrector: NEWTON_TOL within CORRECTOR_MAX_ITER iterations). network is the
+    corrector runs CORRECTOR_MAX_ITER iterations at most, to NEWTON_TOL on the
+    continuation and to FOLD_TOL at the fold). network is the
     case's reduction, from reduce_case(case) when None. Raises CaseError when the nose is at or above
     bracket[1], when lambda passes 2**60 * bracket[0], or when a corrector breaks down.
     """
@@ -281,7 +283,9 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
     step moves no load magnitude by more than 0.1 p.u. (doubles lambda when none
     moves); later lengths follow the corrector's iteration count. Once t's lambda component
     changes sign, the fold is the zero of g = dlambda/ds, s the magnitude of
-    the critical bus, found by a secant that keeps a sign-change bracket."""
+    the critical bus, found by a secant that keeps a sign-change bracket. The
+    secant's correctors run to FOLD_TOL: a point accepted at NEWTON_TOL can sit
+    1e-8 above the nose, far outside tol."""
     lo, hi = bracket
     if not lo > 0:
         raise CaseError("bracket lower end must be positive")
@@ -294,8 +298,9 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
     lam = 2 * n  # index of lambda in y
     J = np.empty(len(net.kernel.indices))  # J's values, refilled by every corrector iteration of this limit
 
-    def correct(y: np.ndarray, fixed: int) -> tuple[NewtonResult, np.ndarray, np.ndarray | None]:
-        res, y, t = net.kernel.correct(V, theta, vm, y, np.zeros_like(V), d, fixed, NEWTON_TOL, CORRECTOR_MAX_ITER, J)
+    def correct(y: np.ndarray, fixed: int,
+                mismatch: float = NEWTON_TOL) -> tuple[NewtonResult, np.ndarray, np.ndarray | None]:
+        res, y, t = net.kernel.correct(V, theta, vm, y, np.zeros_like(V), d, fixed, mismatch, CORRECTOR_MAX_ITER, J)
         if res.converged and hi is not None and y[lam] >= hi:
             raise CaseError(f"upper bracket end lambda={hi} is feasible; widen the bracket")
         return res, y, t
@@ -337,7 +342,7 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
         s = 0.5 * (sa + sb) if same >= 2 else sa - ga / slope
         s0, _, y0, t0, _ = min(ends, key=lambda e: abs(s - e[0]))  # start from the nearer end
         while True:
-            res, y, t = correct(y0 + (s - s0) / t0[crit] * t0, crit)
+            res, y, t = correct(y0 + (s - s0) / t0[crit] * t0, crit, FOLD_TOL)
             if res.converged:
                 break
             s = 0.5 * (s + s0)  # shrink toward the end that converged

@@ -4,9 +4,10 @@ Solvability-limit tables for the standard test systems (from-zero estimates,
 known-solution certified total scalings, and true limits), plus the 39-bus
 base-loading voltage-bound coordinates and the bus-4 bound-profile anchors;
 the closed-form solutions of one load behind a reactance, the two-bus
-reference of the whole suite; the certified convergence-rate check; and
-plain forms of the fixed-point loop and of the contraction bound, which the
-package's lean versions must match bit for bit.
+reference of the whole suite; a hunt for other power-flow solutions; the
+certified convergence-rate check; and plain forms of the fixed-point loop
+and of the contraction bound, which the package's lean versions must match
+bit for bit.
 """
 
 import math
@@ -16,6 +17,8 @@ import numpy as np
 from pfcert.admittance import GridReduction
 from pfcert.certificate import Certificate
 from pfcert.fixed_point import DIVERGENCE_CUTOFF, FixedPointResult, evaluate_F, solve_fixed_point
+from pfcert.net_model import NetworkCase
+from pfcert.oracle import newton_solve
 
 
 # case -> (lambda_p, lambda_d, lambda_w, actual)
@@ -100,6 +103,29 @@ def two_bus_analytic(p: float, q: float, x: float) -> tuple[complex, ...]:
         return (complex(0.5, b),)
     root = math.sqrt(disc)
     return (complex((1.0 + root) / 2.0, b), complex((1.0 - root) / 2.0, b))
+
+
+def hunt_solutions(case: NetworkCase, red: GridReduction, S_L: np.ndarray,
+                   depths=(0.2, 0.5, 0.7)) -> list[np.ndarray]:
+    """Distinct load-bus voltages that solve the power flow at load S_L on red.
+
+    newton_solve starts from the flat start E and from E with each load bus in
+    turn depressed to each of depths times E_k, which is how low-voltage
+    solutions are usually found (Overbye & Klump, IEEE TPWRS 1996). A search
+    that finds no other solution falsifies nothing; it proves nothing either.
+    """
+    starts = [red.E]
+    for k in range(red.n_load):
+        for depth in depths:
+            start = red.E.copy()
+            start[k] *= depth
+            starts.append(start)
+    found: list[np.ndarray] = []
+    for start in starts:
+        res = newton_solve(case, S_L, start=start, network=red)
+        if res.converged and all(np.abs(res.V_L - V).max() > 1e-6 for V in found):
+            found.append(res.V_L)
+    return found
 
 
 def fixed_point_iterates(red: GridReduction, S_L: np.ndarray) -> list:

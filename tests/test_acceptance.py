@@ -251,14 +251,14 @@ def test_criterion_6_two_bus_exact():
     m = compute_stress(red25.Ztilde, S25)
     cert = certify(m)
     ratio = abs(low - 1.0) / abs(low)
-    ok = ok and ratio > cert.solutionless_radius
-    ok = ok and abs(ratio - 3.7321) < 1e-4 and abs(cert.solutionless_radius - 3.1463) < 1e-4
+    ok = ok and ratio > cert.radii.r_hi
+    ok = ok and abs(ratio - 3.7321) < 1e-4 and abs(cert.radii.r_hi - 3.1463) < 1e-4
 
     vb = voltage_bounds(cert, red25)
     ok = ok and vb.magnitude_low[0] <= abs(high) <= vb.magnitude_high[0]
     ok = ok and vb.angle_low[0] <= np.angle(high) <= vb.angle_high[0]
     assert report(ok, "criterion 6 (2-bus exact)",
-                  f"lambda_p {est.lambda_p:.12f}, u {res.u[0]:.8f}, ratio {ratio:.4f} > {cert.solutionless_radius:.4f}")
+                  f"lambda_p {est.lambda_p:.12f}, u {res.u[0]:.8f}, ratio {ratio:.4f} > {cert.radii.r_hi:.4f}")
 
 
 # -------------------------------------------------------------------------

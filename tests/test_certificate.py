@@ -16,13 +16,13 @@ from pfcert.certificate import (
     voltage_bounds,
 )
 from pfcert.cli import certificate_to_dict, voltage_bounds_to_dict
-from pfcert.fixed_point import evaluate_F
+from pfcert.fixed_point import CONTAINMENT_SLACK, evaluate_F
 from pfcert.limits import lambda_all, prepare
 from pfcert.net_model import load_case_file
 from pfcert.stress import DiscRadii, NoCertificate, StressMeasures, compute_stress
 
 from conftest import BUNDLED, case_path, make_two_bus, random_loads, random_ztilde
-from reference_values import reference_contraction, two_bus_analytic
+from reference_values import hunt_solutions, reference_contraction, two_bus_analytic
 
 ZT = np.array([[0.1j]])
 
@@ -36,7 +36,7 @@ def test_two_bus_certificate():
     assert cert.holds
     assert cert.disc_centers[0] == pytest.approx(1 - 0.25j)
     assert cert.disc_radii[0] == pytest.approx(0.0794590, abs=2e-6)
-    assert cert.solutionless_radius == pytest.approx(3.146264, abs=5e-6)
+    assert cert.radii.r_hi == pytest.approx(3.146264, abs=5e-6)
     assert cert.mu_bound is not None and 0 <= cert.mu_bound < 1
 
 
@@ -165,11 +165,35 @@ def test_full_circle_flag_when_disc_reaches_origin():
 
 
 def test_low_voltage_solution_outside_outer_region():
-    cert = certify(stress(2.5))
-    low = two_bus_analytic(2.5, 0.0, 0.1)[1]
-    ratio = abs(low - 1) / abs(low)
-    assert ratio == pytest.approx(3.7320508, abs=1e-6)
-    assert ratio > cert.solutionless_radius
+    """The two-bus case's other solution lies outside |u - 1|/|u| < r_hi at every
+    load up to the nose p = 5, where both solutions meet: at 4.999 the ratio is
+    1.0202 against r_hi 1.0142."""
+    for p in (0.5, 1.0, 2.5, 4.0, 4.9, 4.99, 4.999):
+        cert = certify(stress(p))
+        assert cert.holds
+        low = two_bus_analytic(p, 0.0, 0.1)[1]
+        ratio = abs(low - 1) / abs(low)
+        if p == 2.5:
+            assert ratio == pytest.approx(3.7320508, abs=1e-6)
+        assert ratio > cert.radii.r_hi, p
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_no_other_solution_in_the_outer_region(name):
+    """At 0.5, 0.9 and 0.99 lambda_p, of every solution the hunt finds exactly one
+    lies in |u_i - 1|/|u_i| < r_hi, and it lies in the polydisc. A solution found
+    inside r_hi would be a bug in the certificate, never a tolerance to widen."""
+    case = load_case_file(case_path(f"{name}.m"))
+    red, S = prepare(case)
+    lam = lambda_all(red, S).lambda_p
+    for fraction in (0.5, 0.9, 0.99):
+        load = fraction * lam * S
+        cert = certify_all(red, load)[0]
+        assert cert.holds
+        inside = [u for u in (V / red.E for V in hunt_solutions(case, red, load))
+                  if (np.abs(u - 1) / np.abs(u)).max() < cert.radii.r_hi]
+        assert len(inside) == 1, fraction
+        assert (np.abs(inside[0] - cert.disc_centers) <= cert.disc_radii + CONTAINMENT_SLACK).all(), fraction
 
 
 def test_invariant_region_maps_into_itself(rng):

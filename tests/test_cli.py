@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +13,11 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import pfcert
-from pfcert import admittance, cli, oracle
+from pfcert import admittance, cli
 from pfcert.cli import main
 from pfcert.net_model import load_case_file
 
-from conftest import TWO_BUS_MATPOWER, case_path, emit_json, make_weak_tie_star
+from conftest import DATA_DIR, TWO_BUS_MATPOWER, case_path, emit_json, make_weak_tie_star
 from reference_values import two_bus_analytic
 
 
@@ -57,7 +58,7 @@ def test_certify_zero_load_prints_infinite_radii_as_null(two_bus_file, tmp_path)
     out = tmp_path / "cert.json"
     assert run(["certify", "--case", two_bus_file, "--scale", 0, "--out", out]) == 0
     text = out.read_text()
-    assert '"r_hi": null' in text and '"solutionless_radius": null' in text
+    assert '"r_hi": null' in text and "solutionless_radius" not in text  # r_hi is printed once
 
 
 @pytest.mark.parametrize("command", ["certify", "limits"])
@@ -98,6 +99,24 @@ def test_non_finite_status_is_an_input_error(command, old, new, tmp_path, capsys
     assert json.loads(captured.err)["error"] == "input"
 
 
+@pytest.mark.parametrize("old, new, field", [
+    ("\t5\t1\t90\t30\t", "\t5.7\t1\t90\t30\t", "bus row 5: bus_i"),
+    ("\t2\t163\t6.54\t", "\t2.5\t163\t6.54\t", "gen row 2: bus"),
+    ("\t4\t5\t0.017\t", "\t4\t5.2\t0.017\t", "branch row 2: tbus"),
+], ids=["bus number", "gen bus", "branch end"])
+def test_fractional_bus_number_is_an_input_error(old, new, field, tmp_path, capsys):
+    """Read with int(), bus 5.7 was bus 5: case9 with it certified, exit 0."""
+    text = case_path("case9.m").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "case9.m"
+    path.write_text(text.replace(old, new))
+    assert run(["certify", "--case", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "input" and err["message"].startswith(field)
+
+
 def test_json_case_gives_the_matpower_artifact(tmp_path):
     """A .json case is read as the JSON form, and its artifact is the .m case's byte for byte."""
     path = tmp_path / "case9.json"
@@ -130,19 +149,20 @@ def test_zero_max_iter_is_exit_2(two_bus_file, capsys):
         [],
         ["certify", "--case", "{case}", "--tol", "1e-12"],
         ["certify", "--case", "{case}", "--out-format", "csv"],
-        ["oracle-limit", "--case", "{case}", "--max-iter", "5"],
+        ["limits", "--case", "{case}", "--max-iter", "5"],
         ["solve", "--case", "{case}", "--scale", "abc"],
         ["solve", "--case", "{case}", "--tol", "-1"],
         ["certify", "--case", "{missing}"],
         ["bounds", "--case", "{case}", "--bus", "2", "--scale-grid", "1:x:0.1"],
         ["bounds", "--case", "{case}", "--bus", "2", "--scale-grid", "nan:2:0.1"],
         ["certify", "--case", "{case}", "--format", "json"],
-        ["oracle-limit", "--case", "{case}", "--bracket-lo", "1"],
-        ["oracle-limit", "--case", "{case}", "--bracket-hi", "9"],
+        ["limits", "--case", "{case}", "--bracket-lo", "1"],
+        ["limits", "--case", "{case}", "--bracket-hi", "9"],
+        ["oracle-limit", "--case", "{case}"],
     ],
-    ids=["no command", "certify --tol", "certify --out-format", "oracle-limit --max-iter", "bad value",
+    ids=["no command", "certify --tol", "certify --out-format", "limits --max-iter", "bad value",
          "solve --tol -1", "missing case", "grid not a number", "grid not finite", "certify --format",
-         "oracle-limit --bracket-lo", "oracle-limit --bracket-hi"],
+         "limits --bracket-lo", "limits --bracket-hi", "removed oracle-limit"],
 )
 def test_input_errors_are_one_json_line(args, two_bus_file, tmp_path, capsys):
     args = [a.format(case=two_bus_file, missing=tmp_path / "missing.m") for a in args]
@@ -300,31 +320,11 @@ def test_bounds_single_point_grid(two_bus_file, tmp_path):
     assert [row["lambda"] for row in json.loads(out.read_text())["profile"]] == [1.5]
 
 
-def test_oracle_limit_command(two_bus_file, tmp_path):
-    out = tmp_path / "lim.json"
-    assert run(["oracle-limit", "--case", two_bus_file, "--out", out]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["lambda_actual"] == pytest.approx(2.0, abs=1e-4)
-
-
 def test_limits_oracle_uses_solved_generator_phasors(tmp_path):
     out = tmp_path / "lim.json"
     assert run(["limits", "--case", case_path("case9.m"), "--gen-phasors", "solved", "--with-oracle",
                 "--out", out]) == 0
     assert '"lambda_actual": 2.63794682,' in out.read_text()  # the case-phasor limit is 2.6583961
-
-
-def test_oracle_limit_command_matches_limits_with_oracle(tmp_path, monkeypatch):
-    calls = []
-    correct = oracle._NewtonKernel.correct
-    monkeypatch.setattr(oracle._NewtonKernel, "correct", lambda *a, **k: calls.append(1) or correct(*a, **k))
-    case = case_path("case39.m")
-    assert run(["oracle-limit", "--case", case, "--out", tmp_path / "o.json"]) == 0
-    work = len(calls)
-    assert run(["limits", "--case", case, "--with-oracle", "--out", tmp_path / "l.json"]) == 0
-    lam = json.loads((tmp_path / "o.json").read_text())["lambda_actual"]
-    assert lam == json.loads((tmp_path / "l.json").read_text())["lambda_actual"] == 2.47309241
-    assert work == len(calls) - work > 0  # the same solves: the fixed-point --tol does not reach the oracle
 
 
 def test_limits_known_solution_relative_error_is_against_the_true_limit(tmp_path):
@@ -364,7 +364,6 @@ COMMANDS = [
     ["limits", "--with-oracle", "--known-solution", "--gen-phasors", "solved"],
     ["sweep", "--with-oracle", "--points", 3],
     ["bounds", "--with-oracle", "--bus", 4, "--scale-grid", "1.0:2.0:0.5"],
-    ["oracle-limit"],
 ]
 
 
@@ -385,15 +384,17 @@ def test_every_command_factors_y_ll_once(args, tmp_path, monkeypatch):
     assert complex_factors == [(29, 29)]
 
 
-def test_oracle_limit_needs_no_dense_reduction(tmp_path, capsys):
-    """On the weak-tie star the factorization residual check fails, which only the
-    certificate path needs; the oracle's limit is still reported."""
+def test_limits_with_oracle_exits_3_on_the_weak_tie(tmp_path, capsys):
+    """On the weak-tie star the factorization residual check fails, and every command
+    stops there: limits --with-oracle, the one command that prints the nose, too. The
+    library's actual_limit still finds it (test_admittance)."""
     path = tmp_path / "weak_tie.json"
     path.write_text(emit_json(make_weak_tie_star()))
-    assert run(["certify", "--case", path]) == 3
-    assert "residual 1.250e-01" in json.loads(capsys.readouterr().err)["message"]
-    assert run(["oracle-limit", "--case", path, "--out", tmp_path / "o.json"]) == 0
-    assert json.loads((tmp_path / "o.json").read_text())["lambda_actual"] == 8.19803903
+    for args in (["certify"], ["limits", "--with-oracle"]):
+        assert run([*args, "--case", path, "--out", tmp_path / "o.json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "o.json").exists()
+        assert "residual 1.250e-01" in json.loads(captured.err)["message"]
 
 
 @pytest.mark.parametrize("args", [["certify"], ["limits", "--with-oracle"]], ids=["certify", "limits --with-oracle"])
@@ -469,7 +470,6 @@ COMMAND_INPUTS = {
     "limits": [],
     "sweep": ["--points", 2],
     "bounds": ["--bus", 5, "--scale-grid", "1.0:1.2:0.1"],
-    "oracle-limit": [],
 }
 
 
@@ -498,3 +498,24 @@ def test_every_command_reads_every_option_it_defines(command, tmp_path, monkeypa
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     defined = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
     assert defined - reads == set()
+
+
+def readme_usage_lines() -> list[str]:
+    """The `pfcert ...` lines of README's "Command-line usage" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command-line usage", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("pfcert ")]
+
+
+USAGE = readme_usage_lines()
+
+
+@pytest.mark.parametrize("line", USAGE, ids=[" ".join(line.partition("#")[0].split()[1:]) for line in USAGE])
+def test_readme_usage_line_runs(line, tmp_path, monkeypatch, capsys):
+    """Each documented command runs as written, from a directory beside data/; the line
+    commented `exit 1` exits 1, every other line 0."""
+    command, _, comment = line.partition("#")
+    args = [str(DATA_DIR / a[len("data/"):]) if a.startswith("data/") else a for a in shlex.split(command)[1:]]
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == (1 if "exit 1" in comment else 0)
+    assert capsys.readouterr().err == ""

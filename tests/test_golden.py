@@ -45,7 +45,6 @@ def artifacts() -> list[tuple[str, list]]:
             (f"{name}.limits.known.json", ["limits", *case, "--with-oracle", "--known-solution", "--out", OUT]),
             (f"{name}.limits.solved.json", ["limits", *case, "--with-oracle", "--gen-phasors", "solved", "--out", OUT]),
             (f"{name}.solve.json", ["solve", *case, "--out", OUT]),
-            (f"{name}.oracle-limit.json", ["oracle-limit", *case, "--out", OUT]),
             (f"{name}.sweep.json", ["sweep", *case, "--with-oracle", "--points", 12, "--out", OUT]),
         ]
     out += [
@@ -70,6 +69,13 @@ def test_artifact_is_byte_identical(name, args, tmp_path):
     code, text = produce(args, tmp_path / name)
     assert text == (GOLDEN / name).read_bytes()
     assert code == json.loads(EXIT_CODES.read_text())[name]
+
+
+def test_golden_set_has_no_orphans():
+    """A removed artifact, or a removed command's, leaves no stale file or exit code behind."""
+    names = {name for name, _ in ARTIFACTS}
+    assert {path.name for path in GOLDEN.iterdir()} == names | {EXIT_CODES.name}
+    assert set(json.loads(EXIT_CODES.read_text())) == names
 
 
 def regenerate() -> None:

@@ -207,6 +207,27 @@ def test_json_non_finite_status_rejected(kind, status):
         load_case(json.dumps(doc), "json")
 
 
+@pytest.mark.parametrize("where, value, field", [
+    (("buses", 1, "id"), 2.5, "bus id"),
+    (("branches", 0, "from_bus"), 1.5, "branch from_bus"),
+    (("branches", 0, "to_bus"), 2.5, "branch to_bus"),
+    (("gens", 0, "bus"), 1.5, "gen bus"),
+    (("slack_bus",), 1.5, "slack_bus"),
+], ids=["bus id", "branch from_bus", "branch to_bus", "gen bus", "slack_bus"])
+def test_json_fractional_bus_number_rejected(where, value, field):
+    """int() alone read bus 2.5 as bus 2, and the case loaded."""
+    import json
+
+    doc = json.loads(emit_json(make_two_bus()))
+    *path, key = where
+    target = doc
+    for step in path:
+        target = target[step]
+    target[key] = value
+    with pytest.raises(CaseError, match=f"^{field} {value} is not an integer bus number$"):
+        load_case(json.dumps(doc), "json")
+
+
 def test_json_invalid_document():
     with pytest.raises(CaseSyntaxError):
         load_case("{not json", "json")

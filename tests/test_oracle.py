@@ -1,5 +1,6 @@
 """Newton oracle, base-case solve, continuation limit, and the closed-form two-bus."""
 
+import math
 import sys
 import threading
 from dataclasses import replace
@@ -349,16 +350,40 @@ def test_actual_limit_two_bus_default_tol_reaches_the_exact_nose():
     assert actual_limit(make_two_bus(p=1.0)) == pytest.approx(5.0, abs=1e-9)
 
 
+def golden_sweep_directions(case, red, S, points=12):
+    """The loading directions of `pfcert sweep --points 12`, as direction_sweep builds them."""
+    pairs = [(2.0 * math.pi * k / points,) * 2 for k in range(points)]
+    sweep = limits.direction_sweep(case, red, S, *limits.default_sweep_buses(red, S), pairs)
+    ia, ib = red.load_index(sweep.bus_a), red.load_index(sweep.bus_b)
+    directions = []
+    for pt in sweep.points:
+        d = S.copy()
+        d[ia], d[ib] = sweep.magnitude * np.exp(1j * pt.phi_a), sweep.magnitude * np.exp(1j * pt.phi_b)
+        directions.append(d)
+    return directions
+
+
 @pytest.mark.parametrize("gen_phasors", ["case", "solved"])
 @pytest.mark.parametrize("name", BUNDLED)
 def test_default_oracle_agrees_with_a_tighter_fold(name, gen_phasors):
     """The default answer does not depend on the continuation's path: on every
-    bundled base direction it is within 1e-9 of a tol = 1e-13 run (measured:
-    at most 4.5e-11)."""
+    bundled base direction, and on the 12 directions of each golden sweep, it is
+    within 2e-10 of a tol = 1e-13 run (measured: at most 1.01e-10)."""
     case = case_path_case(f"{name}.m")
     red, S = limits.prepare(case, gen_phasors)
-    tight = actual_limit(case, direction=S, tol=1e-13, network=red)
-    assert actual_limit(case, direction=S, network=red) == pytest.approx(tight, abs=1e-9)
+    for d in [S] + golden_sweep_directions(case, red, S):
+        tight = actual_limit(case, direction=d, tol=1e-13, network=red)
+        assert actual_limit(case, direction=d, network=red) == pytest.approx(tight, abs=2e-10)
+
+
+def test_case30_sweep_at_150_degrees_is_the_nose():
+    """The golden case30 sweep printed 3.11761611 at 150 degrees; the nose, on which
+    tighter fold and Newton tolerances agree to 1e-13, is 3.1176160934."""
+    case = case_path_case("case30.m")
+    red, S = limits.prepare(case)
+    lam = actual_limit(case, direction=golden_sweep_directions(case, red, S)[5], network=red)
+    assert lam == pytest.approx(3.1176160934, abs=2e-10)
+    assert format(lam, ".9g") == "3.11761609"
 
 
 def test_actual_limit_zero_direction_raises(monkeypatch):
