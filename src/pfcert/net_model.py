@@ -259,11 +259,11 @@ def load_case_file(path) -> NetworkCase:
     return load_case(p.read_text(encoding="utf-8"), "json" if p.suffix.lower() == ".json" else "matpower")
 
 
-def _bus_number(value, field: str) -> int:
-    """A bus number read from field; int() alone would read bus 5.7 as bus 5."""
+def _integer(value, field: str, kind: str = "bus number") -> int:
+    """An integer read from field; int() alone would read bus 5.7 as bus 5."""
     number = int(value)
     if number != value:
-        raise CaseError(f"{field} {value!r} is not an integer bus number")
+        raise CaseError(f"{field} {value!r} is not an integer {kind}")
     return number
 
 
@@ -340,8 +340,8 @@ def _parse_matpower(source: str) -> NetworkCase:
     for k, row in enumerate(bus_rows):
         if len(row) < 13:
             raise CaseSyntaxError(f"bus row {k + 1} has {len(row)} columns, expected >= 13", bus_line)
-        bus_id = _bus_number(row[0], f"bus row {k + 1}: bus_i")
-        if int(row[1]) == 3 and slack_bus is None:
+        bus_id = _integer(row[0], f"bus row {k + 1}: bus_i")
+        if _integer(row[1], f"bus row {k + 1}: type", "bus type") == 3 and slack_bus is None:
             slack_bus = bus_id
         buses.append(
             BusRecord(
@@ -359,7 +359,7 @@ def _parse_matpower(source: str) -> NetworkCase:
             raise CaseSyntaxError(f"gen row {k + 1} has {len(row)} columns, expected >= 8", gen_line)
         gens.append(
             GenRecord(
-                bus=_bus_number(row[0], f"gen row {k + 1}: bus"),
+                bus=_integer(row[0], f"gen row {k + 1}: bus"),
                 voltage_setpoint=row[5],
                 active_power=row[1] / base,
                 in_service=math.ceil(row[7]) > 0,  # positive; ceil raises on NaN and inf
@@ -373,8 +373,8 @@ def _parse_matpower(source: str) -> NetworkCase:
         tap = row[8] if row[8] != 0 else 1.0
         branches.append(
             BranchRecord(
-                from_bus=_bus_number(row[0], f"branch row {k + 1}: fbus"),
-                to_bus=_bus_number(row[1], f"branch row {k + 1}: tbus"),
+                from_bus=_integer(row[0], f"branch row {k + 1}: fbus"),
+                to_bus=_integer(row[1], f"branch row {k + 1}: tbus"),
                 series_impedance=complex(row[2], row[3]),
                 charging=row[4],
                 tap_ratio=tap,
@@ -424,7 +424,7 @@ def _parse_json(source: str) -> NetworkCase:
     try:
         buses = [
             BusRecord(
-                id=_bus_number(b["id"], "bus id"),
+                id=_integer(b["id"], "bus id"),
                 demand=_as_complex(b.get("demand", [0, 0]), f"bus {b.get('id')}: demand"),
                 shunt=_as_complex(b.get("shunt", [0, 0]), f"bus {b.get('id')}: shunt"),
                 voltage_magnitude=float(b.get("voltage_magnitude", 1.0)),
@@ -434,8 +434,8 @@ def _parse_json(source: str) -> NetworkCase:
         ]
         branches = [
             BranchRecord(
-                from_bus=_bus_number(br["from_bus"], "branch from_bus"),
-                to_bus=_bus_number(br["to_bus"], "branch to_bus"),
+                from_bus=_integer(br["from_bus"], "branch from_bus"),
+                to_bus=_integer(br["to_bus"], "branch to_bus"),
                 series_impedance=_as_complex(
                     br["series_impedance"], f"branch {br.get('from_bus')}-{br.get('to_bus')}: series_impedance"
                 ),
@@ -448,7 +448,7 @@ def _parse_json(source: str) -> NetworkCase:
         ]
         gens = [
             GenRecord(
-                bus=_bus_number(g["bus"], "gen bus"),
+                bus=_integer(g["bus"], "gen bus"),
                 voltage_setpoint=float(g["voltage_setpoint"]),
                 active_power=float(g.get("active_power", 0.0)),
                 in_service=math.ceil(g.get("in_service", True)) > 0,
@@ -459,5 +459,5 @@ def _parse_json(source: str) -> NetworkCase:
         raise CaseError(f"missing required field {exc.args[0]!r}")
 
     slack = doc.get("slack_bus")
-    slack = None if slack is None else _bus_number(slack, "slack_bus")
+    slack = None if slack is None else _integer(slack, "slack_bus")
     return build_case(float(doc["base_mva"]), buses, branches, gens, slack)

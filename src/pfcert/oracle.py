@@ -24,6 +24,8 @@ NEWTON_TOL = 1e-8  # per-unit power mismatch of a converged Newton solve or cont
 FOLD_TOL = 1e-12  # per-unit power mismatch of the fold secant's correctors, whose point is returned
 NEWTON_MAX_ITER = 30  # iterations per solve at a fixed loading
 CORRECTOR_MAX_ITER = 40  # iterations per continuation corrector
+SERIES_TERMS = 40  # power-series coefficients of the zero-load start, one Y_LL solve each
+SERIES_FRACTION = 0.95  # the start's loading as a fraction of the nose the series estimates
 
 
 @dataclass(frozen=True)
@@ -257,14 +259,17 @@ def actual_limit(
     """True solvability limit along a loading direction: the nose of its P-V curve.
 
     Scales `direction` (default: the case demands) by lambda and follows the
-    solution branch through the solved point at lambda = bracket[0], which
-    must be feasible, by continuation (Ajjarapu & Christy 1992) to the
-    saddle-node point (Canizares & Alvarado 1993). Returns the lambda of a
-    solved point that the fold's quadratic model puts within tol of the nose,
-    whatever the path; 1e-10 is below the 9 digits the CLI prints (each
-    corrector runs CORRECTOR_MAX_ITER iterations at most, to NEWTON_TOL on the
-    continuation and to FOLD_TOL at the fold). network is the
-    case's reduction, from reduce_case(case) when None. Raises CaseError when the nose is at or above
+    solution branch through the solved point at lambda = bracket[0] by
+    continuation (Ajjarapu & Christy 1992) to the saddle-node point (Canizares
+    & Alvarado 1993). The continuation starts just below the nose, from the
+    zero-load power series of the fixed-point form, when that start lies inside
+    the bracket and solves; otherwise at bracket[0], which must then be
+    feasible. Returns the lambda of a solved point that the fold's quadratic
+    model puts within tol of the nose, whatever the path and the start; 1e-10
+    is below the 9 digits the CLI prints (each corrector runs
+    CORRECTOR_MAX_ITER iterations at most, to NEWTON_TOL on the continuation
+    and to FOLD_TOL at the fold). network is the case's reduction, from
+    reduce_case(case) when None. Raises CaseError when the nose is at or above
     bracket[1], when lambda passes 2**60 * bracket[0], or when a corrector breaks down.
     """
     net = network if network is not None else reduce_case(case)
@@ -279,9 +284,14 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
 
     The unknowns are y = (load angles, load magnitudes, lambda). A step
     predicts along the unit tangent t and corrects holding the unknown of
-    largest |t|, so the corrector stays nonsingular through the nose. The first
-    step moves no load magnitude by more than 0.1 p.u. (doubles lambda when none
-    moves); later lengths follow the corrector's iteration count. Once t's lambda component
+    largest |t|, so the corrector stays nonsingular through the nose. The start
+    is _series_start's point near the nose, solved by a corrector that holds
+    lambda; when the series refuses or that corrector fails, it is the solved
+    point at bracket[0]. bracket[0] thus marks the branch (the series start lies
+    above it, on the branch through zero load) and is the fallback start. The
+    first step moves no load magnitude by more than 0.03 p.u. from the series
+    start and 0.1 p.u. from bracket[0] (doubles lambda when none moves); later
+    lengths follow the corrector's iteration count. Once t's lambda component
     changes sign, the fold is the zero of g = dlambda/ds, s the magnitude of
     the critical bus, found by a secant that keeps a sign-change bracket. The
     secant's correctors run to FOLD_TOL: a point accepted at NEWTON_TOL can sit
@@ -305,12 +315,18 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
             raise CaseError(f"upper bracket end lambda={hi} is feasible; widen the bracket")
         return res, y, t
 
-    res, y, t = correct(np.r_[theta[m:], vm[m:], lo], lam)
-    if not res.converged:
-        raise CaseError(f"lower bracket end lambda={lo} is itself infeasible")
+    start = _series_start(net, direction, lo, hi)
+    if start is not None:
+        res, y, t = correct(np.r_[np.angle(start[1]), np.abs(start[1]), start[0]], lam)
+        first = 0.03  # p.u. of load magnitude: the nose is near
+    if start is None or not res.converged:
+        res, y, t = correct(np.r_[theta[m:], vm[m:], lo], lam)
+        first = 0.1
+        if not res.converged:
+            raise CaseError(f"lower bracket end lambda={lo} is itself infeasible")
     t /= np.linalg.norm(t)
     dv = np.abs(t[n:lam]).max()  # the largest load-magnitude rate; 0 for a zero direction
-    h = 0.1 / dv if dv > 0 else lo / t[lam]
+    h = first / dv if dv > 0 else lo / t[lam]
     while True:
         res1, y1, t1 = correct(y + h * t, int(np.argmax(np.abs(t))))
         if res1.converged:
@@ -352,3 +368,47 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
         same = same + 1 if side == last else 1
         last = side
         ends[side] = (y[crit], t[lam], y, t, res.V_L)
+
+
+@np.errstate(all="ignore")  # overflow and 0/0 surface as the non-finite values checked below
+def _series_start(net: GridReduction, direction: np.ndarray, lo: float,
+                  hi: float | None) -> tuple[float, np.ndarray] | None:
+    """A start for the continuation below the nose: a lambda and the load-bus voltages
+    E u of the high-voltage branch there, from the power series in lambda of the
+    fixed-point form u = 1 - lambda Zhat (conj(d) / conj(u)) about zero load (holomorphic
+    embedding, Trias 2012), or None.
+
+    With w = sum w_k lambda^k the reciprocal of conj(u), the coefficients are
+    c_0 = w_0 = 1, c_k = -Zhat (conj(d) w_{k-1}) and w_k = -sum_{m=1..k} conj(c_m) w_{k-m};
+    Zhat x is lu.solve(x / conj(E)) / E, so no n x n array is formed. The series converges
+    out to its nearest singularity, at radius rho: the nose, a square-root branch point,
+    when nothing lies nearer. There |c_k| / |c_{k-1}| = (1 - 3 / (2k) + ...) / rho, so a line
+    fitted to the ratios against 1/k over the last half of the series has intercept 1/rho
+    (Domb & Sykes 1957). The start is
+    lambda = SERIES_FRACTION * rho with the partial sum as u. None when a coefficient is zero
+    or non-finite, when the intercept is not positive, when lambda is not strictly inside
+    the bracket, or when the last term exceeds 1e-2 of the smallest |u|: the sum has not
+    converged there, and the estimate may lie past the nose."""
+    E, g, inv = net.E, direction.conj() / net.E.conj(), 1.0 / net.E
+    nc = np.empty((SERIES_TERMS + 1, len(E)), dtype=complex)  # -conj(c), all that is kept of c
+    w = np.empty_like(nc)
+    nc[0], w[0] = -1.0, 1.0
+    for k in range(1, SERIES_TERMS + 1):
+        np.conjugate(net.lu.solve(g * w[k - 1]) * inv, out=nc[k])
+        np.einsum("mi,mi->i", nc[k:0:-1], w[:k], out=w[k])
+    size = np.linalg.norm(nc, axis=1)
+    if not (np.isfinite(size).all() and size.all()):
+        return None
+    k = np.arange(SERIES_TERMS // 2 + 1, SERIES_TERMS + 1)
+    inv_k, ratio = 1.0 / k, size[k] / size[k - 1]
+    dk = inv_k - inv_k.mean()
+    intercept = ratio.mean() - (dk @ ratio) / (dk @ dk) * inv_k.mean()  # of the least-squares line
+    if not intercept > 0:
+        return None
+    lam = SERIES_FRACTION / intercept
+    if not lo < lam or hi is not None and not lam < hi:
+        return None
+    u = -(lam ** np.arange(SERIES_TERMS + 1) @ nc).conj()
+    if not np.abs(nc[-1]).max() * lam**SERIES_TERMS <= 1e-2 * np.abs(u).min():
+        return None
+    return lam, E * u

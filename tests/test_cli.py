@@ -103,9 +103,11 @@ def test_non_finite_status_is_an_input_error(command, old, new, tmp_path, capsys
     ("\t5\t1\t90\t30\t", "\t5.7\t1\t90\t30\t", "bus row 5: bus_i"),
     ("\t2\t163\t6.54\t", "\t2.5\t163\t6.54\t", "gen row 2: bus"),
     ("\t4\t5\t0.017\t", "\t4\t5.2\t0.017\t", "branch row 2: tbus"),
-], ids=["bus number", "gen bus", "branch end"])
+    ("\t1\t3\t0\t0\t", "\t1\t3.7\t0\t0\t", "bus row 1: type"),
+], ids=["bus number", "gen bus", "branch end", "bus type"])
 def test_fractional_bus_number_is_an_input_error(old, new, field, tmp_path, capsys):
-    """Read with int(), bus 5.7 was bus 5: case9 with it certified, exit 0."""
+    """Read with int(), bus 5.7 was bus 5: case9 with it certified, exit 0. A bus
+    typed 3.7 was the slack, and a type-3 bus after it lost the slack flag."""
     text = case_path("case9.m").read_text()
     assert text.count(old) == 1
     path = tmp_path / "case9.m"

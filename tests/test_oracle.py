@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from pfcert import limits
+from pfcert import limits, oracle
 from pfcert.admittance import build_admittance, fixed_point_residual, reduce_case
 from pfcert.net_model import CaseError, load_power_vector, partition_buses
 from pfcert.oracle import (
@@ -245,7 +245,7 @@ def test_factor_raises_on_a_singular_matrix_like_splu():
 def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
     """The Jacobian is refilled in place: once the kernel exists, the limit builds no
     scipy.sparse matrix at all, and it takes as many factorizations as with a new
-    matrix every iteration (22 on case39's base direction)."""
+    matrix every iteration (21 on case39's base direction, started from the series)."""
     case = case_path_case("case39.m")
     red, S = limits.prepare(case)
     red.kernel  # built on first use, so before the counting starts
@@ -263,7 +263,7 @@ def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
     monkeypatch.setattr(_NewtonKernel, "factor", counting("factor", _NewtonKernel.factor))
     monkeypatch.setattr(sp._base._spbase, "__init__", counting("sparse", sp._base._spbase.__init__))
     actual_limit(case, direction=S, bracket=(1e-3, None), network=red)
-    assert counts["factor"] == 22
+    assert counts["factor"] == 21
     assert counts["sparse"] == 0
 
 
@@ -363,17 +363,31 @@ def golden_sweep_directions(case, red, S, points=12):
     return directions
 
 
+# 36-point sweep angles, in degrees, whose coefficient ratios alternate about the trend
+# (two singularities near the same radius): the series' start sits at 0.83-0.89 of the nose
+ALTERNATING = {"case9": (210, 320), "case24_ieee_rts": (340,)}
+
+
 @pytest.mark.parametrize("gen_phasors", ["case", "solved"])
 @pytest.mark.parametrize("name", BUNDLED)
-def test_default_oracle_agrees_with_a_tighter_fold(name, gen_phasors):
-    """The default answer does not depend on the continuation's path: on every
-    bundled base direction, and on the 12 directions of each golden sweep, it is
-    within 2e-10 of a tol = 1e-13 run (measured: at most 1.01e-10)."""
+def test_default_oracle_agrees_with_a_tighter_fold(name, gen_phasors, monkeypatch):
+    """The default answer depends on neither the continuation's path nor its start: on
+    every bundled base direction, on the 12 directions of each golden sweep and on the
+    ALTERNATING ones, the series start is taken, and the answer is within 2e-10 of a
+    tol = 1e-13 run (measured: at most 9.96e-11) and of the answer started from
+    bracket[0], which refusing the series start gives."""
     case = case_path_case(f"{name}.m")
     red, S = limits.prepare(case, gen_phasors)
-    for d in [S] + golden_sweep_directions(case, red, S):
-        tight = actual_limit(case, direction=d, tol=1e-13, network=red)
-        assert actual_limit(case, direction=d, network=red) == pytest.approx(tight, abs=2e-10)
+    directions = [S] + golden_sweep_directions(case, red, S)
+    directions += [golden_sweep_directions(case, red, S, 36)[a // 10] for a in ALTERNATING.get(name, ())]
+    assert all(oracle._series_start(red, d, 1e-3, None) is not None for d in directions)
+    tight = [actual_limit(case, direction=d, tol=1e-13, network=red) for d in directions]
+    series = [actual_limit(case, direction=d, network=red) for d in directions]
+    monkeypatch.setattr(oracle, "_series_start", lambda *args: None)
+    cold = [actual_limit(case, direction=d, network=red) for d in directions]
+    assert series == pytest.approx(tight, abs=2e-10)
+    assert cold == pytest.approx(tight, abs=2e-10)
+    assert series == pytest.approx(cold, abs=2e-10)
 
 
 def test_case30_sweep_at_150_degrees_is_the_nose():
