@@ -263,14 +263,15 @@ def actual_limit(
     continuation (Ajjarapu & Christy 1992) to the saddle-node point (Canizares
     & Alvarado 1993). The continuation starts just below the nose, from the
     zero-load power series of the fixed-point form, when that start lies inside
-    the bracket and solves; otherwise at bracket[0], which must then be
-    feasible. Returns the lambda of a solved point that the fold's quadratic
-    model puts within tol of the nose, whatever the path and the start; 1e-10
-    is below the 9 digits the CLI prints (each corrector runs
-    CORRECTOR_MAX_ITER iterations at most, to NEWTON_TOL on the continuation
-    and to FOLD_TOL at the fold). network is the case's reduction, from
-    reduce_case(case) when None. Raises CaseError when the nose is at or above
-    bracket[1], when lambda passes 2**60 * bracket[0], or when a corrector breaks down.
+    the bracket and solves, and first jumps to the nose the series estimates;
+    otherwise it starts at bracket[0], which must then be feasible. Returns the
+    lambda of a solved point that the fold's quadratic model puts within tol
+    of the nose, whatever the path and the start; 1e-10 is below the 9 digits
+    the CLI prints (each corrector runs CORRECTOR_MAX_ITER iterations at most,
+    to NEWTON_TOL on the continuation and to FOLD_TOL for the jump and at the
+    fold). network is the case's reduction, from reduce_case(case) when None.
+    Raises CaseError when the nose is at or above bracket[1], when lambda
+    passes 2**60 * bracket[0], or when a corrector breaks down.
     """
     net = network if network is not None else reduce_case(case)
     if direction is None:
@@ -288,14 +289,24 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
     is _series_start's point near the nose, solved by a corrector that holds
     lambda; when the series refuses or that corrector fails, it is the solved
     point at bracket[0]. bracket[0] thus marks the branch (the series start lies
-    above it, on the branch through zero load) and is the fallback start. The
-    first step moves no load magnitude by more than 0.03 p.u. from the series
-    start and 0.1 p.u. from bracket[0] (doubles lambda when none moves); later
-    lengths follow the corrector's iteration count. Once t's lambda component
-    changes sign, the fold is the zero of g = dlambda/ds, s the magnitude of
-    the critical bus, found by a secant that keeps a sign-change bracket. The
-    secant's correctors run to FOLD_TOL: a point accepted at NEWTON_TOL can sit
-    1e-8 above the nose, far outside tol."""
+    above it, on the branch through zero load) and is the fallback start.
+
+    From the series start, one corrector first jumps to where the fold's
+    quadratic model through the start, lambda = rho - |a| (s - s*)^2 / 2 with
+    the series' nose rho and g = dlambda/ds, puts the nose: s* = s0 + 2 (rho -
+    lambda0) / g0, s the magnitude of the start's fastest load bus, held at s*
+    to FOLD_TOL. A point solved there past the nose brackets the fold with the
+    start. One short of it (the fit tends to place rho a little below the
+    nose) is where the continuation resumes, its first step the jump's mirror
+    image across the nose at which g, linear through both points, vanishes;
+    when the jump fails, it resumes from the start. The first step moves no
+    load magnitude by more than 0.03 p.u. from the series start and 0.1 p.u.
+    from bracket[0] (doubles lambda when none moves); later lengths follow the
+    corrector's iteration count. Once t's lambda component changes sign, the
+    fold is the zero of g, s the magnitude of the critical bus, found by a
+    secant that keeps a sign-change bracket. The jump's and the secant's
+    correctors run to FOLD_TOL: a point accepted at NEWTON_TOL can sit 1e-8
+    above the nose, far outside tol."""
     lo, hi = bracket
     if not lo > 0:
         raise CaseError("bracket lower end must be positive")
@@ -319,15 +330,33 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
     if start is not None:
         res, y, t = correct(np.r_[np.angle(start[1]), np.abs(start[1]), start[0]], lam)
         first = 0.03  # p.u. of load magnitude: the nose is near
-    if start is None or not res.converged:
+        if not res.converged:
+            start = None
+    if start is None:
         res, y, t = correct(np.r_[theta[m:], vm[m:], lo], lam)
         first = 0.1
         if not res.converged:
             raise CaseError(f"lower bracket end lambda={lo} is itself infeasible")
     t /= np.linalg.norm(t)
+    past = False  # whether (y, t) and (y1, t1) bracket the nose
+    if start is not None:
+        # the jump: the fold model lambda = rho - |a| (s - s*)^2 / 2 through the start, with the series' nose
+        # rho, puts the nose at s* = s0 + 2 (rho - lambda0) / g0, g = dlambda/ds for s = y[crit]
+        crit = n + int(np.argmax(np.abs(t[n:lam])))
+        g0 = t[lam] / t[crit]
+        s = y[crit] + 2.0 * (start[0] / SERIES_FRACTION - y[lam]) / g0
+        res1, y1, t1 = correct(y + (s - y[crit]) / t[crit] * t, crit, FOLD_TOL)
+        if res1.converged:
+            t1 /= math.copysign(np.linalg.norm(t1), t[crit])
+            past, g1 = t1[lam] < 0, t1[lam] / t1[crit]
+            if not past and 0 < abs(g1) < abs(g0):
+                # short of the nose: g falls linearly through both points; step to the jump's mirror image
+                first = abs(2.0 * g1 * (y1[crit] - y[crit]) / (g0 - g1))
+            if not past:
+                res, y, t = res1, y1, t1
     dv = np.abs(t[n:lam]).max()  # the largest load-magnitude rate; 0 for a zero direction
     h = first / dv if dv > 0 else lo / t[lam]
-    while True:
+    while not past:
         res1, y1, t1 = correct(y + h * t, int(np.argmax(np.abs(t))))
         if res1.converged:
             t1 /= np.linalg.norm(t1) if t1 @ t > 0 else -np.linalg.norm(t1)

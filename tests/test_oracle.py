@@ -14,6 +14,8 @@ from pfcert import limits, oracle
 from pfcert.admittance import build_admittance, fixed_point_residual, reduce_case
 from pfcert.net_model import CaseError, load_power_vector, partition_buses
 from pfcert.oracle import (
+    FOLD_TOL,
+    NEWTON_TOL,
     _NewtonKernel,
     _nose,
     actual_limit,
@@ -245,7 +247,8 @@ def test_factor_raises_on_a_singular_matrix_like_splu():
 def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
     """The Jacobian is refilled in place: once the kernel exists, the limit builds no
     scipy.sparse matrix at all, and it takes as many factorizations as with a new
-    matrix every iteration (21 on case39's base direction, started from the series)."""
+    matrix every iteration (10 on case39's base direction, started from the series
+    with the jump toward the nose it predicts)."""
     case = case_path_case("case39.m")
     red, S = limits.prepare(case)
     red.kernel  # built on first use, so before the counting starts
@@ -263,7 +266,7 @@ def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
     monkeypatch.setattr(_NewtonKernel, "factor", counting("factor", _NewtonKernel.factor))
     monkeypatch.setattr(sp._base._spbase, "__init__", counting("sparse", sp._base._spbase.__init__))
     actual_limit(case, direction=S, bracket=(1e-3, None), network=red)
-    assert counts["factor"] == 21
+    assert counts["factor"] == 10
     assert counts["sparse"] == 0
 
 
@@ -366,6 +369,10 @@ def golden_sweep_directions(case, red, S, points=12):
 # 36-point sweep angles, in degrees, whose coefficient ratios alternate about the trend
 # (two singularities near the same radius): the series' start sits at 0.83-0.89 of the nose
 ALTERNATING = {"case9": (210, 320), "case24_ieee_rts": (340,)}
+# the lowest starts, where a singularity off the positive axis is nearer than the nose: 0.383 and 0.473 of it
+LOW_START = {"case24_ieee_rts": (260,), "case39": (260,)}
+# where the jump lands past the nose, so that it and the start bracket the fold
+JUMP_PAST = {"case39": (30,)}
 
 
 @pytest.mark.parametrize("gen_phasors", ["case", "solved"])
@@ -373,21 +380,59 @@ ALTERNATING = {"case9": (210, 320), "case24_ieee_rts": (340,)}
 def test_default_oracle_agrees_with_a_tighter_fold(name, gen_phasors, monkeypatch):
     """The default answer depends on neither the continuation's path nor its start: on
     every bundled base direction, on the 12 directions of each golden sweep and on the
-    ALTERNATING ones, the series start is taken, and the answer is within 2e-10 of a
-    tol = 1e-13 run (measured: at most 9.96e-11) and of the answer started from
-    bracket[0], which refusing the series start gives."""
+    ALTERNATING, LOW_START and JUMP_PAST ones, the series start is taken, and the answer
+    is within 2e-10 of a tol = 1e-13 run (measured: at most 9.4e-11), as are the answers
+    with the jump refused (the plain continuation from the series start) and started
+    from bracket[0], which refusing the series start gives. On the base direction the
+    series start and the jump are both solved (a silent fallback fails here); on
+    JUMP_PAST every corrector after the start's is the fold secant's."""
     case = case_path_case(f"{name}.m")
     red, S = limits.prepare(case, gen_phasors)
-    directions = [S] + golden_sweep_directions(case, red, S)
-    directions += [golden_sweep_directions(case, red, S, 36)[a // 10] for a in ALTERNATING.get(name, ())]
+    sweep = golden_sweep_directions(case, red, S, 36)
+    past = [sweep[a // 10] for a in JUMP_PAST.get(name, ())]
+    directions = [S] + past + golden_sweep_directions(case, red, S)
+    directions += [sweep[a // 10] for a in ALTERNATING.get(name, ()) + LOW_START.get(name, ())]
     assert all(oracle._series_start(red, d, 1e-3, None) is not None for d in directions)
-    tight = [actual_limit(case, direction=d, tol=1e-13, network=red) for d in directions]
-    series = [actual_limit(case, direction=d, network=red) for d in directions]
+    calls, refuse = [], False  # (tolerance, converged) of each corrector call of one limit
+    correct = _NewtonKernel.correct
+
+    def watched(self, *args):
+        res, y, t = correct(self, *args)
+        calls.append((args[7], res.converged))
+        return (replace(res, converged=False), y, None) if refuse and len(calls) == 2 else (res, y, t)
+
+    def limit(d, **kwargs):
+        calls.clear()
+        return actual_limit(case, direction=d, network=red, **kwargs)
+
+    monkeypatch.setattr(_NewtonKernel, "correct", watched)
+    tight = [limit(d, tol=1e-13) for d in directions]
+    series, paths = [], []
+    for d in directions:
+        series.append(limit(d))
+        paths.append(calls[:])
+    assert paths[0][:2] == [(NEWTON_TOL, True), (FOLD_TOL, True)]  # the series start's corrector, then the jump's
+    assert all(tol == FOLD_TOL for path in paths[1:1 + len(past)] for tol, _ in path[1:])
+    refuse = True  # the jump's corrector, each limit's second, reports failure
+    refused = [limit(d) for d in directions]
     monkeypatch.setattr(oracle, "_series_start", lambda *args: None)
-    cold = [actual_limit(case, direction=d, network=red) for d in directions]
+    cold = [limit(d) for d in directions]
     assert series == pytest.approx(tight, abs=2e-10)
+    assert refused == pytest.approx(tight, abs=2e-10)
     assert cold == pytest.approx(tight, abs=2e-10)
     assert series == pytest.approx(cold, abs=2e-10)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_nose_point_meets_the_fold_tolerance(name):
+    """_nose returns a point solved to FOLD_TOL (the jump's or the fold secant's), not a
+    continuation point accepted at NEWTON_TOL, which can sit 1e-8 above the nose: its
+    load-bus power mismatch |V conj(Y V) + lambda d| is at most FOLD_TOL."""
+    case = case_path_case(f"{name}.m")
+    red, S = limits.prepare(case)
+    lam, V = _nose(red, S, (1e-3, None), 1e-10)
+    m = len(red.generator_ids)
+    assert np.abs((V * np.conj(red.Y @ V))[m:] + lam * S).max() <= FOLD_TOL
 
 
 def test_case30_sweep_at_150_degrees_is_the_nose():
