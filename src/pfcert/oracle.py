@@ -21,7 +21,7 @@ from .admittance import AdmittanceMatrix, GridReduction, SingularNetworkError, b
 from .net_model import CaseError, NetworkCase, load_power_vector
 
 NEWTON_TOL = 1e-8  # per-unit power mismatch of a converged Newton solve or continuation corrector
-FOLD_TOL = 1e-12  # per-unit power mismatch of the fold secant's correctors, whose point is returned
+FOLD_TOL = 1e-12  # per-unit power mismatch of the jump's and the fold secant's correctors, whose point is returned
 NEWTON_MAX_ITER = 30  # iterations per solve at a fixed loading
 CORRECTOR_MAX_ITER = 40  # iterations per continuation corrector
 SERIES_TERMS = 40  # power-series coefficients of the zero-load start, one Y_LL solve each
@@ -298,8 +298,10 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
     to FOLD_TOL. A point solved there past the nose brackets the fold with the
     start. One short of it (the fit tends to place rho a little below the
     nose) is where the continuation resumes, its first step the jump's mirror
-    image across the nose at which g, linear through both points, vanishes;
-    when the jump fails, it resumes from the start. The first step moves no
+    image across the nose at which g, linear through both points, vanishes,
+    unless that line, by the secant's test, puts the jump within tol of the
+    nose, when the jump is returned; when the jump fails, it resumes from
+    the start. The first step moves no
     load magnitude by more than 0.03 p.u. from the series start and 0.1 p.u.
     from bracket[0] (doubles lambda when none moves); later lengths follow the
     corrector's iteration count. Once t's lambda component changes sign, the
@@ -350,8 +352,10 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
             t1 /= math.copysign(np.linalg.norm(t1), t[crit])
             past, g1 = t1[lam] < 0, t1[lam] / t1[crit]
             if not past and 0 < abs(g1) < abs(g0):
-                # short of the nose: g falls linearly through both points; step to the jump's mirror image
+                # short of the nose: g falls linearly through both points, to zero halfway to the jump's mirror image
                 first = abs(2.0 * g1 * (y1[crit] - y[crit]) / (g0 - g1))
+                if abs(g1) * first / 4.0 <= tol:  # the secant's test: lambda* - lambda1 = g1^2 / (2 |slope|)
+                    return y1[lam], res1.V_L
             if not past:
                 res, y, t = res1, y1, t1
     dv = np.abs(t[n:lam]).max()  # the largest load-magnitude rate; 0 for a zero direction

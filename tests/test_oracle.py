@@ -415,12 +415,43 @@ def test_default_oracle_agrees_with_a_tighter_fold(name, gen_phasors, monkeypatc
     assert all(tol == FOLD_TOL for path in paths[1:1 + len(past)] for tol, _ in path[1:])
     refuse = True  # the jump's corrector, each limit's second, reports failure
     refused = [limit(d) for d in directions]
+    refuse = False  # the cold start runs unmodified
     monkeypatch.setattr(oracle, "_series_start", lambda *args: None)
     cold = [limit(d) for d in directions]
     assert series == pytest.approx(tight, abs=2e-10)
     assert refused == pytest.approx(tight, abs=2e-10)
     assert cold == pytest.approx(tight, abs=2e-10)
     assert series == pytest.approx(cold, abs=2e-10)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-30])
+def test_jump_landing_just_short_of_the_nose(tol, monkeypatch):
+    """The two-bus load (p = 1, x = 0.1) has its nose at lambda = 5 and |v| = 1/sqrt(2).
+    With a series start at 0.95 * 5, and the jump's held magnitude moved to 1e-9 above
+    the nose's, the jump lands just short of it. At the default tol the quadratic model
+    puts the jump within tol of the nose, and it is returned after two correctors. At a
+    tol no model meets, the continuation resumes with a mirror step of about 2e-9: its
+    predictor's mismatch is at rounding level, which the corrector accepts after one
+    factorization, and the fold secant ends at its 1e-13 width."""
+    case = make_two_bus(p=1.0)
+    red = reduce_case(case)
+    d = load_power_vector(case, red.load_ids)
+    start = two_bus_analytic(4.75, 0.0, 0.1)[0]
+    monkeypatch.setattr(oracle, "_series_start", lambda *args: (4.75, np.array([start])))
+    calls = []
+    correct = _NewtonKernel.correct
+
+    def landing(self, *args):
+        if len(calls) == 1:  # the jump: from the nose, hold the magnitude 1e-9 above it
+            assert args[6] == 1
+            args = args[:3] + (np.array([-math.pi / 4, math.sqrt(0.5) + 1e-9, 5.0]),) + args[4:]
+        res, y, t = correct(self, *args)
+        calls.append(res.converged)
+        return res, y, t
+
+    monkeypatch.setattr(_NewtonKernel, "correct", landing)
+    assert _nose(red, d, (1e-3, None), tol)[0] == pytest.approx(5.0, abs=1e-12)
+    assert (calls == [True, True]) == (tol == 1e-10)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
