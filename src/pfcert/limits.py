@@ -24,7 +24,7 @@ from . import oracle
 from .admittance import GridReduction, reduce_case
 from .certificate import certify_all, voltage_bounds
 from .net_model import CaseError, NetworkCase, load_power_vector
-from .stress import StressMeasures, compute_stress
+from .stress import StressMeasures, compute_stress, first_positive_roots
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,6 @@ def prepare(case: NetworkCase, gen_phasors: str = "case") -> tuple[GridReduction
     return red, load_power_vector(case, red.load_ids)
 
 
-def _first_positive_roots(a, b, c) -> np.ndarray:
-    """Smallest positive root of a x^2 + b x + c = 0, elementwise (inf where none).
-
-    The roots are q/a and c/q with q = -(b + sign(b) sqrt(b^2 - 4ac))/2, the
-    form without cancellation; with a = 0 the second is the linear root -c/b.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -(b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b)) / 2.0
-        r1, r2 = q / a, c / q
-    return np.minimum(np.where(r1 > 0.0, r1, np.inf), np.where(r2 > 0.0, r2, np.inf))
-
-
 def _line_limits(
     red: GridReduction, mode: str, m: StressMeasures, m0: StressMeasures | None = None, c: float = 1.0
 ) -> LimitEstimates:
@@ -96,7 +84,7 @@ def _line_limits(
         raise RuntimeError(
             f"eta {E1} exceeds xi {X1}: impossible for sigma = S by the triangle inequality"
         )
-    level = _first_positive_roots(
+    level = first_positive_roots(
         2.0 * X1 * E1 - m.xi**2 - m.eta_abs**2,
         2.0 * (m.xi + m.eta_complex.real - x0 * m.xi + X0 * E1),
         2.0 * x0 - x0**2 - 1.0,

@@ -19,9 +19,10 @@ from scipy.sparse.linalg._dsolve import _superlu
 
 from .admittance import AdmittanceMatrix, GridReduction, SingularNetworkError, build_admittance, reduce_case
 from .net_model import CaseError, NetworkCase, load_power_vector
+from .stress import first_positive_roots
 
 NEWTON_TOL = 1e-8  # per-unit power mismatch of a converged Newton solve or continuation corrector
-FOLD_TOL = 1e-12  # per-unit power mismatch of the jump's and the fold secant's correctors, whose point is returned
+FOLD_TOL = 1e-12  # per-unit power mismatch of the correctors from the jump on, whose points alone are returned
 NEWTON_MAX_ITER = 30  # iterations per solve at a fixed loading
 CORRECTOR_MAX_ITER = 40  # iterations per continuation corrector
 SERIES_TERMS = 40  # power-series coefficients of the zero-load start, one Y_LL solve each
@@ -55,11 +56,12 @@ class _NewtonKernel:
         self.Y, self.ang, self.mag, self.var = Y, ang, mag, np.union1d(ang, mag)
         pos_a, pos_m = np.full(nb, -1), np.full(nb, -1)  # row and column of each bus in J
         pos_a[ang], pos_m[mag] = np.arange(len(ang)), np.arange(len(ang), n)
-        Yc = Y.tocoo()
-        Yc.eliminate_zeros()
-        row = (pos_a[Yc.row] >= 0) | (pos_m[Yc.row] >= 0)
-        parts = (row & (pos_a[Yc.col] >= 0), row & (pos_m[Yc.col] >= 0))  # the dS/dVa, then the dS/dVm entries
-        i, k, y = (np.concatenate([a[part] for part in parts]) for a in (Yc.row, Yc.col, Yc.data))
+        # Y's stored nonzeros in storage order, (row, column, value); Y has no duplicate entries
+        nz = Y.data != 0
+        Yrow, Ycol, Ydata = Y.indices[nz], np.repeat(np.arange(nb), np.diff(Y.indptr))[nz], Y.data[nz]
+        row = (pos_a[Yrow] >= 0) | (pos_m[Yrow] >= 0)
+        parts = (row & (pos_a[Ycol] >= 0), row & (pos_m[Ycol] >= 0))  # the dS/dVa, then the dS/dVm entries
+        i, k, y = (np.concatenate([a[part] for part in parts]) for a in (Yrow, Ycol, Ydata))
         dm = np.arange(len(i)) >= np.count_nonzero(parts[0])
         self.yr, self.yi, self.sign = y.real, y.imag, np.where(dm, 1.0, -1.0)
         self.p, self.take = i + nb * dm, k + nb * dm  # into [jV, V] and [V, U]
@@ -67,9 +69,11 @@ class _NewtonKernel:
         self.diag_m = np.where((i == k) & dm, i, nb)  # into [conj(I) U, 0]
         # Re(dS) goes to the P rows, Im(dS) to the Q rows; J's values are positions in [Re, Im]
         P, Q, col = np.flatnonzero(pos_a[i] >= 0), np.flatnonzero(pos_m[i] >= 0), np.where(dm, pos_m[k], pos_a[k])
-        J = sp.csc_matrix((np.r_[P, len(i) + Q], (np.r_[pos_a[i[P]], pos_m[i[Q]]], np.r_[col[P], col[Q]])), (n, n))
-        # canonical CSC (sorted rows, no duplicates), with the index type SuperLU takes
-        self.gather, self.indices, self.indptr = J.data, J.indices.astype(np.intc), J.indptr.astype(np.intc)
+        rows, cols = np.r_[pos_a[i[P]], pos_m[i[Q]]], np.r_[col[P], col[Q]]
+        # canonical CSC (by column, rows sorted; each (row, column) once), with the index type SuperLU takes
+        order = np.lexsort((rows, cols))
+        self.gather, self.indices = np.r_[P, len(i) + Q][order], rows[order].astype(np.intc)
+        self.indptr = np.r_[0, np.cumsum(np.bincount(cols, minlength=n))].astype(np.intc)
 
     def jacobian(self, V: np.ndarray, I: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The values of J at bus voltages V with I = Y V, in the pattern (indices, indptr),
@@ -263,13 +267,13 @@ def actual_limit(
     continuation (Ajjarapu & Christy 1992) to the saddle-node point (Canizares
     & Alvarado 1993). The continuation starts just below the nose, from the
     zero-load power series of the fixed-point form, when that start lies inside
-    the bracket and solves, and first jumps to the nose the series estimates;
-    otherwise it starts at bracket[0], which must then be feasible. Returns the
-    lambda of a solved point that the fold's quadratic model puts within tol
-    of the nose, whatever the path and the start; 1e-10 is below the 9 digits
-    the CLI prints (each corrector runs CORRECTOR_MAX_ITER iterations at most,
-    to NEWTON_TOL on the continuation and to FOLD_TOL for the jump and at the
-    fold). network is the case's reduction, from reduce_case(case) when None.
+    the bracket and solves, and jumps to the nose the series estimates, then
+    to that of a cubic lambda(s); otherwise it starts at bracket[0], which must
+    then be feasible. Returns the lambda of a point solved to FOLD_TOL that the
+    fold's quadratic model puts within tol of the nose, whatever the path; 1e-10
+    is below the 9 digits the CLI prints (each corrector runs CORRECTOR_MAX_ITER
+    iterations at most, to NEWTON_TOL on the continuation and to FOLD_TOL from
+    the jump on). network is the case's reduction, reduce_case(case) if None.
     Raises CaseError when the nose is at or above bracket[1], when lambda
     passes 2**60 * bracket[0], or when a corrector breaks down.
     """
@@ -291,24 +295,24 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
     point at bracket[0]. bracket[0] thus marks the branch (the series start lies
     above it, on the branch through zero load) and is the fallback start.
 
-    From the series start, one corrector first jumps to where the fold's
-    quadratic model through the start, lambda = rho - |a| (s - s*)^2 / 2 with
-    the series' nose rho and g = dlambda/ds, puts the nose: s* = s0 + 2 (rho -
-    lambda0) / g0, s the magnitude of the start's fastest load bus, held at s*
-    to FOLD_TOL. A point solved there past the nose brackets the fold with the
-    start. One short of it (the fit tends to place rho a little below the
-    nose) is where the continuation resumes, its first step the jump's mirror
-    image across the nose at which g, linear through both points, vanishes,
-    unless that line, by the secant's test, puts the jump within tol of the
-    nose, when the jump is returned; when the jump fails, it resumes from
-    the start. The first step moves no
-    load magnitude by more than 0.03 p.u. from the series start and 0.1 p.u.
+    The series start, solved to sqrt(NEWTON_TOL), gives the jump its tangent and
+    is a bracket end or the fallback start, never the answer. From it one
+    corrector jumps to where the fold's quadratic model through the start,
+    lambda = rho - |a| (s - s*)^2 / 2 with the series' nose rho and g = dlambda/ds,
+    puts the nose: s* = s0 + 2 (rho - lambda0) / g0, s the magnitude of the
+    start's fastest load bus. A point short of the nose is returned when the
+    fold's test puts it within tol of it; otherwise the next is held where
+    _cubic_fold puts it, short of the cubic's peak beyond, and so on from the
+    last two points. When a corrector fails or |g| does not fall, the
+    continuation resumes from the last solved point. Its first step moves no
+    load magnitude by more than 0.03 p.u. after the series start and 0.1 p.u.
     from bracket[0] (doubles lambda when none moves); later lengths follow the
-    corrector's iteration count. Once t's lambda component changes sign, the
-    fold is the zero of g, s the magnitude of the critical bus, found by a
-    secant that keeps a sign-change bracket. The jump's and the secant's
-    correctors run to FOLD_TOL: a point accepted at NEWTON_TOL can sit 1e-8
-    above the nose, far outside tol."""
+    corrector's iteration count. Once a point lies past the nose, the fold,
+    the zero of g for s the magnitude of the critical bus, is found inside a
+    sign-change bracket at _cubic_fold's point between its ends, or at its
+    midpoint after two steps that replaced the same end. The correctors from
+    the jump on run to FOLD_TOL, and only a point solved to FOLD_TOL is
+    returned: one accepted at NEWTON_TOL can sit 1e-8 above the nose."""
     lo, hi = bracket
     if not lo > 0:
         raise CaseError("bracket lower end must be positive")
@@ -330,7 +334,7 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
 
     start = _series_start(net, direction, lo, hi)
     if start is not None:
-        res, y, t = correct(np.r_[np.angle(start[1]), np.abs(start[1]), start[0]], lam)
+        res, y, t = correct(np.r_[np.angle(start[1]), np.abs(start[1]), start[0]], lam, math.sqrt(NEWTON_TOL))
         first = 0.03  # p.u. of load magnitude: the nose is near
         if not res.converged:
             start = None
@@ -347,17 +351,21 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
         crit = n + int(np.argmax(np.abs(t[n:lam])))
         g0 = t[lam] / t[crit]
         s = y[crit] + 2.0 * (start[0] / SERIES_FRACTION - y[lam]) / g0
-        res1, y1, t1 = correct(y + (s - y[crit]) / t[crit] * t, crit, FOLD_TOL)
-        if res1.converged:
+        while True:
+            res1, y1, t1 = correct(y + (s - y[crit]) / t[crit] * t, crit, FOLD_TOL)
+            if not res1.converged:
+                break
             t1 /= math.copysign(np.linalg.norm(t1), t[crit])
-            past, g1 = t1[lam] < 0, t1[lam] / t1[crit]
-            if not past and 0 < abs(g1) < abs(g0):
-                # short of the nose: g falls linearly through both points, to zero halfway to the jump's mirror image
-                first = abs(2.0 * g1 * (y1[crit] - y[crit]) / (g0 - g1))
-                if abs(g1) * first / 4.0 <= tol:  # the secant's test: lambda* - lambda1 = g1^2 / (2 |slope|)
-                    return y1[lam], res1.V_L
-            if not past:
+            past, g1, h = t1[lam] < 0, t1[lam] / t1[crit], y1[crit] - y[crit]
+            if past:
+                break
+            if not 0 < abs(g1) < abs(g0):  # g does not fall toward the nose
                 res, y, t = res1, y1, t1
+                break
+            if g1 * g1 * abs(h) <= 2.0 * tol * abs(g0 - g1):  # the fold's test (see below)
+                return y1[lam], res1.V_L
+            s = _cubic_fold(y[crit], g0, y[lam], y1[crit], g1, y1[lam], 1.0, tol)
+            res, y, t, g0 = res1, y1, t1, g1
     dv = np.abs(t[n:lam]).max()  # the largest load-magnitude rate; 0 for a zero direction
     h = first / dv if dv > 0 else lo / t[lam]
     while not past:
@@ -379,16 +387,16 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
         res, y, t = res1, y1, t1
         h *= 2.0 ** min(2, max(-2, 3 - res1.iterations))
 
-    ends = [(y[crit], t[lam] / t[crit], y, t, res.V_L), (y1[crit], t1[lam] / t1[crit], y1, t1, res1.V_L)]
+    ends = [(y[crit], t[lam] / t[crit], y, t, res), (y1[crit], t1[lam] / t1[crit], y1, t1, res1)]
     last, same = None, 0  # the end replaced last, and how many times in a row
     while True:
-        (sa, ga, *_), (sb, gb, *_) = ends
+        (sa, ga, ya, *_), (sb, gb, yb, *_) = ends
         slope = (gb - ga) / (sb - sa)
-        _, g, y, _, V_L = min(ends, key=lambda e: abs(e[1]))
+        _, g, y, _, res = min(ends, key=lambda e: abs(e[1]))
         # near the fold lambda = lambda* + slope (s - s*)^2 / 2, so lambda* - lambda = g^2 / (2 |slope|)
-        if g * g / (2.0 * abs(slope)) <= tol or abs(sb - sa) <= 1e-13:
-            return y[lam], V_L
-        s = 0.5 * (sa + sb) if same >= 2 else sa - ga / slope
+        if res.mismatch_norm < FOLD_TOL and (g * g / (2.0 * abs(slope)) <= tol or abs(sb - sa) <= 1e-13):
+            return y[lam], res.V_L
+        s = 0.5 * (sa + sb) if same >= 2 else _cubic_fold(sa, ga, ya[lam], sb, gb, yb[lam], -1.0, tol)
         s0, _, y0, t0, _ = min(ends, key=lambda e: abs(s - e[0]))  # start from the nearer end
         while True:
             res, y, t = correct(y0 + (s - s0) / t0[crit] * t0, crit, FOLD_TOL)
@@ -400,7 +408,19 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
         side = int((t[lam] > 0) != (ga > 0))
         same = same + 1 if side == last else 1
         last = side
-        ends[side] = (y[crit], t[lam], y, t, res.V_L)
+        ends[side] = (y[crit], t[lam], y, t, res)
+
+
+def _cubic_fold(sa: float, ga: float, la: float, sb: float, gb: float, lb: float, side: float, tol: float) -> float:
+    """Where to hold s next: on sa's side of the peak of the cubic lambda(s) through (sa, la) and (sb, lb)
+    with slopes ga and gb (Hermite), where g's secant slope between them puts lambda tol / 4 below it, so
+    rounding cannot lift the answer past the nose. The peak is where g = gb + b x + a x^2 vanishes at
+    s = sb + x (sb - sa), first past sb (side 1) or between sa and sb (side -1), else where that secant does."""
+    h = sb - sa
+    mean = (lb - la) / h
+    x = first_positive_roots(3.0 * (ga + gb) - 6.0 * mean, side * (2.0 * ga + 4.0 * gb - 6.0 * mean), gb)
+    peak = sb + side * x * h if x < math.inf else sb - gb * h / (gb - ga)
+    return peak - math.copysign(math.sqrt(0.5 * tol * abs(h / (gb - ga))), h)
 
 
 @np.errstate(all="ignore")  # overflow and 0/0 surface as the non-finite values checked below

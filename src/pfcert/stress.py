@@ -113,3 +113,15 @@ def compute_radii(m: StressMeasures) -> DiscRadii:
     r_lo = math.sqrt(max((1.0 - m.gamma_max - root), 0.0) / two_xi_sq)
     r_hi = math.sqrt((1.0 - m.gamma_max + root) / two_xi_sq)
     return DiscRadii(r_lo=r_lo, r_hi=r_hi, degenerate=False)
+
+
+def first_positive_roots(a, b, c) -> np.ndarray:
+    """Smallest positive root of a x^2 + b x + c = 0, elementwise (inf where none).
+
+    The roots are q/a and c/q with q = -(b + sign(b) sqrt(b^2 - 4ac))/2, the
+    form without cancellation; with a = 0 the second is the linear root -c/b.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -(b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b)) / 2.0
+        r1, r2 = q / a, c / q
+    return np.minimum(np.where(r1 > 0.0, r1, np.inf), np.where(r2 > 0.0, r2, np.inf))

@@ -5,14 +5,15 @@ known-solution certified total scalings, and true limits), plus the 39-bus
 base-loading voltage-bound coordinates and the bus-4 bound-profile anchors;
 the closed-form solutions of one load behind a reactance, the two-bus
 reference of the whole suite; a hunt for other power-flow solutions; the
-certified convergence-rate check; and plain forms of the fixed-point loop
-and of the contraction bound, which the package's lean versions must match
-bit for bit.
+certified convergence-rate check; and plain forms of the fixed-point loop,
+of the contraction bound and of the Newton kernel's pattern build, which the
+package's lean versions must match bit for bit.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from pfcert.admittance import GridReduction
 from pfcert.certificate import Certificate
@@ -222,3 +223,23 @@ def reference_contraction(m, radii, n_grid=63):
     sup = np.where(d > 0.0, np.abs(1.0 - centers.conj() / safe) + rho / safe, math.inf)
     best = float((sup.max(axis=1) / grid).min())
     return best if best < 1.0 else None
+
+
+def reference_kernel_arrays(Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray) -> dict:
+    """The arrays of oracle._NewtonKernel(Y, ang, mag), built through scipy.sparse:
+    Y's entries from tocoo, and J's pattern from the csc_matrix constructor, which
+    sorts each column's rows."""
+    nb, n = Y.shape[0], len(ang) + len(mag)
+    pos_a, pos_m = np.full(nb, -1), np.full(nb, -1)
+    pos_a[ang], pos_m[mag] = np.arange(len(ang)), np.arange(len(ang), n)
+    Yc = Y.tocoo()
+    Yc.eliminate_zeros()
+    row = (pos_a[Yc.row] >= 0) | (pos_m[Yc.row] >= 0)
+    parts = (row & (pos_a[Yc.col] >= 0), row & (pos_m[Yc.col] >= 0))
+    i, k, y = (np.concatenate([a[part] for part in parts]) for a in (Yc.row, Yc.col, Yc.data))
+    dm = np.arange(len(i)) >= np.count_nonzero(parts[0])
+    P, Q, col = np.flatnonzero(pos_a[i] >= 0), np.flatnonzero(pos_m[i] >= 0), np.where(dm, pos_m[k], pos_a[k])
+    J = sp.csc_matrix((np.r_[P, len(i) + Q], (np.r_[pos_a[i[P]], pos_m[i[Q]]], np.r_[col[P], col[Q]])), (n, n))
+    return dict(yr=y.real, yi=y.imag, sign=np.where(dm, 1.0, -1.0), p=i + nb * dm, take=k + nb * dm,
+                diag_a=np.where((i == k) & ~dm, i, nb), diag_m=np.where((i == k) & dm, i, nb),
+                gather=J.data, indices=J.indices.astype(np.intc), indptr=J.indptr.astype(np.intc))

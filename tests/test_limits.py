@@ -16,7 +16,6 @@ from pfcert.certificate import certify, certify_dvijotham, certify_wang
 from pfcert.fixed_point import solve_fixed_point
 from pfcert import limits
 from pfcert.limits import (
-    _first_positive_roots,
     _line_limits,
     bound_profile,
     default_sweep_buses,
@@ -26,7 +25,7 @@ from pfcert.limits import (
 )
 from pfcert.net_model import CaseError, load_case_file
 from pfcert.oracle import actual_limit, newton_solve
-from pfcert.stress import compute_stress
+from pfcert.stress import compute_stress, first_positive_roots
 
 from conftest import BUNDLED, case_path, make_star, make_two_bus, random_loads
 
@@ -378,9 +377,9 @@ ROOT_CASES = [  # a, b, c, smallest positive root of a x^2 + b x + c
 @pytest.mark.filterwarnings("error")
 def test_first_positive_roots_edge_cases():
     a, b, c, expected = (np.array(col) for col in zip(*ROOT_CASES))
-    assert np.array_equal(_first_positive_roots(a, b, c), expected)
+    assert np.array_equal(first_positive_roots(a, b, c), expected)
     for row in ROOT_CASES:
-        assert _first_positive_roots(*row[:3]) == row[3]
+        assert first_positive_roots(*row[:3]) == row[3]
 
 
 def min_positive_root(a, b, c):
@@ -405,7 +404,7 @@ def test_first_positive_roots_match_the_scalar_reference(rng):
     b[::11] = 0.0
     c[::5] = 0.0
     expected = [min_positive_root(*abc) for abc in zip(a, b, c)]
-    assert np.array_equal(_first_positive_roots(a, b, c), expected)
+    assert np.array_equal(first_positive_roots(a, b, c), expected)
 
 
 def test_closed_form_limits_take_one_stress_call(monkeypatch):

@@ -24,7 +24,7 @@ from pfcert.oracle import (
 )
 
 from conftest import case_path, make_star, make_two_bus
-from reference_values import two_bus_analytic
+from reference_values import reference_kernel_arrays, two_bus_analytic
 
 BUNDLED = ("case9", "case14", "case24_ieee_rts", "case30", "case39", "case57", "case118")
 
@@ -169,6 +169,33 @@ def test_newton_kernel_jacobian_matches_central_differences(form):
     assert lu.solve(b).tobytes() == x.tobytes()
 
 
+@pytest.mark.parametrize("name", ["case9", "case39", "case118"])
+def test_kernel_pattern_matches_the_scipy_build(name):
+    """The kernel builds J's pattern from Y's CSC arrays alone. Every array it keeps
+    equals that of the scipy.sparse build, dtype and bytes, for both solvers' index
+    sets; also with an explicitly stored zero in Y, which neither build keeps, and with
+    each column of Y stored in descending row order."""
+    case = case_path_case(f"{name}.m")
+    adm = build_admittance(case)
+    m, nb = adm.n_gen, len(adm.bus_order)
+    gens = adm.bus_order[:m]
+    slack = case.slack_bus if case.slack_bus in gens else gens[0]
+    mag = np.arange(m, nb)
+    stored_zero = adm.matrix.copy()  # one branch between two load buses, zero but still stored
+    col = np.repeat(np.arange(nb), np.diff(stored_zero.indptr))
+    stored_zero.data[np.flatnonzero((stored_zero.indices != col) & (stored_zero.indices >= m) & (col >= m))[0]] = 0
+    Y = adm.matrix
+    descending = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(Y.indptr[:-1], Y.indptr[1:])])
+    unsorted = sp.csc_matrix((Y.data[descending], Y.indices[descending], Y.indptr), shape=Y.shape)
+    for Y in (adm.matrix, stored_zero, unsorted):
+        for ang in (mag, np.delete(np.arange(nb), adm.bus_order.index(slack))):
+            kernel = _NewtonKernel(Y, ang, mag)
+            for key, want in reference_kernel_arrays(Y, ang, mag).items():
+                got = getattr(kernel, key)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
+    assert len(_NewtonKernel(stored_zero, mag, mag).gather) < len(_NewtonKernel(adm.matrix, mag, mag).gather)
+
+
 def _replace_column(J, k, col):
     """J with column k replaced by the dense vector col, and that column of J, dense,
     as a fresh matrix each call: the reference for _NewtonKernel.held_column."""
@@ -247,8 +274,8 @@ def test_factor_raises_on_a_singular_matrix_like_splu():
 def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
     """The Jacobian is refilled in place: once the kernel exists, the limit builds no
     scipy.sparse matrix at all, and it takes as many factorizations as with a new
-    matrix every iteration (10 on case39's base direction, started from the series
-    with the jump toward the nose it predicts)."""
+    matrix every iteration (8 on case39's base direction, started from the series
+    with the jump toward the nose it predicts and a cubic step)."""
     case = case_path_case("case39.m")
     red, S = limits.prepare(case)
     red.kernel  # built on first use, so before the counting starts
@@ -266,7 +293,7 @@ def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
     monkeypatch.setattr(_NewtonKernel, "factor", counting("factor", _NewtonKernel.factor))
     monkeypatch.setattr(sp._base._spbase, "__init__", counting("sparse", sp._base._spbase.__init__))
     actual_limit(case, direction=S, bracket=(1e-3, None), network=red)
-    assert counts["factor"] == 10
+    assert counts["factor"] == 8
     assert counts["sparse"] == 0
 
 
@@ -366,13 +393,17 @@ def golden_sweep_directions(case, red, S, points=12):
     return directions
 
 
-# 36-point sweep angles, in degrees, whose coefficient ratios alternate about the trend
-# (two singularities near the same radius): the series' start sits at 0.83-0.89 of the nose
+# Sweep angles, in degrees, of the 72-point sweep (every 5 degrees). Those whose coefficient ratios alternate about
+# the trend (two singularities near the same radius): the series' start sits at 0.83-0.89 of the nose
 ALTERNATING = {"case9": (210, 320), "case24_ieee_rts": (340,)}
 # the lowest starts, where a singularity off the positive axis is nearer than the nose: 0.383 and 0.473 of it
 LOW_START = {"case24_ieee_rts": (260,), "case39": (260,)}
-# where the jump lands past the nose, so that it and the start bracket the fold
-JUMP_PAST = {"case39": (30,)}
+# where the jump lands past the nose, so that it and the start bracket the fold (the one such angle of the
+# 36- and 72-point sweeps and of the two largest loads swung together, by either phasor source)
+JUMP_PAST = {"case24_ieee_rts": (175,)}
+
+
+CUBIC = ("cubic", 1.0)  # marks a cubic step beyond the last of two points short of the nose
 
 
 @pytest.mark.parametrize("gen_phasors", ["case", "solved"])
@@ -381,20 +412,22 @@ def test_default_oracle_agrees_with_a_tighter_fold(name, gen_phasors, monkeypatc
     """The default answer depends on neither the continuation's path nor its start: on
     every bundled base direction, on the 12 directions of each golden sweep and on the
     ALTERNATING, LOW_START and JUMP_PAST ones, the series start is taken, and the answer
-    is within 2e-10 of a tol = 1e-13 run (measured: at most 9.4e-11), as are the answers
+    is within 2e-10 of a tol = 1e-13 run (measured: at most 8.9e-11), as are the answers
     with the jump refused (the plain continuation from the series start) and started
     from bracket[0], which refusing the series start gives. On the base direction the
-    series start and the jump are both solved (a silent fallback fails here); on
-    JUMP_PAST every corrector after the start's is the fold secant's."""
+    series start is solved to sqrt(NEWTON_TOL), then the jump lands short of the nose and
+    the cubic step follows, both solved to FOLD_TOL (a silent fallback fails here); on
+    JUMP_PAST every step after the start's corrector is the jump or lies inside the fold's
+    bracket."""
     case = case_path_case(f"{name}.m")
     red, S = limits.prepare(case, gen_phasors)
-    sweep = golden_sweep_directions(case, red, S, 36)
-    past = [sweep[a // 10] for a in JUMP_PAST.get(name, ())]
+    sweep = golden_sweep_directions(case, red, S, 72)
+    past = [sweep[a // 5] for a in JUMP_PAST.get(name, ())]
     directions = [S] + past + golden_sweep_directions(case, red, S)
-    directions += [sweep[a // 10] for a in ALTERNATING.get(name, ()) + LOW_START.get(name, ())]
+    directions += [sweep[a // 5] for a in ALTERNATING.get(name, ()) + LOW_START.get(name, ())]
     assert all(oracle._series_start(red, d, 1e-3, None) is not None for d in directions)
-    calls, refuse = [], False  # (tolerance, converged) of each corrector call of one limit
-    correct = _NewtonKernel.correct
+    calls, refuse = [], False  # (tolerance, converged) of each corrector call of one limit, and the cubic's side
+    correct, cubic = _NewtonKernel.correct, oracle._cubic_fold
 
     def watched(self, *args):
         res, y, t = correct(self, *args)
@@ -406,13 +439,16 @@ def test_default_oracle_agrees_with_a_tighter_fold(name, gen_phasors, monkeypatc
         return actual_limit(case, direction=d, network=red, **kwargs)
 
     monkeypatch.setattr(_NewtonKernel, "correct", watched)
+    monkeypatch.setattr(oracle, "_cubic_fold", lambda *args: calls.append(("cubic", args[6])) or cubic(*args))
     tight = [limit(d, tol=1e-13) for d in directions]
     series, paths = [], []
     for d in directions:
         series.append(limit(d))
         paths.append(calls[:])
-    assert paths[0][:2] == [(NEWTON_TOL, True), (FOLD_TOL, True)]  # the series start's corrector, then the jump's
-    assert all(tol == FOLD_TOL for path in paths[1:1 + len(past)] for tol, _ in path[1:])
+    # the series start's corrector, the jump's, and the cubic step's after it
+    assert paths[0][:4] == [(math.sqrt(NEWTON_TOL), True), (FOLD_TOL, True), CUBIC, (FOLD_TOL, True)]
+    # on JUMP_PAST, after the start's corrector, only FOLD_TOL correctors and cubic steps inside the bracket
+    assert all(call[0] == FOLD_TOL or call == ("cubic", -1.0) for path in paths[1:1 + len(past)] for call in path[1:])
     refuse = True  # the jump's corrector, each limit's second, reports failure
     refused = [limit(d) for d in directions]
     refuse = False  # the cold start runs unmodified
@@ -430,9 +466,11 @@ def test_jump_landing_just_short_of_the_nose(tol, monkeypatch):
     With a series start at 0.95 * 5, and the jump's held magnitude moved to 1e-9 above
     the nose's, the jump lands just short of it. At the default tol the quadratic model
     puts the jump within tol of the nose, and it is returned after two correctors. At a
-    tol no model meets, the continuation resumes with a mirror step of about 2e-9: its
-    predictor's mismatch is at rounding level, which the corrector accepts after one
-    factorization, and the fold secant ends at its 1e-13 width."""
+    tol no model meets, the cubic step follows: the cubic through the start and the jump
+    puts the nose about 5e-10 further on, still short of it, and the cubic through the
+    jump and that point puts it past; no point meets a tol below rounding, so the fold's
+    bracket narrows to its 1e-13 width. Each of these predictors' mismatch is at rounding
+    level, which the corrector accepts after one factorization."""
     case = make_two_bus(p=1.0)
     red = reduce_case(case)
     d = load_power_vector(case, red.load_ids)
@@ -455,15 +493,36 @@ def test_jump_landing_just_short_of_the_nose(tol, monkeypatch):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-def test_nose_point_meets_the_fold_tolerance(name):
-    """_nose returns a point solved to FOLD_TOL (the jump's or the fold secant's), not a
-    continuation point accepted at NEWTON_TOL, which can sit 1e-8 above the nose: its
-    load-bus power mismatch |V conj(Y V) + lambda d| is at most FOLD_TOL."""
+def test_nose_point_meets_the_fold_tolerance(name, monkeypatch):
+    """_nose returns only a point solved to FOLD_TOL (the jump's or a cubic step's): never
+    the series start, solved to sqrt(NEWTON_TOL), nor a continuation point accepted at
+    NEWTON_TOL, which can sit 1e-8 above the nose. On the base direction and the
+    ALTERNATING, LOW_START and JUMP_PAST ones, from the series start, with the jump
+    refused and from the cold start, the returned point's load-bus power mismatch
+    |V conj(Y V) + lambda d| is at most FOLD_TOL."""
     case = case_path_case(f"{name}.m")
     red, S = limits.prepare(case)
-    lam, V = _nose(red, S, (1e-3, None), 1e-10)
+    sweep = golden_sweep_directions(case, red, S, 72)
+    angles = ALTERNATING.get(name, ()) + LOW_START.get(name, ()) + JUMP_PAST.get(name, ())
+    calls = []
+    correct = _NewtonKernel.correct
+
+    def refusing(self, *args):  # the jump's corrector, each limit's second, reports failure
+        res, y, t = correct(self, *args)
+        calls.append(res.converged)
+        return (replace(res, converged=False), y, None) if len(calls) == 2 else (res, y, t)
+
     m = len(red.generator_ids)
-    assert np.abs((V * np.conj(red.Y @ V))[m:] + lam * S).max() <= FOLD_TOL
+    for path in ("series", "refused", "cold"):
+        with monkeypatch.context() as patch:
+            if path == "refused":
+                patch.setattr(_NewtonKernel, "correct", refusing)
+            if path == "cold":
+                patch.setattr(oracle, "_series_start", lambda *args: None)
+            for d in [S] + [sweep[a // 5] for a in angles]:
+                calls.clear()
+                lam, V = _nose(red, d, (1e-3, None), 1e-10)
+                assert np.abs((V * np.conj(red.Y @ V))[m:] + lam * d).max() <= FOLD_TOL, path
 
 
 def test_case30_sweep_at_150_degrees_is_the_nose():
