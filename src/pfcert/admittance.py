@@ -114,15 +114,8 @@ def build_admittance(case: NetworkCase) -> AdmittanceMatrix:
     pos = {bus_id: k for k, bus_id in enumerate(order)}
     n = len(order)
 
-    rows: list[int] = []
-    cols: list[int] = []
+    keys: list[int] = []  # column * n + row of each stamp, the stamp's position in CSC order
     vals: list[complex] = []
-
-    def stamp(i: int, j: int, v: complex) -> None:
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
     for br in case.branches:
         if not br.in_service:
             continue
@@ -135,17 +128,25 @@ def build_admittance(case: NetworkCase) -> AdmittanceMatrix:
         t = br.tap_ratio * cmath.exp(1j * br.phase_shift)
         f = pos[br.from_bus]
         to = pos[br.to_bus]
-        stamp(f, f, (ys + ych) / (t * t.conjugate()))  # |t|^2 on the from side
-        stamp(f, to, -ys / t.conjugate())
-        stamp(to, f, -ys / t)
-        stamp(to, to, ys + ych)
+        keys += (f * (n + 1), to * n + f, f * n + to, to * (n + 1))
+        vals += ((ys + ych) / (t * t.conjugate()), -ys / t.conjugate(), -ys / t, ys + ych)  # |t|^2 on the from side
 
     for b in case.buses:
         if b.shunt != 0:
-            k = pos[b.id]
-            stamp(k, k, b.shunt)
+            keys.append(pos[b.id] * (n + 1))
+            vals.append(b.shunt)
 
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex).tocsc()
+    # a stable sort keeps each entry's duplicates in stamp order, and they are summed in that order
+    key = np.array(keys, dtype=np.int64)
+    perm = np.argsort(key, kind="stable")
+    key, val = key[perm], np.array(vals, dtype=complex)[perm]
+    new = np.empty(len(key), dtype=bool)
+    new[:1], new[1:] = True, key[1:] != key[:-1]
+    data = val[new]
+    np.add.at(data, np.cumsum(new)[~new] - 1, val[~new])
+    col, row = np.divmod(key[new], n)
+    indptr = np.searchsorted(col, np.arange(n + 1)).astype(np.intc)
+    matrix = sp.csc_matrix((data, row.astype(np.intc), indptr), shape=(n, n))
     return AdmittanceMatrix(matrix=matrix, bus_order=order, n_gen=len(generator_ids))
 
 
@@ -164,14 +165,20 @@ def reduce_network(Y: AdmittanceMatrix, V_G: np.ndarray) -> GridReduction:
     if np.any(V_G == 0):
         raise CaseError("V_G entries must be nonzero")
 
-    Y_LL = Y.matrix[m:, m:].tocsc()
+    # Y_LL from Y's CSC arrays: the entries of the load columns in load rows
+    start = Y.matrix.indptr[m]
+    rows, vals = Y.matrix.indices[start:], Y.matrix.data[start:]
+    load = rows >= m
+    before = np.zeros(len(load) + 1, dtype=np.intc)  # load-row entries before each position
+    np.cumsum(load, out=before[1:])
+    Y_LL = sp.csc_matrix((vals[load], rows[load] - m, before[Y.matrix.indptr[m:] - start]), shape=(n, n))
 
     try:
         lu = spla.splu(Y_LL)
     except RuntimeError as exc:
         raise SingularNetworkError(f"Y_LL is singular: {exc}") from exc
 
-    E = lu.solve(-(Y.matrix[m:, :m] @ V_G))
+    E = lu.solve(-(Y.matrix @ np.concatenate([V_G, np.zeros(n)]))[m:])
     if not np.isfinite(E).all() or np.any(np.abs(E) < 1e-12):
         raise SingularNetworkError("equivalent voltage E has non-finite or (near-)zero entries")
 

@@ -21,8 +21,8 @@ from .admittance import AdmittanceMatrix, GridReduction, SingularNetworkError, b
 from .net_model import CaseError, NetworkCase, load_power_vector
 from .stress import first_positive_roots
 
-NEWTON_TOL = 1e-8  # per-unit power mismatch of a converged Newton solve or continuation corrector
-FOLD_TOL = 1e-12  # per-unit power mismatch of the correctors from the jump on, whose points alone are returned
+NEWTON_TOL = 1e-8  # max(|dP|, |dQ|) over the equations, per unit, of a converged Newton solve or corrector
+FOLD_TOL = 1e-12  # the same, of the returned fold point (so its per-bus |dS| is at most sqrt(2) FOLD_TOL)
 NEWTON_MAX_ITER = 30  # iterations per solve at a fixed loading
 CORRECTOR_MAX_ITER = 40  # iterations per continuation corrector
 SERIES_TERMS = 40  # power-series coefficients of the zero-load start, one Y_LL solve each
@@ -53,13 +53,15 @@ class _NewtonKernel:
 
     def __init__(self, Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray):
         nb, n = Y.shape[0], len(ang) + len(mag)
-        self.Y, self.ang, self.mag, self.var = Y, ang, mag, np.union1d(ang, mag)
+        self.Y, self.ang, self.mag = Y, ang, mag
         pos_a, pos_m = np.full(nb, -1), np.full(nb, -1)  # row and column of each bus in J
         pos_a[ang], pos_m[mag] = np.arange(len(ang)), np.arange(len(ang), n)
+        var = (pos_a >= 0) | (pos_m >= 0)
+        self.var = np.flatnonzero(var)  # the buses in ang or mag, ascending
         # Y's stored nonzeros in storage order, (row, column, value); Y has no duplicate entries
         nz = Y.data != 0
         Yrow, Ycol, Ydata = Y.indices[nz], np.repeat(np.arange(nb), np.diff(Y.indptr))[nz], Y.data[nz]
-        row = (pos_a[Yrow] >= 0) | (pos_m[Yrow] >= 0)
+        row = var[Yrow]
         parts = (row & (pos_a[Ycol] >= 0), row & (pos_m[Ycol] >= 0))  # the dS/dVa, then the dS/dVm entries
         i, k, y = (np.concatenate([a[part] for part in parts]) for a in (Yrow, Ycol, Ydata))
         dm = np.arange(len(i)) >= np.count_nonzero(parts[0])
@@ -69,11 +71,12 @@ class _NewtonKernel:
         self.diag_m = np.where((i == k) & dm, i, nb)  # into [conj(I) U, 0]
         # Re(dS) goes to the P rows, Im(dS) to the Q rows; J's values are positions in [Re, Im]
         P, Q, col = np.flatnonzero(pos_a[i] >= 0), np.flatnonzero(pos_m[i] >= 0), np.where(dm, pos_m[k], pos_a[k])
-        rows, cols = np.r_[pos_a[i[P]], pos_m[i[Q]]], np.r_[col[P], col[Q]]
+        rows, cols = np.concatenate([pos_a[i[P]], pos_m[i[Q]]]), np.concatenate([col[P], col[Q]])
         # canonical CSC (by column, rows sorted; each (row, column) once), with the index type SuperLU takes
         order = np.lexsort((rows, cols))
-        self.gather, self.indices = np.r_[P, len(i) + Q][order], rows[order].astype(np.intc)
-        self.indptr = np.r_[0, np.cumsum(np.bincount(cols, minlength=n))].astype(np.intc)
+        self.gather, self.indices = np.concatenate([P, len(i) + Q])[order], rows[order].astype(np.intc)
+        self.indptr = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
 
     def jacobian(self, V: np.ndarray, I: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The values of J at bus voltages V with I = Y V, in the pattern (indices, indptr),
@@ -271,9 +274,11 @@ def actual_limit(
     to that of a cubic lambda(s); otherwise it starts at bracket[0], which must
     then be feasible. Returns the lambda of a point solved to FOLD_TOL that the
     fold's quadratic model puts within tol of the nose, whatever the path; 1e-10
-    is below the 9 digits the CLI prints (each corrector runs CORRECTOR_MAX_ITER
-    iterations at most, to NEWTON_TOL on the continuation and to FOLD_TOL from
-    the jump on). network is the case's reduction, reduce_case(case) if None.
+    is below the 9 digits the CLI prints. Each corrector runs CORRECTOR_MAX_ITER
+    iterations at most: to FOLD_TOL inside the fold's bracket and for the point
+    returned, to NEWTON_TOL before. Both bound max(|dP|, |dQ|) over the load-bus
+    equations, so the returned point's per-bus |dS| is at most sqrt(2) FOLD_TOL.
+    network is the case's reduction, reduce_case(case) if None.
     Raises CaseError when the nose is at or above bracket[1], when lambda
     passes 2**60 * bracket[0], or when a corrector breaks down.
     """
@@ -301,18 +306,22 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
     lambda = rho - |a| (s - s*)^2 / 2 with the series' nose rho and g = dlambda/ds,
     puts the nose: s* = s0 + 2 (rho - lambda0) / g0, s the magnitude of the
     start's fastest load bus. A point short of the nose is returned when the
-    fold's test puts it within tol of it; otherwise the next is held where
-    _cubic_fold puts it, short of the cubic's peak beyond, and so on from the
-    last two points. When a corrector fails or |g| does not fall, the
-    continuation resumes from the last solved point. Its first step moves no
-    load magnitude by more than 0.03 p.u. after the series start and 0.1 p.u.
-    from bracket[0] (doubles lambda when none moves); later lengths follow the
-    corrector's iteration count. Once a point lies past the nose, the fold,
-    the zero of g for s the magnitude of the critical bus, is found inside a
-    sign-change bracket at _cubic_fold's point between its ends, or at its
-    midpoint after two steps that replaced the same end. The correctors from
-    the jump on run to FOLD_TOL, and only a point solved to FOLD_TOL is
-    returned: one accepted at NEWTON_TOL can sit 1e-8 above the nose."""
+    fold's test puts it within tol of it (once polished, see below); otherwise
+    the next is held where _cubic_fold puts it, short of the cubic's peak
+    beyond, and so on from the last two points. When a corrector fails or |g|
+    does not fall, the continuation resumes from the last solved point. Its
+    first step moves no load magnitude by more than 0.03 p.u. after the series
+    start and 0.1 p.u. from bracket[0] (doubles lambda when none moves); later
+    lengths follow the corrector's iteration count. Once a point lies past the
+    nose, the fold, the zero of g for s the magnitude of the critical bus, is
+    found inside a sign-change bracket at _cubic_fold's point between its ends,
+    or at its midpoint after two steps that replaced the same end. The jump's and the
+    cubic steps' correctors run to NEWTON_TOL, the bracket's to FOLD_TOL, and
+    only a point solved to FOLD_TOL is returned: one accepted at NEWTON_TOL can
+    sit 1e-8 above the nose. So a NEWTON_TOL point that passes the fold's test is
+    polished by one more corrector holding its s to FOLD_TOL, and the test runs
+    again with the polished point's own tangent: a NEWTON_TOL point's tangent
+    comes from the factor of an earlier, coarser iterate."""
     lo, hi = bracket
     if not lo > 0:
         raise CaseError("bracket lower end must be positive")
@@ -351,10 +360,8 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
         crit = n + int(np.argmax(np.abs(t[n:lam])))
         g0 = t[lam] / t[crit]
         s = y[crit] + 2.0 * (start[0] / SERIES_FRACTION - y[lam]) / g0
-        while True:
-            res1, y1, t1 = correct(y + (s - y[crit]) / t[crit] * t, crit, FOLD_TOL)
-            if not res1.converged:
-                break
+        res1, y1, t1 = correct(y + (s - y[crit]) / t[crit] * t, crit)
+        while res1.converged:
             t1 /= math.copysign(np.linalg.norm(t1), t[crit])
             past, g1, h = t1[lam] < 0, t1[lam] / t1[crit], y1[crit] - y[crit]
             if past:
@@ -363,9 +370,13 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
                 res, y, t = res1, y1, t1
                 break
             if g1 * g1 * abs(h) <= 2.0 * tol * abs(g0 - g1):  # the fold's test (see below)
-                return y1[lam], res1.V_L
+                if res1.mismatch_norm < FOLD_TOL:
+                    return y1[lam], res1.V_L
+                res1, y1, t1 = correct(y1, crit, FOLD_TOL)  # polish at the same s, then test its own tangent
+                continue
             s = _cubic_fold(y[crit], g0, y[lam], y1[crit], g1, y1[lam], 1.0, tol)
             res, y, t, g0 = res1, y1, t1, g1
+            res1, y1, t1 = correct(y + (s - y[crit]) / t[crit] * t, crit)
     dv = np.abs(t[n:lam]).max()  # the largest load-magnitude rate; 0 for a zero direction
     h = first / dv if dv > 0 else lo / t[lam]
     while not past:

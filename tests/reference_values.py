@@ -6,10 +6,12 @@ base-loading voltage-bound coordinates and the bus-4 bound-profile anchors;
 the closed-form solutions of one load behind a reactance, the two-bus
 reference of the whole suite; a hunt for other power-flow solutions; the
 certified convergence-rate check; and plain forms of the fixed-point loop,
-of the contraction bound and of the Newton kernel's pattern build, which the
-package's lean versions must match bit for bit.
+of the contraction bound, of the Newton kernel's pattern build and of the
+admittance matrix's assembly, which the package's lean versions must match
+bit for bit.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -18,7 +20,7 @@ import scipy.sparse as sp
 from pfcert.admittance import GridReduction
 from pfcert.certificate import Certificate
 from pfcert.fixed_point import DIVERGENCE_CUTOFF, FixedPointResult, evaluate_F, solve_fixed_point
-from pfcert.net_model import NetworkCase
+from pfcert.net_model import NetworkCase, partition_buses
 from pfcert.oracle import newton_solve
 
 
@@ -242,4 +244,37 @@ def reference_kernel_arrays(Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray) 
     J = sp.csc_matrix((np.r_[P, len(i) + Q], (np.r_[pos_a[i[P]], pos_m[i[Q]]], np.r_[col[P], col[Q]])), (n, n))
     return dict(yr=y.real, yi=y.imag, sign=np.where(dm, 1.0, -1.0), p=i + nb * dm, take=k + nb * dm,
                 diag_a=np.where((i == k) & ~dm, i, nb), diag_m=np.where((i == k) & dm, i, nb),
-                gather=J.data, indices=J.indices.astype(np.intc), indptr=J.indptr.astype(np.intc))
+                gather=J.data, indices=J.indices.astype(np.intc), indptr=J.indptr.astype(np.intc),
+                var=np.union1d(ang, mag))
+
+
+def reference_admittance(case: NetworkCase) -> tuple[sp.csc_matrix, np.ndarray]:
+    """admittance.build_admittance's matrix, built through scipy.sparse: the same stamps,
+    in the same order, summed by the COO-to-CSC conversion; and the number of stamps in
+    each column. That conversion sorts each column's entries with std::sort, which is
+    stable for at most 16 entries, so in a column with more stamps it may sum duplicates
+    in another order than the stamps'."""
+    generator_ids, load_ids = partition_buses(case)
+    pos = {bus_id: k for k, bus_id in enumerate(generator_ids + load_ids)}
+    n = len(pos)
+    rows, cols, vals = [], [], []
+
+    def stamp(i: int, j: int, v: complex) -> None:
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+
+    for br in case.branches:
+        if br.in_service:
+            ys, ych = 1.0 / br.series_impedance, 0.5j * br.charging
+            t = br.tap_ratio * cmath.exp(1j * br.phase_shift)
+            f, to = pos[br.from_bus], pos[br.to_bus]
+            stamp(f, f, (ys + ych) / (t * t.conjugate()))
+            stamp(f, to, -ys / t.conjugate())
+            stamp(to, f, -ys / t)
+            stamp(to, to, ys + ych)
+    for b in case.buses:
+        if b.shunt != 0:
+            stamp(pos[b.id], pos[b.id], b.shunt)
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex).tocsc()
+    return matrix, np.bincount(np.array(cols, dtype=int), minlength=n)

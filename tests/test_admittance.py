@@ -20,8 +20,8 @@ from pfcert.net_model import (
 )
 from pfcert.oracle import actual_limit, newton_solve
 
-from conftest import case_path, make_star, make_two_bus, make_weak_tie_star
-from reference_values import two_bus_analytic
+from conftest import BUNDLED, case_path, make_star, make_two_bus, make_weak_tie_star
+from reference_values import reference_admittance, two_bus_analytic
 
 
 def test_two_bus_matrix():
@@ -88,6 +88,41 @@ def test_reduce_two_bus_with_high_setpoint():
     assert np.allclose(red.E, [1.05 + 0j], atol=1e-12)
     assert np.allclose(red.Zhat, [[0.1j / 1.05**2]], atol=1e-9)
     assert abs(red.Zhat[0, 0] - 0.0907029478j) < 1e-9
+
+
+@pytest.mark.parametrize("name", BUNDLED + ("no branch",))
+def test_admittance_matches_the_scipy_build(name):
+    """build_admittance sorts and sums its stamps with numpy. Against scipy.sparse's
+    COO-to-CSC build of the same stamps, indices and indptr are equal, dtype and bytes,
+    and so is every value, bit for bit, except in a column with more than 16 stamps: there
+    scipy sums in another order (see reference_admittance), and a value may differ by one
+    ulp (case118's generator bus 49, 24 stamps). "no branch" is the two-bus case with its
+    branch out of service: no stamp at all. The reduction reads Y_LL out of Y's CSC arrays
+    and E out of the whole product Y [V_G, 0]; both equal scipy's slices of Y bit for bit."""
+    case = make_two_bus(branch_in_service=False) if name == "no branch" else case_path_case(f"{name}.m")
+    Y = build_admittance(case)
+    ref, stamps = reference_admittance(case)
+    got = Y.matrix
+    for a, b in ((got.indices, ref.indices), (got.indptr, ref.indptr)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    col = np.repeat(np.arange(got.shape[1]), np.diff(got.indptr))
+    same = got.data.view(np.uint64).reshape(-1, 2) == ref.data.view(np.uint64).reshape(-1, 2)
+    crowded = stamps[col] > 16
+    assert same[~crowded].all()
+    for part in ("real", "imag"):
+        a, b = getattr(got.data[crowded], part), getattr(ref.data[crowded], part)
+        assert (np.abs(a - b) <= np.spacing(np.abs(b))).all()
+    assert (stamps > 16).sum() == (name == "case118")
+    if name == "no branch":
+        assert got.nnz == 0
+        return
+    m = Y.n_gen
+    red = reduce_case(case)
+    Y_LL = got[m:, m:].tocsc()
+    for a, b in ((red.Y_LL.data, Y_LL.data), (red.Y_LL.indices, Y_LL.indices), (red.Y_LL.indptr, Y_LL.indptr)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    E = red.lu.solve(-(got[m:, :m] @ red.V_G))
+    assert red.E.tobytes() == E.tobytes()
 
 
 def test_isolated_load_is_singular():

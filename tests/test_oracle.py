@@ -401,6 +401,18 @@ LOW_START = {"case24_ieee_rts": (260,), "case39": (260,)}
 # where the jump lands past the nose, so that it and the start bracket the fold (the one such angle of the
 # 36- and 72-point sweeps and of the two largest loads swung together, by either phasor source)
 JUMP_PAST = {"case24_ieee_rts": (175,)}
+# the base directions whose fold bracket takes more than one FOLD_TOL corrector
+FOLD_CORRECTORS = {"case57": 2}
+
+
+def unity_power_factor_pair(S):
+    """S with its two largest loads at their own magnitudes and unity power factor. On case24_ieee_rts this is
+    the one direction, of each case's two largest loads swung together through 36 angles, where a cubic step's
+    NEWTON_TOL point passes the fold's test (with either phasor source), so the answer is that point polished."""
+    d = S.copy()
+    pair = np.argsort(-np.abs(S), kind="stable")[:2]
+    d[pair] = np.abs(S[pair])
+    return d
 
 
 CUBIC = ("cubic", 1.0)  # marks a cubic step beyond the last of two points short of the nose
@@ -412,19 +424,22 @@ def test_default_oracle_agrees_with_a_tighter_fold(name, gen_phasors, monkeypatc
     """The default answer depends on neither the continuation's path nor its start: on
     every bundled base direction, on the 12 directions of each golden sweep and on the
     ALTERNATING, LOW_START and JUMP_PAST ones, the series start is taken, and the answer
-    is within 2e-10 of a tol = 1e-13 run (measured: at most 8.9e-11), as are the answers
+    is within 2e-10 of a tol = 1e-13 run (measured on all three paths: at most 9.7e-11), as are the answers
     with the jump refused (the plain continuation from the series start) and started
     from bracket[0], which refusing the series start gives. On the base direction the
-    series start is solved to sqrt(NEWTON_TOL), then the jump lands short of the nose and
-    the cubic step follows, both solved to FOLD_TOL (a silent fallback fails here); on
-    JUMP_PAST every step after the start's corrector is the jump or lies inside the fold's
-    bracket."""
+    series start is solved to sqrt(NEWTON_TOL), the jump lands short of the nose and the
+    cubic step follows, both solved to NEWTON_TOL (a silent fallback fails here), and
+    only the correctors of the fold's bracket run to FOLD_TOL, the last one returned. On
+    JUMP_PAST every step after the jump lies inside the fold's bracket, at FOLD_TOL. On
+    case24_ieee_rts's unity_power_factor_pair the last corrector polishes a cubic step's
+    point to FOLD_TOL."""
     case = case_path_case(f"{name}.m")
     red, S = limits.prepare(case, gen_phasors)
     sweep = golden_sweep_directions(case, red, S, 72)
     past = [sweep[a // 5] for a in JUMP_PAST.get(name, ())]
     directions = [S] + past + golden_sweep_directions(case, red, S)
     directions += [sweep[a // 5] for a in ALTERNATING.get(name, ()) + LOW_START.get(name, ())]
+    directions += [unity_power_factor_pair(S)] if name == "case24_ieee_rts" else []
     assert all(oracle._series_start(red, d, 1e-3, None) is not None for d in directions)
     calls, refuse = [], False  # (tolerance, converged) of each corrector call of one limit, and the cubic's side
     correct, cubic = _NewtonKernel.correct, oracle._cubic_fold
@@ -445,10 +460,18 @@ def test_default_oracle_agrees_with_a_tighter_fold(name, gen_phasors, monkeypatc
     for d in directions:
         series.append(limit(d))
         paths.append(calls[:])
-    # the series start's corrector, the jump's, and the cubic step's after it
-    assert paths[0][:4] == [(math.sqrt(NEWTON_TOL), True), (FOLD_TOL, True), CUBIC, (FOLD_TOL, True)]
-    # on JUMP_PAST, after the start's corrector, only FOLD_TOL correctors and cubic steps inside the bracket
-    assert all(call[0] == FOLD_TOL or call == ("cubic", -1.0) for path in paths[1:1 + len(past)] for call in path[1:])
+    # the series start's corrector, the jump's, and the cubic step's after it; then FOLD_TOL correctors alone
+    path = paths[0]
+    assert path[:4] == [(math.sqrt(NEWTON_TOL), True), (NEWTON_TOL, True), CUBIC, (NEWTON_TOL, True)]
+    first = next(k for k, call in enumerate(path) if call[0] == FOLD_TOL)
+    assert all(call[0] == FOLD_TOL or call[0] == "cubic" for call in path[first:])
+    assert path[-1] == (FOLD_TOL, True) and sum(call[0] == FOLD_TOL for call in path) == FOLD_CORRECTORS.get(name, 1)
+    # on JUMP_PAST, after the jump, only FOLD_TOL correctors and cubic steps inside the bracket
+    for path in paths[1:1 + len(past)]:
+        assert path[1] == (NEWTON_TOL, True)
+        assert all(call[0] == FOLD_TOL or call == ("cubic", -1.0) for call in path[2:])
+    if name == "case24_ieee_rts":  # the polish: the cubic step's s held again, to FOLD_TOL
+        assert paths[-1][-3:] == [CUBIC, (NEWTON_TOL, True), (FOLD_TOL, True)]
     refuse = True  # the jump's corrector, each limit's second, reports failure
     refused = [limit(d) for d in directions]
     refuse = False  # the cold start runs unmodified
@@ -494,12 +517,16 @@ def test_jump_landing_just_short_of_the_nose(tol, monkeypatch):
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_nose_point_meets_the_fold_tolerance(name, monkeypatch):
-    """_nose returns only a point solved to FOLD_TOL (the jump's or a cubic step's): never
-    the series start, solved to sqrt(NEWTON_TOL), nor a continuation point accepted at
-    NEWTON_TOL, which can sit 1e-8 above the nose. On the base direction and the
-    ALTERNATING, LOW_START and JUMP_PAST ones, from the series start, with the jump
-    refused and from the cold start, the returned point's load-bus power mismatch
-    |V conj(Y V) + lambda d| is at most FOLD_TOL."""
+    """_nose returns only a point solved to FOLD_TOL (a corrector's inside the fold's
+    bracket, or a jump or cubic-step point polished at its s): never the series start,
+    solved to sqrt(NEWTON_TOL), nor a point accepted at NEWTON_TOL (the jump's, a cubic
+    step's or the continuation's), which can sit 1e-8 above the nose. On the base
+    direction and the ALTERNATING, LOW_START and JUMP_PAST ones (and case24_ieee_rts's
+    unity_power_factor_pair, which ends with a polish), from the series start, with the
+    jump refused and from the cold start, the returned point's load-bus power mismatch
+    |V conj(Y V) + lambda d| is at most FOLD_TOL. The corrector accepts on
+    max(|dP|, |dQ|), which FOLD_TOL bounds, so |dS| could reach sqrt(2) FOLD_TOL; on these
+    directions it stays below FOLD_TOL."""
     case = case_path_case(f"{name}.m")
     red, S = limits.prepare(case)
     sweep = golden_sweep_directions(case, red, S, 72)
@@ -513,13 +540,14 @@ def test_nose_point_meets_the_fold_tolerance(name, monkeypatch):
         return (replace(res, converged=False), y, None) if len(calls) == 2 else (res, y, t)
 
     m = len(red.generator_ids)
+    polished = [unity_power_factor_pair(S)] if name == "case24_ieee_rts" else []
     for path in ("series", "refused", "cold"):
         with monkeypatch.context() as patch:
             if path == "refused":
                 patch.setattr(_NewtonKernel, "correct", refusing)
             if path == "cold":
                 patch.setattr(oracle, "_series_start", lambda *args: None)
-            for d in [S] + [sweep[a // 5] for a in angles]:
+            for d in [S] + [sweep[a // 5] for a in angles] + polished:
                 calls.clear()
                 lam, V = _nose(red, d, (1e-3, None), 1e-10)
                 assert np.abs((V * np.conj(red.Y @ V))[m:] + lam * d).max() <= FOLD_TOL, path
