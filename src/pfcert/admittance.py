@@ -4,14 +4,16 @@ The reduction eliminates generator buses from the nodal equations: with the
 generator phasors fixed, the load-bus voltages satisfy V_L = E - Z I_L where
 E is the zero-load voltage profile induced by the generators and Z inverts
 the load-load admittance block. Normalizing by E (and optionally by a known
-solution) yields the unitless impedance matrices the stress measures and the
-fixed-point map are built on.
+solution) yields the unitless impedance matrix Ztilde the stress measures and
+the fixed-point map are built on. A reduction forms Ztilde and the oracle's
+Newton kernel on first use, each for itself, so touch both before sharing one
+across threads.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -46,11 +48,11 @@ class GridReduction:
     """The one per-network object: the load-block factor and what it gives.
 
     Built by reduce_network, from a case by reduce_case, with Y_LL factored
-    once. The dense matrices are formed on first use: Zhat is Z = Y_LL^-1
-    normalized by E (units 1/power in the per-unit system), and Ztilde
-    additionally normalizes by a known solution v0, equal to Zhat when v0 = 1,
-    S0 = 0. Zhat and the oracle's Newton kernel are kept in a cache that the
-    re-centered copies of renormalize_about_solution share.
+    once. Ztilde, the one dense matrix, is Z = Y_LL^-1 normalized by E (units
+    1/power in the per-unit system) and, on a copy re-centered by
+    renormalize_about_solution, by the known solution v0 too. Each reduction
+    forms its own Ztilde and the oracle's Newton kernel on first use, copies
+    included; touch both before sharing a reduction across threads.
     """
 
     generator_ids: tuple[int, ...]
@@ -62,7 +64,6 @@ class GridReduction:
     E: np.ndarray  # zero-load load voltages
     v0: np.ndarray
     S0: np.ndarray
-    _shared: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_load(self) -> int:
@@ -71,34 +72,28 @@ class GridReduction:
     def load_index(self, bus_id: int) -> int:
         return self.load_ids.index(bus_id)
 
-    @property
-    def Zhat(self) -> np.ndarray:
-        if "Zhat" not in self._shared:
-            Z = self.lu.solve(np.eye(self.n_load, dtype=complex))
-            residual = np.abs(self.Y_LL @ Z - np.eye(self.n_load)).max()
-            if not np.isfinite(residual) or residual > FACTOR_TOL:
-                raise SingularNetworkError(
-                    f"Y_LL factorization residual {residual:.3e} exceeds {FACTOR_TOL:g}; "
-                    "the load subnetwork is singular or nearly so"
-                )
-            self._shared["Zhat"] = Z / np.outer(self.E, self.E.conj())
-        return self._shared["Zhat"]
-
     @cached_property
     def Ztilde(self) -> np.ndarray:
-        if np.all(self.v0 == 1) and not np.any(self.S0):
-            return self.Zhat
-        return self.Zhat / np.outer(self.v0, self.v0.conj())
+        Z = self.lu.solve(np.eye(self.n_load, dtype=complex))
+        residual = np.abs(self.Y_LL @ Z - np.eye(self.n_load)).max()
+        if not np.isfinite(residual) or residual > FACTOR_TOL:
+            raise SingularNetworkError(
+                f"Y_LL factorization residual {residual:.3e} exceeds {FACTOR_TOL:g}; "
+                "the load subnetwork is singular or nearly so"
+            )
+        # out of place: lu.solve's Z is Fortran-ordered, and BLAS rounds products with it differently
+        Z = Z / np.outer(self.E, self.E.conj())
+        if not (np.all(self.v0 == 1) and not np.any(self.S0)):
+            Z = Z / np.outer(self.v0, self.v0.conj())
+        return Z
 
-    @property
+    @cached_property
     def kernel(self):
         """The oracle's Newton kernel over the load-bus angles and magnitudes."""
-        if "kernel" not in self._shared:
-            from .oracle import _NewtonKernel  # oracle imports this module
+        from .oracle import _NewtonKernel  # oracle imports this module
 
-            load = np.arange(len(self.generator_ids), self.Y.shape[0])
-            self._shared["kernel"] = _NewtonKernel(self.Y, load, load)
-        return self._shared["kernel"]
+        load = np.arange(len(self.generator_ids), self.Y.shape[0])
+        return _NewtonKernel(self.Y, load, load)
 
 
 def build_admittance(case: NetworkCase) -> AdmittanceMatrix:
@@ -154,7 +149,7 @@ def reduce_network(Y: AdmittanceMatrix, V_G: np.ndarray) -> GridReduction:
     """Factorize Y_LL once and solve for E, with V_G in Y's generator order.
 
     Returns the reduction in the no-known-solution normalization (v0 = 1,
-    S0 = 0, Ztilde = Zhat).
+    S0 = 0).
     """
     m, n = Y.n_gen, len(Y.bus_order) - Y.n_gen
     if n < 1:
@@ -213,12 +208,20 @@ def reduce_case(case: NetworkCase, gen_phasors: str = "case") -> GridReduction:
     return reduce_network(Y, solved_generator_phasors(case, Y))
 
 
-def fixed_point_residual(red: GridReduction, v: np.ndarray, S: np.ndarray) -> float:
-    """Residual ||v - (1 - Zhat diag(v*)^-1 S*)||_inf of the E-normalized equations."""
-    from .fixed_point import _map  # fixed_point imports this module
+def load_vector(red: GridReduction, x: np.ndarray, name: str, error: type[ValueError] = CaseError) -> np.ndarray:
+    """x as a complex array, which must hold one entry per load bus of red; error otherwise."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (red.n_load,):
+        raise error(f"{name} has shape {x.shape}, expected ({red.n_load},): one entry per load bus")
+    return x
 
+
+def fixed_point_residual(red: GridReduction, v: np.ndarray, S: np.ndarray) -> float:
+    """Residual ||v - (1 - Z_E diag(v*)^-1 S*)||_inf of the E-normalized equations, where
+    Z_E x = lu.solve(x / E*) / E is Z normalized by E: one solve, no n x n array."""
     v = np.asarray(v, dtype=complex)
-    return float(np.abs(v - _map(v, red.Zhat, 0.0, np.asarray(S, dtype=complex).conj())).max())
+    x = np.asarray(S, dtype=complex).conj() / v.conj()
+    return float(np.abs(v - (1.0 - red.lu.solve(x / red.E.conj()) / red.E)).max())
 
 
 def renormalize_about_solution(red: GridReduction, v0: np.ndarray, S0: np.ndarray) -> GridReduction:
@@ -226,12 +229,9 @@ def renormalize_about_solution(red: GridReduction, v0: np.ndarray, S0: np.ndarra
 
     v0 is in E-normalized coordinates and must satisfy the fixed-point
     equations for load S0 to within SOLUTION_TOL. The copy shares the
-    factor, Zhat and the Newton kernel with red.
+    factor with red and forms its own Ztilde and Newton kernel on first use.
     """
-    v0 = np.asarray(v0, dtype=complex)
-    S0 = np.asarray(S0, dtype=complex)
-    if v0.shape != (red.n_load,) or S0.shape != (red.n_load,):
-        raise CaseError("v0/S0 dimension mismatch with the reduction")
+    v0, S0 = load_vector(red, v0, "v0"), load_vector(red, S0, "S0")
     if np.any(v0 == 0):
         raise NotASolutionError("v0 has zero entries")
     residual = fixed_point_residual(red, v0, S0)

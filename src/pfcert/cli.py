@@ -1,10 +1,13 @@
 """Command-line front end: certify / solve / limits / sweep / bounds.
 
 Every command is one pipeline: _load the case and its reduction, compute,
-emit one artifact. Each command defines only the options it reads: all
-take --case (a .json file is read as JSON, any other as MATPOWER),
---gen-phasors and --out; solve, limits, sweep and bounds also take
---out-format {json,csv}, and only solve takes --tol and --max-iter.
+emit one artifact. The reduction (with --known-solution, its copy
+re-centered on the solved base point) forms its Ztilde, the one n x n
+matrix a command holds, and its Newton kernel on first use. Each command
+defines only the options it reads: all take --case (a .json file is read
+as JSON, any other as MATPOWER), --gen-phasors and --out; solve, limits,
+sweep and bounds also take --out-format {json,csv}, and only solve takes
+--tol and --max-iter.
 `limits --with-oracle` prints the nose along the base direction.
 
 Exit codes: 0 success, 1 certificate does not hold (for `certify`), 2 input
@@ -25,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__, limits, oracle
-from .admittance import GridReduction, NotASolutionError, SingularNetworkError, renormalize_about_solution
+from .admittance import NotASolutionError, SingularNetworkError, renormalize_about_solution
 from .certificate import Certificate, VoltageBounds, certify_all, voltage_bounds
 from .fixed_point import solve_fixed_point
 from .net_model import CaseError, excluded_gen_bus_demand, load_case_file
@@ -143,11 +146,6 @@ def voltage_bounds_to_dict(vb: VoltageBounds) -> dict:
     }
 
 
-def reduction_dump(red: GridReduction) -> dict:
-    """E and Zhat, for debugging."""
-    return {"load_ids": red.load_ids, "E": red.E, "Zhat": red.Zhat}
-
-
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -208,9 +206,6 @@ def cmd_certify(args) -> int:
         doc["meta"]["demand_at_generator_buses_excluded"] = sorted(excluded)
     if cert.holds:
         doc["voltage_bounds"] = voltage_bounds_to_dict(voltage_bounds(cert, red))
-    if args.dump_reduction:
-        with open(args.dump_reduction, "w", encoding="utf-8") as fh:
-            fh.write(dumps_stable(reduction_dump(red)))
     _emit(args, dumps_stable(doc))
     return EXIT_OK if cert.holds else EXIT_CERT_FAILS
 
@@ -385,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=finite, default=1.0, help="load scaling factor on the base demand")
     p.add_argument("--known-solution", action="store_true", dest="known_solution",
                    help="build the certificate around the solved base operating point")
-    p.add_argument("--dump-reduction", default=None, dest="dump_reduction",
-                   help="also write E and the normalized impedance matrix to this JSON file")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("solve", help="solve the power flow by certified fixed-point iteration")

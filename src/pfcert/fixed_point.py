@@ -7,7 +7,7 @@ equations at total load S read
 
 where (v0, S0) is the known solution the reduction is re-centered on, so
 the increment sigma = S - S0 comes from the reduction. Without one (v0 = 1,
-S0 = 0) this is u = 1 - Zhat diag(u*)^-1 S*. Under a holding certificate
+S0 = 0) this is u = 1 - Ztilde diag(u*)^-1 S*. Under a holding certificate
 the iteration u <- F(u) converges linearly to the unique solution in the
 certified polydisc from any start in the outer region.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admittance import GridReduction
+from .admittance import GridReduction, load_vector
 from .certificate import Certificate
 
 DIVERGENCE_CUTOFF = 1e-6  # abort when an iterate approaches the conjugate-inversion pole
@@ -44,8 +44,7 @@ def _map(u: np.ndarray, Zt: np.ndarray, S0c: np.ndarray, Sc: np.ndarray) -> np.n
 
 def evaluate_F(u: np.ndarray, red: GridReduction, S_L: np.ndarray) -> np.ndarray:
     """One application of the fixed-point map; u must have no zero entries."""
-    u = np.asarray(u, dtype=complex)
-    S_L = np.asarray(S_L, dtype=complex)
+    u, S_L = load_vector(red, u, "u", ValueError), load_vector(red, S_L, "S_L", ValueError)
     if np.any(u == 0):
         raise ValueError("fixed-point map undefined: iterate has zero entries")
     return _map(u, red.Ztilde, red.S0.conj(), S_L.conj())
@@ -66,18 +65,19 @@ def solve_fixed_point(
     probe in uncertified regimes. When a holding certificate is supplied the
     converged iterate is checked against its polydisc.
 
-    tol (0 < tol < inf) and start (no zero entry) are checked once per
-    solve, and the steps apply F without evaluate_F's checks: no iterate
-    with a zero entry is ever mapped, since the loop stops as soon as an
-    entry falls below DIVERGENCE_CUTOFF in magnitude. With max_iter=k and
+    tol (0 < tol < inf), start (no zero entry) and the lengths of start and
+    S_L are checked once per solve, and the steps apply F without
+    evaluate_F's checks: no iterate with a zero entry is ever mapped, since
+    the loop stops as soon as an entry falls below DIVERGENCE_CUTOFF in
+    magnitude. With max_iter=k and
     no earlier convergence, u is the k-th iterate from start.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    u = np.ones(red.n_load, dtype=complex) if start is None else np.array(start, dtype=complex)
+    u = np.ones(red.n_load, dtype=complex) if start is None else load_vector(red, start, "start", ValueError).copy()
     if np.any(u == 0):
         raise ValueError("start vector has zero entries")
-    Zt, S0c, Sc = red.Ztilde, red.S0.conj(), np.asarray(S_L, dtype=complex).conj()
+    Zt, S0c, Sc = red.Ztilde, red.S0.conj(), load_vector(red, S_L, "S_L", ValueError).conj()
 
     trace: list[float] = []
     converged = False

@@ -17,7 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg._dsolve import _superlu
 
-from .admittance import AdmittanceMatrix, GridReduction, SingularNetworkError, build_admittance, reduce_case
+from .admittance import (AdmittanceMatrix, GridReduction, SingularNetworkError, build_admittance, load_vector,
+                         reduce_case)
 from .net_model import CaseError, NetworkCase, load_power_vector
 from .stress import first_positive_roots
 
@@ -209,8 +210,8 @@ def newton_solve(
     m = len(net.generator_ids)
     if S_L is None:
         S_L = load_power_vector(case, net.load_ids)
-    V = np.concatenate([net.V_G, net.E if start is None else np.asarray(start, dtype=complex)])
-    S_spec = np.concatenate([np.zeros(m), -np.asarray(S_L, dtype=complex)])
+    V = np.concatenate([net.V_G, net.E if start is None else load_vector(net, start, "start")])
+    S_spec = np.concatenate([np.zeros(m), -load_vector(net, S_L, "S_L")])
     res = net.kernel.run(V, np.angle(V), np.abs(V), S_spec, tol)
     return replace(res, V_L=res.V_L[m:])
 
@@ -285,7 +286,7 @@ def actual_limit(
     net = network if network is not None else reduce_case(case)
     if direction is None:
         direction = load_power_vector(case, net.load_ids)
-    return _nose(net, np.asarray(direction, dtype=complex), bracket, tol)[0]
+    return _nose(net, load_vector(net, direction, "direction"), bracket, tol)[0]
 
 
 def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float | None],
@@ -439,12 +440,12 @@ def _series_start(net: GridReduction, direction: np.ndarray, lo: float,
                   hi: float | None) -> tuple[float, np.ndarray] | None:
     """A start for the continuation below the nose: a lambda and the load-bus voltages
     E u of the high-voltage branch there, from the power series in lambda of the
-    fixed-point form u = 1 - lambda Zhat (conj(d) / conj(u)) about zero load (holomorphic
-    embedding, Trias 2012), or None.
+    fixed-point form u = 1 - lambda Z_E (conj(d) / conj(u)) about zero load, Z_E being Y_LL^-1
+    normalized by E (holomorphic embedding, Trias 2012), or None.
 
     With w = sum w_k lambda^k the reciprocal of conj(u), the coefficients are
-    c_0 = w_0 = 1, c_k = -Zhat (conj(d) w_{k-1}) and w_k = -sum_{m=1..k} conj(c_m) w_{k-m};
-    Zhat x is lu.solve(x / conj(E)) / E, so no n x n array is formed. The series converges
+    c_0 = w_0 = 1, c_k = -Z_E (conj(d) w_{k-1}) and w_k = -sum_{m=1..k} conj(c_m) w_{k-m};
+    Z_E x is lu.solve(x / conj(E)) / E, so no n x n array is formed. The series converges
     out to its nearest singularity, at radius rho: the nose, a square-root branch point,
     when nothing lies nearer. There |c_k| / |c_{k-1}| = (1 - 3 / (2k) + ...) / rho, so a line
     fitted to the ratios against 1/k over the last half of the series has intercept 1/rho

@@ -18,6 +18,9 @@ from pfcert.net_model import (
     NetworkCase,
     generator_phasors,
 )
+from pfcert.certificate import certify_all
+from pfcert.fixed_point import evaluate_F, solve_fixed_point
+from pfcert.limits import lambda_all, prepare
 from pfcert.oracle import actual_limit, newton_solve
 
 from conftest import BUNDLED, case_path, make_star, make_two_bus, make_weak_tie_star
@@ -77,8 +80,7 @@ def test_row_sums_vanish_without_shunts():
 def test_reduce_two_bus():
     red = reduce_case(make_two_bus())
     assert np.allclose(red.E, [1.0 + 0j], atol=1e-12)
-    assert np.allclose(red.Zhat, [[0.1j]], atol=1e-12)  # Z itself, as E = 1
-    assert np.allclose(red.Ztilde, red.Zhat)
+    assert np.allclose(red.Ztilde, [[0.1j]], atol=1e-12)  # Z itself, as E = 1
     assert np.all(red.v0 == 1)
     assert np.all(red.S0 == 0)
 
@@ -86,8 +88,8 @@ def test_reduce_two_bus():
 def test_reduce_two_bus_with_high_setpoint():
     red = reduce_case(make_two_bus(vg=1.05))
     assert np.allclose(red.E, [1.05 + 0j], atol=1e-12)
-    assert np.allclose(red.Zhat, [[0.1j / 1.05**2]], atol=1e-9)
-    assert abs(red.Zhat[0, 0] - 0.0907029478j) < 1e-9
+    assert np.allclose(red.Ztilde, [[0.1j / 1.05**2]], atol=1e-9)
+    assert abs(red.Ztilde[0, 0] - 0.0907029478j) < 1e-9
 
 
 @pytest.mark.parametrize("name", BUNDLED + ("no branch",))
@@ -135,7 +137,7 @@ def test_isolated_load_is_singular():
 def test_normalization_identity():
     red = reduce_case(make_star())
     n = red.n_load
-    recovered = np.diag(red.E) @ red.Zhat @ np.diag(red.E.conj())
+    recovered = np.diag(red.E) @ red.Ztilde @ np.diag(red.E.conj())
     assert np.abs(red.Y_LL @ recovered - np.eye(n)).max() < 1e-9
 
 
@@ -161,7 +163,7 @@ def test_E_is_zero_load_solution():
 def test_renormalize_identity():
     red = reduce_case(make_two_bus())
     same = renormalize_about_solution(red, np.ones(1), np.zeros(1))
-    assert np.allclose(same.Ztilde, red.Zhat)
+    assert np.array_equal(same.Ztilde, red.Ztilde)
 
 
 def test_renormalize_about_analytic_solution():
@@ -177,37 +179,60 @@ def test_renormalize_about_analytic_solution():
 
 def test_renormalize_rejects_non_solution():
     red = reduce_case(make_two_bus())
-    with pytest.raises(NotASolutionError):
+    assert fixed_point_residual(red, np.ones(1), np.array([2.5 + 0j])) == pytest.approx(0.25)  # |0.1j * 2.5|
+    with pytest.raises(NotASolutionError, match="residual 2.500e-01"):
         renormalize_about_solution(red, np.ones(1), np.array([2.5 + 0j]))
 
 
-def dense_formed(red):
-    """Whether red holds an n x n matrix, as a field or in the cache its copies share."""
+def dense_formed(red) -> int:
+    """How many n x n matrices red holds, as attributes or in a dict it holds."""
     n = red.n_load
-    held = list(vars(red).values()) + list(getattr(red, "_shared", {}).values())
-    return any(isinstance(v, np.ndarray) and v.shape == (n, n) for v in held)
+    held = list(vars(red).values())
+    held += [v for d in held if isinstance(d, dict) for v in d.values()]
+    return sum(isinstance(v, np.ndarray) and v.shape == (n, n) for v in held)
 
 
 def test_oracle_alone_never_forms_the_dense_impedance():
+    """Nor does re-centering: its residual check is one solve. The certificate path
+    then forms the copy's Ztilde, its one dense matrix."""
     case = case_path_case("case39.m")
     red = reduce_case(case)
-    assert newton_solve(case, network=red).converged
+    res = newton_solve(case, network=red)
+    assert res.converged
     assert actual_limit(case, bracket=(1e-3, None), network=red) > 1.0
     assert not dense_formed(red)
-    red.Ztilde
-    assert dense_formed(red)
+    S = np.array([case.bus(i).demand for i in red.load_ids])
+    red2 = renormalize_about_solution(red, res.V_L / red.E, S)
+    assert newton_solve(case, S, network=red2).converged
+    assert actual_limit(case, direction=S, network=red2) > 1.0
+    assert not dense_formed(red) and not dense_formed(red2)
+    certify_all(red2, 1.2 * S)
+    assert (dense_formed(red), dense_formed(red2)) == (0, 1)
 
 
-def test_recentered_copy_shares_zhat_with_its_base():
+def test_recentered_ztilde_divides_the_base_ztilde_by_v0():
+    """The copy forms its own Ztilde and kernel: bit for bit the base Ztilde over v0 v0*."""
     case = case_path_case("case39.m")
     red = reduce_case(case)
     S = np.array([case.bus(i).demand for i in red.load_ids])
     res = newton_solve(case, S, network=red)
     red2 = renormalize_about_solution(red, res.V_L / red.E, S)
-    assert red2.Zhat is red.Zhat
-    assert red2.kernel is red.kernel
-    assert red.Ztilde is red.Zhat and red2.Ztilde is not red.Zhat
-    assert np.array_equal(red2.Ztilde, red.Zhat / np.outer(red2.v0, red2.v0.conj()))
+    assert red2.lu is red.lu and red2.kernel is not red.kernel
+    expected = red.Ztilde / np.outer(red2.v0, red2.v0.conj())
+    assert red2.Ztilde.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_factored_residual_matches_the_dense_map(name):
+    """fixed_point_residual's one solve against evaluate_F's dense product, at the fixed
+    points of 0.5, 0.9 and 0.99 lambda_p from zero load."""
+    red, S = prepare(case_path_case(f"{name}.m"))
+    lam = lambda_all(red, S).lambda_p
+    for s in (0.5, 0.9, 0.99):
+        res = solve_fixed_point(red, s * lam * S)
+        assert res.converged
+        dense = np.abs(res.u - evaluate_F(res.u, red, s * lam * S)).max()
+        assert abs(fixed_point_residual(red, res.u, s * lam * S) - dense) <= 1e-14
 
 
 def test_weak_tie_fails_the_residual_check_but_not_the_oracle():
@@ -217,7 +242,7 @@ def test_weak_tie_fails_the_residual_check_but_not_the_oracle():
     case = make_weak_tie_star()
     red = reduce_case(case)
     with pytest.raises(SingularNetworkError, match="residual 1.250e-01"):
-        red.Zhat
+        red.Ztilde
     lam = actual_limit(case, bracket=(1e-3, None), network=red)
     assert lam == pytest.approx(8.19803903, abs=1e-8)
     nose = (abs(0.5 + 0.1j) - 0.1) / (2 * 0.1 * 0.5**2)  # (|S| - q) / (2 x p^2), the two-bus nose

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -161,10 +162,11 @@ def test_zero_max_iter_is_exit_2(two_bus_file, capsys):
         ["limits", "--case", "{case}", "--bracket-lo", "1"],
         ["limits", "--case", "{case}", "--bracket-hi", "9"],
         ["oracle-limit", "--case", "{case}"],
+        ["certify", "--case", "{case}", "--dump-reduction", "{missing}"],
     ],
     ids=["no command", "certify --tol", "certify --out-format", "limits --max-iter", "bad value",
          "solve --tol -1", "missing case", "grid not a number", "grid not finite", "certify --format",
-         "limits --bracket-lo", "limits --bracket-hi", "removed oracle-limit"],
+         "limits --bracket-lo", "limits --bracket-hi", "removed oracle-limit", "removed certify --dump-reduction"],
 )
 def test_input_errors_are_one_json_line(args, two_bus_file, tmp_path, capsys):
     args = [a.format(case=two_bus_file, missing=tmp_path / "missing.m") for a in args]
@@ -340,17 +342,6 @@ def test_limits_known_solution_relative_error_is_against_the_true_limit(tmp_path
     assert doc["relative_error_p"] == pytest.approx(0.1175, abs=1e-4)
 
 
-def test_certify_dump_reduction(two_bus_file, tmp_path):
-    dump = tmp_path / "red.json"
-    code = run(["certify", "--case", two_bus_file, "--scale", 0.5,
-                "--dump-reduction", dump, "--out", tmp_path / "c.json"])
-    assert code == 0
-    doc = json.loads(dump.read_text())
-    assert doc["load_ids"] == [2]
-    assert doc["E"][0] == pytest.approx([1.0, 0.0])
-    assert doc["Zhat"][0][0][1] == pytest.approx(0.1)
-
-
 def test_cli_import_leaves_scipy_optimize_out():
     code = "import sys, pfcert.cli; print('scipy.optimize' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(pfcert.__file__).parents[1]))
@@ -521,3 +512,20 @@ def test_readme_usage_line_runs(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(args) == (1 if "exit 1" in comment else 0)
     assert capsys.readouterr().err == ""
+
+
+def readme_option_table() -> dict[str, list[str]]:
+    """Each row of README's per-command option table: the command and the options its row names."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| command | its own options |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    return {command.strip().strip("`"): re.findall(r"--[a-z][a-z-]*", options) for command, options in rows}
+
+
+def test_readme_option_table_matches_the_parser():
+    """The table lists exactly each command's options besides the common ones, each once."""
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    common = {"--case", "--gen-phasors", "--out"}
+    parsed = {name: sorted({o for a in p._actions for o in a.option_strings} - common - {"-h", "--help"})
+              for name, p in subparsers.choices.items()}
+    assert {command: sorted(options) for command, options in readme_option_table().items()} == parsed

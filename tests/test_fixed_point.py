@@ -23,7 +23,7 @@ def test_map_at_flat_point_is_linear_approximation():
     red = reduce_case(make_star())
     S = np.array([1 + 0.3j, 0.8 + 0.2j, 0.5 + 0.1j])
     fu = evaluate_F(np.ones(3), red, S)
-    assert np.allclose(fu, 1 - red.Zhat @ S.conj())
+    assert np.allclose(fu, 1 - red.Ztilde @ S.conj())
 
 
 def test_analytic_solution_is_fixed():
@@ -37,6 +37,18 @@ def test_zero_entry_rejected():
     red = reduce_case(make_two_bus())
     with pytest.raises(ValueError, match="zero entries"):
         evaluate_F(np.array([0j]), red, np.array([2.5 + 0j]))
+
+
+def test_vectors_of_the_wrong_length_are_rejected():
+    """A length-1 start or iterate would broadcast against case9's 6 load buses."""
+    red = reduce_case(load_case_file(case_path("case9.m")))
+    S = np.zeros(6)
+    with pytest.raises(ValueError, match=r"start has shape \(1,\), expected \(6,\)"):
+        solve_fixed_point(red, S, start=np.array([1 + 0j]))
+    with pytest.raises(ValueError, match=r"u has shape \(1,\), expected \(6,\)"):
+        evaluate_F(np.array([1 + 0j]), red, S)
+    with pytest.raises(ValueError, match=r"S_L has shape \(1,\), expected \(6,\)"):
+        solve_fixed_point(red, np.zeros(1))
 
 
 def test_solve_two_bus_reaches_high_root():

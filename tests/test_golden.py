@@ -11,7 +11,6 @@ change log explains. exit_codes.json holds each artifact's exit code.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -40,7 +39,6 @@ def artifacts() -> list[tuple[str, list]]:
             out.append((f"{name}.certify.{s}.known.json",
                         ["certify", *case, "--scale", s, "--known-solution", "--out", OUT]))
         out += [
-            (f"{name}.reduction.json", ["certify", *case, "--dump-reduction", OUT, "--out", os.devnull]),
             (f"{name}.limits.json", ["limits", *case, "--with-oracle", "--out", OUT]),
             (f"{name}.limits.known.json", ["limits", *case, "--with-oracle", "--known-solution", "--out", OUT]),
             (f"{name}.limits.solved.json", ["limits", *case, "--with-oracle", "--gen-phasors", "solved", "--out", OUT]),

@@ -120,6 +120,20 @@ def test_actual_limit_rejects_feasible_upper_end():
         actual_limit(make_two_bus(p=1.0), bracket=(1.0, 2.0))
 
 
+def test_newton_vectors_of_the_wrong_length_are_case_errors():
+    case = case_path_case("case9.m")
+    with pytest.raises(CaseError, match=r"start has shape \(1,\), expected \(6,\)"):
+        newton_solve(case, start=np.array([1 + 0j]))
+    with pytest.raises(CaseError, match=r"S_L has shape \(1,\), expected \(6,\)"):
+        newton_solve(case, np.array([1 + 0j]))
+
+
+def test_actual_limit_direction_of_the_wrong_length_is_a_case_error():
+    case = case_path_case("case9.m")
+    with pytest.raises(CaseError, match=r"direction has shape \(7,\), expected \(6,\)"):
+        actual_limit(case, direction=np.ones(7))
+
+
 def test_actual_limit_explicit_bracket():
     lam = actual_limit(make_two_bus(p=1.0), bracket=(4.0, 6.0), tol=1e-4)
     assert lam == pytest.approx(5.0, abs=1e-4)
