@@ -6,8 +6,8 @@ E is the zero-load voltage profile induced by the generators and Z inverts
 the load-load admittance block. Normalizing by E (and optionally by a known
 solution) yields the unitless impedance matrix Ztilde the stress measures and
 the fixed-point map are built on. A reduction forms Ztilde and the oracle's
-Newton kernel on first use, each for itself, so touch both before sharing one
-across threads.
+Newton kernel on first use (a re-centered copy takes its base's kernel if
+built), so touch both before sharing one across threads.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ class GridReduction:
     once. Ztilde, the one dense matrix, is Z = Y_LL^-1 normalized by E (units
     1/power in the per-unit system) and, on a copy re-centered by
     renormalize_about_solution, by the known solution v0 too. Each reduction
-    forms its own Ztilde and the oracle's Newton kernel on first use, copies
-    included; touch both before sharing a reduction across threads.
+    forms its own Ztilde on first use, copies included, and the oracle's Newton
+    kernel, unless it is a copy of one that has built it; touch both before
+    sharing a reduction across threads.
     """
 
     generator_ids: tuple[int, ...]
@@ -229,7 +230,8 @@ def renormalize_about_solution(red: GridReduction, v0: np.ndarray, S0: np.ndarra
 
     v0 is in E-normalized coordinates and must satisfy the fixed-point
     equations for load S0 to within SOLUTION_TOL. The copy shares the
-    factor with red and forms its own Ztilde and Newton kernel on first use.
+    factor with red and forms its own Ztilde on first use. The Newton kernel
+    depends on Y alone, so the copy takes red's when red has built it.
     """
     v0, S0 = load_vector(red, v0, "v0"), load_vector(red, S0, "S0")
     if np.any(v0 == 0):
@@ -239,5 +241,8 @@ def renormalize_about_solution(red: GridReduction, v0: np.ndarray, S0: np.ndarra
         raise NotASolutionError(
             f"(v0, S0) residual {residual:.3e} >= {SOLUTION_TOL:g}: not a power-flow solution"
         )
-    return replace(red, v0=v0, S0=S0)
+    copy = replace(red, v0=v0, S0=S0)
+    if "kernel" in vars(red):  # built already: the cached_property keeps it there
+        vars(copy)["kernel"] = red.kernel
+    return copy
 

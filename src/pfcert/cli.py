@@ -3,7 +3,8 @@
 Every command is one pipeline: _load the case and its reduction, compute,
 emit one artifact. The reduction (with --known-solution, its copy
 re-centered on the solved base point) forms its Ztilde, the one n x n
-matrix a command holds, and its Newton kernel on first use. Each command
+matrix a command holds, on first use; the copy takes the kernel that the
+base point's solve built. Each command
 defines only the options it reads: all take --case (a .json file is read
 as JSON, any other as MATPOWER), --gen-phasors and --out; solve, limits,
 sweep and bounds also take --out-format {json,csv}, and only solve takes

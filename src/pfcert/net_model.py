@@ -194,9 +194,8 @@ def validate_connectivity(case: NetworkCase) -> None:
         if br.in_service:
             adj[br.from_bus].append(br.to_bus)
             adj[br.to_bus].append(br.from_bus)
-    start = case.buses[0].id
-    reached = {start}
-    stack = [start]
+    stack = [b.id for b in case.buses[:1]]  # a case without buses is left to partition_buses
+    reached = set(stack)
     while stack:
         for nxt in adj[stack.pop()]:
             if nxt not in reached:
@@ -246,7 +245,7 @@ def load_case(source: str, format: str = "matpower") -> NetworkCase:
         case = parsers[format](source)
     except CaseError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:  # a value the parser cannot convert, such as int(NaN)
+    except (TypeError, ValueError, ArithmeticError) as exc:  # a value the parser cannot use: int(NaN), a zero baseMVA
         raise CaseError(f"bad value in the case: {exc}") from exc
     validate_connectivity(case)
     partition_buses(case)
@@ -256,7 +255,11 @@ def load_case(source: str, format: str = "matpower") -> NetworkCase:
 def load_case_file(path) -> NetworkCase:
     """load_case on a file path: JSON for a .json suffix, MATPOWER otherwise."""
     p = Path(path)
-    return load_case(p.read_text(encoding="utf-8"), "json" if p.suffix.lower() == ".json" else "matpower")
+    try:
+        source = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CaseError(f"{p} is not UTF-8 text: {exc}") from exc
+    return load_case(source, "json" if p.suffix.lower() == ".json" else "matpower")
 
 
 def _integer(value, field: str, kind: str = "bus number") -> int:
@@ -271,58 +274,39 @@ def _integer(value, field: str, kind: str = "bus number") -> int:
 # MATPOWER parsing
 # ---------------------------------------------------------------------------
 
-_ASSIGN_RE = re.compile(r"^\s*(?:\w+\.)?(\w+)\s*=\s*(.*)$", re.DOTALL)
-
-
-def _strip_comment(line: str) -> str:
-    pos = line.find("%")
-    return line if pos < 0 else line[:pos]
+# An assignment `[mpc.]name = value` on a line that does not start with "function". The value
+# is a [...] matrix or a {...} cell array, both of which may span lines, or the rest of the line.
+_ASSIGNMENT = re.compile(
+    r"^[^\S\n]*(?!function)(?:\w+\.)?(\w+)[^\S\n]*=[^\S\n]*(\[[^\]]*\]?|\{[^}]*\}?|.*)", re.MULTILINE
+)
 
 
 def _parse_matpower(source: str) -> NetworkCase:
+    text = "\n".join(line.partition("%")[0] for line in source.splitlines())  # line numbers kept
     blocks: dict[str, tuple[list[list[float]], int]] = {}
     scalars: dict[str, float] = {}
-
-    lines = source.splitlines()
-    i = 0
-    nlines = len(lines)
-    while i < nlines:
-        raw = _strip_comment(lines[i])
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("function"):
-            i += 1
-            continue
-        m = _ASSIGN_RE.match(raw)
-        if not m:
-            i += 1
-            continue
-        name, rest = m.group(1), m.group(2).strip()
-        start_line = i + 1
-        if rest.startswith("["):
-            body = [rest[1:]]
-            while "]" not in body[-1]:
-                i += 1
-                if i >= nlines:
-                    raise CaseSyntaxError(f"matrix '{name}' is never closed", start_line)
-                body.append(_strip_comment(lines[i]))
-            body[-1] = body[-1][: body[-1].index("]")]
-            blocks[name] = (_parse_matrix(name, body, start_line), start_line)
-        elif rest.startswith("{"):
-            # cell array (bus names etc.): skip to the closing brace
-            while "}" not in _strip_comment(lines[i]):
-                i += 1
-                if i >= nlines:
-                    raise CaseSyntaxError(f"cell array '{name}' is never closed", start_line)
+    for m in _ASSIGNMENT.finditer(text):
+        name, value = m.groups()
+        line = text.count("\n", 0, m.start()) + 1
+        if value.startswith("["):
+            if not value.endswith("]"):
+                raise CaseSyntaxError(f"matrix '{name}' is never closed", line)
+            # rows end at ';' or a line break, and commas separate numbers as whitespace does
+            chunks = [chunk for chunk in re.split(r"[;\n]", value[1:-1]) if chunk.strip().rstrip(",")]
+            try:
+                blocks[name] = ([[float(tok) for tok in c.replace(",", " ").split()] for c in chunks], line)
+            except ValueError as exc:
+                raise CaseSyntaxError(f"bad number in matrix '{name}': {exc}", line)
+        elif value.startswith("{"):  # cell array (bus names etc.): skipped
+            if not value.endswith("}"):
+                raise CaseSyntaxError(f"cell array '{name}' is never closed", line)
         else:
-            value = rest.rstrip(";").strip()
-            if value.startswith("'") or value.startswith('"'):
-                pass  # version string and friends
-            else:
+            value = value.rstrip().rstrip(";").strip()
+            if not value.startswith(("'", '"')):  # strings (the version and friends) are skipped
                 try:
                     scalars[name] = float(value)
                 except ValueError:
-                    raise CaseSyntaxError(f"cannot parse scalar '{name}' value {value!r}", start_line)
-        i += 1
+                    raise CaseSyntaxError(f"cannot parse scalar '{name}' value {value!r}", line)
 
     if "baseMVA" not in scalars:
         raise CaseError("missing baseMVA")
@@ -384,20 +368,6 @@ def _parse_matpower(source: str) -> NetworkCase:
         )
 
     return build_case(base, buses, branches, gens, slack_bus)
-
-
-def _parse_matrix(name: str, body: list[str], start_line: int) -> list[list[float]]:
-    text = "\n".join(body)
-    rows: list[list[float]] = []
-    for chunk in re.split(r"[;\n]", text):
-        chunk = chunk.strip().rstrip(",")
-        if not chunk:
-            continue
-        try:
-            rows.append([float(tok) for tok in chunk.replace(",", " ").split()])
-        except ValueError as exc:
-            raise CaseSyntaxError(f"bad number in matrix '{name}': {exc}", start_line)
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import pfcert
-from pfcert import admittance, cli
+from pfcert import admittance, cli, oracle
 from pfcert.cli import main
 from pfcert.net_model import load_case_file
 
@@ -163,13 +163,18 @@ def test_zero_max_iter_is_exit_2(two_bus_file, capsys):
         ["limits", "--case", "{case}", "--bracket-hi", "9"],
         ["oracle-limit", "--case", "{case}"],
         ["certify", "--case", "{case}", "--dump-reduction", "{missing}"],
+        ["certify", "--case", "{tmp}/no_buses.json"],
+        ["certify", "--case", "{tmp}/utf16.m"],
     ],
     ids=["no command", "certify --tol", "certify --out-format", "limits --max-iter", "bad value",
          "solve --tol -1", "missing case", "grid not a number", "grid not finite", "certify --format",
-         "limits --bracket-lo", "limits --bracket-hi", "removed oracle-limit", "removed certify --dump-reduction"],
+         "limits --bracket-lo", "limits --bracket-hi", "removed oracle-limit", "removed certify --dump-reduction",
+         "case without buses", "case not UTF-8"],
 )
 def test_input_errors_are_one_json_line(args, two_bus_file, tmp_path, capsys):
-    args = [a.format(case=two_bus_file, missing=tmp_path / "missing.m") for a in args]
+    (tmp_path / "no_buses.json").write_text('{"base_mva": 100}')
+    (tmp_path / "utf16.m").write_bytes(TWO_BUS_MATPOWER.encode("utf-16"))  # starts with the bytes ff fe
+    args = [a.format(case=two_bus_file, missing=tmp_path / "missing.m", tmp=tmp_path) for a in args]
     assert run(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -197,6 +202,23 @@ def test_non_finite_tol_is_an_input_error(value, two_bus_file, capsys):
     assert captured.out == ""
     message = f"pfcert solve: argument --tol: invalid finite value: '{value}'"
     assert json.loads(captured.err) == {"error": "input", "message": message}
+
+
+def test_known_solution_limits_build_one_newton_kernel(tmp_path, monkeypatch):
+    """The copy re-centred on the solved base point takes the kernel that the base point's solve built."""
+    built = []
+    init = oracle._NewtonKernel.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(oracle._NewtonKernel, "__init__", counted)
+    args = ["limits", "--case", case_path("case39.m"), "--with-oracle", "--out", tmp_path / "limits.json"]
+    assert run(args) == 0
+    assert len(built) == 1
+    assert run([*args, "--known-solution"]) == 0
+    assert len(built) == 2
 
 
 def test_solve_emits_voltages(two_bus_file, tmp_path):

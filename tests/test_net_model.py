@@ -2,9 +2,11 @@
 
 import importlib.util
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pfcert.net_model import (
@@ -24,7 +26,7 @@ from pfcert.net_model import (
 )
 from pfcert.oracle import newton_base_case
 
-from conftest import TWO_BUS_MATPOWER, case_path, emit_json, make_star, make_two_bus
+from conftest import BUNDLED, TWO_BUS_MATPOWER, case_path, emit_json, make_star, make_two_bus
 
 
 def test_two_bus_matpower_parse():
@@ -68,16 +70,99 @@ def test_missing_base_mva_rejected():
         load_case(text, "matpower")
 
 
-def test_syntax_error_carries_line():
-    text = TWO_BUS_MATPOWER.replace("\t0\t0.1\t0", "\t0\tbogus\t0")
-    with pytest.raises(CaseSyntaxError, match="line"):
-        load_case(text, "matpower")
+BUS_2 = "\t2\t1\t250\t0\t0\t0\t1\t1.00\t0\t345\t1\t1.10\t0.90;"
+GEN_1 = "\t1\t0\t0\t300\t-300\t1.00\t100\t1\t250\t10;"
+BRANCH_1 = "\t1\t2\t0\t0.1\t0\t250\t250\t250\t0\t0\t1\t-360\t360;"
 
 
-def test_unclosed_matrix_rejected():
-    text = TWO_BUS_MATPOWER[: TWO_BUS_MATPOWER.rindex("];")]
-    with pytest.raises(CaseSyntaxError, match="never closed"):
-        load_case(text, "matpower")
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        (BRANCH_1 + "\n];", BRANCH_1, 14, "matrix 'branch' is never closed"),
+        ("mpc.baseMVA = 100;\n", "mpc.baseMVA = 100;\nmpc.bus_name = {\n'one';\n'two' % }\n", 4,
+         "cell array 'bus_name' is never closed"),
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = 1O0;", 3, "cannot parse scalar 'baseMVA' value '1O0'"),
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = 100; mpc.x = 2;", 3,
+         "cannot parse scalar 'baseMVA' value '100; mpc.x = 2'"),
+        ("mpc.baseMVA = 100;", "mpc.baseMVA =\n100;", 3, "cannot parse scalar 'baseMVA' value ''"),
+        ("\t0\t0.1\t0", "\t0\tbogus\t0", 14, "bad number in matrix 'branch': could not convert string to float: 'bogus'"),
+        (BUS_2, BUS_2.replace("\t0.90;", ";"), 5, "bus row 2 has 12 columns, expected >= 13"),
+        (GEN_1, "\t1\t0\t0\t300\t-300\t1.00\t100;", 10, "gen row 1 has 7 columns, expected >= 8"),
+        (BRANCH_1, "\t1\t2\t0\t0.1\t0\t250\t250\t250\t0\t0;", 14, "branch row 1 has 10 columns, expected >= 11"),
+    ],
+    ids=["unclosed matrix", "unclosed cell array", "bad scalar", "two assignments on a line", "scalar on the next line",
+         "bad number", "short bus row", "short gen row", "short branch row"],
+)
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+def test_syntax_errors_name_the_assignment_line(old, new, line, message, newline):
+    text = TWO_BUS_MATPOWER.replace(old, new)
+    assert text != TWO_BUS_MATPOWER
+    with pytest.raises(CaseSyntaxError) as info:
+        load_case(text.replace("\n", newline), "matpower")
+    assert str(info.value) == f"line {line}: {message}"
+    assert info.value.line == line
+
+
+def test_lines_without_an_assignment_are_skipped():
+    """Only `[mpc.]name = ...` at a line start opens a value, and a line starting with
+    "function" is never one; the rest of a line that closes a matrix is ignored, and a
+    later assignment replaces an earlier one."""
+    extra = "function_count = not a number\nmpc.areas(1, :) = [1 2 3\nmpc.bus = [] end\nend\n"
+    text = TWO_BUS_MATPOWER.replace("mpc.baseMVA = 100;\n", "mpc.baseMVA = 100;\n" + extra)
+    assert load_case(text, "matpower") == load_case(TWO_BUS_MATPOWER, "matpower")
+
+
+def _reformat(text: str, rng: np.random.Generator) -> str:
+    """text in another layout that reads the same: other number separators, trailing
+    commas (after a row's ';' too), one-line matrices, rows ended by ';' or the line
+    break alone, ']' on the last row's line or its own, comments holding brackets, a
+    cell array, CRLF."""
+    pick = lambda options: options[rng.integers(len(options))]
+
+    def matrix(m: re.Match) -> str:
+        rows = [row.split() for row in m.group(2).replace(";", "\n").splitlines() if row.strip()]
+        rows = [pick([" ", ",", ", ", "\t", " ,  "]).join(row) + pick(["", ","]) for row in rows]
+        if rng.random() < 0.3:
+            return m.group(1) + "; ".join(rows) + pick([";", ""]) + "]"
+        lines = [pick(["", "% ] [ = { }\n"]) + row + pick([";", "", ";,"]) for row in rows]
+        return m.group(1) + pick(["", " % ] ["]) + "\n" + "\n".join(lines) + pick(["\n", ""]) + "]"
+
+    text = re.sub(r"(=\s*\[)([^\]]*)\]", matrix, text)
+    text = re.sub(r";\n", lambda m: pick([";\n", "; % [ = {\n", ";   \n"]), text)
+    text = re.sub(r"[ \t]*=[ \t]*", lambda m: pick(["=", " = ", "\t=  ", " ="]), text)
+    if rng.random() < 0.5:
+        text = text.replace("\nmpc.bus =", "\nmpc.bus_name = {\n'one [';\n'two ]'\n};\nmpc.bus =")
+    return text.replace("\n", pick(["\n", "\r\n"]))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_reformatted_bundled_cases_read_the_same(name):
+    source = case_path(f"{name}.m").read_text()
+    want = load_case(source, "matpower")
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for _ in range(10):
+        text = _reformat(source, rng)
+        assert text != source
+        assert load_case(text, "matpower") == want
+
+
+def test_case_without_buses_is_a_case_error():
+    with pytest.raises(CaseError, match="case has no in-service generators"):
+        load_case('{"base_mva": 100}', "json")
+    with pytest.raises(CaseError, match="case has no in-service generators"):
+        load_case("mpc.baseMVA = 100;\nmpc.bus = [];\nmpc.gen = [];\nmpc.branch = [];\n", "matpower")
+
+
+def test_zero_base_mva_is_a_case_error():
+    with pytest.raises(CaseError, match="bad value in the case: complex division by zero"):
+        load_case(TWO_BUS_MATPOWER.replace("mpc.baseMVA = 100;", "mpc.baseMVA = 0;"), "matpower")
+
+
+def test_case_file_that_is_not_utf8_is_a_case_error(tmp_path):
+    path = tmp_path / "two_bus.m"
+    path.write_bytes(TWO_BUS_MATPOWER.encode("utf-16"))
+    with pytest.raises(CaseError, match=f"^{re.escape(str(path))} is not UTF-8 text: "):
+        load_case_file(path)
 
 
 def test_per_unit_scaling_of_demands():
