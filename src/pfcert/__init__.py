@@ -29,7 +29,7 @@ from .certificate import (
     voltage_bounds,
 )
 from .fixed_point import FixedPointResult, evaluate_F, solve_fixed_point
-from .limits import LimitEstimates, SweepResult, bound_profile, direction_sweep, lambda_all
+from .limits import LimitEstimates, bound_profile, direction_sweep, lambda_all
 from .net_model import (
     BranchRecord,
     BusRecord,

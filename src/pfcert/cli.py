@@ -9,10 +9,12 @@ defines only the options it reads: all take --case (a .json file is read
 as JSON, any other as MATPOWER), --gen-phasors and --out; solve, limits,
 sweep and bounds also take --out-format {json,csv}, and only solve takes
 --tol and --max-iter.
-`limits --with-oracle` prints the nose along the base direction.
+`limits --with-oracle` prints the nose along the base direction, and
+`sweep --with-oracle` along each swept one; this module, not limits, finds the noses.
 
 Exit codes: 0 success, 1 certificate does not hold (for `certify`), 2 input
-error (usage errors included), 3 numerical failure. Every error is also
+error (usage errors and files that cannot be read or written included), 3
+numerical failure. Every error is also
 written to stderr as one JSON line. This module alone knows the artifact
 format: stable field order, floats at 9 significant digits (non-finite
 values become JSON null, empty CSV cells) and complex values as [re, im].
@@ -277,12 +279,13 @@ def cmd_sweep(args) -> int:
     if args.direction_file:
         with open(args.direction_file, encoding="utf-8") as fh:
             try:
-                pairs = [(math.radians(a), math.radians(b)) for a, b in json.load(fh)]
+                degrees = [(a, b) for a, b in json.load(fh)]
             except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
                 raise CaseError(f"bad direction file {args.direction_file}: expected "
                                 f"[phi_a_deg, phi_b_deg] pairs ({exc})") from exc
-        if not all(math.isfinite(phi) for pair in pairs for phi in pair):
-            raise CaseError(f"bad direction file {args.direction_file}: angles must be finite")
+        if not all(type(phi) in (int, float) and math.isfinite(phi) for pair in degrees for phi in pair):
+            raise CaseError(f"bad direction file {args.direction_file}: angles must be finite numbers")
+        pairs = [(math.radians(a), math.radians(b)) for a, b in degrees]
     else:
         pairs = [(2.0 * math.pi * k / args.points,) * 2 for k in range(args.points)]
     if not pairs:
@@ -292,22 +295,19 @@ def cmd_sweep(args) -> int:
         bus_a, bus_b = limits.default_sweep_buses(red, S_base)
     else:
         bus_a, bus_b = args.bus_a, args.bus_b
-    sweep = limits.direction_sweep(case, red, S_base, bus_a, bus_b, pairs, args.with_oracle)
-    rows = []
-    for pt in sweep.points:
-        row = {
-            "phi_a_deg": math.degrees(pt.phi_a),
-            "phi_b_deg": math.degrees(pt.phi_b),
-            "lambda_p": pt.estimates.lambda_p,
-            "lambda_w": pt.estimates.lambda_w,
-            "lambda_d": pt.estimates.lambda_d,
-            "lambda_actual": pt.estimates.lambda_actual,
+    magnitude, directions, estimates = limits.direction_sweep(red, S_base, bus_a, bus_b, pairs)
+    rows = [
+        {
+            "phi_a_deg": math.degrees(phi_a),
+            "phi_b_deg": math.degrees(phi_b),
+            "lambda_p": est.lambda_p,
+            "lambda_w": est.lambda_w,
+            "lambda_d": est.lambda_d,
+            "lambda_actual": oracle.actual_limit(case, direction=S, network=red) if args.with_oracle else None,
         }
-        rows.append(row)
-    doc = {
-        "meta": {"bus_a": sweep.bus_a, "bus_b": sweep.bus_b, "magnitude": sweep.magnitude},
-        "points": rows,
-    }
+        for (phi_a, phi_b), S, est in zip(pairs, directions, estimates)
+    ]
+    doc = {"meta": {"bus_a": bus_a, "bus_b": bus_b, "magnitude": magnitude}, "points": rows}
     _emit_table(args, doc, list(rows[0]), rows)
     return EXIT_OK
 
@@ -426,7 +426,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CaseError, FileNotFoundError, IsADirectoryError) as exc:
+    except (CaseError, OSError) as exc:
         _error_json("input", str(exc))
         return EXIT_INPUT
     except (SingularNetworkError, NotASolutionError, NoCertificate, RuntimeError) as exc:

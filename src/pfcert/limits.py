@@ -34,22 +34,6 @@ class LimitEstimates:
     lambda_d: float  # dvijotham-style shell condition
     critical_bus: int | None  # load bus whose quadratic binds lambda_p
     mode: str  # "from_zero" or "from_known_solution"
-    lambda_actual: float | None = None  # oracle limit, when requested
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    phi_a: float
-    phi_b: float
-    estimates: LimitEstimates
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    bus_a: int
-    bus_b: int
-    magnitude: float  # common magnitude applied to the two varied loads
-    points: tuple[SweepPoint, ...]
 
 
 def prepare(case: NetworkCase, gen_phasors: str = "case") -> tuple[GridReduction, np.ndarray]:
@@ -211,27 +195,22 @@ def default_sweep_buses(red: GridReduction, S_base: np.ndarray) -> tuple[int, in
 
 
 def direction_sweep(
-    case: NetworkCase,
-    red: GridReduction,
-    S_base: np.ndarray,
-    bus_a: int,
-    bus_b: int,
-    angle_pairs,
-    with_oracle: bool = False,
-) -> SweepResult:
+    red: GridReduction, S_base: np.ndarray, bus_a: int, bus_b: int, angle_pairs
+) -> tuple[float, list[np.ndarray], list[LimitEstimates]]:
     """Limit estimates while the two chosen loads swing around the power circle.
 
     The two loads are set to a common magnitude M e^{j phi} (M chosen so
     their joint 2-norm matches the remaining loads'), the rest of the system
-    stays at base load, and the limits are recomputed per grid point with
-    the reduction held fixed.
+    stays at base load, and the limits are recomputed per (phi_a, phi_b)
+    with the reduction held fixed. Returns M, the load vector of each pair
+    and its lambda_all, in the order of angle_pairs.
     """
     if bus_a == bus_b:
         raise CaseError("sweep buses must differ")
-    try:
-        ia, ib = red.load_index(bus_a), red.load_index(bus_b)
-    except ValueError as exc:
-        raise CaseError(f"sweep buses must be load buses: {exc}") from exc
+    for bus in (bus_a, bus_b):
+        if bus not in red.load_ids:
+            raise CaseError(f"sweep buses must be load buses; bus {bus} is not")
+    ia, ib = red.load_index(bus_a), red.load_index(bus_b)
 
     rest = np.delete(S_base, [ia, ib])
     rest_norm = float(np.linalg.norm(rest))
@@ -242,17 +221,13 @@ def direction_sweep(
     if magnitude == 0.0:
         raise CaseError("all candidate loads are zero; nothing to sweep")
 
-    points = []
+    directions = []
     for phi_a, phi_b in angle_pairs:
         S = S_base.copy()
         S[ia] = magnitude * np.exp(1j * phi_a)
         S[ib] = magnitude * np.exp(1j * phi_b)
-        est = lambda_all(red, S)
-        if with_oracle:
-            actual = oracle.actual_limit(case, direction=S, network=red)
-            est = replace(est, lambda_actual=actual)
-        points.append(SweepPoint(phi_a=float(phi_a), phi_b=float(phi_b), estimates=est))
-    return SweepResult(bus_a=bus_a, bus_b=bus_b, magnitude=magnitude, points=tuple(points))
+        directions.append(S)
+    return magnitude, directions, [lambda_all(red, S) for S in directions]
 
 
 def bound_profile(

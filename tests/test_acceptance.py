@@ -367,13 +367,9 @@ def test_criterion_7_convergence_rate_bound():
 def test_criterion_7_sweep_dominance_case9():
     case, _, _ = load("case9")
     pairs = [(2 * math.pi * k / 36,) * 2 for k in range(36)]
-    sweep = direction_sweep(case, *prepare(case), *_first_two_loads(case), pairs)
-    ok = all(
-        pt.estimates.lambda_p >= pt.estimates.lambda_w - 1e-9
-        and pt.estimates.lambda_p >= pt.estimates.lambda_d - 1e-9
-        for pt in sweep.points
-    )
-    assert report(ok, "criterion 7 (sweep dominance)", f"{len(sweep.points)} directions on case9")
+    _, directions, estimates = direction_sweep(*prepare(case), *_first_two_loads(case), pairs)
+    ok = all(est.lambda_p >= est.lambda_w - 1e-9 and est.lambda_p >= est.lambda_d - 1e-9 for est in estimates)
+    assert report(ok, "criterion 7 (sweep dominance)", f"{len(directions)} directions on case9")
 
 
 def _first_two_loads(case):

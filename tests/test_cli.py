@@ -165,13 +165,20 @@ def test_zero_max_iter_is_exit_2(two_bus_file, capsys):
         ["certify", "--case", "{case}", "--dump-reduction", "{missing}"],
         ["certify", "--case", "{tmp}/no_buses.json"],
         ["certify", "--case", "{tmp}/utf16.m"],
+        ["certify", "--case", "{case}", "--out", "{tmp}/afile/out.json"],
+        ["certify", "--case", "{tmp}/afile/x.m"],
+        ["sweep", "--case", "{case}", "--direction-file", "{tmp}/afile/x.json"],
     ],
     ids=["no command", "certify --tol", "certify --out-format", "limits --max-iter", "bad value",
          "solve --tol -1", "missing case", "grid not a number", "grid not finite", "certify --format",
          "limits --bracket-lo", "limits --bracket-hi", "removed oracle-limit", "removed certify --dump-reduction",
-         "case without buses", "case not UTF-8"],
+         "case without buses", "case not UTF-8", "output under a file", "case under a file",
+         "direction file under a file"],
 )
 def test_input_errors_are_one_json_line(args, two_bus_file, tmp_path, capsys):
+    """Any OSError reading or writing a file is an input error; a path under a regular file raises
+    NotADirectoryError."""
+    (tmp_path / "afile").write_text("")
     (tmp_path / "no_buses.json").write_text('{"base_mva": 100}')
     (tmp_path / "utf16.m").write_bytes(TWO_BUS_MATPOWER.encode("utf-16"))  # starts with the bytes ff fe
     args = [a.format(case=two_bus_file, missing=tmp_path / "missing.m", tmp=tmp_path) for a in args]
@@ -306,7 +313,11 @@ def test_sweep_with_direction_file(two_bus_file, tmp_path):
     assert lines[3].startswith("180,270,")
 
 
-@pytest.mark.parametrize("text", ["[[0, 10], [20", "[[0, 10, 5]]", '{"a": 1}', "[[NaN, 0], [10, 20]]", "[[Infinity, 0]]"])
+@pytest.mark.parametrize(
+    "text",
+    ["[[0, 10], [20", "[[0, 10, 5]]", '{"a": 1}', "[[NaN, 0], [10, 20]]", "[[Infinity, 0]]", "[[true, false]]",
+     '[["0", 10]]'],
+)
 def test_bad_direction_file_is_exit_2(text, tmp_path, capsys):
     directions = tmp_path / "dirs.json"
     directions.write_text(text)

@@ -191,28 +191,29 @@ def test_oracle_limit_never_below_certificate():
 def test_sweep_dominance_on_star():
     case = make_star()
     pairs = [(2 * math.pi * k / 8,) * 2 for k in range(8)]
-    sweep = direction_sweep(case, *prepare(case), 2, 3, pairs)
-    assert len(sweep.points) == 8
-    for pt in sweep.points:
-        assert pt.estimates.lambda_p >= pt.estimates.lambda_w - 1e-9
+    _, directions, estimates = direction_sweep(*prepare(case), 2, 3, pairs)
+    assert len(directions) == len(estimates) == 8
+    for est in estimates:
+        assert est.lambda_p >= est.lambda_w - 1e-9
 
 
 def test_sweep_single_point_consistency():
     case = make_star(loads=((1.0, 0.0), (1.0, 0.0), (1.0, 0.5)))
     red, S = prepare(case)
-    sweep = direction_sweep(case, *prepare(case), 2, 3, [(0.0, 0.0)])
+    magnitude, directions, estimates = direction_sweep(red, S, 2, 3, [(0.0, 0.0)])
     S_mod = S.copy()
-    S_mod[0] = sweep.magnitude
-    S_mod[1] = sweep.magnitude
+    S_mod[0] = magnitude
+    S_mod[1] = magnitude
+    np.testing.assert_array_equal(directions[0], S_mod)
     direct = lambda_all(red, S_mod)
-    assert sweep.points[0].estimates.lambda_p == pytest.approx(direct.lambda_p, rel=1e-12)
+    assert estimates[0].lambda_p == pytest.approx(direct.lambda_p, rel=1e-12)
 
 
 def test_sweep_rescaling_matches_rest_norm():
     case = make_star(loads=((1.0, 0.0), (1.0, 0.0), (1.0, 0.5)))
-    sweep = direction_sweep(case, *prepare(case), 2, 3, [(0.0, 0.0)])
+    magnitude, _, _ = direction_sweep(*prepare(case), 2, 3, [(0.0, 0.0)])
     rest = abs(complex(1.0, 0.5))
-    assert math.sqrt(2) * sweep.magnitude == pytest.approx(rest)
+    assert math.sqrt(2) * magnitude == pytest.approx(rest)
 
 
 def test_case118_sweep_oracle_reaches_lambda_p():
@@ -223,17 +224,20 @@ def test_case118_sweep_oracle_reaches_lambda_p():
     case = load_case_file(case_path("case118.m"))
     red, S = prepare(case)
     pairs = [(2 * math.pi * k / 36,) * 2 for k in range(36)]
-    sweep = direction_sweep(case, red, S, *default_sweep_buses(red, S), pairs, with_oracle=True)
-    for pt in sweep.points:
-        assert pt.estimates.lambda_actual >= pt.estimates.lambda_p - 1e-9
+    _, directions, estimates = direction_sweep(red, S, *default_sweep_buses(red, S), pairs)
+    for d, est in zip(directions, estimates):
+        assert actual_limit(case, direction=d, network=red) >= est.lambda_p - 1e-9
 
 
 def test_sweep_validation():
     case = make_star()
     with pytest.raises(CaseError, match="differ"):
-        direction_sweep(case, *prepare(case), 2, 2, [(0.0, 0.0)])
-    with pytest.raises(CaseError, match="load buses"):
-        direction_sweep(case, *prepare(case), 1, 2, [(0.0, 0.0)])
+        direction_sweep(*prepare(case), 2, 2, [(0.0, 0.0)])
+    with pytest.raises(CaseError, match="load buses") as exc:
+        direction_sweep(*prepare(case), 1, 2, [(0.0, 0.0)])
+    assert str(exc.value) == "sweep buses must be load buses; bus 1 is not"
+    with pytest.raises(CaseError, match=r"^sweep buses must be load buses; bus 7 is not$"):
+        direction_sweep(*prepare(case), 2, 7, [(0.0, 0.0)])
 
 
 def test_default_sweep_buses_requires_two_active_loads():
@@ -334,23 +338,31 @@ def test_from_zero_limits_close_their_conditions(name):
         assert_closes(lambda lam: certify_dvijotham(stress(lam)).holds, est.lambda_d)
 
 
-@pytest.mark.parametrize("c", [0.5, 2.0])
+@pytest.mark.parametrize("c", [0.5, 2.0, pytest.param(None, id="skew")])
 @pytest.mark.parametrize("name", BUNDLED)
 def test_known_solution_limits_close_their_conditions(name, c):
+    """Increments c S about the solved base point, and (c = None) one seeded
+    direction that is not a positive multiple of S, whose lambda_p and
+    lambda_d come from bisection."""
     case = load_case_file(case_path(f"{name}.m"))
     red, S = prepare(case)
     res = newton_solve(case, S, network=red)
     assert res.converged
-    v0 = res.V_L / red.E
-    est = lambda_all(renormalize_about_solution(red, v0, S), c * S)
-    Zt = renormalize_about_solution(red, v0, S).Ztilde
+    recentered = renormalize_about_solution(red, res.V_L / red.E, S)
+    if c is None:
+        D = random_loads(np.random.default_rng(BUNDLED.index(name)), red.n_load)
+        assert limits._positive_scalar_ratio(D, S) is None
+    else:
+        D = c * S
+    est = lambda_all(recentered, D)
+    Zt = recentered.Ztilde
     base = compute_stress(Zt, S)
 
     def stress(lam):
-        return compute_stress(Zt, S + lam * c * S, lam * c * S)
+        return compute_stress(Zt, S + lam * D, lam * D)
 
     assert_closes(lambda lam: certify(stress(lam)).holds, est.lambda_p)
-    assert_closes(lambda lam: certify_wang(base, compute_stress(Zt, lam * c * S)).holds, est.lambda_w)
+    assert_closes(lambda lam: certify_wang(base, compute_stress(Zt, lam * D)).holds, est.lambda_w)
     assert_closes(lambda lam: certify_dvijotham(stress(lam)).holds, est.lambda_d)
 
 

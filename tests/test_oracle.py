@@ -394,17 +394,10 @@ def test_actual_limit_two_bus_default_tol_reaches_the_exact_nose():
     assert actual_limit(make_two_bus(p=1.0)) == pytest.approx(5.0, abs=1e-9)
 
 
-def golden_sweep_directions(case, red, S, points=12):
+def golden_sweep_directions(red, S, points=12):
     """The loading directions of `pfcert sweep --points 12`, as direction_sweep builds them."""
     pairs = [(2.0 * math.pi * k / points,) * 2 for k in range(points)]
-    sweep = limits.direction_sweep(case, red, S, *limits.default_sweep_buses(red, S), pairs)
-    ia, ib = red.load_index(sweep.bus_a), red.load_index(sweep.bus_b)
-    directions = []
-    for pt in sweep.points:
-        d = S.copy()
-        d[ia], d[ib] = sweep.magnitude * np.exp(1j * pt.phi_a), sweep.magnitude * np.exp(1j * pt.phi_b)
-        directions.append(d)
-    return directions
+    return limits.direction_sweep(red, S, *limits.default_sweep_buses(red, S), pairs)[1]
 
 
 # Sweep angles, in degrees, of the 72-point sweep (every 5 degrees). Those whose coefficient ratios alternate about
@@ -449,9 +442,9 @@ def test_default_oracle_agrees_with_a_tighter_fold(name, gen_phasors, monkeypatc
     point to FOLD_TOL."""
     case = case_path_case(f"{name}.m")
     red, S = limits.prepare(case, gen_phasors)
-    sweep = golden_sweep_directions(case, red, S, 72)
+    sweep = golden_sweep_directions(red, S, 72)
     past = [sweep[a // 5] for a in JUMP_PAST.get(name, ())]
-    directions = [S] + past + golden_sweep_directions(case, red, S)
+    directions = [S] + past + golden_sweep_directions(red, S)
     directions += [sweep[a // 5] for a in ALTERNATING.get(name, ()) + LOW_START.get(name, ())]
     directions += [unity_power_factor_pair(S)] if name == "case24_ieee_rts" else []
     assert all(oracle._series_start(red, d, 1e-3, None) is not None for d in directions)
@@ -543,7 +536,7 @@ def test_nose_point_meets_the_fold_tolerance(name, monkeypatch):
     directions it stays below FOLD_TOL."""
     case = case_path_case(f"{name}.m")
     red, S = limits.prepare(case)
-    sweep = golden_sweep_directions(case, red, S, 72)
+    sweep = golden_sweep_directions(red, S, 72)
     angles = ALTERNATING.get(name, ()) + LOW_START.get(name, ()) + JUMP_PAST.get(name, ())
     calls = []
     correct = _NewtonKernel.correct
@@ -572,7 +565,7 @@ def test_case30_sweep_at_150_degrees_is_the_nose():
     tighter fold and Newton tolerances agree to 1e-13, is 3.1176160934."""
     case = case_path_case("case30.m")
     red, S = limits.prepare(case)
-    lam = actual_limit(case, direction=golden_sweep_directions(case, red, S)[5], network=red)
+    lam = actual_limit(case, direction=golden_sweep_directions(red, S)[5], network=red)
     assert lam == pytest.approx(3.1176160934, abs=2e-10)
     assert format(lam, ".9g") == "3.11761609"
 
