@@ -8,7 +8,11 @@ cubic through the last two points puts beyond them), and how many ended with
 a polish (a FOLD_TOL corrector right after a NEWTON_TOL one, holding the same
 s). A silent fallback shows here. Then it gives factorizations per limit on
 two wider sets: each case's base direction plus its 36-point `pfcert sweep`
-directions (259 limits), and the benchmark's `oracle_limits` inputs.
+directions (259 limits), and the benchmark's `oracle_limits` inputs. On each
+set it also counts the limits that took each fallback: a refused series start,
+a failed start corrector (both start cold, from bracket[0]), plain continuation
+after the jump (split by its cause: |g| stopped falling, or a corrector
+failed), a polish, and a shrink after a failed corrector in the fold's bracket.
 
     python scripts/oracle_counts.py
 """
@@ -58,6 +62,35 @@ def factorizations(case, direction, **kwargs) -> int:
     return count[0]
 
 
+def fallbacks() -> list[str]:
+    """The fallbacks the last limit took, read from its corrector calls and cubic steps. In the
+    jump's chain a cubic step precedes every NEWTON_TOL corrector after the jump's, and the fold's
+    bracket runs FOLD_TOL correctors alone, so a NEWTON_TOL corrector after the jump that follows
+    no cubic step is the continuation's; a FOLD_TOL corrector right after a NEWTON_TOL one is a
+    polish, and right after a failed FOLD_TOL one, the bracket's retry at a shrunk step."""
+    taken = ["refused" if not started[-1] else "cold" if not calls[0][1] else "jumped"]
+    after_jump = next((k for k in range(2, len(calls))
+                       if calls[k][0] == oracle.NEWTON_TOL and calls[k - 1] != ("cubic", 1.0)), None)
+    if taken == ["jumped"] and after_jump is not None:
+        taken.append("continued: failed corrector" if not calls[after_jump - 1][1] else "continued: |g| rose")
+    pairs = list(zip(calls, calls[1:]))
+    if any(a == (oracle.NEWTON_TOL, True) and b[0] == oracle.FOLD_TOL for a, b in pairs):
+        taken.append("polish")
+    if any(a == (oracle.FOLD_TOL, False) and b[0] == oracle.FOLD_TOL for a, b in pairs):
+        taken.append("shrink")
+    return taken
+
+
+def report_paths(paths: list[list[str]], label: str) -> None:
+    def n(path):
+        return sum(path in taken for taken in paths)
+
+    rose, failed = n("continued: |g| rose"), n("continued: failed corrector")
+    print(f"Fallbacks on {label}: refused series start {n('refused')}, failed start corrector (cold start) "
+          f"{n('cold')}, continuation after the jump {rose + failed} ({rose} as |g| stopped falling, {failed} "
+          f"after a failed corrector), polish {n('polish')}, bracket shrink {n('shrink')}")
+
+
 def main() -> None:
     oracle._NewtonKernel.factor, oracle._series_start, oracle._NewtonKernel.correct = counted, watched, recorded
     oracle._cubic_fold = fitted
@@ -78,19 +111,26 @@ def main() -> None:
     print("Cubic steps after the jump: %d of %d base directions" % (cubic, len(per_case)))
     print("Limits ending with a polishing corrector: %d of %d base directions" % (polished, len(per_case)))
 
-    swept = list(per_case.values())
+    swept, paths = [], []
     pairs = [(2.0 * math.pi * k / 36,) * 2 for k in range(36)]
     for case, red, S in nets.values():
         _, directions, _ = limits.direction_sweep(red, S, *limits.default_sweep_buses(red, S), pairs)
-        swept += [factorizations(case, d, network=red) for d in directions]
+        for d in [S] + directions:
+            swept.append(factorizations(case, d, network=red))
+            paths.append(fallbacks())
     print("Factorizations per limit on the base and 36-point sweep directions: %.2f over %d limits"
           % (sum(swept) / len(swept), len(swept)))
+    report_paths(paths, "the base and 36-point sweep directions")
 
     workload = OracleLimits(ROOT, smoke=False)
     workload.setup(seed=0)
-    bench = [factorizations(workload.nets[name][0], d, bracket=(1e-3, None)) for name, _, d in workload.inputs]
+    bench, paths = [], []
+    for name, _, d in workload.inputs:
+        bench.append(factorizations(workload.nets[name][0], d, bracket=(1e-3, None)))
+        paths.append(fallbacks())
     print("Factorizations per limit on the oracle_limits inputs: %.3f over %d limits"
           % (sum(bench) / len(bench), len(bench)))
+    report_paths(paths, "the oracle_limits inputs")
 
 
 if __name__ == "__main__":

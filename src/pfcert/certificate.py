@@ -154,17 +154,15 @@ def certify_wang(m_base: StressMeasures, m_incr: StressMeasures) -> ShellCertifi
     """Baseline shell certificate driven by xi alone.
 
     m_base carries xi at the known base load S0 (zero load from scratch),
-    m_incr carries xi at the increment sigma. Requires xi(S0) < 1; holds
-    when (1 - xi(S0))^2 - 4 xi(sigma) > 0 (strict).
+    m_incr carries xi at the increment sigma. Holds when xi(S0) < 1 and
+    (1 - xi(S0))^2 - 4 xi(sigma) > 0 (strict); fails, with no radius, otherwise.
     """
     return _wang(m_base.xi_max, m_incr.xi_max)
 
 
 def _wang(xi0: float, xis: float) -> ShellCertificate:
-    if xi0 >= 1.0:
-        raise NoCertificate(f"xi at the base load is {xi0:.6g} >= 1; shell condition undefined")
     disc = (1.0 - xi0) ** 2 - 4.0 * xis
-    holds = disc > 0.0
+    holds = xi0 < 1.0 and disc > 0.0
     radius = (1.0 - xi0 - math.sqrt(disc)) / 2.0 if holds else None
     return ShellCertificate(
         method="wang", holds=holds, radius=radius, uniqueness=True, condition_value=disc

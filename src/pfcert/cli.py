@@ -9,8 +9,10 @@ defines only the options it reads: all take --case (a .json file is read
 as JSON, any other as MATPOWER), --gen-phasors and --out; solve, limits,
 sweep and bounds also take --out-format {json,csv}, and only solve takes
 --tol and --max-iter.
-`limits --with-oracle` prints the nose along the base direction, and
-`sweep --with-oracle` along each swept one; this module, not limits, finds the noses.
+`limits --with-oracle` prints the nose along the base direction,
+`sweep --with-oracle` one along each swept direction, and `bounds --with-oracle`
+the bus voltage of a Newton chain over the grid; this module, not limits, calls
+the oracle.
 
 Exit codes: 0 success, 1 certificate does not hold (for `certify`), 2 input
 error (usage errors and files that cannot be read or written included), 3
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import sys
@@ -335,7 +338,20 @@ def _parse_grid(spec: str):
 def cmd_bounds(args) -> int:
     grid = _parse_grid(args.scale_grid)
     case, red, S_base = _load(args)
-    rows = limits.bound_profile(case, red, S_base, args.bus, grid, args.with_oracle)
+    bounds = limits.bound_profile(red, S_base, args.bus, grid)
+    actual = []  # |V| at the bus along a Newton chain: each solve starts from the last solution
+    if args.with_oracle:
+        k, warm = red.load_index(args.bus), red.E
+        for lam in grid:
+            res = oracle.newton_solve(case, lam * S_base, start=warm, network=red)
+            if not res.converged:
+                break  # past the nose; later points only get bounds
+            warm = res.V_L
+            actual.append(float(abs(res.V_L[k])))
+    rows = [
+        {"lambda": lam, "proposed": proposed, "wang": wang, "dvijotham": dvij, "actual": v}
+        for lam, (proposed, wang, dvij), v in itertools.zip_longest(grid, bounds, actual)
+    ]
     _emit_table(args, {"meta": {"bus": args.bus}, "profile": rows}, list(rows[0]), rows)
     return EXIT_OK
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import oracle
 from .admittance import GridReduction, reduce_case
 from .certificate import certify_all, voltage_bounds
 from .net_model import CaseError, NetworkCase, load_power_vector
@@ -32,7 +31,7 @@ class LimitEstimates:
     lambda_p: float  # polydisc (proposed) condition
     lambda_w: float  # wang-style shell condition
     lambda_d: float  # dvijotham-style shell condition
-    critical_bus: int | None  # load bus whose quadratic binds lambda_p
+    critical_bus: int | None  # load bus whose quadratic binds lambda_p; None where the spread binds
     mode: str  # "from_zero" or "from_known_solution"
 
 
@@ -56,7 +55,7 @@ def _line_limits(
         C = 2 x0 - x0^2 - 1,
 
     and the spread X0 + lambda (X1 - E1) reaches 1 at (1 - X0)/(X1 - E1),
-    or already at 0 when X0 > 1.
+    or already at 0 when X0 > 1; where it binds, no bus is critical.
     Wang's (1 - X0)^2 > 4 lambda X1 closes at (1 - X0)^2 / (4 X1), and
     Dvijotham's sqrt(X0 + lambda X1) + sqrt(lambda E1) <= 1 at t^2 with
     t = (1 - X0)/(sqrt(E1) + sqrt(X1 (1 - X0) + X0 E1)). Every limit is
@@ -93,7 +92,7 @@ def _line_limits(
         lambda_p=min(float(level[k]), spread) / c,
         lambda_w=lam_w / c,
         lambda_d=lam_d / c,
-        critical_bus=red.load_ids[k] if math.isfinite(level[k]) else None,
+        critical_bus=red.load_ids[k] if level[k] <= spread and math.isfinite(level[k]) else None,
         mode=mode,
     )
 
@@ -230,55 +229,26 @@ def direction_sweep(
     return magnitude, directions, [lambda_all(red, S) for S in directions]
 
 
-def bound_profile(
-    case: NetworkCase,
-    red: GridReduction,
-    S_base: np.ndarray,
-    bus_id: int,
-    lambda_grid,
-    with_oracle: bool = True,
-):
+def bound_profile(red: GridReduction, S_base: np.ndarray, bus_id: int, lambda_grid) -> list[tuple]:
     """Voltage-magnitude lower bounds at one bus as the whole system load scales.
 
     Grid point lambda is the total load lambda S_base, on a re-centered
     reduction too (its certificates then take the increment from red.S0).
-    Per grid point: the lower bound from each certificate's region (absent
-    once that condition stops holding) and the actual solved voltage (absent
-    once the Newton oracle stops converging). Absence is data, not an error.
+    Per grid point, in grid order: the lower bounds from the polydisc, Wang
+    and Dvijotham regions, each None once that condition stops holding.
+    Absence is data, not an error.
     """
     try:
         k = red.load_index(bus_id)
     except ValueError as exc:
         raise CaseError(f"bus {bus_id} is not a load bus") from exc
     scale = float(abs(red.E[k] * red.v0[k]))
-
-    warm = red.E
-    newton_alive = with_oracle
-
-    rows = []
+    bounds = []
     for lam in lambda_grid:
-        S = lam * S_base
-        cert, wang, dvij = certify_all(red, S)
-        proposed = float(voltage_bounds(cert, red).magnitude_low[k]) if cert.holds else None
-        wang_low = scale * wang.magnitude_interval()[0] if wang.holds else None
-        dvij_low = scale * dvij.magnitude_interval()[0] if dvij.holds else None
-
-        actual = None
-        if newton_alive:
-            res = oracle.newton_solve(case, S, start=warm, network=red)
-            if res.converged:
-                warm = res.V_L
-                actual = float(abs(res.V_L[k]))
-            else:
-                newton_alive = False  # past the nose; later points only get bounds
-
-        rows.append(
-            {
-                "lambda": float(lam),
-                "proposed": proposed,
-                "wang": wang_low,
-                "dvijotham": dvij_low,
-                "actual": actual,
-            }
-        )
-    return rows
+        cert, wang, dvij = certify_all(red, lam * S_base)
+        bounds.append((
+            float(voltage_bounds(cert, red).magnitude_low[k]) if cert.holds else None,
+            scale * wang.magnitude_interval()[0] if wang.holds else None,
+            scale * dvij.magnitude_interval()[0] if dvij.holds else None,
+        ))
+    return bounds

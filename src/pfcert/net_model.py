@@ -262,8 +262,16 @@ def load_case_file(path) -> NetworkCase:
     return load_case(source, "json" if p.suffix.lower() == ".json" else "matpower")
 
 
+def _number(value, field: str) -> float:
+    """A JSON number, as float: int or float, neither bool (an int to Python) nor a string."""
+    if type(value) not in (int, float):
+        raise CaseError(f"{field}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value, field: str, kind: str = "bus number") -> int:
-    """An integer read from field; int() alone would read bus 5.7 as bus 5."""
+    """An integer read from field; int() alone would read bus 5.7 as bus 5, and true as 1."""
+    _number(value, field)
     number = int(value)
     if number != value:
         raise CaseError(f"{field} {value!r} is not an integer {kind}")
@@ -378,7 +386,7 @@ def _parse_matpower(source: str) -> NetworkCase:
 def _as_complex(value, where: str) -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2):
         raise CaseError(f"{where}: expected a [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    return complex(_number(value[0], where), _number(value[1], where))
 
 
 def _parse_json(source: str) -> NetworkCase:
@@ -397,8 +405,8 @@ def _parse_json(source: str) -> NetworkCase:
                 id=_integer(b["id"], "bus id"),
                 demand=_as_complex(b.get("demand", [0, 0]), f"bus {b.get('id')}: demand"),
                 shunt=_as_complex(b.get("shunt", [0, 0]), f"bus {b.get('id')}: shunt"),
-                voltage_magnitude=float(b.get("voltage_magnitude", 1.0)),
-                voltage_angle=math.radians(float(b.get("voltage_angle_deg", 0.0))),
+                voltage_magnitude=_number(b.get("voltage_magnitude", 1.0), "bus voltage_magnitude"),
+                voltage_angle=math.radians(_number(b.get("voltage_angle_deg", 0.0), "bus voltage_angle_deg")),
             )
             for b in doc.get("buses", [])
         ]
@@ -409,9 +417,9 @@ def _parse_json(source: str) -> NetworkCase:
                 series_impedance=_as_complex(
                     br["series_impedance"], f"branch {br.get('from_bus')}-{br.get('to_bus')}: series_impedance"
                 ),
-                charging=float(br.get("charging", 0.0)),
-                tap_ratio=float(br.get("tap_ratio", 1.0)),
-                phase_shift=math.radians(float(br.get("phase_shift_deg", 0.0))),
+                charging=_number(br.get("charging", 0.0), "branch charging"),
+                tap_ratio=_number(br.get("tap_ratio", 1.0), "branch tap_ratio"),
+                phase_shift=math.radians(_number(br.get("phase_shift_deg", 0.0), "branch phase_shift_deg")),
                 in_service=math.ceil(br.get("in_service", True)) > 0,  # as in MATPOWER: positive, NaN and inf raise
             )
             for br in doc.get("branches", [])
@@ -419,8 +427,8 @@ def _parse_json(source: str) -> NetworkCase:
         gens = [
             GenRecord(
                 bus=_integer(g["bus"], "gen bus"),
-                voltage_setpoint=float(g["voltage_setpoint"]),
-                active_power=float(g.get("active_power", 0.0)),
+                voltage_setpoint=_number(g["voltage_setpoint"], "gen voltage_setpoint"),
+                active_power=_number(g.get("active_power", 0.0), "gen active_power"),
                 in_service=math.ceil(g.get("in_service", True)) > 0,
             )
             for g in doc.get("gens", [])
@@ -430,4 +438,4 @@ def _parse_json(source: str) -> NetworkCase:
 
     slack = doc.get("slack_bus")
     slack = None if slack is None else _integer(slack, "slack_bus")
-    return build_case(float(doc["base_mva"]), buses, branches, gens, slack)
+    return build_case(_number(doc["base_mva"], "base_mva"), buses, branches, gens, slack)

@@ -95,8 +95,9 @@ def test_wang_shell_examples():
     boundary = certify_wang(zero, stress(2.5))  # 1 - 4 * 0.25 = 0, strict: fails
     assert not boundary.holds
 
-    with pytest.raises(NoCertificate):
-        certify_wang(stress(10.0), m24)  # xi at the base >= 1
+    for base in (10.0, 30.0):  # xi at the base >= 1 fails, though at 3 (1 - xi0)^2 - 4 xi is positive
+        shell = certify_wang(stress(base), m24)
+        assert not shell.holds and shell.radius is None and shell.magnitude_interval() is None
 
 
 @pytest.mark.parametrize("p", [0.0, 2.4, 2.5, 3.0])

@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,9 @@ import scipy.sparse.linalg as spla
 import pfcert
 from pfcert import admittance, cli, oracle
 from pfcert.cli import main
-from pfcert.net_model import load_case_file
+from pfcert.net_model import build_case, load_case_file, partition_buses
 
-from conftest import DATA_DIR, TWO_BUS_MATPOWER, case_path, emit_json, make_weak_tie_star
+from conftest import DATA_DIR, TWO_BUS_MATPOWER, case_path, emit_json, make_two_bus, make_weak_tie_star
 from reference_values import two_bus_analytic
 
 
@@ -286,6 +287,39 @@ def test_limits_known_solution_reports_total_scaling(two_bus_file, tmp_path):
     assert doc["total_scaling_p"] == pytest.approx(1 + doc["lambda_p"])
 
 
+@pytest.fixture
+def heavy_case14(tmp_path):
+    """case14 with its load-bus demands at 0.99 of the base direction's nose (5.333484).
+    About its solved point xi(S0) = 1.174 > 1, which fails the polydisc condition's
+    spread and Wang's precondition even at zero increment."""
+    case = load_case_file(case_path("case14.m"))
+    loads = partition_buses(case)[1]
+    buses = [replace(b, demand=b.demand * 5.280149) if b.id in loads else b for b in case.buses]
+    path = tmp_path / "case14_heavy.json"
+    path.write_text(emit_json(build_case(case.base_mva, buses, list(case.branches), list(case.gens), case.slack_bus)))
+    return path
+
+
+def test_certify_about_a_heavily_loaded_solution_fails_every_condition(heavy_case14, tmp_path):
+    """Wang's shell raised NoCertificate when xi(S0) >= 1 (exit 3, no artifact); it fails."""
+    out = tmp_path / "cert.json"
+    assert run(["certify", "--case", heavy_case14, "--known-solution", "--out", out]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["certificate"]["holds"] is False and doc["certificate"]["reason"] == "stress_spread"
+    assert doc["certificate"]["stress"]["xi_max"] == pytest.approx(1.174, abs=1e-3)
+    assert doc["baselines"]["wang"]["holds"] is False and "radius" not in doc["baselines"]["wang"]
+    assert doc["baselines"]["dvijotham"]["holds"] is False
+
+
+def test_limits_where_the_spread_binds_name_no_critical_bus(heavy_case14, tmp_path):
+    """lambda_p = 0 there comes from the spread X0 > 1, not from any bus's quadratic."""
+    out = tmp_path / "limits.json"
+    assert run(["limits", "--case", heavy_case14, "--known-solution", "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["lambda_p"], doc["lambda_w"], doc["lambda_d"]) == (0, 0, 0)
+    assert doc["critical_bus"] is None
+
+
 def test_sweep_with_direction_file(two_bus_file, tmp_path):
     # a second load bus is needed; build a 3-bus star file
     star = tmp_path / "star.m"
@@ -349,6 +383,28 @@ def test_bounds_grid(two_bus_file, tmp_path):
     assert lines[0] == "lambda,proposed,wang,dvijotham,actual"
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[1]) == pytest.approx(1.0)
+
+
+def test_bounds_with_oracle_absence_pattern(tmp_path):
+    """The two-bus load (p = 1): wang/dvijotham hold to 2.5, proposed and the
+    Newton chain (actual) to the nose at 5; each certified bound is below actual."""
+    path = tmp_path / "two_bus.json"
+    path.write_text(emit_json(make_two_bus(p=1.0)))
+    out = tmp_path / "bounds.json"
+    assert run(["bounds", "--case", path, "--bus", 2, "--scale-grid", "1.0:5.5:0.5", "--with-oracle",
+                "--out", out]) == 0
+    rows = json.loads(out.read_text())["profile"]
+    by_lam = {row["lambda"]: row for row in rows}
+    assert by_lam[2.0]["wang"] is not None and by_lam[3.0]["wang"] is None
+    assert by_lam[2.0]["dvijotham"] is not None and by_lam[3.0]["dvijotham"] is None
+    assert by_lam[4.5]["proposed"] is not None and by_lam[5.5]["proposed"] is None
+    assert by_lam[4.5]["actual"] is not None and by_lam[5.5]["actual"] is None
+    # bounds really bound, wherever both sides exist
+    for row in rows:
+        if row["actual"] is not None:
+            for key in ("proposed", "wang", "dvijotham"):
+                if row[key] is not None:
+                    assert row[key] <= row["actual"] + 1e-9
 
 
 def test_bounds_single_point_grid(two_bus_file, tmp_path):

@@ -249,11 +249,8 @@ def test_default_sweep_buses_requires_two_active_loads():
 
 def test_bound_profile_zero_load_equals_equivalent_voltage():
     case = make_two_bus(p=1.0)
-    red, _ = prepare(case)
-    rows = bound_profile(case, *prepare(case), 2, [0.0], with_oracle=False)
-    assert rows[0]["proposed"] == pytest.approx(abs(red.E[0]))
-    assert rows[0]["wang"] == pytest.approx(abs(red.E[0]))
-    assert rows[0]["dvijotham"] == pytest.approx(abs(red.E[0]))
+    red, S = prepare(case)
+    assert bound_profile(red, S, 2, [0.0]) == [pytest.approx((abs(red.E[0]),) * 3)]
 
 
 def test_bound_profile_about_a_known_solution_starts_at_it():
@@ -263,24 +260,19 @@ def test_bound_profile_about_a_known_solution_starts_at_it():
     red, S = prepare(case)
     res = newton_solve(case, S, network=red)
     recentered = renormalize_about_solution(red, res.V_L / red.E, S)
-    rows = bound_profile(case, recentered, S, 4, [1.0], with_oracle=False)
-    assert rows[0]["proposed"] == pytest.approx(abs(res.V_L[red.load_index(4)]), abs=1e-12)
+    proposed, _, _ = bound_profile(recentered, S, 4, [1.0])[0]
+    assert proposed == pytest.approx(abs(res.V_L[red.load_index(4)]), abs=1e-12)
 
 
 def test_bound_profile_absence_pattern():
-    case = make_two_bus(p=1.0)  # limits: wang/dvijotham at 2.5, proposed 5, actual 5
-    rows = bound_profile(case, *prepare(case), 2, [1.0, 2.0, 3.0, 4.5, 5.5], with_oracle=True)
-    by_lam = {row["lambda"]: row for row in rows}
-    assert by_lam[2.0]["wang"] is not None and by_lam[3.0]["wang"] is None
-    assert by_lam[2.0]["dvijotham"] is not None and by_lam[3.0]["dvijotham"] is None
-    assert by_lam[4.5]["proposed"] is not None and by_lam[5.5]["proposed"] is None
-    assert by_lam[4.5]["actual"] is not None and by_lam[5.5]["actual"] is None
-    # bounds really bound, wherever both sides exist
-    for row in rows:
-        if row["actual"] is not None:
-            for key in ("proposed", "wang", "dvijotham"):
-                if row[key] is not None:
-                    assert row[key] <= row["actual"] + 1e-9
+    """Limits of the two-bus load: wang/dvijotham at 2.5, proposed 5 (the oracle's
+    half, actual 5, is tests/test_cli.py::test_bounds_with_oracle_absence_pattern)."""
+    grid = [1.0, 2.0, 3.0, 4.5, 5.5]
+    bounds = bound_profile(*prepare(make_two_bus(p=1.0)), 2, grid)
+    proposed, wang, dvijotham = (dict(zip(grid, column)) for column in zip(*bounds))
+    assert wang[2.0] is not None and wang[3.0] is None
+    assert dvijotham[2.0] is not None and dvijotham[3.0] is None
+    assert proposed[4.5] is not None and proposed[5.5] is None
 
 
 @pytest.mark.parametrize("name", BUNDLED)

@@ -313,6 +313,32 @@ def test_json_fractional_bus_number_rejected(where, value, field):
         load_case(json.dumps(doc), "json")
 
 
+JSON_NUMBERS = [
+    ("base_mva",), ("buses", 1, "id"), ("buses", 1, "demand", 0), ("buses", 1, "shunt", 1),
+    ("buses", 1, "voltage_magnitude"), ("buses", 1, "voltage_angle_deg"), ("branches", 0, "from_bus"),
+    ("branches", 0, "to_bus"), ("branches", 0, "series_impedance", 1), ("branches", 0, "charging"),
+    ("branches", 0, "tap_ratio"), ("branches", 0, "phase_shift_deg"), ("gens", 0, "bus"),
+    ("gens", 0, "voltage_setpoint"), ("gens", 0, "active_power"), ("slack_bus",),
+]
+
+
+@pytest.mark.parametrize("value", [True, "1.0"], ids=["true", "numeric string"])
+@pytest.mark.parametrize("where", JSON_NUMBERS, ids=[" ".join(map(str, w)) for w in JSON_NUMBERS])
+def test_json_numbers_must_be_json_numbers(where, value):
+    """bool is an int to Python and float() reads "1.0": "slack_bus": true was bus 1,
+    "demand": [true, false] was 1 p.u., and "charging": "1.0" was 1.0."""
+    import json
+
+    doc = json.loads(emit_json(make_two_bus()))
+    *path, key = where
+    target = doc
+    for step in path:
+        target = target[step]
+    target[key] = value
+    with pytest.raises(CaseError, match=re.escape(f"expected a number, got {value!r}")):
+        load_case(json.dumps(doc), "json")
+
+
 def test_json_invalid_document():
     with pytest.raises(CaseSyntaxError):
         load_case("{not json", "json")

@@ -595,6 +595,73 @@ def test_actual_limit_corrector_breakdown_raises(monkeypatch):
         actual_limit(make_two_bus(p=1.0))
 
 
+def failing(calls, fails):
+    """_NewtonKernel.correct recording (tolerance, converged) of each call, with the
+    calls for which fails(tolerance, number of earlier calls) holds reported failed."""
+    correct = _NewtonKernel.correct
+
+    def watched(self, *args):
+        res, y, t = correct(self, *args)
+        if fails(args[7], len(calls)):
+            res, t = replace(res, converged=False), None
+        calls.append((args[7], res.converged))
+        return res, y, t
+
+    return watched
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_failed_series_start_corrector_falls_back_to_the_cold_start(name, monkeypatch):
+    """When the series start's corrector fails, the continuation starts from the solved
+    point at bracket[0], and the answer stays within 2e-10 of a tol = 1e-13 run."""
+    case = case_path_case(f"{name}.m")
+    red, S = limits.prepare(case)
+    tight = actual_limit(case, network=red, tol=1e-13)
+    calls = []
+    monkeypatch.setattr(_NewtonKernel, "correct", failing(calls, lambda tol, k: k == 0))
+    assert actual_limit(case, network=red) == pytest.approx(tight, abs=2e-10)
+    assert calls[:2] == [(math.sqrt(NEWTON_TOL), False), (NEWTON_TOL, True)]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_failed_fold_corrector_shrinks_toward_the_nearer_end(name, monkeypatch):
+    """From the cold start every FOLD_TOL corrector lies inside the fold's bracket. When
+    the first fails, the held s moves halfway to the bracket end it started from, and
+    the answer stays within 2e-10 of a tol = 1e-13 run; when every one fails, the
+    shrink reaches that end and the limit raises."""
+    case = case_path_case(f"{name}.m")
+    red, S = limits.prepare(case)
+    tight = actual_limit(case, network=red, tol=1e-13)
+    monkeypatch.setattr(oracle, "_series_start", lambda *args: None)
+    calls = []
+    monkeypatch.setattr(_NewtonKernel, "correct", failing(calls, lambda tol, k: tol == FOLD_TOL and (tol, False) not in calls))
+    assert actual_limit(case, network=red) == pytest.approx(tight, abs=2e-10)
+    first = calls.index((FOLD_TOL, False))
+    assert all(tol != FOLD_TOL for tol, _ in calls[:first]) and calls[first + 1][0] == FOLD_TOL
+    calls.clear()
+    monkeypatch.setattr(_NewtonKernel, "correct", failing(calls, lambda tol, k: tol == FOLD_TOL))
+    with pytest.raises(CaseError, match="corrector broke down at the nose"):
+        actual_limit(case, network=red)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_series_start_refusals(name, monkeypatch):
+    """The series start is refused when its loading is not strictly inside the bracket,
+    or when its partial sum has not converged there, as at 1.5 times the nose the
+    series estimates. The limit then starts from the solved point at bracket[0], within
+    2e-10 of a tol = 1e-13 run."""
+    case = case_path_case(f"{name}.m")
+    red, S = limits.prepare(case)
+    tight = actual_limit(case, network=red, tol=1e-13)
+    lam, _ = oracle._series_start(red, S, 1e-3, None)
+    assert oracle._series_start(red, S, lam, None) is None
+    assert oracle._series_start(red, S, 1e-3, lam) is None
+    assert actual_limit(case, network=red, bracket=(lam, None)) == pytest.approx(tight, abs=2e-10)
+    monkeypatch.setattr(oracle, "SERIES_FRACTION", 1.5)
+    assert oracle._series_start(red, S, 1e-3, None) is None
+    assert actual_limit(case, network=red) == pytest.approx(tight, abs=2e-10)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", BUNDLED)
 def test_actual_limit_bounds_lambda_p_on_bundled_cases(name):
