@@ -156,6 +156,8 @@ def certify_wang(m_base: StressMeasures, m_incr: StressMeasures) -> ShellCertifi
     m_base carries xi at the known base load S0 (zero load from scratch),
     m_incr carries xi at the increment sigma. Holds when xi(S0) < 1 and
     (1 - xi(S0))^2 - 4 xi(sigma) > 0 (strict); fails, with no radius, otherwise.
+    Its condition value, min((1 - xi(S0))^2 - 4 xi(sigma), 1 - xi(S0)), is
+    positive exactly when it holds, and is the discriminant itself while xi(S0) < 1.
     """
     return _wang(m_base.xi_max, m_incr.xi_max)
 
@@ -165,7 +167,7 @@ def _wang(xi0: float, xis: float) -> ShellCertificate:
     holds = xi0 < 1.0 and disc > 0.0
     radius = (1.0 - xi0 - math.sqrt(disc)) / 2.0 if holds else None
     return ShellCertificate(
-        method="wang", holds=holds, radius=radius, uniqueness=True, condition_value=disc
+        method="wang", holds=holds, radius=radius, uniqueness=True, condition_value=min(disc, 1.0 - xi0)
     )
 
 

@@ -15,8 +15,10 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -74,6 +76,12 @@ class GenRecord:
     in_service: bool = True
 
 
+# Each record's field values, read by attribute: vars() would build a dict for every record.
+_BUS_FIELDS, _BRANCH_FIELDS, _GEN_FIELDS = (
+    attrgetter(*(f.name for f in fields(cls))) for cls in (BusRecord, BranchRecord, GenRecord)
+)
+
+
 class GeneratorBus(NamedTuple):
     setpoint: float  # voltage magnitude the bus holds: its first in-service generator's
     active_power: float  # scheduled output of all its in-service generators, per-unit
@@ -110,7 +118,7 @@ class NetworkCase:
                     f"setpoint ({first.setpoint} vs {g.voltage_setpoint}); keeping the first",
                     stacklevel=3,
                 )
-            record[g.bus] = first._replace(active_power=first.active_power + g.active_power)
+            record[g.bus] = GeneratorBus(first.setpoint, first.active_power + g.active_power)
         return record
 
 
@@ -129,10 +137,16 @@ def build_case(
     """
     if not 0 < base_mva < math.inf:
         raise CaseError(f"base_mva must be positive and finite, got {base_mva}")
-    for record in (*buses, *branches, *gens):
-        for name, value in vars(record).items():
-            if not cmath.isfinite(value):
-                raise CaseError(f"non-finite {name} in {record}")
+    values = chain.from_iterable(chain(map(_BUS_FIELDS, buses), map(_BRANCH_FIELDS, branches), map(_GEN_FIELDS, gens)))
+    try:  # inf and NaN carry through a sum of magnitudes, which Python adds in floats: one test for every field
+        finite = math.isfinite(sum(map(abs, values), 0.0))
+    except (AttributeError, TypeError, OverflowError):  # not a record, not a number, or an int beyond floats
+        finite = False
+    if not finite:  # name the non-finite field, if any (finite magnitudes may also overflow their sum)
+        for record in (*buses, *branches, *gens):
+            for name, value in vars(record).items():
+                if not cmath.isfinite(value):
+                    raise CaseError(f"non-finite {name} in {record}")
 
     seen: set[int] = set()
     for b in buses:
@@ -141,9 +155,9 @@ def build_case(
         seen.add(b.id)
 
     for br in branches:
-        for end in (br.from_bus, br.to_bus):
-            if end not in seen:
-                raise CaseError(f"branch {br.from_bus}-{br.to_bus} references unknown bus {end}")
+        if br.from_bus not in seen or br.to_bus not in seen:
+            end = br.to_bus if br.from_bus in seen else br.from_bus
+            raise CaseError(f"branch {br.from_bus}-{br.to_bus} references unknown bus {end}")
         if br.tap_ratio <= 0:
             raise CaseError(f"branch {br.from_bus}-{br.to_bus} has tap_ratio {br.tap_ratio} <= 0")
         if br.in_service and br.series_impedance == 0:
@@ -287,11 +301,12 @@ def _integer(value, field: str, kind: str = "bus number") -> int:
 _ASSIGNMENT = re.compile(
     r"^[^\S\n]*(?!function)(?:\w+\.)?(\w+)[^\S\n]*=[^\S\n]*(\[[^\]]*\]?|\{[^}]*\}?|.*)", re.MULTILINE
 )
+_COMMENT = re.compile(r"%.*")  # to the end of its line: '.' stops at '\n' alone, the only line break left
 
 
 def _parse_matpower(source: str) -> NetworkCase:
-    text = "\n".join(line.partition("%")[0] for line in source.splitlines())  # line numbers kept
-    blocks: dict[str, tuple[list[list[float]], int]] = {}
+    text = _COMMENT.sub("", "\n".join(source.splitlines()))  # line numbers kept
+    blocks: dict[str, tuple[np.ndarray | list[list[float]], int]] = {}
     scalars: dict[str, float] = {}
     for m in _ASSIGNMENT.finditer(text):
         name, value = m.groups()
@@ -299,12 +314,7 @@ def _parse_matpower(source: str) -> NetworkCase:
         if value.startswith("["):
             if not value.endswith("]"):
                 raise CaseSyntaxError(f"matrix '{name}' is never closed", line)
-            # rows end at ';' or a line break, and commas separate numbers as whitespace does
-            chunks = [chunk for chunk in re.split(r"[;\n]", value[1:-1]) if chunk.strip().rstrip(",")]
-            try:
-                blocks[name] = ([[float(tok) for tok in c.replace(",", " ").split()] for c in chunks], line)
-            except ValueError as exc:
-                raise CaseSyntaxError(f"bad number in matrix '{name}': {exc}", line)
+            blocks[name] = (_read_matrix(name, value[1:-1], line), line)
         elif value.startswith("{"):  # cell array (bus names etc.): skipped
             if not value.endswith("}"):
                 raise CaseSyntaxError(f"cell array '{name}' is never closed", line)
@@ -323,15 +333,99 @@ def _parse_matpower(source: str) -> NetworkCase:
         if required not in blocks:
             raise CaseError(f"missing {required} matrix")
 
-    bus_rows, bus_line = blocks["bus"]
-    gen_rows, gen_line = blocks["gen"]
-    branch_rows, branch_line = blocks["branch"]
+    buses, slack_bus = _records(_bus_columns, _bus_rows, *blocks["bus"], base)
+    gens = _records(_gen_columns, _gen_rows, *blocks["gen"], base)
+    branches = _records(_branch_columns, _branch_rows, *blocks["branch"], base)
+    return build_case(base, buses, branches, gens, slack_bus)
 
+
+def _read_matrix(name: str, body: str, line: int) -> np.ndarray | list[list[float]]:
+    """A matrix's rows, as one float64 array from one bulk read. A matrix that read rejects
+    (ragged rows, a row without numbers, a bad token, or one only float() reads, such as
+    1_0) is read token by token into lists, as float() reads each number."""
+    # rows end at ';' or a line break, and commas separate numbers as whitespace does
+    chunks = body.replace(";", "\n").split("\n")
+    if "," in body:  # commas alone make no row, but a space between two makes a row of no numbers
+        rows = [c.replace(",", " ") for c in chunks if c.strip().rstrip(",")]
+    else:
+        rows = list(filter(str.strip, chunks))
+    if rows and not any(map(str.isspace, rows)):
+        try:  # np.loadtxt reads a number as float() does, and refuses what float() refuses
+            return np.loadtxt(rows, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    try:
+        return [[float(tok) for tok in row.split()] for row in rows]
+    except ValueError as exc:
+        raise CaseSyntaxError(f"bad number in matrix '{name}': {exc}", line)
+
+
+def _records(columns, rows, matrix, line: int, base: float):
+    """A matrix's records: from its columns when the bulk read gave an array that passes
+    every column check and the base is valid; otherwise row by row, which raises the first
+    error in row order (a zero base raises at the first division)."""
+    if isinstance(matrix, np.ndarray):
+        if 0 < base < math.inf:
+            with np.errstate(all="ignore"):  # inf and NaN arise silently, as in Python's float arithmetic
+                records = columns(matrix, base)
+            if records is not None:
+                return records
+        matrix = matrix.tolist()
+    return rows(matrix, line, base)
+
+
+def _integral(values: np.ndarray) -> bool:
+    """Every value a finite integer, as _integer accepts."""
+    return bool(np.isfinite(values).all() and (np.trunc(values) == values).all())
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> list[complex]:
+    """complex(re, im) for each pair, bit for bit (re + 1j * im would add the signed zeros of 1j * im)."""
+    z = np.empty(len(re), complex)
+    z.real, z.imag = re, im
+    return z.tolist()
+
+
+def _per_unit(re: np.ndarray, im: np.ndarray, base: float) -> list[complex]:
+    """complex(re, im) / base for each pair, bit for bit. Python divides by complex(base, 0),
+    which is (re + im * 0) / base and (im - re * 0) / base for a positive base; the zero
+    products set the signs of zero parts. numpy's complex division multiplies by 1 / base."""
+    return _complex((re + im * 0.0) / base, (im - re * 0.0) / base)
+
+
+def _bus_columns(m: np.ndarray, base: float) -> tuple[list[BusRecord], int | None] | None:
+    if m.shape[1] < 13 or not _integral(m[:, :2]):
+        return None
+    ids = list(map(int, m[:, 0].tolist()))
+    slack = np.flatnonzero(m[:, 1] == 3)
+    demand, shunt = _per_unit(m[:, 2], m[:, 3], base), _per_unit(m[:, 4], m[:, 5], base)
+    buses = list(map(BusRecord, ids, demand, shunt, m[:, 7].tolist(), np.radians(m[:, 8]).tolist()))
+    return buses, ids[slack[0]] if len(slack) else None
+
+
+def _gen_columns(m: np.ndarray, base: float) -> list[GenRecord] | None:
+    if m.shape[1] < 8 or not _integral(m[:, 0]) or not np.isfinite(m[:, 7]).all():
+        return None
+    on = (m[:, 7] > 0).tolist()  # ceil(x) > 0, as the rows read it, for finite x
+    return list(map(GenRecord, map(int, m[:, 0].tolist()), m[:, 5].tolist(), (m[:, 1] / base).tolist(), on))
+
+
+def _branch_columns(m: np.ndarray, base: float) -> list[BranchRecord] | None:
+    if m.shape[1] < 11 or not _integral(m[:, :2]) or not np.isfinite(m[:, 10]).all():
+        return None
+    tap = np.where(m[:, 8] == 0, 1.0, m[:, 8])
+    return list(map(
+        BranchRecord, map(int, m[:, 0].tolist()), map(int, m[:, 1].tolist()), _complex(m[:, 2], m[:, 3]),
+        m[:, 4].tolist(), tap.tolist(), np.radians(m[:, 9]).tolist(), (m[:, 10] > 0).tolist(),
+    ))
+
+
+def _bus_rows(rows: list[list[float]], line: int, base: float) -> tuple[list[BusRecord], int | None]:
     buses = []
     slack_bus = None
-    for k, row in enumerate(bus_rows):
+    for k, row in enumerate(rows):
         if len(row) < 13:
-            raise CaseSyntaxError(f"bus row {k + 1} has {len(row)} columns, expected >= 13", bus_line)
+            raise CaseSyntaxError(f"bus row {k + 1} has {len(row)} columns, expected >= 13", line)
         bus_id = _integer(row[0], f"bus row {k + 1}: bus_i")
         if _integer(row[1], f"bus row {k + 1}: type", "bus type") == 3 and slack_bus is None:
             slack_bus = bus_id
@@ -344,11 +438,14 @@ def _parse_matpower(source: str) -> NetworkCase:
                 voltage_angle=math.radians(row[8]),
             )
         )
+    return buses, slack_bus
 
+
+def _gen_rows(rows: list[list[float]], line: int, base: float) -> list[GenRecord]:
     gens = []
-    for k, row in enumerate(gen_rows):
+    for k, row in enumerate(rows):
         if len(row) < 8:
-            raise CaseSyntaxError(f"gen row {k + 1} has {len(row)} columns, expected >= 8", gen_line)
+            raise CaseSyntaxError(f"gen row {k + 1} has {len(row)} columns, expected >= 8", line)
         gens.append(
             GenRecord(
                 bus=_integer(row[0], f"gen row {k + 1}: bus"),
@@ -357,11 +454,14 @@ def _parse_matpower(source: str) -> NetworkCase:
                 in_service=math.ceil(row[7]) > 0,  # positive; ceil raises on NaN and inf
             )
         )
+    return gens
 
+
+def _branch_rows(rows: list[list[float]], line: int, base: float) -> list[BranchRecord]:
     branches = []
-    for k, row in enumerate(branch_rows):
+    for k, row in enumerate(rows):
         if len(row) < 11:
-            raise CaseSyntaxError(f"branch row {k + 1} has {len(row)} columns, expected >= 11", branch_line)
+            raise CaseSyntaxError(f"branch row {k + 1} has {len(row)} columns, expected >= 11", line)
         tap = row[8] if row[8] != 0 else 1.0
         branches.append(
             BranchRecord(
@@ -374,8 +474,7 @@ def _parse_matpower(source: str) -> NetworkCase:
                 in_service=math.ceil(row[10]) > 0,
             )
         )
-
-    return build_case(base, buses, branches, gens, slack_bus)
+    return branches
 
 
 # ---------------------------------------------------------------------------

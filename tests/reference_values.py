@@ -6,13 +6,14 @@ base-loading voltage-bound coordinates and the bus-4 bound-profile anchors;
 the closed-form solutions of one load behind a reactance, the two-bus
 reference of the whole suite; a hunt for other power-flow solutions; the
 certified convergence-rate check; and plain forms of the fixed-point loop,
-of the contraction bound, of the Newton kernel's pattern build and of the
-admittance matrix's assembly, which the package's lean versions must match
-bit for bit.
+of the contraction bound, of the Newton kernel's pattern build, of the
+admittance matrix's assembly and of the MATPOWER reader, which the package's
+lean versions must match bit for bit.
 """
 
 import cmath
 import math
+import re
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +21,19 @@ import scipy.sparse as sp
 from pfcert.admittance import GridReduction
 from pfcert.certificate import Certificate
 from pfcert.fixed_point import DIVERGENCE_CUTOFF, FixedPointResult, evaluate_F, solve_fixed_point
-from pfcert.net_model import NetworkCase, partition_buses
+from pfcert.net_model import (
+    _ASSIGNMENT,
+    BranchRecord,
+    BusRecord,
+    CaseError,
+    CaseSyntaxError,
+    GenRecord,
+    NetworkCase,
+    _integer,
+    build_case,
+    partition_buses,
+    validate_connectivity,
+)
 from pfcert.oracle import newton_solve
 
 
@@ -278,3 +291,82 @@ def reference_admittance(case: NetworkCase) -> tuple[sp.csc_matrix, np.ndarray]:
             stamp(pos[b.id], pos[b.id], b.shunt)
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex).tocsc()
     return matrix, np.bincount(np.array(cols, dtype=int), minlength=n)
+
+
+def reference_matpower_case(source: str) -> NetworkCase:
+    """load_case(source, "matpower") read a value at a time: comments cut line by line,
+    every token read by float() into lists of rows, every bus number and status checked
+    by itself in row order, and every record field tested for finiteness by itself. The
+    package's bulk reader must give an equal case with the same bits, or raise the same
+    error."""
+    try:
+        case = _reference_parse_matpower(source)
+    except CaseError:
+        raise
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise CaseError(f"bad value in the case: {exc}") from exc
+    validate_connectivity(case)
+    partition_buses(case)
+    return case
+
+
+def _reference_parse_matpower(source: str) -> NetworkCase:
+    text = "\n".join(line.partition("%")[0] for line in source.splitlines())
+    blocks, scalars = {}, {}
+    for m in _ASSIGNMENT.finditer(text):
+        name, value = m.groups()
+        line = text.count("\n", 0, m.start()) + 1
+        if value.startswith("["):
+            if not value.endswith("]"):
+                raise CaseSyntaxError(f"matrix '{name}' is never closed", line)
+            chunks = [chunk for chunk in re.split(r"[;\n]", value[1:-1]) if chunk.strip().rstrip(",")]
+            try:
+                blocks[name] = ([[float(tok) for tok in c.replace(",", " ").split()] for c in chunks], line)
+            except ValueError as exc:
+                raise CaseSyntaxError(f"bad number in matrix '{name}': {exc}", line)
+        elif value.startswith("{"):
+            if not value.endswith("}"):
+                raise CaseSyntaxError(f"cell array '{name}' is never closed", line)
+        else:
+            value = value.rstrip().rstrip(";").strip()
+            if not value.startswith(("'", '"')):
+                try:
+                    scalars[name] = float(value)
+                except ValueError:
+                    raise CaseSyntaxError(f"cannot parse scalar '{name}' value {value!r}", line)
+    if "baseMVA" not in scalars:
+        raise CaseError("missing baseMVA")
+    base = scalars["baseMVA"]
+    for required in ("bus", "gen", "branch"):
+        if required not in blocks:
+            raise CaseError(f"missing {required} matrix")
+
+    (bus_rows, bus_line), (gen_rows, gen_line), (branch_rows, branch_line) = (
+        blocks["bus"], blocks["gen"], blocks["branch"])
+    buses, gens, branches, slack_bus = [], [], [], None
+    for k, row in enumerate(bus_rows):
+        if len(row) < 13:
+            raise CaseSyntaxError(f"bus row {k + 1} has {len(row)} columns, expected >= 13", bus_line)
+        bus_id = _integer(row[0], f"bus row {k + 1}: bus_i")
+        if _integer(row[1], f"bus row {k + 1}: type", "bus type") == 3 and slack_bus is None:
+            slack_bus = bus_id
+        buses.append(BusRecord(bus_id, complex(row[2], row[3]) / base, complex(row[4], row[5]) / base,
+                               row[7], math.radians(row[8])))
+    for k, row in enumerate(gen_rows):
+        if len(row) < 8:
+            raise CaseSyntaxError(f"gen row {k + 1} has {len(row)} columns, expected >= 8", gen_line)
+        gens.append(GenRecord(_integer(row[0], f"gen row {k + 1}: bus"), row[5], row[1] / base,
+                              math.ceil(row[7]) > 0))
+    for k, row in enumerate(branch_rows):
+        if len(row) < 11:
+            raise CaseSyntaxError(f"branch row {k + 1} has {len(row)} columns, expected >= 11", branch_line)
+        tap = row[8] if row[8] != 0 else 1.0
+        branches.append(BranchRecord(_integer(row[0], f"branch row {k + 1}: fbus"),
+                                     _integer(row[1], f"branch row {k + 1}: tbus"), complex(row[2], row[3]),
+                                     row[4], tap, math.radians(row[9]), math.ceil(row[10]) > 0))
+    if 0 < base < math.inf:  # build_case tests the base before the fields
+        for record in (*buses, *branches, *gens):
+            for name, value in vars(record).items():
+                if not cmath.isfinite(value):
+                    raise CaseError(f"non-finite {name} in {record}")
+    return build_case(base, buses, branches, gens, slack_bus)

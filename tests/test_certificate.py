@@ -98,6 +98,7 @@ def test_wang_shell_examples():
     for base in (10.0, 30.0):  # xi at the base >= 1 fails, though at 3 (1 - xi0)^2 - 4 xi is positive
         shell = certify_wang(stress(base), m24)
         assert not shell.holds and shell.radius is None and shell.magnitude_interval() is None
+        assert shell.condition_value <= 0
 
 
 @pytest.mark.parametrize("p", [0.0, 2.4, 2.5, 3.0])

@@ -27,6 +27,7 @@ from pfcert.net_model import (
 from pfcert.oracle import newton_base_case
 
 from conftest import BUNDLED, TWO_BUS_MATPOWER, case_path, emit_json, make_star, make_two_bus
+from reference_values import reference_matpower_case
 
 
 def test_two_bus_matpower_parse():
@@ -62,6 +63,14 @@ def test_unknown_bus_reference_rejected():
     text = TWO_BUS_MATPOWER.replace("\t1\t2\t0\t0.1", "\t1\t5\t0\t0.1")
     with pytest.raises(CaseError, match="unknown bus"):
         load_case(text, "matpower")
+
+
+@pytest.mark.parametrize("ends, unknown", [((5, 2), 5), ((1, 6), 6), ((5, 6), 5)])
+def test_a_branch_names_its_first_unknown_end(ends, unknown):
+    case = make_two_bus()
+    branch = replace(case.branches[0], from_bus=ends[0], to_bus=ends[1])
+    with pytest.raises(CaseError, match=rf"^branch {ends[0]}-{ends[1]} references unknown bus {unknown}$"):
+        build_case(100.0, list(case.buses), [branch], list(case.gens))
 
 
 def test_missing_base_mva_rejected():
@@ -144,6 +153,120 @@ def test_reformatted_bundled_cases_read_the_same(name):
         text = _reformat(source, rng)
         assert text != source
         assert load_case(text, "matpower") == want
+
+
+WIDTH = {"bus": 13, "gen": 8, "branch": 11}  # the columns each matrix's rows must have
+BUS_NUMBERS = {"bus": (0, 1), "gen": (0,), "branch": (0, 1)}  # bus numbers and bus types
+STATUS = {"gen": 7, "branch": 10}
+
+
+def _edit_row(text: str, name: str, rng: np.random.Generator, edit) -> str:
+    """text with one row of matrix `name`, picked by rng, as edit(tokens) returns it
+    (a bundled case holds each matrix row on a line of its own)."""
+    lines = text.split("\n")
+    first = lines.index(f"mpc.{name} = [") + 1
+    rows = [k for k in range(first, lines.index("];", first)) if lines[k].strip()]
+    k = rows[rng.integers(len(rows))]
+    lines[k] = "\t".join(edit(lines[k].rstrip(";").split())) + ";"
+    return "\n".join(lines)
+
+
+def _put(rng, columns, values):
+    def edit(tokens):
+        tokens[columns[rng.integers(len(columns))]] = values[rng.integers(len(values))]
+        return tokens
+    return edit
+
+
+def _bad_token(text, rng, name):  # "1_0" and "٣" are numbers to float() alone
+    tokens = ["bogus", "#", "1..0", "0x10", "--1", "1_0", "٣", "1e5_0"]
+    return _edit_row(text, name, rng, _put(rng, range(WIDTH[name]), tokens))
+
+
+def _long_row(text, rng, name):
+    return _edit_row(text, name, rng, lambda tokens: tokens + ["7"] * int(rng.integers(1, 3)))
+
+
+def _short_row(text, rng, name):
+    return _edit_row(text, name, rng, lambda tokens: tokens[: int(rng.integers(1, WIDTH[name]))])
+
+
+def _bus_number(text, rng, name):
+    return _edit_row(text, name, rng, _put(rng, BUS_NUMBERS[name], ["5.5", "nan", "1e20", "inf", "-inf", "1e400"]))
+
+
+def _status(text, rng, name):
+    name = "gen" if name == "bus" else name
+    return _edit_row(text, name, rng, _put(rng, (STATUS[name],), ["nan", "inf", "-inf", "0.2", "-0.5", "0", "-0"]))
+
+
+def _signed_zero(text, rng, name):  # Python's complex division sets the signs of zero parts
+    columns = {"bus": (2, 3, 4, 5, 8), "gen": (1, 5), "branch": (2, 3, 4, 8, 9)}[name]
+
+    def edit(tokens):
+        for column in rng.choice(columns, 2, replace=False):
+            tokens[column] = "-0"
+        return tokens
+    return _edit_row(text, name, rng, edit)
+
+
+def _slack(text, rng, name):  # the first bus of type 3 is the slack
+    return _edit_row(text, "bus", rng, _put(rng, (1,), ["3"]))
+
+
+def _row_without_numbers(text, rng, name):
+    row = "\t, ,;" if rng.random() < 0.5 else ", ,"
+    return text.replace(f"mpc.{name} = [\n", f"mpc.{name} = [\n{row}\n")
+
+
+ERRORS = (_bad_token, _short_row, _bus_number, _status, _row_without_numbers)
+
+
+def _two_errors(text, rng, name):
+    first, second = rng.choice(len(ERRORS), 2, replace=False)
+    return ERRORS[second](ERRORS[first](text, rng, name), rng, name)
+
+
+def _crlf(text, rng, name):
+    edit = (_long_row, *ERRORS)[rng.integers(len(ERRORS) + 1)]
+    return edit(text, rng, name).replace("\n", "\r\n")
+
+
+def _empty_matrix(text, rng, name):
+    return re.sub(rf"(mpc\.{name} = \[\n)[^\]]*", r"\1", text)
+
+
+def _base(text, rng, name):
+    base = ["0", "-100", "nan", "inf", "1e-320", "1e300"][rng.integers(6)]
+    return text.replace("mpc.baseMVA = 100;", f"mpc.baseMVA = {base};")
+
+
+@pytest.mark.parametrize("edit", [_bad_token, _long_row, _short_row, _bus_number, _status, _signed_zero, _slack,
+                                  _row_without_numbers, _two_errors, _crlf, _empty_matrix, _base],
+                         ids=lambda edit: edit.__name__[1:])
+def test_bulk_reader_matches_the_scalar_reader(edit):
+    """On seeded edits of the bundled cases, load_case and the token-by-token reference
+    reader give equal cases with the same bits (their reprs agree), or raise the same
+    exception with the same message and line. A long row must read as the unedited case."""
+    for name in BUNDLED:
+        source = case_path(f"{name}.m").read_text()
+        for seed in range(4):
+            rng = np.random.default_rng([seed, sum(map(ord, name + edit.__name__))])
+            text = edit(source, rng, ("bus", "gen", "branch")[seed % 3])
+            assert text != source
+            try:
+                want = reference_matpower_case(text)
+            except Exception as exc:
+                with pytest.raises(type(exc)) as info:
+                    load_case(text, "matpower")
+                assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+                assert getattr(info.value, "line", None) == getattr(exc, "line", None)
+                assert edit is not _long_row
+            else:
+                got = load_case(text, "matpower")
+                assert repr(got) == repr(want) and got == want
+                if edit is _long_row:
+                    assert got == load_case(source, "matpower")
 
 
 def test_case_without_buses_is_a_case_error():
@@ -398,6 +521,18 @@ def test_patching_the_solved_state_again_changes_no_byte(tmp_path):
     copy.write_bytes(case_path("case39.m").read_bytes())
     script.patch(copy)
     assert copy.read_bytes() == case_path("case39.m").read_bytes()
+
+
+def test_finiteness_is_tested_field_by_field_where_one_sum_cannot_tell():
+    """build_case adds every field's magnitude in one sum; where that sum overflows on finite
+    fields, or cannot take a value, the field-by-field scan decides, as it did alone."""
+    case = make_two_bus()
+    huge = [replace(b, demand=1e308 + 1e308j) for b in case.buses]
+    assert build_case(100.0, huge, list(case.branches), list(case.gens)).buses == tuple(huge)
+    with pytest.raises(CaseError, match=r"^non-finite demand in BusRecord\(id=2, demand=\(nan\+0j\)"):
+        build_case(100.0, [huge[0], replace(huge[1], demand=complex("nan"))], list(case.branches), list(case.gens))
+    with pytest.raises(OverflowError, match="int too large to convert to float"):
+        build_case(100.0, [replace(case.buses[0], id=10**400), *case.buses[1:]], list(case.branches), list(case.gens))
 
 
 def test_gen_bus_demand_is_reported_not_counted():
