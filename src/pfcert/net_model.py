@@ -301,11 +301,24 @@ def _integer(value, field: str, kind: str = "bus number") -> int:
 _ASSIGNMENT = re.compile(
     r"^[^\S\n]*(?!function)(?:\w+\.)?(\w+)[^\S\n]*=[^\S\n]*(\[[^\]]*\]?|\{[^}]*\}?|.*)", re.MULTILINE
 )
-_COMMENT = re.compile(r"%.*")  # to the end of its line: '.' stops at '\n' alone, the only line break left
+_COMMENT = re.compile(r"%.*")  # a line's first % to its end: '.' stops at '\n' alone, the only line break left
+# A line up to its first % outside a quoted string; a quote no later quote on the line closes is text (a transpose).
+_CODE = re.compile(r"""(?:[^'"%\n]|'[^'\n]*'|"[^"\n]*"|['"])*""")
+
+
+def _uncomment(m: re.Match) -> str:
+    """What stays of a _COMMENT match: nothing, unless a quote comes before it on its line; then
+    the line is read again, and its comment starts at its first % outside a quoted string."""
+    text, start = m.string, m.start()
+    line = text.rfind("\n", 0, start) + 1
+    code = text[line:start]
+    if "'" not in code and '"' not in code:
+        return ""
+    return text[start:_CODE.match(text, line).end()]
 
 
 def _parse_matpower(source: str) -> NetworkCase:
-    text = _COMMENT.sub("", "\n".join(source.splitlines()))  # line numbers kept
+    text = _COMMENT.sub(_uncomment, "\n".join(source.splitlines()))  # line numbers kept
     blocks: dict[str, tuple[np.ndarray | list[list[float]], int]] = {}
     scalars: dict[str, float] = {}
     for m in _ASSIGNMENT.finditer(text):
@@ -333,9 +346,9 @@ def _parse_matpower(source: str) -> NetworkCase:
         if required not in blocks:
             raise CaseError(f"missing {required} matrix")
 
-    buses, slack_bus = _records(_bus_columns, _bus_rows, *blocks["bus"], base)
-    gens = _records(_gen_columns, _gen_rows, *blocks["gen"], base)
-    branches = _records(_branch_columns, _branch_rows, *blocks["branch"], base)
+    buses, slack_bus = _records(_bus_columns, _bus_rows, 13, *blocks["bus"], base)
+    gens = _records(_gen_columns, _gen_rows, 8, *blocks["gen"], base)
+    branches = _records(_branch_columns, _branch_rows, 11, *blocks["branch"], base)
     return build_case(base, buses, branches, gens, slack_bus)
 
 
@@ -360,18 +373,20 @@ def _read_matrix(name: str, body: str, line: int) -> np.ndarray | list[list[floa
         raise CaseSyntaxError(f"bad number in matrix '{name}': {exc}", line)
 
 
-def _records(columns, rows, matrix, line: int, base: float):
-    """A matrix's records: from its columns when the bulk read gave an array that passes
-    every column check and the base is valid; otherwise row by row, which raises the first
-    error in row order (a zero base raises at the first division)."""
+@np.errstate(all="ignore")  # inf and NaN arise silently, as in Python's float arithmetic
+def _records(columns, check, width: int, matrix, line: int, base: float):
+    """A matrix's records, always built from its columns. A matrix the bulk read rejected, one
+    that fails a column check, or any under an invalid base is first checked row by row, which
+    raises the first error in row order (a zero base raises at the first division); rows that
+    pass are cut to the matrix's width."""
     if isinstance(matrix, np.ndarray):
         if 0 < base < math.inf:
-            with np.errstate(all="ignore"):  # inf and NaN arise silently, as in Python's float arithmetic
-                records = columns(matrix, base)
+            records = columns(matrix, base)
             if records is not None:
                 return records
         matrix = matrix.tolist()
-    return rows(matrix, line, base)
+    check(matrix, line, base)
+    return columns(np.array([row[:width] for row in matrix], float).reshape(-1, width), base)
 
 
 def _integral(values: np.ndarray) -> bool:
@@ -406,7 +421,7 @@ def _bus_columns(m: np.ndarray, base: float) -> tuple[list[BusRecord], int | Non
 def _gen_columns(m: np.ndarray, base: float) -> list[GenRecord] | None:
     if m.shape[1] < 8 or not _integral(m[:, 0]) or not np.isfinite(m[:, 7]).all():
         return None
-    on = (m[:, 7] > 0).tolist()  # ceil(x) > 0, as the rows read it, for finite x
+    on = (m[:, 7] > 0).tolist()  # MATPOWER's ceil(x) > 0, for finite x
     return list(map(GenRecord, map(int, m[:, 0].tolist()), m[:, 5].tolist(), (m[:, 1] / base).tolist(), on))
 
 
@@ -420,61 +435,33 @@ def _branch_columns(m: np.ndarray, base: float) -> list[BranchRecord] | None:
     ))
 
 
-def _bus_rows(rows: list[list[float]], line: int, base: float) -> tuple[list[BusRecord], int | None]:
-    buses = []
-    slack_bus = None
+# The row checks raise what building a record from each row raised, in the same order: a row's
+# length, its bus numbers and type, its first division by the base, and its status's ceil.
+def _bus_rows(rows: list[list[float]], line: int, base: float) -> None:
     for k, row in enumerate(rows):
         if len(row) < 13:
             raise CaseSyntaxError(f"bus row {k + 1} has {len(row)} columns, expected >= 13", line)
-        bus_id = _integer(row[0], f"bus row {k + 1}: bus_i")
-        if _integer(row[1], f"bus row {k + 1}: type", "bus type") == 3 and slack_bus is None:
-            slack_bus = bus_id
-        buses.append(
-            BusRecord(
-                id=bus_id,
-                demand=complex(row[2], row[3]) / base,
-                shunt=complex(row[4], row[5]) / base,
-                voltage_magnitude=row[7],
-                voltage_angle=math.radians(row[8]),
-            )
-        )
-    return buses, slack_bus
+        _integer(row[0], f"bus row {k + 1}: bus_i")
+        _integer(row[1], f"bus row {k + 1}: type", "bus type")
+        complex(row[2], row[3]) / base  # a zero base: "complex division by zero"
 
 
-def _gen_rows(rows: list[list[float]], line: int, base: float) -> list[GenRecord]:
-    gens = []
+def _gen_rows(rows: list[list[float]], line: int, base: float) -> None:
     for k, row in enumerate(rows):
         if len(row) < 8:
             raise CaseSyntaxError(f"gen row {k + 1} has {len(row)} columns, expected >= 8", line)
-        gens.append(
-            GenRecord(
-                bus=_integer(row[0], f"gen row {k + 1}: bus"),
-                voltage_setpoint=row[5],
-                active_power=row[1] / base,
-                in_service=math.ceil(row[7]) > 0,  # positive; ceil raises on NaN and inf
-            )
-        )
-    return gens
+        _integer(row[0], f"gen row {k + 1}: bus")
+        row[1] / base  # a zero base: "float division by zero"
+        math.ceil(row[7])  # a status must be finite: ceil raises on NaN and inf
 
 
-def _branch_rows(rows: list[list[float]], line: int, base: float) -> list[BranchRecord]:
-    branches = []
+def _branch_rows(rows: list[list[float]], line: int, base: float) -> None:
     for k, row in enumerate(rows):
         if len(row) < 11:
             raise CaseSyntaxError(f"branch row {k + 1} has {len(row)} columns, expected >= 11", line)
-        tap = row[8] if row[8] != 0 else 1.0
-        branches.append(
-            BranchRecord(
-                from_bus=_integer(row[0], f"branch row {k + 1}: fbus"),
-                to_bus=_integer(row[1], f"branch row {k + 1}: tbus"),
-                series_impedance=complex(row[2], row[3]),
-                charging=row[4],
-                tap_ratio=tap,
-                phase_shift=math.radians(row[9]),
-                in_service=math.ceil(row[10]) > 0,
-            )
-        )
-    return branches
+        _integer(row[0], f"branch row {k + 1}: fbus")
+        _integer(row[1], f"branch row {k + 1}: tbus")
+        math.ceil(row[10])
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,12 @@ def test_syntax_errors_name_the_assignment_line(old, new, line, message, newline
     assert info.value.line == line
 
 
+def test_a_percent_sign_in_a_quoted_string_starts_no_comment():
+    source = case_path("case9.m").read_text()
+    text = source + "mpc.bus_name = {'a%b'; 'c'};\nmpc.note = \"50%\";  % a comment that holds ' and {\n"
+    assert load_case(text, "matpower") == load_case(source, "matpower")
+
+
 def test_lines_without_an_assignment_are_skipped():
     """Only `[mpc.]name = ...` at a line start opens a value, and a line starting with
     "function" is never one; the rest of a line that closes a matrix is ignored, and a
@@ -241,8 +247,21 @@ def _base(text, rng, name):
     return text.replace("mpc.baseMVA = 100;", f"mpc.baseMVA = {base};")
 
 
+def _long_row_and_error(text, rng, name):  # ragged rows, read token by token: the first error in row order
+    return ERRORS[rng.integers(len(ERRORS))](_long_row(text, rng, name), rng, name)
+
+
+def _long_row_and_base(text, rng, name):  # ragged rows that pass are cut to width, then the base is checked
+    return _base(_long_row(text, rng, name), rng, name)
+
+
+def _no_buses_and_base(text, rng, name):  # a zero base first divides in the gen rows
+    return _base(_empty_matrix(text, rng, "bus"), rng, name)
+
+
 @pytest.mark.parametrize("edit", [_bad_token, _long_row, _short_row, _bus_number, _status, _signed_zero, _slack,
-                                  _row_without_numbers, _two_errors, _crlf, _empty_matrix, _base],
+                                  _row_without_numbers, _two_errors, _crlf, _empty_matrix, _base,
+                                  _long_row_and_error, _long_row_and_base, _no_buses_and_base],
                          ids=lambda edit: edit.__name__[1:])
 def test_bulk_reader_matches_the_scalar_reader(edit):
     """On seeded edits of the bundled cases, load_case and the token-by-token reference
