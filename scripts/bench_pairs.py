@@ -6,11 +6,11 @@ For each workload BENCHMARK.json gates and each seed, one pair runs
 
     python3 perfbench/run.py --workload W --seed N --seconds S --trace 0
 
-in the root of each checkout, the parent first on odd seeds. S is BENCHMARK.json's
-run_seconds unless --seconds gives another. For each end-to-end metric the file holds
-each side's runs, median and quartiles (statistics.quantiles, inclusive), the change's
-median relative to the parent's, the pairs the change won (ties count for neither) and
-whether the change is worse by no more than the metric's bound. A run whose last line
+in the root of each checkout, the parent first on odd seeds, where S is BENCHMARK.json's
+run_seconds. For each end-to-end metric the file holds each side's runs, median and
+quartiles (statistics.quantiles, inclusive), the change's median relative to the
+parent's, the pairs the change won (ties count for neither) and whether the change is
+worse by no more than the metric's bound. A run whose last line
 is not correct, or counts a failed operation, stops the script with exit code 1 before
 any file is written.
 
@@ -111,13 +111,12 @@ def main(argv=None) -> int:
     p.add_argument("--label", required=True, help="writes BENCH_<label>.json at the root of this checkout")
     p.add_argument("--parent", required=True, help="the git revision to compare this working tree with")
     p.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed and workload")
-    p.add_argument("--seconds", type=float, help="each run's length (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--claim", default="none", help="the gain claimed, as text for the file")
     args = p.parse_args(argv)
     if len(args.seeds) < 2:
         p.error("quartiles need at least two seeds")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     parent_rev = subprocess.run(
         ["git", "rev-parse", "--short", args.parent], cwd=ROOT, capture_output=True, text=True, check=True
     ).stdout.strip()

@@ -302,7 +302,7 @@ _ASSIGNMENT = re.compile(
     r"^[^\S\n]*(?!function)(?:\w+\.)?(\w+)[^\S\n]*=[^\S\n]*(\[[^\]]*\]?|\{[^}]*\}?|.*)", re.MULTILINE
 )
 _COMMENT = re.compile(r"%.*")  # a line's first % to its end: '.' stops at '\n' alone, the only line break left
-# A line up to its first % outside a quoted string; a quote no later quote on the line closes is text (a transpose).
+# Up to a line's first % outside a quoted string; a quote opens one if a later quote of its kind on its line closes it.
 _CODE = re.compile(r"""(?:[^'"%\n]|'[^'\n]*'|"[^"\n]*"|['"])*""")
 
 

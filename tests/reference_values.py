@@ -310,8 +310,22 @@ def reference_matpower_case(source: str) -> NetworkCase:
     return case
 
 
+def _reference_code(line: str) -> str:
+    """line up to its first % outside a quoted string, read a character at a time: a quote
+    opens a string if a later quote of its kind on the line closes it, else it is text."""
+    quote = None
+    for k, char in enumerate(line):
+        if quote:
+            quote = None if char == quote else quote
+        elif char in "'\"" and char in line[k + 1:]:
+            quote = char
+        elif char == "%":
+            return line[:k]
+    return line
+
+
 def _reference_parse_matpower(source: str) -> NetworkCase:
-    text = "\n".join(line.partition("%")[0] for line in source.splitlines())
+    text = "\n".join(map(_reference_code, source.splitlines()))
     blocks, scalars = {}, {}
     for m in _ASSIGNMENT.finditer(text):
         name, value = m.groups()

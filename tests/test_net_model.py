@@ -259,9 +259,22 @@ def _no_buses_and_base(text, rng, name):  # a zero base first divides in the gen
     return _base(_empty_matrix(text, rng, "bus"), rng, name)
 
 
+QUOTED = ("mpc.bus_name = {'a%b'; 'c'};", "mpc.note = \"50%\";  % it's a comment with { and [", "x = y'; % it's",
+          "mpc.names = {'two' % }", "mpc.tag = 'a%b' % '", "mpc.v = \"%\"; mpc.w = [1 %\"]")
+
+
+def _quoted_percent(text, rng, name):  # a % in a quoted string starts no comment
+    if rng.random() < 0.25:
+        return _edit_row(text, name, rng, _put(rng, range(WIDTH[name]), ["'a%b'", '"1%"']))
+    lines = text.split("\n")
+    lines.insert(rng.choice([k for k, line in enumerate(lines) if line.startswith("mpc.")]),
+                 QUOTED[rng.integers(len(QUOTED))])
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize("edit", [_bad_token, _long_row, _short_row, _bus_number, _status, _signed_zero, _slack,
                                   _row_without_numbers, _two_errors, _crlf, _empty_matrix, _base,
-                                  _long_row_and_error, _long_row_and_base, _no_buses_and_base],
+                                  _long_row_and_error, _long_row_and_base, _no_buses_and_base, _quoted_percent],
                          ids=lambda edit: edit.__name__[1:])
 def test_bulk_reader_matches_the_scalar_reader(edit):
     """On seeded edits of the bundled cases, load_case and the token-by-token reference
