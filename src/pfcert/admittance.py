@@ -204,9 +204,10 @@ def reduce_case(case: NetworkCase, gen_phasors: str = "case") -> GridReduction:
     Y = build_admittance(case)
     if gen_phasors == "case":
         return reduce_network(Y, generator_phasors(case, Y.bus_order[: Y.n_gen]))
-    from .oracle import solved_generator_phasors  # oracle imports this module
+    from .oracle import newton_base_case  # oracle imports this module
 
-    return reduce_network(Y, solved_generator_phasors(case, Y))
+    phasors = newton_base_case(case, admittance=Y)
+    return reduce_network(Y, np.array([phasors[i] for i in Y.bus_order[: Y.n_gen]], dtype=complex))
 
 
 def load_vector(red: GridReduction, x: np.ndarray, name: str, error: type[ValueError] = CaseError) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Command-line front end: certify / solve / limits / sweep / bounds.
 
-Every command is one pipeline: _load the case and its reduction, compute,
-emit one artifact. The reduction (with --known-solution, its copy
-re-centered on the solved base point) forms its Ztilde, the one n x n
-matrix a command holds, on first use; the copy takes the kernel that the
-base point's solve built. Each command
-defines only the options it reads: all take --case (a .json file is read
-as JSON, any other as MATPOWER), --gen-phasors and --out; solve, limits,
-sweep and bounds also take --out-format {json,csv}, and only solve takes
---tol and --max-iter.
+Every command is one pipeline: _load the case and its reduction, compute, emit
+one artifact. The reduction (with --known-solution, its copy re-centered on
+the solved base point) forms its Ztilde, the one n x n matrix a command holds,
+on first use; the copy takes the kernel that the base point's solve built.
+Each command defines only the options it reads: all take --case (a .json file
+is read as JSON, any other as MATPOWER), --gen-phasors and --out; solve,
+limits, sweep and bounds also take --out-format {json,csv}, only solve takes
+--tol and --max-iter, and sweep takes --points or --direction-file, not both.
 `limits --with-oracle` prints the nose along the base direction,
 `sweep --with-oracle` one along each swept direction, and `bounds --with-oracle`
 the bus voltage of a Newton chain over the grid; this module, not limits, calls
@@ -180,7 +179,7 @@ def _load(args):
     case = load_case_file(args.case)
     red, S_base = limits.prepare(case, args.gen_phasors)
     if getattr(args, "known_solution", False):
-        res = oracle.newton_solve(case, S_base, network=red)
+        res = oracle.newton_solve(red, S_base)
         if not res.converged:
             raise SingularNetworkError("base-case power flow did not converge; no known solution")
         red = renormalize_about_solution(red, res.V_L / red.E, S_base)
@@ -337,13 +336,13 @@ def _parse_grid(spec: str):
 
 def cmd_bounds(args) -> int:
     grid = _parse_grid(args.scale_grid)
-    case, red, S_base = _load(args)
+    _, red, S_base = _load(args)
     bounds = limits.bound_profile(red, S_base, args.bus, grid)
     actual = []  # |V| at the bus along a Newton chain: each solve starts from the last solution
     if args.with_oracle:
         k, warm = red.load_index(args.bus), red.E
         for lam in grid:
-            res = oracle.newton_solve(case, lam * S_base, start=warm, network=red)
+            res = oracle.newton_solve(red, lam * S_base, start=warm)
             if not res.converged:
                 break  # past the nose; later points only get bounds
             warm = res.V_L
@@ -417,9 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_format=True)
     p.add_argument("--bus-a", type=int, default=None, dest="bus_a")
     p.add_argument("--bus-b", type=int, default=None, dest="bus_b")
-    p.add_argument("--points", type=int, default=36, help="uniform angle grid size")
-    p.add_argument("--direction-file", default=None, dest="direction_file",
-                   help="JSON file with [phi_a_deg, phi_b_deg] pairs")
+    grid = p.add_mutually_exclusive_group()
+    # argparse lets a value that is the default object pass; a str default makes a given --points 36 conflict
+    grid.add_argument("--points", type=int, default="36", help="uniform angle grid size")
+    grid.add_argument("--direction-file", default=None, dest="direction_file",
+                      help="JSON file with [phi_a_deg, phi_b_deg] pairs")
     p.add_argument("--with-oracle", action="store_true", dest="with_oracle")
     p.set_defaults(func=cmd_sweep)
 

@@ -191,28 +191,20 @@ class _NewtonKernel:
         return refill
 
 
-def newton_solve(
-    case: NetworkCase,
-    S_L: np.ndarray | None = None,
-    start: np.ndarray | None = None,
-    tol: float = NEWTON_TOL,
-    network: GridReduction | None = None,
-) -> NewtonResult:
-    """Solve the load-bus power-flow equations with fixed generator phasors.
+def newton_solve(red: GridReduction, S_L: np.ndarray, start: np.ndarray | None = None,
+                 tol: float = NEWTON_TOL) -> NewtonResult:
+    """Solve the load-bus power-flow equations of red, load S_L, with its fixed generator phasors.
 
-    Unknowns are the load-bus voltage magnitudes and angles; convergence is
-    declared when the inf-norm of the complex power mismatch (per-unit)
-    drops below tol. Non-convergence and singular Jacobians are reported as
-    converged=False results so the solver can serve as a feasibility probe.
-    network is the case's reduction, from reduce_case(case) when None.
+    Unknowns are the load-bus voltage magnitudes and angles, from start (red.E
+    when None); convergence is declared when the inf-norm of the complex power
+    mismatch (per-unit) drops below tol. Non-convergence and singular Jacobians
+    are reported as converged=False results so the solver can serve as a
+    feasibility probe.
     """
-    net = network if network is not None else reduce_case(case)
-    m = len(net.generator_ids)
-    if S_L is None:
-        S_L = load_power_vector(case, net.load_ids)
-    V = np.concatenate([net.V_G, net.E if start is None else load_vector(net, start, "start")])
-    S_spec = np.concatenate([np.zeros(m), -load_vector(net, S_L, "S_L")])
-    res = net.kernel.run(V, np.angle(V), np.abs(V), S_spec, tol)
+    m = len(red.generator_ids)
+    V = np.concatenate([red.V_G, red.E if start is None else load_vector(red, start, "start")])
+    S_spec = np.concatenate([np.zeros(m), -load_vector(red, S_L, "S_L")])
+    res = red.kernel.run(V, np.angle(V), np.abs(V), S_spec, tol)
     return replace(res, V_L=res.V_L[m:])
 
 
@@ -249,12 +241,6 @@ def newton_base_case(
     if not res.converged:
         raise SingularNetworkError(f"base-case power flow did not converge ({res.iterations} iterations)")
     return {order[k]: res.V_L[k] for k in range(nb)}
-
-
-def solved_generator_phasors(case: NetworkCase, admittance: AdmittanceMatrix) -> np.ndarray:
-    """Generator phasors from a conventional solved base case, in the admittance's order."""
-    phasors = newton_base_case(case, admittance=admittance)
-    return np.array([phasors[i] for i in admittance.bus_order[: admittance.n_gen]], dtype=complex)
 
 
 def actual_limit(

@@ -121,8 +121,7 @@ def two_bus_analytic(p: float, q: float, x: float) -> tuple[complex, ...]:
     return (complex((1.0 + root) / 2.0, b), complex((1.0 - root) / 2.0, b))
 
 
-def hunt_solutions(case: NetworkCase, red: GridReduction, S_L: np.ndarray,
-                   depths=(0.2, 0.5, 0.7)) -> list[np.ndarray]:
+def hunt_solutions(red: GridReduction, S_L: np.ndarray, depths=(0.2, 0.5, 0.7)) -> list[np.ndarray]:
     """Distinct load-bus voltages that solve the power flow at load S_L on red.
 
     newton_solve starts from the flat start E and from E with each load bus in
@@ -138,7 +137,7 @@ def hunt_solutions(case: NetworkCase, red: GridReduction, S_L: np.ndarray,
             starts.append(start)
     found: list[np.ndarray] = []
     for start in starts:
-        res = newton_solve(case, S_L, start=start, network=red)
+        res = newton_solve(red, S_L, start=start)
         if res.converged and all(np.abs(res.V_L - V).max() > 1e-6 for V in found):
             found.append(res.V_L)
     return found

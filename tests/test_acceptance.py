@@ -48,7 +48,7 @@ def load(name):
 
 def known_solution_estimates(name):
     case, red, S = load(name)
-    res = newton_solve(case, S, network=red)
+    res = newton_solve(red, S)
     assert res.converged
     return lambda_all(renormalize_about_solution(red, res.V_L / red.E, S), S)
 
@@ -341,7 +341,7 @@ def test_criterion_7_newton_fixed_point_agreement():
         m = compute_stress(red.Ztilde, S)
         if not certify(m).holds:
             continue
-        nres = newton_solve(case, S, network=red, tol=1e-10)
+        nres = newton_solve(red, S, tol=1e-10)
         fres = solve_fixed_point(red, S, tol=1e-12)
         assert nres.converged and fres.converged
         gap = float(np.abs(nres.V_L - fres.V_L).max())

@@ -192,7 +192,7 @@ def test_no_other_solution_in_the_outer_region(name):
         load = fraction * lam * S
         cert = certify_all(red, load)[0]
         assert cert.holds
-        inside = [u for u in (V / red.E for V in hunt_solutions(case, red, load))
+        inside = [u for u in (V / red.E for V in hunt_solutions(red, load))
                   if (np.abs(u - 1) / np.abs(u)).max() < cert.radii.r_hi]
         assert len(inside) == 1, fraction
         assert (np.abs(inside[0] - cert.disc_centers) <= cert.disc_radii + CONTAINMENT_SLACK).all(), fraction

@@ -373,6 +373,18 @@ def test_sweep_with_one_bus_is_exit_2(bus, capsys):
     assert err["error"] == "input" and "--bus-a and --bus-b" in err["message"]
 
 
+@pytest.mark.parametrize("points", ["5", "36"], ids=["points 5", "points 36, the default"])
+def test_sweep_points_beside_a_direction_file_is_exit_2(points, tmp_path, capsys):
+    """--points used to be dropped silently beside a direction file: the file's 2 pairs gave 2 rows."""
+    directions = tmp_path / "dirs.json"
+    directions.write_text("[[0, 0], [90, 45]]")
+    assert run(["sweep", "--case", case_path("case9.m"), "--direction-file", directions, "--points", points]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "input" and "not allowed with argument" in err["message"]
+
+
 def test_bounds_grid(two_bus_file, tmp_path):
     out = tmp_path / "bounds.csv"
     code = run(

@@ -101,7 +101,7 @@ def test_agrees_with_newton():
     red = reduce_case(case)
     S = np.array([1 + 0.3j, 0.8 + 0.2j, 0.5 + 0.1j])
     fp = solve_fixed_point(red, S, tol=1e-12)
-    nt = newton_solve(case, S, tol=1e-10)
+    nt = newton_solve(red, S, tol=1e-10)
     assert fp.converged and nt.converged
     assert np.abs(fp.V_L - nt.V_L).max() < 1e-6
 
@@ -179,7 +179,7 @@ def test_recentered_solve_matches_newton_on_bundled_cases(name):
     # re-centered on the Newton base point, 1.2x the base load is the increment 0.2 S
     case = load_case_file(case_path(f"{name}.m"))
     red, S0 = prepare(case)
-    base = newton_solve(case, S0, network=red)
+    base = newton_solve(red, S0)
     assert base.converged
     red2 = renormalize_about_solution(red, base.V_L / red.E, S0)
     S = 1.2 * S0
@@ -187,7 +187,7 @@ def test_recentered_solve_matches_newton_on_bundled_cases(name):
     assert cert.holds
     res = solve_fixed_point(red2, S, certificate=cert)  # checks the polydisc containment
     assert res.converged
-    nt = newton_solve(case, S, network=red)
+    nt = newton_solve(red, S)
     assert nt.converged
     assert np.abs(res.V_L - nt.V_L).max() < 1e-8
 

@@ -258,7 +258,7 @@ def test_bound_profile_about_a_known_solution_starts_at_it():
     lambda = 1 is the single point v0, so the proposed bound is |V0| itself."""
     case = load_case_file(case_path("case9.m"))
     red, S = prepare(case)
-    res = newton_solve(case, S, network=red)
+    res = newton_solve(red, S)
     recentered = renormalize_about_solution(red, res.V_L / red.E, S)
     proposed, _, _ = bound_profile(recentered, S, 4, [1.0])[0]
     assert proposed == pytest.approx(abs(res.V_L[red.load_index(4)]), abs=1e-12)
@@ -279,7 +279,7 @@ def test_bound_profile_absence_pattern():
 def test_known_solution_dvijotham_limit_closes_its_condition(name):
     case = load_case_file(case_path(f"{name}.m"))
     red, S = prepare(case)
-    res = newton_solve(case, S, network=red)
+    res = newton_solve(red, S)
     assert res.converged
     v0 = res.V_L / red.E
     lam = lambda_all(renormalize_about_solution(red, v0, S), S).lambda_d
@@ -298,7 +298,7 @@ def test_known_solution_limits_leave_scipy_optimize_out():
         "from pfcert.oracle import newton_solve\n"
         f"case = load_case_file({str(case_path('case39.m'))!r})\n"
         "red, S = prepare(case)\n"
-        "res = newton_solve(case, S, network=red)\n"
+        "res = newton_solve(red, S)\n"
         "lambda_all(renormalize_about_solution(red, res.V_L / red.E, S), S)\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
@@ -338,7 +338,7 @@ def test_known_solution_limits_close_their_conditions(name, c):
     lambda_d come from bisection."""
     case = load_case_file(case_path(f"{name}.m"))
     red, S = prepare(case)
-    res = newton_solve(case, S, network=red)
+    res = newton_solve(red, S)
     assert res.converged
     recentered = renormalize_about_solution(red, res.V_L / red.E, S)
     if c is None:

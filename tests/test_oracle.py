@@ -53,21 +53,21 @@ def test_high_root_satisfies_fixed_point_equation():
 
 
 def test_newton_two_bus():
-    res = newton_solve(make_two_bus(), np.array([2.5 + 0j]))
+    res = newton_solve(reduce_case(make_two_bus()), np.array([2.5 + 0j]))
     assert res.converged
     assert res.mismatch_norm < 1e-8
     assert res.V_L[0] == pytest.approx(two_bus_analytic(2.5, 0.0, 0.1)[0], abs=1e-8)
 
 
 def test_newton_infeasible_load():
-    res = newton_solve(make_two_bus(), np.array([10.0 + 0j]))
+    res = newton_solve(reduce_case(make_two_bus()), np.array([10.0 + 0j]))
     assert not res.converged
 
 
 def test_newton_star_matches_superposition_of_independent_feeders():
     # identical feeders do not interact: each load sees its own two-bus problem
     case = make_star(loads=((1.2, 0.1), (0.7, 0.4), (0.3, 0.0)))
-    res = newton_solve(case)
+    res = newton_solve(*limits.prepare(case))
     assert res.converged
     for k, (p, q) in enumerate(((1.2, 0.1), (0.7, 0.4), (0.3, 0.0))):
         assert res.V_L[k] == pytest.approx(two_bus_analytic(p, q, 0.1)[0], abs=1e-8)
@@ -76,8 +76,8 @@ def test_newton_star_matches_superposition_of_independent_feeders():
 def test_newton_network_reuse_and_warm_start():
     case = make_two_bus()
     net = reduce_case(case)
-    first = newton_solve(case, np.array([2.0 + 0j]), network=net)
-    second = newton_solve(case, np.array([2.1 + 0j]), start=first.V_L, network=net)
+    first = newton_solve(net, np.array([2.0 + 0j]))
+    second = newton_solve(net, np.array([2.1 + 0j]), start=first.V_L)
     assert second.converged and second.iterations <= first.iterations + 1
 
 
@@ -87,7 +87,7 @@ def test_base_case_matches_fixed_generator_solution():
     case = case_path_case("case9.m")
     phasors = newton_base_case(case)
     net = reduce_case(case, gen_phasors="solved")
-    res = newton_solve(case, network=net)
+    res = newton_solve(net, load_power_vector(case, net.load_ids))
     assert res.converged
     for k, bus in enumerate(net.load_ids):
         assert res.V_L[k] == pytest.approx(phasors[bus], abs=1e-7)
@@ -123,9 +123,9 @@ def test_actual_limit_rejects_feasible_upper_end():
 def test_newton_vectors_of_the_wrong_length_are_case_errors():
     case = case_path_case("case9.m")
     with pytest.raises(CaseError, match=r"start has shape \(1,\), expected \(6,\)"):
-        newton_solve(case, start=np.array([1 + 0j]))
+        newton_solve(*limits.prepare(case), start=np.array([1 + 0j]))
     with pytest.raises(CaseError, match=r"S_L has shape \(1,\), expected \(6,\)"):
-        newton_solve(case, np.array([1 + 0j]))
+        newton_solve(reduce_case(case), np.array([1 + 0j]))
 
 
 def test_actual_limit_direction_of_the_wrong_length_is_a_case_error():
@@ -350,10 +350,10 @@ def test_newton_failures_are_structured_results():
     start = net.E.copy()
     start[3] = 0.0
     hopeless = 10 * 2.47309375 * S  # 10x the true limit
-    for res in (newton_solve(case, S, start=start, network=net), newton_solve(case, hopeless, network=net)):
+    for res in (newton_solve(net, S, start=start), newton_solve(net, hopeless)):
         assert not res.converged and res.V_L.shape == S.shape
     # x = 1 makes Y exact; at V = 0.5 the reactive row of the Jacobian is exactly zero
-    singular = newton_solve(make_two_bus(p=0.0, x=1.0), np.array([0.2j]), start=np.array([0.5 + 0j]))
+    singular = newton_solve(reduce_case(make_two_bus(p=0.0, x=1.0)), np.array([0.2j]), start=np.array([0.5 + 0j]))
     assert not singular.converged and singular.iterations == 0
 
 
@@ -379,7 +379,7 @@ def test_nose_jacobian_is_singular():
     for d in [S] + perturbed_directions(S, 1, seed=5):
         lam, V = _nose(red, d, (1e-3, None), tol=1e-8)
         assert condition(red, V) <= 1e-6
-        below = newton_solve(case, 0.9 * lam * d, network=red)
+        below = newton_solve(red, 0.9 * lam * d)
         assert below.converged
         assert condition(red, np.concatenate([red.V_G, below.V_L])) >= 1e-3
 
