@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from pfcert.admittance import build_admittance
 from pfcert.net_model import load_case_file
 from pfcert.oracle import newton_base_case
 
 
 def patch(path: Path) -> None:
     case = load_case_file(path)
-    phasors = newton_base_case(case, tol=1e-10)
+    phasors = newton_base_case(case, build_admittance(case))
     text = path.read_text()
     m = re.search(r"mpc\.bus\s*=\s*\[(.*?)\];", text, re.S)
     body = m.group(1)

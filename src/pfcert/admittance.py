@@ -206,15 +206,15 @@ def reduce_case(case: NetworkCase, gen_phasors: str = "case") -> GridReduction:
         return reduce_network(Y, generator_phasors(case, Y.bus_order[: Y.n_gen]))
     from .oracle import newton_base_case  # oracle imports this module
 
-    phasors = newton_base_case(case, admittance=Y)
+    phasors = newton_base_case(case, Y)
     return reduce_network(Y, np.array([phasors[i] for i in Y.bus_order[: Y.n_gen]], dtype=complex))
 
 
-def load_vector(red: GridReduction, x: np.ndarray, name: str, error: type[ValueError] = CaseError) -> np.ndarray:
-    """x as a complex array, which must hold one entry per load bus of red; error otherwise."""
+def load_vector(red: GridReduction, x: np.ndarray, name: str) -> np.ndarray:
+    """x as a complex array, which must hold one entry per load bus of red; CaseError otherwise."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (red.n_load,):
-        raise error(f"{name} has shape {x.shape}, expected ({red.n_load},): one entry per load bus")
+        raise CaseError(f"{name} has shape {x.shape}, expected ({red.n_load},): one entry per load bus")
     return x
 
 

@@ -44,6 +44,8 @@ EXIT_CERT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
+MAX_GRID_POINTS = 10**6  # of a --points or --scale-grid grid, checked before the grid is built
+
 _BRACKETED = (dict, list, tuple, np.ndarray, complex, np.complexfloating)  # lists of these print one per line
 
 
@@ -288,6 +290,8 @@ def cmd_sweep(args) -> int:
         if not all(type(phi) in (int, float) and math.isfinite(phi) for pair in degrees for phi in pair):
             raise CaseError(f"bad direction file {args.direction_file}: angles must be finite numbers")
         pairs = [(math.radians(a), math.radians(b)) for a, b in degrees]
+    elif args.points > MAX_GRID_POINTS:
+        raise CaseError(f"--points must be at most {MAX_GRID_POINTS}")
     else:
         pairs = [(2.0 * math.pi * k / args.points,) * 2 for k in range(args.points)]
     if not pairs:
@@ -328,10 +332,12 @@ def _parse_grid(spec: str):
     start, stop, step = parts
     if step <= 0:
         raise CaseError("grid step must be positive")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    if count < 1:
+    span = (stop - start) / step + 1e-9  # floor(span) + 1 points; infinite when stop - start overflows
+    if span < 0:
         raise CaseError(f"grid {spec!r} is empty: stop is below start")
-    return [start + k * step for k in range(count)]
+    if not span < MAX_GRID_POINTS:
+        raise CaseError(f"grid {spec!r} has more than {MAX_GRID_POINTS} points")
+    return [start + k * step for k in range(math.floor(span) + 1)]
 
 
 def cmd_bounds(args) -> int:

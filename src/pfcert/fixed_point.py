@@ -44,7 +44,7 @@ def _map(u: np.ndarray, Zt: np.ndarray, S0c: np.ndarray, Sc: np.ndarray) -> np.n
 
 def evaluate_F(u: np.ndarray, red: GridReduction, S_L: np.ndarray) -> np.ndarray:
     """One application of the fixed-point map; u must have no zero entries."""
-    u, S_L = load_vector(red, u, "u", ValueError), load_vector(red, S_L, "S_L", ValueError)
+    u, S_L = load_vector(red, u, "u"), load_vector(red, S_L, "S_L")
     if np.any(u == 0):
         raise ValueError("fixed-point map undefined: iterate has zero entries")
     return _map(u, red.Ztilde, red.S0.conj(), S_L.conj())
@@ -74,10 +74,10 @@ def solve_fixed_point(
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    u = np.ones(red.n_load, dtype=complex) if start is None else load_vector(red, start, "start", ValueError).copy()
+    u = np.ones(red.n_load, dtype=complex) if start is None else load_vector(red, start, "start").copy()
     if np.any(u == 0):
         raise ValueError("start vector has zero entries")
-    Zt, S0c, Sc = red.Ztilde, red.S0.conj(), load_vector(red, S_L, "S_L", ValueError).conj()
+    Zt, S0c, Sc = red.Ztilde, red.S0.conj(), load_vector(red, S_L, "S_L").conj()
 
     trace: list[float] = []
     converged = False

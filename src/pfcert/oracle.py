@@ -17,9 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg._dsolve import _superlu
 
-from .admittance import (AdmittanceMatrix, GridReduction, SingularNetworkError, build_admittance, load_vector,
-                         reduce_case)
-from .net_model import CaseError, NetworkCase, load_power_vector
+from .admittance import AdmittanceMatrix, GridReduction, SingularNetworkError, load_vector, reduce_case
+from .net_model import CaseError, NetworkCase
 from .stress import first_positive_roots
 
 NEWTON_TOL = 1e-8  # max(|dP|, |dQ|) over the equations, per unit, of a converged Newton solve or corrector
@@ -191,36 +190,32 @@ class _NewtonKernel:
         return refill
 
 
-def newton_solve(red: GridReduction, S_L: np.ndarray, start: np.ndarray | None = None,
-                 tol: float = NEWTON_TOL) -> NewtonResult:
+def newton_solve(red: GridReduction, S_L: np.ndarray, start: np.ndarray | None = None) -> NewtonResult:
     """Solve the load-bus power-flow equations of red, load S_L, with its fixed generator phasors.
 
     Unknowns are the load-bus voltage magnitudes and angles, from start (red.E
     when None); convergence is declared when the inf-norm of the complex power
-    mismatch (per-unit) drops below tol. Non-convergence and singular Jacobians
-    are reported as converged=False results so the solver can serve as a
-    feasibility probe.
+    mismatch (per-unit) drops below NEWTON_TOL. Non-convergence and singular
+    Jacobians are reported as converged=False results so the solver can serve
+    as a feasibility probe.
     """
     m = len(red.generator_ids)
     V = np.concatenate([red.V_G, red.E if start is None else load_vector(red, start, "start")])
     S_spec = np.concatenate([np.zeros(m), -load_vector(red, S_L, "S_L")])
-    res = red.kernel.run(V, np.angle(V), np.abs(V), S_spec, tol)
+    res = red.kernel.run(V, np.angle(V), np.abs(V), S_spec, NEWTON_TOL)
     return replace(res, V_L=res.V_L[m:])
 
 
-def newton_base_case(
-    case: NetworkCase, tol: float = NEWTON_TOL, admittance: AdmittanceMatrix | None = None
-) -> dict[int, complex]:
-    """Conventional slack / voltage-controlled / load power flow on the whole case.
+def newton_base_case(case: NetworkCase, Y: AdmittanceMatrix) -> dict[int, complex]:
+    """Conventional slack / voltage-controlled / load power flow on the whole case,
+    Y its admittance matrix, solved to NEWTON_TOL.
 
     Generator buses hold their setpoint magnitude and scheduled active power
     (the slack bus also holds its case-file angle and absorbs the imbalance);
     load buses hold their complex demand. Returns solved phasors for every
     bus. Used to fix generator angles from a solved operating point when the
-    case file carries flat ones. admittance is the case's matrix, from
-    build_admittance(case) when None.
+    case file carries flat ones.
     """
-    Y = admittance if admittance is not None else build_admittance(case)
     order = Y.bus_order
     m = Y.n_gen
     generator_ids = order[:m]
@@ -237,7 +232,7 @@ def newton_base_case(
     theta = np.full(nb, case.bus(slack_bus).voltage_angle)
 
     kernel = _NewtonKernel(Y.matrix, non_slack, np.arange(m, nb))
-    res = kernel.run(vm * np.exp(1j * theta), theta, vm, p_sched - demand, tol)
+    res = kernel.run(vm * np.exp(1j * theta), theta, vm, p_sched - demand, NEWTON_TOL)
     if not res.converged:
         raise SingularNetworkError(f"base-case power flow did not converge ({res.iterations} iterations)")
     return {order[k]: res.V_L[k] for k in range(nb)}
@@ -245,14 +240,14 @@ def newton_base_case(
 
 def actual_limit(
     case: NetworkCase,
-    direction: np.ndarray | None = None,
+    direction: np.ndarray,
     bracket: tuple[float, float | None] = (1e-3, None),
     tol: float = 1e-10,
     network: GridReduction | None = None,
 ) -> float:
     """True solvability limit along a loading direction: the nose of its P-V curve.
 
-    Scales `direction` (default: the case demands) by lambda and follows the
+    Scales `direction`, one load per load bus, by lambda and follows the
     solution branch through the solved point at lambda = bracket[0] by
     continuation (Ajjarapu & Christy 1992) to the saddle-node point (Canizares
     & Alvarado 1993). The continuation starts just below the nose, from the
@@ -270,8 +265,6 @@ def actual_limit(
     passes 2**60 * bracket[0], or when a corrector breaks down.
     """
     net = network if network is not None else reduce_case(case)
-    if direction is None:
-        direction = load_power_vector(case, net.load_ids)
     return _nose(net, load_vector(net, direction, "direction"), bracket, tol)[0]
 
 

@@ -200,7 +200,7 @@ def test_oracle_alone_never_forms_the_dense_impedance():
     red = reduce_case(case)
     res = newton_solve(red, load_power_vector(case, red.load_ids))
     assert res.converged
-    assert actual_limit(case, bracket=(1e-3, None), network=red) > 1.0
+    assert actual_limit(case, load_power_vector(case, red.load_ids), bracket=(1e-3, None), network=red) > 1.0
     assert not dense_formed(red)
     S = np.array([case.bus(i).demand for i in red.load_ids])
     red2 = renormalize_about_solution(red, res.V_L / red.E, S)
@@ -247,7 +247,7 @@ def test_weak_tie_fails_the_residual_check_but_not_the_oracle():
     red = reduce_case(case)
     with pytest.raises(SingularNetworkError, match="residual 1.250e-01"):
         red.Ztilde
-    lam = actual_limit(case, bracket=(1e-3, None), network=red)
+    lam = actual_limit(case, load_power_vector(case, red.load_ids), bracket=(1e-3, None), network=red)
     assert lam == pytest.approx(8.19803903, abs=1e-8)
     nose = (abs(0.5 + 0.1j) - 0.1) / (2 * 0.1 * 0.5**2)  # (|S| - q) / (2 x p^2), the two-bus nose
     assert nose - 1e-10 <= lam <= nose

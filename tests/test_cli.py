@@ -1,9 +1,12 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
 import argparse
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -17,7 +20,7 @@ import scipy.sparse.linalg as spla
 import pfcert
 from pfcert import admittance, cli, oracle
 from pfcert.cli import main
-from pfcert.net_model import build_case, load_case_file, partition_buses
+from pfcert.net_model import CaseError, build_case, load_case_file, partition_buses
 
 from conftest import DATA_DIR, TWO_BUS_MATPOWER, case_path, emit_json, make_two_bus, make_weak_tie_star
 from reference_values import two_bus_analytic
@@ -540,6 +543,32 @@ def test_empty_grid_is_exit_2(args, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sweep", "--points", 10**6 + 1], "--points must be at most 1000000"),
+        (["bounds", "--bus", 5, "--scale-grid", "1:2.5:1e-12"], "grid '1:2.5:1e-12' has more than 1000000 points"),
+        (["bounds", "--bus", 5, "--scale-grid", "0:1e308:1e-308"],
+         "grid '0:1e308:1e-308' has more than 1000000 points"),
+    ],
+    ids=["points", "scale grid", "scale grid of infinite span"],
+)
+def test_grid_over_max_grid_points_is_exit_2(args, message, capsys):
+    """Refused before any list is built: 1:2.5:1e-12 asks for ~1.5e12 floats, and a
+    span that overflows makes the count infinite."""
+    command, *rest = args
+    assert run([command, "--case", case_path("case9.m"), *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "input", "message": message}
+
+
+def test_scale_grid_of_max_grid_points_is_built():
+    assert len(cli._parse_grid(f"1:{cli.MAX_GRID_POINTS}:1")) == cli.MAX_GRID_POINTS
+    with pytest.raises(CaseError, match="more than 1000000 points"):
+        cli._parse_grid(f"1:{cli.MAX_GRID_POINTS + 1}:1")
+
+
+@pytest.mark.parametrize(
     "args, expected",
     [
         (["certify"], 1),
@@ -637,3 +666,18 @@ def test_readme_option_table_matches_the_parser():
     parsed = {name: sorted({o for a in p._actions for o in a.option_strings} - common - {"-h", "--help"})
               for name, p in subparsers.choices.items()}
     assert {command: sorted(options) for command, options in readme_option_table().items()} == parsed
+
+
+def test_readme_parameter_table_matches_the_library():
+    """The table lists, in signature order, each parameter with a default of every public
+    function a pfcert module defines: the set CI counts."""
+    modules = [pfcert] + [importlib.import_module(f"pfcert.{m.name}") for m in pkgutil.iter_modules(pfcert.__path__)]
+    found = {f"{mod.__name__}.{name}": [p.name for p in inspect.signature(fn).parameters.values()
+                                        if p.default is not p.empty]
+             for mod in modules for name, fn in vars(mod).items()
+             if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == mod.__name__}
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("| function | its parameters with a default |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    assert {name.strip().strip("`"): re.findall(r"`(\w+)`", params) for name, params in rows} == {
+        name: params for name, params in found.items() if params}

@@ -85,7 +85,7 @@ def test_base_case_matches_fixed_generator_solution():
     """With every generator's phasor pinned by the base-case solve, the load-only
     Newton run must reproduce the same load voltages."""
     case = case_path_case("case9.m")
-    phasors = newton_base_case(case)
+    phasors = newton_base_case(case, build_admittance(case))
     net = reduce_case(case, gen_phasors="solved")
     res = newton_solve(net, load_power_vector(case, net.load_ids))
     assert res.converged
@@ -101,23 +101,23 @@ def case_path_case(name):
 
 def test_base_case_keeps_slack_angle():
     case = make_two_bus()
-    phasors = newton_base_case(case)
+    phasors = newton_base_case(case, build_admittance(case))
     assert phasors[1] == pytest.approx(1.0 + 0j, abs=1e-10)
 
 
 def test_actual_limit_two_bus_exact():
-    lam = actual_limit(make_two_bus(p=1.0), tol=1e-4)
+    lam = actual_limit(make_two_bus(p=1.0), np.array([1.0 + 0j]), tol=1e-4)
     assert lam == pytest.approx(5.0, abs=1e-4)
 
 
 def test_actual_limit_requires_feasible_lower_end():
     with pytest.raises(CaseError, match="infeasible"):
-        actual_limit(make_two_bus(p=1.0), bracket=(11.0, 12.0))
+        actual_limit(make_two_bus(p=1.0), np.array([1.0 + 0j]), bracket=(11.0, 12.0))
 
 
 def test_actual_limit_rejects_feasible_upper_end():
     with pytest.raises(CaseError, match="feasible"):
-        actual_limit(make_two_bus(p=1.0), bracket=(1.0, 2.0))
+        actual_limit(make_two_bus(p=1.0), np.array([1.0 + 0j]), bracket=(1.0, 2.0))
 
 
 def test_newton_vectors_of_the_wrong_length_are_case_errors():
@@ -135,7 +135,7 @@ def test_actual_limit_direction_of_the_wrong_length_is_a_case_error():
 
 
 def test_actual_limit_explicit_bracket():
-    lam = actual_limit(make_two_bus(p=1.0), bracket=(4.0, 6.0), tol=1e-4)
+    lam = actual_limit(make_two_bus(p=1.0), np.array([1.0 + 0j]), bracket=(4.0, 6.0), tol=1e-4)
     assert lam == pytest.approx(5.0, abs=1e-4)
 
 
@@ -385,13 +385,13 @@ def test_nose_jacobian_is_singular():
 
 
 def test_actual_limit_two_bus_tight_tol():
-    assert actual_limit(make_two_bus(p=1.0), tol=1e-10) == pytest.approx(5.0, abs=1e-8)
+    assert actual_limit(make_two_bus(p=1.0), np.array([1.0 + 0j]), tol=1e-10) == pytest.approx(5.0, abs=1e-8)
 
 
 def test_actual_limit_two_bus_default_tol_reaches_the_exact_nose():
     """The default fold tolerance puts the two-bus limit within 1e-9 of its
     exact nose 5.0 (4.9999999999986; the former default, 1e-4, gave 4.9999975)."""
-    assert actual_limit(make_two_bus(p=1.0)) == pytest.approx(5.0, abs=1e-9)
+    assert actual_limit(make_two_bus(p=1.0), np.array([1.0 + 0j])) == pytest.approx(5.0, abs=1e-9)
 
 
 def golden_sweep_directions(red, S, points=12):
@@ -592,7 +592,7 @@ def test_actual_limit_corrector_breakdown_raises(monkeypatch):
 
     monkeypatch.setattr(_NewtonKernel, "correct", first_only)
     with pytest.raises(CaseError, match="broke down"):
-        actual_limit(make_two_bus(p=1.0))
+        actual_limit(make_two_bus(p=1.0), np.array([1.0 + 0j]))
 
 
 def failing(calls, fails):
@@ -616,10 +616,10 @@ def test_failed_series_start_corrector_falls_back_to_the_cold_start(name, monkey
     point at bracket[0], and the answer stays within 2e-10 of a tol = 1e-13 run."""
     case = case_path_case(f"{name}.m")
     red, S = limits.prepare(case)
-    tight = actual_limit(case, network=red, tol=1e-13)
+    tight = actual_limit(case, S, network=red, tol=1e-13)
     calls = []
     monkeypatch.setattr(_NewtonKernel, "correct", failing(calls, lambda tol, k: k == 0))
-    assert actual_limit(case, network=red) == pytest.approx(tight, abs=2e-10)
+    assert actual_limit(case, S, network=red) == pytest.approx(tight, abs=2e-10)
     assert calls[:2] == [(math.sqrt(NEWTON_TOL), False), (NEWTON_TOL, True)]
 
 
@@ -631,17 +631,17 @@ def test_failed_fold_corrector_shrinks_toward_the_nearer_end(name, monkeypatch):
     shrink reaches that end and the limit raises."""
     case = case_path_case(f"{name}.m")
     red, S = limits.prepare(case)
-    tight = actual_limit(case, network=red, tol=1e-13)
+    tight = actual_limit(case, S, network=red, tol=1e-13)
     monkeypatch.setattr(oracle, "_series_start", lambda *args: None)
     calls = []
     monkeypatch.setattr(_NewtonKernel, "correct", failing(calls, lambda tol, k: tol == FOLD_TOL and (tol, False) not in calls))
-    assert actual_limit(case, network=red) == pytest.approx(tight, abs=2e-10)
+    assert actual_limit(case, S, network=red) == pytest.approx(tight, abs=2e-10)
     first = calls.index((FOLD_TOL, False))
     assert all(tol != FOLD_TOL for tol, _ in calls[:first]) and calls[first + 1][0] == FOLD_TOL
     calls.clear()
     monkeypatch.setattr(_NewtonKernel, "correct", failing(calls, lambda tol, k: tol == FOLD_TOL))
     with pytest.raises(CaseError, match="corrector broke down at the nose"):
-        actual_limit(case, network=red)
+        actual_limit(case, S, network=red)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -652,14 +652,14 @@ def test_series_start_refusals(name, monkeypatch):
     2e-10 of a tol = 1e-13 run."""
     case = case_path_case(f"{name}.m")
     red, S = limits.prepare(case)
-    tight = actual_limit(case, network=red, tol=1e-13)
+    tight = actual_limit(case, S, network=red, tol=1e-13)
     lam, _ = oracle._series_start(red, S, 1e-3, None)
     assert oracle._series_start(red, S, lam, None) is None
     assert oracle._series_start(red, S, 1e-3, lam) is None
-    assert actual_limit(case, network=red, bracket=(lam, None)) == pytest.approx(tight, abs=2e-10)
+    assert actual_limit(case, S, network=red, bracket=(lam, None)) == pytest.approx(tight, abs=2e-10)
     monkeypatch.setattr(oracle, "SERIES_FRACTION", 1.5)
     assert oracle._series_start(red, S, 1e-3, None) is None
-    assert actual_limit(case, network=red) == pytest.approx(tight, abs=2e-10)
+    assert actual_limit(case, S, network=red) == pytest.approx(tight, abs=2e-10)
 
 
 @pytest.mark.filterwarnings("error")
