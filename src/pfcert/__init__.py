@@ -28,7 +28,7 @@ from .certificate import (
     certify_wang,
     voltage_bounds,
 )
-from .fixed_point import FixedPointResult, evaluate_F, solve_fixed_point
+from .fixed_point import FixedPointResult, solve_fixed_point
 from .limits import LimitEstimates, bound_profile, direction_sweep, lambda_all
 from .net_model import (
     BranchRecord,

@@ -70,6 +70,11 @@ class GridReduction:
     def n_load(self) -> int:
         return len(self.load_ids)
 
+    @property
+    def scale(self) -> np.ndarray:
+        """E v0: the load voltages of u = 1, which the normalized coordinates u divide out."""
+        return self.E * self.v0
+
     def load_index(self, bus_id: int) -> int:
         return self.load_ids.index(bus_id)
 

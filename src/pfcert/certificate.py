@@ -198,7 +198,7 @@ def voltage_bounds(cert: Certificate, red: GridReduction) -> VoltageBounds:
     """
     if not cert.holds:
         raise NoCertificate("voltage bounds require a holding certificate")
-    scale = red.E * red.v0
+    scale = red.scale
     centers = scale * cert.disc_centers
     rho = np.abs(scale) * cert.disc_radii
     abs_c = np.abs(centers)

@@ -44,7 +44,7 @@ EXIT_CERT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-MAX_GRID_POINTS = 10**6  # of a --points or --scale-grid grid, checked before the grid is built
+MAX_GRID_POINTS = 10**5  # of a --points or --scale-grid grid, checked before the grid is built
 
 _BRACKETED = (dict, list, tuple, np.ndarray, complex, np.complexfloating)  # lists of these print one per line
 
@@ -184,8 +184,14 @@ def _load(args):
         res = oracle.newton_solve(red, S_base)
         if not res.converged:
             raise SingularNetworkError("base-case power flow did not converge; no known solution")
-        red = renormalize_about_solution(red, res.V_L / red.E, S_base)
+        red = renormalize_about_solution(red, res.V_L / red.scale, S_base)
     return case, red, S_base
+
+
+def _actual_limit(case, red, S, certified: float) -> float:
+    """The oracle's nose along S. The bracket's lower end must be feasible, so it is
+    1e-3 or, if lower, half the total scaling lambda_p certified along S."""
+    return oracle.actual_limit(case, S, bracket=(min(1e-3, certified / 2), None), network=red)
 
 
 def args_case_name(case) -> str:
@@ -268,10 +274,11 @@ def cmd_limits(args) -> int:
         doc["total_scaling_w"] = 1.0 + est.lambda_w
         doc["total_scaling_d"] = 1.0 + est.lambda_d
     if args.with_oracle:
-        actual = oracle.actual_limit(case, direction=S_base, network=red)
+        bounds = {key: 1.0 + lam if est.mode == "from_known_solution" else lam
+                  for key, lam in (("p", est.lambda_p), ("w", est.lambda_w), ("d", est.lambda_d))}
+        actual = _actual_limit(case, red, S_base, bounds["p"])
         doc["lambda_actual"] = actual  # a total scaling from zero load in both modes
-        for key, lam in (("p", est.lambda_p), ("w", est.lambda_w), ("d", est.lambda_d)):
-            bound = 1.0 + lam if est.mode == "from_known_solution" else lam
+        for key, bound in bounds.items():
             doc[f"relative_error_{key}"] = (actual - bound) / actual
     _emit_table(args, doc, [k for k in doc if k != "meta"], [doc])
     return EXIT_OK
@@ -309,7 +316,7 @@ def cmd_sweep(args) -> int:
             "lambda_p": est.lambda_p,
             "lambda_w": est.lambda_w,
             "lambda_d": est.lambda_d,
-            "lambda_actual": oracle.actual_limit(case, direction=S, network=red) if args.with_oracle else None,
+            "lambda_actual": _actual_limit(case, red, S, est.lambda_p) if args.with_oracle else None,
         }
         for (phi_a, phi_b), S, est in zip(pairs, directions, estimates)
     ]

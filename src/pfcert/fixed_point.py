@@ -30,24 +30,11 @@ CONTAINMENT_SLACK = 1e-8
 class FixedPointResult:
     converged: bool
     u: np.ndarray  # last (or converged) normalized iterate
-    V_L: np.ndarray  # physical load voltages diag(E) diag(v0) u
+    V_L: np.ndarray  # physical load voltages red.scale * u
     iterations: int
     residual: float  # ||u - F(u)||_inf at the last iterate
     trace: tuple[float, ...] | None  # per-iteration residual norms
     note: str | None = None
-
-
-def _map(u: np.ndarray, Zt: np.ndarray, S0c: np.ndarray, Sc: np.ndarray) -> np.ndarray:
-    """F(u) from Ztilde, S0* and S_L*: the map's one formula."""
-    return 1.0 + Zt @ (S0c - Sc / u.conj())
-
-
-def evaluate_F(u: np.ndarray, red: GridReduction, S_L: np.ndarray) -> np.ndarray:
-    """One application of the fixed-point map; u must have no zero entries."""
-    u, S_L = load_vector(red, u, "u"), load_vector(red, S_L, "S_L")
-    if np.any(u == 0):
-        raise ValueError("fixed-point map undefined: iterate has zero entries")
-    return _map(u, red.Ztilde, red.S0.conj(), S_L.conj())
 
 
 def solve_fixed_point(
@@ -66,11 +53,11 @@ def solve_fixed_point(
     converged iterate is checked against its polydisc.
 
     tol (0 < tol < inf), start (no zero entry) and the lengths of start and
-    S_L are checked once per solve, and the steps apply F without
-    evaluate_F's checks: no iterate with a zero entry is ever mapped, since
-    the loop stops as soon as an entry falls below DIVERGENCE_CUTOFF in
-    magnitude. With max_iter=k and
-    no earlier convergence, u is the k-th iterate from start.
+    S_L are checked once per solve, and the steps apply F unchecked: no
+    iterate with a zero entry is ever mapped, since the loop stops as soon
+    as an entry falls below DIVERGENCE_CUTOFF in magnitude. With max_iter=k
+    and no earlier convergence, u is the k-th iterate from start, so
+    max_iter=1 applies F once.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
@@ -86,7 +73,7 @@ def solve_fixed_point(
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        fu = _map(u, Zt, S0c, Sc)
+        fu = 1.0 + Zt @ (S0c - Sc / u.conj())  # F(u)
         residual = float(np.abs(u - fu).max())
         trace.append(residual)
         u = fu
@@ -112,7 +99,7 @@ def solve_fixed_point(
     return FixedPointResult(
         converged=converged,
         u=u,
-        V_L=red.E * red.v0 * u,
+        V_L=red.scale * u,
         iterations=iterations,
         residual=residual,
         trace=tuple(trace),

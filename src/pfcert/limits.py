@@ -242,7 +242,7 @@ def bound_profile(red: GridReduction, S_base: np.ndarray, bus_id: int, lambda_gr
         k = red.load_index(bus_id)
     except ValueError as exc:
         raise CaseError(f"bus {bus_id} is not a load bus") from exc
-    scale = float(abs(red.E[k] * red.v0[k]))
+    scale = float(abs(red.scale[k]))
     bounds = []
     for lam in lambda_grid:
         cert, wang, dvij = certify_all(red, lam * S_base)

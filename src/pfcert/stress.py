@@ -34,10 +34,6 @@ class StressMeasures:
     Delta: float  # (1 - gamma)^2 - 4 xi^2 eta^2
 
     @property
-    def n(self) -> int:
-        return len(self.xi)
-
-    @property
     def stress_level(self) -> float:
         """gamma + 2 xi eta, the scalar the primary certificate compares to 1."""
         return self.gamma_max + 2.0 * self.xi_max * self.eta_max

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from pfcert.admittance import GridReduction
 from pfcert.certificate import Certificate
-from pfcert.fixed_point import DIVERGENCE_CUTOFF, FixedPointResult, evaluate_F, solve_fixed_point
+from pfcert.fixed_point import DIVERGENCE_CUTOFF, FixedPointResult, solve_fixed_point
 from pfcert.net_model import (
     _ASSIGNMENT,
     BranchRecord,
@@ -184,7 +184,8 @@ def check_convergence_rate(
 
 
 def reference_fixed_point(red, S_L, start=None, tol=1e-10, max_iter=1000):
-    """The fixed-point loop applying evaluate_F, with all its checks, at every step."""
+    """The fixed-point loop applying F(u) = 1 + Ztilde (S0* - S_L*/u*) by its formula,
+    checking every iterate for zero entries before the step."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     S_L = np.asarray(S_L, dtype=complex)
@@ -199,7 +200,9 @@ def reference_fixed_point(red, S_L, start=None, tol=1e-10, max_iter=1000):
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        fu = evaluate_F(u, red, S_L)
+        if np.any(u == 0):
+            raise ValueError("fixed-point map undefined: iterate has zero entries")
+        fu = 1.0 + red.Ztilde @ (red.S0.conj() - S_L.conj() / u.conj())
         residual = float(np.abs(u - fu).max())
         trace.append(residual)
         u = fu

@@ -20,7 +20,7 @@ from pfcert.net_model import (
     load_power_vector,
 )
 from pfcert.certificate import certify_all
-from pfcert.fixed_point import evaluate_F, solve_fixed_point
+from pfcert.fixed_point import solve_fixed_point
 from pfcert.limits import lambda_all, prepare
 from pfcert.oracle import actual_limit, newton_solve
 
@@ -226,16 +226,27 @@ def test_recentered_ztilde_divides_the_base_ztilde_by_v0():
     assert red2.Ztilde.tobytes() == expected.tobytes()
 
 
+def test_scale_is_e_times_v0_bit_for_bit():
+    """red.scale is the vector product the fixed point and the voltage bounds each formed
+    before; on a base reduction (v0 = 1) it is E itself, so the CLI's res.V_L / red.scale
+    is the old res.V_L / red.E."""
+    for name in BUNDLED:
+        red, S = prepare(case_path_case(f"{name}.m"))
+        assert red.scale.tobytes() == (red.E * red.v0).tobytes() == red.E.tobytes()
+        red2 = renormalize_about_solution(red, newton_solve(red, S).V_L / red.scale, S)
+        assert red2.scale.tobytes() == (red2.E * red2.v0).tobytes()
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_factored_residual_matches_the_dense_map(name):
-    """fixed_point_residual's one solve against evaluate_F's dense product, at the fixed
+    """fixed_point_residual's one solve against one dense step of F, at the fixed
     points of 0.5, 0.9 and 0.99 lambda_p from zero load."""
     red, S = prepare(case_path_case(f"{name}.m"))
     lam = lambda_all(red, S).lambda_p
     for s in (0.5, 0.9, 0.99):
         res = solve_fixed_point(red, s * lam * S)
         assert res.converged
-        dense = np.abs(res.u - evaluate_F(res.u, red, s * lam * S)).max()
+        dense = np.abs(res.u - solve_fixed_point(red, s * lam * S, start=res.u, max_iter=1).u).max()
         assert abs(fixed_point_residual(red, res.u, s * lam * S) - dense) <= 1e-14
 
 

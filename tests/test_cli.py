@@ -18,7 +18,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import pfcert
-from pfcert import admittance, cli, oracle
+from pfcert import admittance, cli, limits, oracle
 from pfcert.cli import main
 from pfcert.net_model import CaseError, build_case, load_case_file, partition_buses
 
@@ -447,6 +447,40 @@ def test_limits_known_solution_relative_error_is_against_the_true_limit(tmp_path
     assert doc["relative_error_p"] == pytest.approx(0.1175, abs=1e-4)
 
 
+@pytest.fixture
+def case9_times_10k(tmp_path):
+    """case9 with every bus's demand x 10^4: lambda_p = 2.44e-4, so the nose lies
+    below the oracle's default lower bracket end of 1e-3."""
+    case = load_case_file(case_path("case9.m"))
+    buses = [replace(b, demand=b.demand * 1e4) for b in case.buses]
+    path = tmp_path / "case9_x1e4.json"
+    path.write_text(emit_json(build_case(case.base_mva, buses, list(case.branches), list(case.gens), case.slack_bus)))
+    return path
+
+
+def test_oracle_commands_answer_when_the_nose_is_below_1e_3(case9_times_10k, tmp_path):
+    """Both exited 2 with "lower bracket end lambda=0.001 is itself infeasible"; the
+    bracket now starts at half the certified lambda_p, inside the certified range."""
+    case = load_case_file(case9_times_10k)
+    red, S = limits.prepare(case)
+    out = tmp_path / "limits.json"
+    assert run(["limits", "--case", case9_times_10k, "--with-oracle", "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["lambda_p"] <= doc["lambda_actual"]
+    low = oracle.actual_limit(case, S, bracket=(1e-5, None), network=red)
+    assert doc["lambda_actual"] == pytest.approx(low, rel=0, abs=2e-10)
+
+    out = tmp_path / "sweep.json"
+    assert run(["sweep", "--case", case9_times_10k, "--points", 4, "--with-oracle", "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    pairs = [(2.0 * math.pi * k / 4,) * 2 for k in range(4)]  # the angles of --points 4
+    _, directions, _ = limits.direction_sweep(red, S, doc["meta"]["bus_a"], doc["meta"]["bus_b"], pairs)
+    for row, direction in zip(doc["points"], directions, strict=True):
+        assert row["lambda_p"] <= row["lambda_actual"]
+        low = oracle.actual_limit(case, direction, bracket=(1e-5, None), network=red)
+        assert row["lambda_actual"] == pytest.approx(low, rel=0, abs=2e-10)
+
+
 def test_cli_import_leaves_scipy_optimize_out():
     """Neither importing the CLI nor reading a case loads scipy.optimize or scipy.sparse.csgraph:
     every command's start-up and peak memory would pay for them."""
@@ -545,10 +579,10 @@ def test_empty_grid_is_exit_2(args, tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["sweep", "--points", 10**6 + 1], "--points must be at most 1000000"),
-        (["bounds", "--bus", 5, "--scale-grid", "1:2.5:1e-12"], "grid '1:2.5:1e-12' has more than 1000000 points"),
+        (["sweep", "--points", 10**5 + 1], "--points must be at most 100000"),
+        (["bounds", "--bus", 5, "--scale-grid", "1:2.5:1e-12"], "grid '1:2.5:1e-12' has more than 100000 points"),
         (["bounds", "--bus", 5, "--scale-grid", "0:1e308:1e-308"],
-         "grid '0:1e308:1e-308' has more than 1000000 points"),
+         "grid '0:1e308:1e-308' has more than 100000 points"),
     ],
     ids=["points", "scale grid", "scale grid of infinite span"],
 )
@@ -564,7 +598,7 @@ def test_grid_over_max_grid_points_is_exit_2(args, message, capsys):
 
 def test_scale_grid_of_max_grid_points_is_built():
     assert len(cli._parse_grid(f"1:{cli.MAX_GRID_POINTS}:1")) == cli.MAX_GRID_POINTS
-    with pytest.raises(CaseError, match="more than 1000000 points"):
+    with pytest.raises(CaseError, match="more than 100000 points"):
         cli._parse_grid(f"1:{cli.MAX_GRID_POINTS + 1}:1")
 
 
