@@ -216,10 +216,12 @@ def reduce_case(case: NetworkCase, gen_phasors: str = "case") -> GridReduction:
 
 
 def load_vector(red: GridReduction, x: np.ndarray, name: str) -> np.ndarray:
-    """x as a complex array, which must hold one entry per load bus of red; CaseError otherwise."""
+    """x as a complex array, which must hold one finite entry per load bus of red; CaseError otherwise."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (red.n_load,):
         raise CaseError(f"{name} has shape {x.shape}, expected ({red.n_load},): one entry per load bus")
+    if not np.isfinite(x).all():
+        raise CaseError(f"{name} has a non-finite entry")
     return x
 
 

@@ -1,26 +1,28 @@
 """Solvability-limit estimation along loading directions, direction sweeps,
 and voltage-bound-versus-loading profiles for all three certificates.
 
-Every closed-form limit is taken on one kind of load line, where the stress
+Every limit is a closed form on one kind of load line, where the stress
 measures are affine in the scaling factor lambda:
 
     xi_i(lambda) = x0_i + lambda x1_i,    eta_i(lambda) = lambda e1_i.
 
 Scaling from zero load gives x0 = 0, x1 = xi(S) and e1 = eta(S), since both
 measures scale with the load. About a known solution (v0, S0), increments
-along D = c S0 give x0 = x1 = xi(S0) and e1 = eta(S0) with lambda counted in
-units of 1/c. On such a line every certificate boundary is a per-bus
-quadratic or a closed form in lambda (_line_limits).
+along D = c S0 with c > 0 give x0 = x1 = xi(S0) and e1 = eta(S0) with lambda
+counted in units of 1/c. On such a line every certificate boundary is a
+per-bus quadratic or a closed form in lambda (_line_limits). Any other
+increment about a known solution is not a load line, since |S0 + lambda D|
+is not affine in lambda, and lambda_all refuses it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .admittance import GridReduction, reduce_case
+from .admittance import GridReduction, load_vector, reduce_case
 from .certificate import certify_all, voltage_bounds
 from .net_model import CaseError, NetworkCase, load_power_vector
 from .stress import StressMeasures, compute_stress, first_positive_roots
@@ -112,77 +114,27 @@ def _positive_scalar_ratio(direction: np.ndarray, S0: np.ndarray) -> float | Non
     return c
 
 
-def _first_failure(holds) -> float:
-    """sup of the leading interval of scalings on which `holds` is true."""
-    if not holds(1e-12):
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if not holds(hi):
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        return math.inf
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
 def lambda_all(red: GridReduction, S_L: np.ndarray) -> LimitEstimates:
-    """All three limit estimates along the direction S_L.
+    """All three limit estimates along the direction S_L, one load per load bus.
 
     The mode follows red.S0. On a reduction from reduce_network (S0 = 0),
     loads scale from zero: total load lambda S_L. On one re-centered on a
     known solution (v0, S0) by renormalize_about_solution, the estimates are
     the maximum certified incremental scalings: increment lambda S_L on top
-    of S0. Both are load lines xi_i = x0_i + lambda x1_i, eta_i = lambda e1_i
-    with closed-form limits (from zero x0 = 0; about a known solution, for
-    S_L = c S0, x0 = x1 = xi(S0) and every limit is divided by c). Other
-    increment directions are not such a line, since |S0 + lambda S_L| is
-    not affine in lambda: lambda_p and lambda_d then come from bisection on
-    the certificate conditions.
+    of S0, where S_L must be c S0 with c > 0 (x0 = x1 = xi(S0), and every
+    limit is divided by c). Both are load lines with closed-form limits.
+    Any other direction about a known solution raises CaseError.
     """
-    S_L = np.asarray(S_L, dtype=complex)
+    S_L = load_vector(red, S_L, "direction")
     if not S_L.any():
         raise CaseError("load direction is identically zero")
     if not red.S0.any():
         return _line_limits(red, "from_zero", compute_stress(red.Ztilde, S_L))
     c = _positive_scalar_ratio(S_L, red.S0)
-    if c is not None:
-        m0 = compute_stress(red.Ztilde, red.S0)
-        return _line_limits(red, "from_known_solution", m0, m0, c)
-    return _skew_limits(red, S_L)
-
-
-def _skew_limits(red: GridReduction, D: np.ndarray) -> LimitEstimates:
-    """Bisection for increment directions not proportional to S0.
-
-    Wang's condition, (1 - xi(S0))^2 - 4 lambda xi(D) > 0, needs only the
-    line's maxima, so lambda_w still comes from _line_limits.
-    """
-    Zt, S0 = red.Ztilde, red.S0
-    line = _line_limits(red, "from_known_solution", compute_stress(Zt, D), compute_stress(Zt, S0))
-
-    def proposed_holds(lam: float) -> bool:
-        m = compute_stress(Zt, S0 + lam * D, lam * D)
-        return m.stress_level < 1.0 and m.stress_spread <= 1.0
-
-    def dvij_holds(lam: float) -> bool:
-        m = compute_stress(Zt, S0 + lam * D, lam * D)
-        return math.sqrt(m.xi_max) + math.sqrt(m.eta_max) <= 1.0
-
-    return replace(
-        line,
-        lambda_p=_first_failure(proposed_holds),
-        lambda_d=_first_failure(dvij_holds),
-        critical_bus=None,
-    )
+    if c is None:
+        raise CaseError("about a known solution the load direction must be c*S0, a positive multiple of its load")
+    m0 = compute_stress(red.Ztilde, red.S0)
+    return _line_limits(red, "from_known_solution", m0, m0, c)
 
 
 def default_sweep_buses(red: GridReduction, S_base: np.ndarray) -> tuple[int, int]:

@@ -27,6 +27,7 @@ NEWTON_MAX_ITER = 30  # iterations per solve at a fixed loading
 CORRECTOR_MAX_ITER = 40  # iterations per continuation corrector
 SERIES_TERMS = 40  # power-series coefficients of the zero-load start, one Y_LL solve each
 SERIES_FRACTION = 0.95  # the start's loading as a fraction of the nose the series estimates
+FOLD_MAX_PASSES = 60  # passes of the fold's bracket loop, one held s each
 
 
 @dataclass(frozen=True)
@@ -255,14 +256,17 @@ def actual_limit(
     the bracket and solves, and jumps to the nose the series estimates, then
     to that of a cubic lambda(s); otherwise it starts at bracket[0], which must
     then be feasible. Returns the lambda of a point solved to FOLD_TOL that the
-    fold's quadratic model puts within tol of the nose, whatever the path; 1e-10
-    is below the 9 digits the CLI prints. Each corrector runs CORRECTOR_MAX_ITER
+    fold's quadratic model puts within tol min(1, lambda) of the nose, whatever
+    the path: absolute at and above lambda = 1, relative below, so the answer's
+    digits do not depend on the direction's units; 1e-10 is below the 9 digits
+    the CLI prints. Each corrector runs CORRECTOR_MAX_ITER
     iterations at most: to FOLD_TOL inside the fold's bracket and for the point
     returned, to NEWTON_TOL before. Both bound max(|dP|, |dQ|) over the load-bus
     equations, so the returned point's per-bus |dS| is at most sqrt(2) FOLD_TOL.
     network is the case's reduction, reduce_case(case) if None.
     Raises CaseError when the nose is at or above bracket[1], when lambda
-    passes 2**60 * bracket[0], or when a corrector breaks down.
+    passes 2**60 * bracket[0], when a corrector breaks down, or when the fold's
+    bracket has not closed after FOLD_MAX_PASSES passes.
     """
     net = network if network is not None else reduce_case(case)
     return _nose(net, load_vector(net, direction, "direction"), bracket, tol)[0]
@@ -286,8 +290,8 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
     lambda = rho - |a| (s - s*)^2 / 2 with the series' nose rho and g = dlambda/ds,
     puts the nose: s* = s0 + 2 (rho - lambda0) / g0, s the magnitude of the
     start's fastest load bus. A point short of the nose is returned when the
-    fold's test puts it within tol of it (once polished, see below); otherwise
-    the next is held where _cubic_fold puts it, short of the cubic's peak
+    fold's test puts it within tol min(1, lambda) of it (once polished, see
+    below); otherwise the next is held where _cubic_fold puts it, short of the cubic's peak
     beyond, and so on from the last two points. When a corrector fails or |g|
     does not fall, the continuation resumes from the last solved point. Its
     first step moves no load magnitude by more than 0.03 p.u. after the series
@@ -349,12 +353,13 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
             if not 0 < abs(g1) < abs(g0):  # g does not fall toward the nose
                 res, y, t = res1, y1, t1
                 break
-            if g1 * g1 * abs(h) <= 2.0 * tol * abs(g0 - g1):  # the fold's test (see below)
+            eps = tol * min(1.0, y1[lam])  # the fold's tolerance: absolute at and above lambda = 1, relative below
+            if g1 * g1 * abs(h) <= 2.0 * eps * abs(g0 - g1):  # the fold's test (see below)
                 if res1.mismatch_norm < FOLD_TOL:
                     return y1[lam], res1.V_L
                 res1, y1, t1 = correct(y1, crit, FOLD_TOL)  # polish at the same s, then test its own tangent
                 continue
-            s = _cubic_fold(y[crit], g0, y[lam], y1[crit], g1, y1[lam], 1.0, tol)
+            s = _cubic_fold(y[crit], g0, y[lam], y1[crit], g1, y1[lam], 1.0, eps)
             res, y, t, g0 = res1, y1, t1, g1
             res1, y1, t1 = correct(y + (s - y[crit]) / t[crit] * t, crit)
     dv = np.abs(t[n:lam]).max()  # the largest load-magnitude rate; 0 for a zero direction
@@ -380,14 +385,15 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
 
     ends = [(y[crit], t[lam] / t[crit], y, t, res), (y1[crit], t1[lam] / t1[crit], y1, t1, res1)]
     last, same = None, 0  # the end replaced last, and how many times in a row
-    while True:
+    for _ in range(FOLD_MAX_PASSES):
         (sa, ga, ya, *_), (sb, gb, yb, *_) = ends
         slope = (gb - ga) / (sb - sa)
         _, g, y, _, res = min(ends, key=lambda e: abs(e[1]))
+        eps = tol * min(1.0, y[lam])
         # near the fold lambda = lambda* + slope (s - s*)^2 / 2, so lambda* - lambda = g^2 / (2 |slope|)
-        if res.mismatch_norm < FOLD_TOL and (g * g / (2.0 * abs(slope)) <= tol or abs(sb - sa) <= 1e-13):
+        if res.mismatch_norm < FOLD_TOL and (g * g / (2.0 * abs(slope)) <= eps or abs(sb - sa) <= 1e-13):
             return y[lam], res.V_L
-        s = 0.5 * (sa + sb) if same >= 2 else _cubic_fold(sa, ga, ya[lam], sb, gb, yb[lam], -1.0, tol)
+        s = 0.5 * (sa + sb) if same >= 2 else _cubic_fold(sa, ga, ya[lam], sb, gb, yb[lam], -1.0, eps)
         s0, _, y0, t0, _ = min(ends, key=lambda e: abs(s - e[0]))  # start from the nearer end
         while True:
             res, y, t = correct(y0 + (s - s0) / t0[crit] * t0, crit, FOLD_TOL)
@@ -400,6 +406,7 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
         same = same + 1 if side == last else 1
         last = side
         ends[side] = (y[crit], t[lam], y, t, res)
+    raise CaseError(f"the fold's bracket did not close near lambda={y[lam]}")
 
 
 def _cubic_fold(sa: float, ga: float, la: float, sb: float, gb: float, lb: float, side: float, tol: float) -> float:

@@ -144,21 +144,6 @@ def test_known_solution_direction_scaling_consistency():
     assert est2.lambda_d == pytest.approx(est1.lambda_d / 2, rel=1e-12)
 
 
-def test_known_solution_generic_direction_bisection():
-    case = make_star(loads=((1.0, 0.3), (0.8, 0.2), (0.5, 0.1)))
-    red, S = prepare(case)
-    sol = solve_fixed_point(red, S, tol=1e-12)
-    skew = S * np.array([1.0, 0.2 + 0.1j, 3.0])  # not a positive multiple of S
-    est = lambda_all(renormalize_about_solution(red, sol.u, S), skew)
-    assert est.lambda_p > 0
-    red2 = renormalize_about_solution(red, sol.u, S)
-    lam = est.lambda_p
-    m_ok = compute_stress(red2.Ztilde, S + (lam * (1 - 1e-9)) * skew, lam * (1 - 1e-9) * skew)
-    m_bad = compute_stress(red2.Ztilde, S + (lam * (1 + 1e-9)) * skew, lam * (1 + 1e-9) * skew)
-    assert m_ok.stress_level < 1 and m_ok.stress_spread <= 1
-    assert not (m_bad.stress_level < 1 and m_bad.stress_spread <= 1)
-
-
 def make_triangle():
     """Meshed case (certificate strictly conservative, unlike independent feeders)."""
     from pfcert.net_model import BranchRecord, BusRecord, GenRecord, build_case
@@ -330,22 +315,16 @@ def test_from_zero_limits_close_their_conditions(name):
         assert_closes(lambda lam: certify_dvijotham(stress(lam)).holds, est.lambda_d)
 
 
-@pytest.mark.parametrize("c", [0.5, 2.0, pytest.param(None, id="skew")])
+@pytest.mark.parametrize("c", [0.5, 2.0])
 @pytest.mark.parametrize("name", BUNDLED)
 def test_known_solution_limits_close_their_conditions(name, c):
-    """Increments c S about the solved base point, and (c = None) one seeded
-    direction that is not a positive multiple of S, whose lambda_p and
-    lambda_d come from bisection."""
+    """Increments c S about the solved base point."""
     case = load_case_file(case_path(f"{name}.m"))
     red, S = prepare(case)
     res = newton_solve(red, S)
     assert res.converged
     recentered = renormalize_about_solution(red, res.V_L / red.E, S)
-    if c is None:
-        D = random_loads(np.random.default_rng(BUNDLED.index(name)), red.n_load)
-        assert limits._positive_scalar_ratio(D, S) is None
-    else:
-        D = c * S
+    D = c * S
     est = lambda_all(recentered, D)
     Zt = recentered.Ztilde
     base = compute_stress(Zt, S)
@@ -356,6 +335,43 @@ def test_known_solution_limits_close_their_conditions(name, c):
     assert_closes(lambda lam: certify(stress(lam)).holds, est.lambda_p)
     assert_closes(lambda lam: certify_wang(base, compute_stress(Zt, lam * D)).holds, est.lambda_w)
     assert_closes(lambda lam: certify_dvijotham(stress(lam)).holds, est.lambda_d)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_known_solution_takes_only_positive_multiples_of_its_load(name):
+    """About a known solution every limit is the closed form on the line c S0, c > 0,
+    and any other direction raises: -S0, j S0, and the seeded direction that is not a
+    multiple of S0 at all."""
+    red, S = prepare(load_case_file(case_path(f"{name}.m")))
+    res = newton_solve(red, S)
+    assert res.converged
+    recentered = renormalize_about_solution(red, res.V_L / red.E, S)
+    m0 = compute_stress(recentered.Ztilde, S)
+    for c in (0.5, 2.0, 1.0 + 1e-13):
+        est = lambda_all(recentered, c * S)
+        line = _line_limits(recentered, "from_known_solution", m0, m0, c)
+        assert (est.lambda_p, est.lambda_w, est.lambda_d) == pytest.approx(
+            (line.lambda_p, line.lambda_w, line.lambda_d), rel=1e-15)
+        assert (est.critical_bus, est.mode) == (line.critical_bus, "from_known_solution")
+    skew = random_loads(np.random.default_rng(BUNDLED.index(name)), red.n_load)
+    for D in (-S, 1j * S, skew):
+        with pytest.raises(CaseError, match="positive multiple"):
+            lambda_all(recentered, D)
+
+
+@pytest.mark.parametrize("known", [False, True], ids=["from_zero", "known"])
+@pytest.mark.parametrize("edit", ["short", "long", "nan", "inf"])
+def test_malformed_direction_is_a_case_error(edit, known):
+    """A direction with the wrong length or a non-finite entry is refused on both branches,
+    not met by an IndexError, a broadcast error or a NaN that reads as an infinite limit."""
+    red, S = prepare(load_case_file(case_path("case9.m")))
+    if known:
+        res = newton_solve(red, S)
+        red = renormalize_about_solution(red, res.V_L / red.E, S)
+    D = {"short": S[:-1], "long": np.r_[S, S[0]], "nan": np.where(np.arange(len(S)) == 1, np.nan, S),
+         "inf": np.where(np.arange(len(S)) == 1, np.inf, S)}[edit]
+    with pytest.raises(CaseError, match="direction has"):
+        lambda_all(red, D)
 
 
 def test_line_past_the_spread_boundary_certifies_nothing():

@@ -595,6 +595,42 @@ def test_actual_limit_corrector_breakdown_raises(monkeypatch):
         actual_limit(make_two_bus(p=1.0), np.array([1.0 + 0j]))
 
 
+def test_fold_bracket_that_never_closes_raises(monkeypatch):
+    """The fold's bracket returns only a point solved to FOLD_TOL. With every converged corrector reporting a
+    mismatch of FOLD_TOL, no point is, so the bracket cannot close: it ends after FOLD_MAX_PASSES passes in a
+    CaseError that names lambda, instead of re-solving one s forever. The patched corrector raises after 1,000
+    calls, so a loop with no exit fails here instead of hanging."""
+    case = case_path_case("case9.m")
+    red, S = limits.prepare(case)
+    correct, calls = _NewtonKernel.correct, []
+
+    def never_tight(self, *args):
+        calls.append(1)
+        if len(calls) > 1000:
+            raise RuntimeError("the fold's bracket loop does not end")
+        res, y, t = correct(self, *args)
+        return (replace(res, mismatch_norm=FOLD_TOL) if res.converged else res), y, t
+
+    monkeypatch.setattr(oracle, "_series_start", lambda *args: None)  # from bracket[0]: no jump, no polish
+    monkeypatch.setattr(_NewtonKernel, "correct", never_tight)
+    with pytest.raises(CaseError, match="bracket did not close near lambda=[0-9]"):
+        actual_limit(case, S, network=red)
+
+
+@pytest.mark.parametrize("k", [1e4, 1e6])
+@pytest.mark.parametrize("name", ["case9", "case39", "case118"])
+def test_answer_does_not_depend_on_the_direction_units(name, k):
+    """The fold's tolerance is tol * min(1, lambda): absolute at and above lambda = 1, relative below. So
+    k * actual_limit(k d) is actual_limit(d) to 1e-10 relative, and stays below its own tol = 1e-13 run.
+    Measured: at most 7.1e-11; with an absolute tolerance, 2.6e-9 to 2.2e-5."""
+    case = case_path_case(f"{name}.m")
+    red, S = limits.prepare(case)
+    bracket = (1e-3 / k, None)
+    scaled = k * actual_limit(case, k * S, bracket=bracket, network=red)
+    assert scaled == pytest.approx(actual_limit(case, S, network=red), rel=1e-10, abs=0)
+    assert scaled <= k * actual_limit(case, k * S, bracket=bracket, tol=1e-13, network=red)
+
+
 def failing(calls, fails):
     """_NewtonKernel.correct recording (tolerance, converged) of each call, with the
     calls for which fails(tolerance, number of earlier calls) holds reported failed."""
