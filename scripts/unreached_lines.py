@@ -1,20 +1,28 @@
-"""Report the src/pfcert lines that no golden command runs.
+"""Report the src/pfcert lines that no golden command runs, and those that no test runs.
 
-Runs the 107 golden CLI commands of tests/test_golden.py in this process, under
-sys.settrace from before pfcert is imported, and prints for each module the
-executable lines (those the compiled module maps bytecode to) that never ran,
-as line ranges. Code that no command reaches shows up here: either a command
-should reach it, or it can go. A line that only runs under a fault no golden
-command has (an error path, a fallback) is listed too.
+Imports every pfcert module under sys.settrace, then runs the 107 golden CLI
+commands of tests/test_golden.py and, separately, the tier-1 test suite
+(pytest.main, in this process) under the same tracer. For each of the two runs
+it prints, per module, the executable lines (those the compiled module maps
+bytecode to) that never ran, as line ranges; the lines that run at import count
+as run by both. Code that no command reaches shows up in the first section:
+either a command should reach it, or it can go. A line in the second section is
+one no test checks: an error path or guard with no test, or dead code. Tests
+that start a fresh interpreter are not traced.
 
     python scripts/unreached_lines.py
 """
 
 import contextlib
+import importlib
 import io
+import os
+import pkgutil
 import sys
 import tempfile
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pfcert"
@@ -42,8 +50,8 @@ def ranges(lines: list[int]) -> str:
     return ", ".join(f"{a}-{b}" if a != b else f"{a}" for a, b in runs)
 
 
-def ran_lines() -> tuple[int, dict[str, set[int]]]:
-    """Run the golden commands under the tracer: their number, and the src/pfcert lines that ran per file."""
+def traced(run):
+    """Call run() under the tracer: its result, and the src/pfcert lines that ran per file."""
     ran: dict[str, set[int]] = {}
 
     def trace(frame, event, arg):
@@ -55,19 +63,37 @@ def ran_lines() -> tuple[int, dict[str, set[int]]]:
 
     sys.settrace(trace)
     try:
-        from test_golden import ARTIFACTS, produce
-
-        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
-            for name, args in ARTIFACTS:
-                produce(args, Path(tmp) / name)
+        return run(), ran
     finally:
         sys.settrace(None)
-    return len(ARTIFACTS), ran
 
 
-def main() -> None:
-    commands, ran = ran_lines()
-    print(f"src/pfcert lines that none of the {commands} golden commands runs:")
+def import_modules() -> None:
+    """Import every pfcert module, so that the lines that run at import are traced once."""
+    for info in pkgutil.iter_modules([str(SRC)]):
+        importlib.import_module(f"pfcert.{info.name}")
+
+
+def golden_commands() -> int:
+    """Run the golden commands; their number."""
+    from test_golden import ARTIFACTS, produce
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
+        for name, args in ARTIFACTS:
+            produce(args, Path(tmp) / name)
+    return len(ARTIFACTS)
+
+
+def tier1_suite() -> str:
+    """Run the tier-1 suite quietly, with src on the PYTHONPATH of the processes it starts; its summary line."""
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", str(ROOT / "tests")])
+    return out.getvalue().strip().splitlines()[-1].strip("= ")
+
+
+def report(title: str, ran: dict[str, set[int]]) -> None:
+    print(title)
     total = 0
     for path in sorted(SRC.glob("*.py")):
         lines = executable_lines(path)
@@ -75,6 +101,18 @@ def main() -> None:
         total += len(missed)
         print(f"- {path.name}: {len(missed)} of {len(lines)} lines" + (f": {ranges(missed)}" if missed else ""))
     print(f"Total: {total} lines")
+
+
+def main() -> None:
+    _, imported = traced(import_modules)
+    commands, by_commands = traced(golden_commands)
+    summary, by_tests = traced(tier1_suite)
+    for ran in (by_commands, by_tests):
+        for path, lines in imported.items():
+            ran.setdefault(path, set()).update(lines)
+    report(f"src/pfcert lines that none of the {commands} golden commands runs:", by_commands)
+    print()
+    report(f"src/pfcert lines that no tier-1 test runs ({summary}):", by_tests)
 
 
 if __name__ == "__main__":

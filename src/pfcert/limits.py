@@ -100,10 +100,8 @@ def _line_limits(
 
 
 def _positive_scalar_ratio(direction: np.ndarray, S0: np.ndarray) -> float | None:
-    """c > 0 with direction == c * S0 entrywise, or None."""
+    """c > 0 with direction == c * S0 entrywise, or None. S0 must not be all zero."""
     j = int(np.argmax(np.abs(S0)))
-    if S0[j] == 0:
-        return None
     ratio = direction[j] / S0[j]
     if abs(ratio.imag) > 1e-12 * abs(ratio) or ratio.real <= 0:
         return None

@@ -400,7 +400,7 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
             if res.converged:
                 break
             s = 0.5 * (s + s0)  # shrink toward the end that converged
-            if abs(s - s0) < 1e-12:
+            if not abs(s - s0) >= 1e-12:  # a NaN s, once the ends have met, stops here too
                 raise CaseError(f"corrector broke down at the nose near lambda={y0[lam]}")
         side = int((t[lam] > 0) != (ga > 0))
         same = same + 1 if side == last else 1

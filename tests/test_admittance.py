@@ -1,9 +1,12 @@
 """Admittance assembly, reduction, and renormalization about a known solution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pfcert.admittance import (
+    AdmittanceMatrix,
     NotASolutionError,
     SingularNetworkError,
     build_admittance,
@@ -16,6 +19,7 @@ from pfcert.net_model import (
     BranchRecord,
     CaseError,
     NetworkCase,
+    build_case,
     generator_phasors,
     load_power_vector,
 )
@@ -135,6 +139,33 @@ def test_isolated_load_is_singular():
         reduce_network(Y, generator_phasors(case, Y.bus_order[: Y.n_gen]))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda Y, V_G: (AdmittanceMatrix(Y.matrix[:1, :1], Y.bus_order[:1], 1), V_G), "at least one load bus"),
+    (lambda Y, V_G: (Y, np.r_[V_G, V_G]), r"^V_G has shape \(2,\), expected \(1,\)$"),
+    (lambda Y, V_G: (Y, 0 * V_G), "^V_G entries must be nonzero$"),
+], ids=["no load bus", "V_G of the wrong length", "zero V_G entry"])
+def test_reduce_network_rejects_malformed_input(edit, message):
+    case = make_two_bus()
+    Y = build_admittance(case)
+    with pytest.raises(CaseError, match=message):
+        reduce_network(*edit(Y, generator_phasors(case, Y.bus_order[: Y.n_gen])))
+
+
+def test_reduce_case_rejects_an_unknown_gen_phasors_mode():
+    with pytest.raises(CaseError, match="unknown gen_phasors mode 'bogus'"):
+        reduce_case(make_two_bus(), "bogus")
+
+
+def test_shunted_island_has_no_equivalent_voltage():
+    """A load bus cut off from every generator but held to ground by a shunt leaves Y_LL
+    nonsingular; its equivalent voltage E is zero, and the reduction refuses it."""
+    case = make_star()
+    buses = [*case.buses[:-1], replace(case.buses[-1], shunt=10j)]
+    branches = [*case.branches[:-1], replace(case.branches[-1], in_service=False)]
+    with pytest.raises(SingularNetworkError, match="equivalent voltage E has non-finite or"):
+        reduce_case(build_case(case.base_mva, buses, branches, list(case.gens)))
+
+
 def test_normalization_identity():
     red = reduce_case(make_star())
     n = red.n_load
@@ -183,6 +214,8 @@ def test_renormalize_rejects_non_solution():
     assert fixed_point_residual(red, np.ones(1), np.array([2.5 + 0j])) == pytest.approx(0.25)  # |0.1j * 2.5|
     with pytest.raises(NotASolutionError, match="residual 2.500e-01"):
         renormalize_about_solution(red, np.ones(1), np.array([2.5 + 0j]))
+    with pytest.raises(NotASolutionError, match="v0 has zero entries"):
+        renormalize_about_solution(red, np.zeros(1), np.array([2.5 + 0j]))
 
 
 def dense_formed(red) -> int:

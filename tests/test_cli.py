@@ -251,6 +251,25 @@ def test_solve_infeasible_is_exit_3(two_bus_file, capsys):
     assert err["error"] == "numerical"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["certify", "--known-solution"], "no known solution"),
+    (["limits", "--gen-phasors", "solved"], "base-case power flow did not converge"),
+], ids=["certify --known-solution", "limits --gen-phasors solved"])
+def test_infeasible_base_case_is_exit_3(args, message, tmp_path, capsys):
+    path = tmp_path / "two_bus.json"
+    path.write_text(emit_json(make_two_bus(p=10.0)))
+    command, *rest = args
+    assert run([command, "--case", path, *rest]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical" and message in err["message"]
+
+
+def test_dumps_stable_empty_containers_and_unknown_types():
+    assert (cli.dumps_stable({}), cli.dumps_stable([]), cli.dumps_stable(())) == ("{}", "[]", "[]")
+    with pytest.raises(TypeError, match="cannot serialize <class 'object'>"):
+        cli.dumps_stable(object())
+
+
 def test_solve_csv(two_bus_file, tmp_path):
     out = tmp_path / "sol.csv"
     assert run(["solve", "--case", two_bus_file, "--out", out, "--out-format", "csv"]) == 0
@@ -322,6 +341,19 @@ def test_limits_where_the_spread_binds_name_no_critical_bus(heavy_case14, tmp_pa
     doc = json.loads(out.read_text())
     assert (doc["lambda_p"], doc["lambda_w"], doc["lambda_d"]) == (0, 0, 0)
     assert doc["critical_bus"] is None
+
+
+def test_sweep_on_a_chosen_bus_pair_is_the_library_sweep(tmp_path):
+    case = load_case_file(case_path("case9.m"))
+    out = tmp_path / "sweep.json"
+    assert run(["sweep", "--case", case_path("case9.m"), "--bus-a", 5, "--bus-b", 7, "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    pairs = [(2.0 * math.pi * k / 36,) * 2 for k in range(36)]
+    magnitude, _, estimates = limits.direction_sweep(*limits.prepare(case), 5, 7, pairs)
+    assert doc["meta"] == {"bus_a": 5, "bus_b": 7, "magnitude": json.loads(cli.dumps_stable(magnitude))}
+    assert [(row["lambda_p"], row["lambda_w"], row["lambda_d"]) for row in doc["points"]] == [
+        tuple(json.loads(cli.dumps_stable(x)) for x in (est.lambda_p, est.lambda_w, est.lambda_d))
+        for est in estimates]
 
 
 def test_sweep_with_direction_file(two_bus_file, tmp_path):
@@ -492,6 +524,20 @@ def test_cli_import_leaves_scipy_optimize_out():
     env = dict(os.environ, PYTHONPATH=str(Path(pfcert.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_case_reader_import_leaves_scipy_out():
+    """The package pfcert imports none of its modules and binds no function or class: each name
+    lives in its module alone, so importing and running the case reader loads no scipy."""
+    code = (
+        "import inspect, sys, pfcert.net_model\n"
+        f"pfcert.net_model.load_case_file({str(case_path('case9.m'))!r})\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        "print(sorted(n for n, v in vars(pfcert).items() if inspect.isfunction(v) or inspect.isclass(v)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pfcert.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 COMMANDS = [

@@ -1,6 +1,7 @@
 """Fixed-point map evaluation, iteration, containment, and rate certification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,6 +87,17 @@ def test_containment_in_certified_polydisc():
     assert cert.holds
     res = solve_fixed_point(red, S, certificate=cert)
     assert np.all(np.abs(res.u - cert.disc_centers) <= cert.disc_radii + 1e-8)
+
+
+def test_iterate_outside_the_certified_polydisc_raises():
+    """A certificate whose discs are points cannot hold the converged iterate: the containment
+    check, which guards the certificate's own claim, raises."""
+    red, S = prepare(load_case_file(case_path("case9.m")))
+    S = 0.9 * lambda_all(red, S).lambda_p * S
+    cert = certify(compute_stress(red.Ztilde, S))
+    assert cert.holds
+    with pytest.raises(RuntimeError, match=r"^converged iterate escaped the certified polydisc by 1\.510e-01"):
+        solve_fixed_point(red, S, certificate=replace(cert, disc_radii=np.zeros_like(cert.disc_radii)))
 
 
 def test_start_with_zero_entry_rejected():

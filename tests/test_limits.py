@@ -223,6 +223,9 @@ def test_sweep_validation():
     assert str(exc.value) == "sweep buses must be load buses; bus 1 is not"
     with pytest.raises(CaseError, match=r"^sweep buses must be load buses; bus 7 is not$"):
         direction_sweep(*prepare(case), 2, 7, [(0.0, 0.0)])
+    red, S = prepare(case)
+    with pytest.raises(CaseError, match="^all candidate loads are zero; nothing to sweep$"):
+        direction_sweep(red, 0 * S, 2, 3, [(0.0, 0.0)])
 
 
 def test_default_sweep_buses_requires_two_active_loads():
@@ -236,6 +239,11 @@ def test_bound_profile_zero_load_equals_equivalent_voltage():
     case = make_two_bus(p=1.0)
     red, S = prepare(case)
     assert bound_profile(red, S, 2, [0.0]) == [pytest.approx((abs(red.E[0]),) * 3)]
+
+
+def test_bound_profile_at_a_generator_bus_is_a_case_error():
+    with pytest.raises(CaseError, match="^bus 1 is not a load bus$"):
+        bound_profile(*prepare(make_two_bus(p=1.0)), 1, [1.0])
 
 
 def test_bound_profile_about_a_known_solution_starts_at_it():
@@ -340,8 +348,8 @@ def test_known_solution_limits_close_their_conditions(name, c):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_known_solution_takes_only_positive_multiples_of_its_load(name):
     """About a known solution every limit is the closed form on the line c S0, c > 0,
-    and any other direction raises: -S0, j S0, and the seeded direction that is not a
-    multiple of S0 at all."""
+    and any other direction raises: -S0, j S0, 2 S0 with one load other than the
+    largest 0.1% off, and the seeded direction that is not a multiple of S0 at all."""
     red, S = prepare(load_case_file(case_path(f"{name}.m")))
     res = newton_solve(red, S)
     assert res.converged
@@ -354,7 +362,9 @@ def test_known_solution_takes_only_positive_multiples_of_its_load(name):
             (line.lambda_p, line.lambda_w, line.lambda_d), rel=1e-15)
         assert (est.critical_bus, est.mode) == (line.critical_bus, "from_known_solution")
     skew = random_loads(np.random.default_rng(BUNDLED.index(name)), red.n_load)
-    for D in (-S, 1j * S, skew):
+    near = 2.0 * S
+    near[np.argsort(np.abs(S))[-2]] *= 1.001
+    for D in (-S, 1j * S, near, skew):
         with pytest.raises(CaseError, match="positive multiple"):
             lambda_all(recentered, D)
 

@@ -356,6 +356,31 @@ def test_all_generators_out_of_service_rejected():
         partition_buses(case)
 
 
+def test_every_bus_a_generator_is_rejected():
+    case = make_two_bus()
+    case = build_case(100.0, case.buses, case.branches, [*case.gens, GenRecord(bus=2, voltage_setpoint=1.0)])
+    with pytest.raises(CaseError, match="every bus hosts a generator"):
+        partition_buses(case)
+
+
+@pytest.mark.parametrize("vm, slack, message", [
+    (1.0, 7, "^slack bus 7 is not a bus in the case$"),
+    (0.0, 1, "^generator bus 1 has non-positive voltage magnitude$"),
+], ids=["unknown slack bus", "zero generator-bus magnitude"])
+def test_build_case_rejects_a_bad_slack_or_generator_bus(vm, slack, message):
+    case = make_two_bus()
+    buses = [replace(case.buses[0], voltage_magnitude=vm), case.buses[1]]
+    with pytest.raises(CaseError, match=message):
+        build_case(100.0, buses, list(case.branches), list(case.gens), slack_bus=slack)
+
+
+def test_matpower_text_without_a_gen_matrix_is_a_case_error():
+    text = re.sub(r"mpc\.gen = \[.*?\];\n", "", TWO_BUS_MATPOWER, flags=re.S)
+    assert "mpc.gen" not in text
+    with pytest.raises(CaseError, match="^missing gen matrix$"):
+        load_case(text, "matpower")
+
+
 def test_connectivity_ok(two_bus):
     validate_connectivity(two_bus)
 
@@ -405,6 +430,19 @@ def test_json_round_trip_awkward_angles():
 def test_json_missing_base_mva():
     with pytest.raises(CaseError, match="base_mva"):
         load_case("{}", "json")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [doc], "^top-level JSON value must be an object$"),
+    (lambda doc: {**doc, "buses": [{k: v for k, v in b.items() if k != "id"} for b in doc["buses"]]},
+     "^missing required field 'id'$"),
+], ids=["top level is a list", "bus without id"])
+def test_json_document_without_its_structure_is_a_case_error(edit, message):
+    import json
+
+    doc = edit(json.loads(emit_json(make_two_bus())))
+    with pytest.raises(CaseError, match=message):
+        load_case(json.dumps(doc), "json")
 
 
 def test_json_bad_complex_pair():

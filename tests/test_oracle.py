@@ -120,6 +120,15 @@ def test_actual_limit_rejects_feasible_upper_end():
         actual_limit(make_two_bus(p=1.0), np.array([1.0 + 0j]), bracket=(1.0, 2.0))
 
 
+@pytest.mark.parametrize("bracket, message", [
+    ((0.0, None), "^bracket lower end must be positive$"),
+    ((2.0, 1.0), "^bracket upper end must exceed the lower end$"),
+], ids=["zero lower end", "upper end below the lower"])
+def test_actual_limit_rejects_a_malformed_bracket(bracket, message):
+    with pytest.raises(CaseError, match=message):
+        actual_limit(make_two_bus(p=1.0), np.array([1.0 + 0j]), bracket=bracket)
+
+
 def test_newton_vectors_of_the_wrong_length_are_case_errors():
     case = case_path_case("case9.m")
     with pytest.raises(CaseError, match=r"start has shape \(1,\), expected \(6,\)"):
@@ -614,6 +623,29 @@ def test_fold_bracket_that_never_closes_raises(monkeypatch):
     monkeypatch.setattr(oracle, "_series_start", lambda *args: None)  # from bracket[0]: no jump, no polish
     monkeypatch.setattr(_NewtonKernel, "correct", never_tight)
     with pytest.raises(CaseError, match="bracket did not close near lambda=[0-9]"):
+        actual_limit(case, S, network=red)
+
+
+@pytest.mark.parametrize("name", ["case9", "case39"])
+def test_fold_bracket_shrink_stops_at_a_nan_step(name, monkeypatch):
+    """A failed bracket corrector halves the step toward the end it started from until the two lie
+    1e-12 apart. A NaN step, as _cubic_fold gives once the bracket's ends meet, stays NaN under
+    halving and never meets |s - s0| < 1e-12; the loop stops on any step not at least 1e-12 away,
+    so the limit raises. Forced here by a NaN from every bracket step; the patched corrector raises
+    after 1,000 calls, so a loop with no exit fails here instead of hanging."""
+    case = case_path_case(f"{name}.m")
+    red, S = limits.prepare(case)
+    cubic, correct, calls = oracle._cubic_fold, _NewtonKernel.correct, []
+
+    def counted(self, *args):
+        calls.append(1)
+        if len(calls) > 1000:
+            raise RuntimeError("the fold's shrink loop does not end")
+        return correct(self, *args)
+
+    monkeypatch.setattr(oracle, "_cubic_fold", lambda *args: math.nan if args[6] < 0 else cubic(*args))
+    monkeypatch.setattr(_NewtonKernel, "correct", counted)
+    with pytest.raises(CaseError, match="corrector broke down at the nose near lambda=[0-9]"):
         actual_limit(case, S, network=red)
 
 
