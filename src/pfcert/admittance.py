@@ -76,7 +76,11 @@ class GridReduction:
         return self.E * self.v0
 
     def load_index(self, bus_id: int) -> int:
-        return self.load_ids.index(bus_id)
+        """bus_id's position in load_ids; CaseError if it is not a load bus."""
+        try:
+            return self.load_ids.index(bus_id)
+        except ValueError:
+            raise CaseError(f"bus {bus_id} is not a load bus") from None
 
     @cached_property
     def Ztilde(self) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admittance import GridReduction
+from .admittance import GridReduction, load_vector
 from .stress import DiscRadii, NoCertificate, StressMeasures, compute_radii, compute_stress
 
 REASON_LEVEL = "stress_level"
@@ -139,8 +139,10 @@ def certify_all(red: GridReduction, S: np.ndarray) -> tuple[Certificate, ShellCe
 
     The increment is sigma = S - red.S0: the stress measures follow S and
     sigma, and Wang's condition takes xi at S0 and at sigma. From zero load
-    these are 0 and xi(S), which take no stress calls of their own.
+    these are 0 and xi(S), which take no stress calls of their own. S must
+    hold one finite entry per load bus (CaseError otherwise).
     """
+    S = load_vector(red, S, "S")
     sigma = S - red.S0
     m = compute_stress(red.Ztilde, S, sigma)
     if red.S0.any():

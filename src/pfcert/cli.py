@@ -44,7 +44,7 @@ EXIT_CERT_FAILS = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-MAX_GRID_POINTS = 10**5  # of a --points or --scale-grid grid, checked before the grid is built
+MAX_GRID_POINTS = 10**5  # of a --points, --direction-file or --scale-grid grid, checked before the case loads
 
 _BRACKETED = (dict, list, tuple, np.ndarray, complex, np.complexfloating)  # lists of these print one per line
 
@@ -294,6 +294,8 @@ def cmd_sweep(args) -> int:
             except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
                 raise CaseError(f"bad direction file {args.direction_file}: expected "
                                 f"[phi_a_deg, phi_b_deg] pairs ({exc})") from exc
+        if len(degrees) > MAX_GRID_POINTS:
+            raise CaseError(f"--direction-file must hold at most {MAX_GRID_POINTS} pairs")
         if not all(type(phi) in (int, float) and math.isfinite(phi) for pair in degrees for phi in pair):
             raise CaseError(f"bad direction file {args.direction_file}: angles must be finite numbers")
         pairs = [(math.radians(a), math.radians(b)) for a, b in degrees]

@@ -156,9 +156,6 @@ def direction_sweep(
     """
     if bus_a == bus_b:
         raise CaseError("sweep buses must differ")
-    for bus in (bus_a, bus_b):
-        if bus not in red.load_ids:
-            raise CaseError(f"sweep buses must be load buses; bus {bus} is not")
     ia, ib = red.load_index(bus_a), red.load_index(bus_b)
 
     rest = np.delete(S_base, [ia, ib])
@@ -186,12 +183,10 @@ def bound_profile(red: GridReduction, S_base: np.ndarray, bus_id: int, lambda_gr
     reduction too (its certificates then take the increment from red.S0).
     Per grid point, in grid order: the lower bounds from the polydisc, Wang
     and Dvijotham regions, each None once that condition stops holding.
-    Absence is data, not an error.
+    Absence is data, not an error. S_base must hold one finite entry per load
+    bus (CaseError otherwise).
     """
-    try:
-        k = red.load_index(bus_id)
-    except ValueError as exc:
-        raise CaseError(f"bus {bus_id} is not a load bus") from exc
+    S_base, k = load_vector(red, S_base, "S_base"), red.load_index(bus_id)
     scale = float(abs(red.scale[k]))
     bounds = []
     for lam in lambda_grid:

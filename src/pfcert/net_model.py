@@ -15,6 +15,7 @@ import json
 import math
 import re
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
@@ -342,13 +343,13 @@ def _parse_matpower(source: str) -> NetworkCase:
     if "baseMVA" not in scalars:
         raise CaseError("missing baseMVA")
     base = scalars["baseMVA"]
-    for required in ("bus", "gen", "branch"):
+    for required in _RULES:
         if required not in blocks:
             raise CaseError(f"missing {required} matrix")
 
-    buses, slack_bus = _records(_bus_columns, _bus_rows, 13, *blocks["bus"], base)
-    gens = _records(_gen_columns, _gen_rows, 8, *blocks["gen"], base)
-    branches = _records(_branch_columns, _branch_rows, 11, *blocks["branch"], base)
+    buses, slack_bus = _records("bus", _bus_columns, *blocks["bus"], base)
+    gens = _records("gen", _gen_columns, *blocks["gen"], base)
+    branches = _records("branch", _branch_columns, *blocks["branch"], base)
     return build_case(base, buses, branches, gens, slack_bus)
 
 
@@ -373,25 +374,44 @@ def _read_matrix(name: str, body: str, line: int) -> np.ndarray | list[list[floa
         raise CaseSyntaxError(f"bad number in matrix '{name}': {exc}", line)
 
 
+class _Rules(NamedTuple):  # what every row of a matrix must hold, in the order a row is checked
+    width: int  # columns, at least
+    integers: tuple[tuple[int, str, str], ...]  # (column, field, kind) of each integer, as _integer reports it
+    divide: Callable[[list[float], float], object] | None  # the row's first division by the base: 0 raises there
+    status: tuple[int, ...]  # the status column, if any, read as MATPOWER's ceil(x) > 0: NaN and inf raise
+
+
+_RULES = {
+    "bus": _Rules(13, ((0, "bus_i", "bus number"), (1, "type", "bus type")),
+                  lambda row, base: complex(row[2], row[3]) / base, ()),  # a zero base: "complex division by zero"
+    "gen": _Rules(8, ((0, "bus", "bus number"),), lambda row, base: row[1] / base, (7,)),  # "float division by zero"
+    "branch": _Rules(11, ((0, "fbus", "bus number"), (1, "tbus", "bus number")), None, (10,)),
+}
+
+
 @np.errstate(all="ignore")  # inf and NaN arise silently, as in Python's float arithmetic
-def _records(columns, check, width: int, matrix, line: int, base: float):
-    """A matrix's records, always built from its columns. A matrix the bulk read rejected, one
-    that fails a column check, or any under an invalid base is first checked row by row, which
-    raises the first error in row order (a zero base raises at the first division); rows that
-    pass are cut to the matrix's width."""
+def _records(name: str, columns, matrix, line: int, base: float):
+    """Matrix name's records, always built from its columns by columns(m, base). A bulk-read
+    matrix that passes _RULES[name] column by column under a valid base is built at once. Any
+    other (one the bulk read rejected, one that fails a rule, any under an invalid base) is first
+    checked row by row, which raises the first error in row order; rows that pass are cut to width."""
+    width, integers, divide, status = _RULES[name]
     if isinstance(matrix, np.ndarray):
-        if 0 < base < math.inf:
-            records = columns(matrix, base)
-            if records is not None:
-                return records
+        if 0 < base < math.inf and matrix.shape[1] >= width:  # x - trunc(x) is 0 for a finite integer x alone
+            ints = matrix.take([column for column, _, _ in integers], 1)
+            if not (ints - np.trunc(ints)).any() and np.isfinite(matrix.take(status, 1)).all():
+                return columns(matrix, base)
         matrix = matrix.tolist()
-    check(matrix, line, base)
+    for k, row in enumerate(matrix):
+        if len(row) < width:
+            raise CaseSyntaxError(f"{name} row {k + 1} has {len(row)} columns, expected >= {width}", line)
+        for column, field, kind in integers:
+            _integer(row[column], f"{name} row {k + 1}: {field}", kind)
+        if divide:
+            divide(row, base)
+        for column in status:
+            math.ceil(row[column])
     return columns(np.array([row[:width] for row in matrix], float).reshape(-1, width), base)
-
-
-def _integral(values: np.ndarray) -> bool:
-    """Every value a finite integer, as _integer accepts."""
-    return bool(np.isfinite(values).all() and (np.trunc(values) == values).all())
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> list[complex]:
@@ -408,9 +428,7 @@ def _per_unit(re: np.ndarray, im: np.ndarray, base: float) -> list[complex]:
     return _complex((re + im * 0.0) / base, (im - re * 0.0) / base)
 
 
-def _bus_columns(m: np.ndarray, base: float) -> tuple[list[BusRecord], int | None] | None:
-    if m.shape[1] < 13 or not _integral(m[:, :2]):
-        return None
+def _bus_columns(m: np.ndarray, base: float) -> tuple[list[BusRecord], int | None]:
     ids = list(map(int, m[:, 0].tolist()))
     slack = np.flatnonzero(m[:, 1] == 3)
     demand, shunt = _per_unit(m[:, 2], m[:, 3], base), _per_unit(m[:, 4], m[:, 5], base)
@@ -418,50 +436,17 @@ def _bus_columns(m: np.ndarray, base: float) -> tuple[list[BusRecord], int | Non
     return buses, ids[slack[0]] if len(slack) else None
 
 
-def _gen_columns(m: np.ndarray, base: float) -> list[GenRecord] | None:
-    if m.shape[1] < 8 or not _integral(m[:, 0]) or not np.isfinite(m[:, 7]).all():
-        return None
+def _gen_columns(m: np.ndarray, base: float) -> list[GenRecord]:
     on = (m[:, 7] > 0).tolist()  # MATPOWER's ceil(x) > 0, for finite x
     return list(map(GenRecord, map(int, m[:, 0].tolist()), m[:, 5].tolist(), (m[:, 1] / base).tolist(), on))
 
 
-def _branch_columns(m: np.ndarray, base: float) -> list[BranchRecord] | None:
-    if m.shape[1] < 11 or not _integral(m[:, :2]) or not np.isfinite(m[:, 10]).all():
-        return None
+def _branch_columns(m: np.ndarray, base: float) -> list[BranchRecord]:
     tap = np.where(m[:, 8] == 0, 1.0, m[:, 8])
     return list(map(
         BranchRecord, map(int, m[:, 0].tolist()), map(int, m[:, 1].tolist()), _complex(m[:, 2], m[:, 3]),
         m[:, 4].tolist(), tap.tolist(), np.radians(m[:, 9]).tolist(), (m[:, 10] > 0).tolist(),
     ))
-
-
-# The row checks raise what building a record from each row raised, in the same order: a row's
-# length, its bus numbers and type, its first division by the base, and its status's ceil.
-def _bus_rows(rows: list[list[float]], line: int, base: float) -> None:
-    for k, row in enumerate(rows):
-        if len(row) < 13:
-            raise CaseSyntaxError(f"bus row {k + 1} has {len(row)} columns, expected >= 13", line)
-        _integer(row[0], f"bus row {k + 1}: bus_i")
-        _integer(row[1], f"bus row {k + 1}: type", "bus type")
-        complex(row[2], row[3]) / base  # a zero base: "complex division by zero"
-
-
-def _gen_rows(rows: list[list[float]], line: int, base: float) -> None:
-    for k, row in enumerate(rows):
-        if len(row) < 8:
-            raise CaseSyntaxError(f"gen row {k + 1} has {len(row)} columns, expected >= 8", line)
-        _integer(row[0], f"gen row {k + 1}: bus")
-        row[1] / base  # a zero base: "float division by zero"
-        math.ceil(row[7])  # a status must be finite: ceil raises on NaN and inf
-
-
-def _branch_rows(rows: list[list[float]], line: int, base: float) -> None:
-    for k, row in enumerate(rows):
-        if len(row) < 11:
-            raise CaseSyntaxError(f"branch row {k + 1} has {len(row)} columns, expected >= 11", line)
-        _integer(row[0], f"branch row {k + 1}: fbus")
-        _integer(row[1], f"branch row {k + 1}: tbus")
-        math.ceil(row[10])
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from pfcert.certificate import (
 )
 from pfcert.cli import certificate_to_dict, voltage_bounds_to_dict
 from pfcert.fixed_point import CONTAINMENT_SLACK, solve_fixed_point
-from pfcert.limits import lambda_all, prepare
-from pfcert.net_model import load_case_file
+from pfcert.limits import bound_profile, lambda_all, prepare
+from pfcert.net_model import CaseError, load_case_file
 from pfcert.stress import DiscRadii, NoCertificate, StressMeasures, compute_stress
 
 from conftest import BUNDLED, case_path, make_two_bus, random_loads, random_ztilde
@@ -333,3 +333,20 @@ def test_mu_bound_is_none_when_no_radius_is_admissible():
     radii = DiscRadii(r_lo=2.5, r_hi=4.0)  # r * 0.5 >= 1.25 > |1 - eta_0| on the whole grid
     assert estimate_contraction(m, radii) is None
     assert reference_contraction(m, radii) is None
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "short"])
+def test_certify_all_and_bound_profile_reject_a_malformed_load(bad):
+    """certify_all used to take any load: on case9 a NaN entry gave holds false with NaN
+    condition values, an inf entry a RuntimeWarning, and a short vector numpy's broadcast
+    error. It checks the load as every other load-taking entry does, and so does bound_profile."""
+    red, S = prepare(load_case_file(case_path("case9.m")))
+    if bad == "short":
+        S, message = S[:-1], r"^{} has shape \(5,\), expected \(6,\): one entry per load bus$"
+    else:
+        S, message = S.copy(), "^{} has a non-finite entry$"
+        S[1] = float(bad)
+    with pytest.raises(CaseError, match=message.format("S")):
+        certify_all(red, S)
+    with pytest.raises(CaseError, match=message.format("S_base")):
+        bound_profile(red, S, red.load_ids[0], [1.0])

@@ -626,16 +626,21 @@ def test_empty_grid_is_exit_2(args, tmp_path, capsys):
     "args, message",
     [
         (["sweep", "--points", 10**5 + 1], "--points must be at most 100000"),
+        (["sweep", "--direction-file", "[[0, 0], ...]"], "--direction-file must hold at most 100000 pairs"),
         (["bounds", "--bus", 5, "--scale-grid", "1:2.5:1e-12"], "grid '1:2.5:1e-12' has more than 100000 points"),
         (["bounds", "--bus", 5, "--scale-grid", "0:1e308:1e-308"],
          "grid '0:1e308:1e-308' has more than 100000 points"),
     ],
-    ids=["points", "scale grid", "scale grid of infinite span"],
+    ids=["points", "direction file", "scale grid", "scale grid of infinite span"],
 )
-def test_grid_over_max_grid_points_is_exit_2(args, message, capsys):
-    """Refused before any list is built: 1:2.5:1e-12 asks for ~1.5e12 floats, and a
-    span that overflows makes the count infinite."""
+def test_grid_over_max_grid_points_is_exit_2(args, message, tmp_path, capsys):
+    """Refused before the case loads, and a grid before any list is built: 1:2.5:1e-12 asks
+    for ~1.5e12 floats, and a span that overflows makes the count infinite. A direction
+    file of 100,001 pairs used to be swept in full."""
     command, *rest = args
+    if "--direction-file" in rest:
+        rest[-1] = tmp_path / "dirs.json"
+        rest[-1].write_text(json.dumps([[0, 0]] * (10**5 + 1)))
     assert run([command, "--case", case_path("case9.m"), *rest]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

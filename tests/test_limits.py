@@ -218,10 +218,10 @@ def test_sweep_validation():
     case = make_star()
     with pytest.raises(CaseError, match="differ"):
         direction_sweep(*prepare(case), 2, 2, [(0.0, 0.0)])
-    with pytest.raises(CaseError, match="load buses") as exc:
+    with pytest.raises(CaseError, match="load bus") as exc:
         direction_sweep(*prepare(case), 1, 2, [(0.0, 0.0)])
-    assert str(exc.value) == "sweep buses must be load buses; bus 1 is not"
-    with pytest.raises(CaseError, match=r"^sweep buses must be load buses; bus 7 is not$"):
+    assert str(exc.value) == "bus 1 is not a load bus"
+    with pytest.raises(CaseError, match=r"^bus 7 is not a load bus$"):
         direction_sweep(*prepare(case), 2, 7, [(0.0, 0.0)])
     red, S = prepare(case)
     with pytest.raises(CaseError, match="^all candidate loads are zero; nothing to sweep$"):

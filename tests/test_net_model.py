@@ -256,6 +256,10 @@ def _long_row_and_base(text, rng, name):  # ragged rows that pass are cut to wid
     return _base(_long_row(text, rng, name), rng, name)
 
 
+def _error_and_base(text, rng, name):  # a row error and an invalid base: the first in row order wins
+    return _base(ERRORS[rng.integers(len(ERRORS))](text, rng, name), rng, name)
+
+
 def _no_buses_and_base(text, rng, name):  # a zero base first divides in the gen rows
     return _base(_empty_matrix(text, rng, "bus"), rng, name)
 
@@ -275,7 +279,8 @@ def _quoted_percent(text, rng, name):  # a % in a quoted string starts no commen
 
 @pytest.mark.parametrize("edit", [_bad_token, _long_row, _short_row, _bus_number, _status, _signed_zero, _slack,
                                   _row_without_numbers, _two_errors, _crlf, _empty_matrix, _base,
-                                  _long_row_and_error, _long_row_and_base, _no_buses_and_base, _quoted_percent],
+                                  _long_row_and_error, _long_row_and_base, _error_and_base, _no_buses_and_base,
+                                  _quoted_percent],
                          ids=lambda edit: edit.__name__[1:])
 def test_bulk_reader_matches_the_scalar_reader(edit):
     """On seeded edits of the bundled cases, load_case and the token-by-token reference
@@ -312,6 +317,28 @@ def test_case_without_buses_is_a_case_error():
 def test_zero_base_mva_is_a_case_error():
     with pytest.raises(CaseError, match="bad value in the case: complex division by zero"):
         load_case(TWO_BUS_MATPOWER.replace("mpc.baseMVA = 100;", "mpc.baseMVA = 0;"), "matpower")
+
+
+ZERO_BASE = TWO_BUS_MATPOWER.replace("mpc.baseMVA = 100;", "mpc.baseMVA = 0;")
+NO_BUSES = re.sub(r"(mpc\.bus = \[\n)[^\]]*", r"\1", ZERO_BASE)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (ZERO_BASE.replace("\t1\t3\t0", "\t1.5\t3\t0"), "bus row 1: bus_i 1.5 is not an integer bus number"),
+        (ZERO_BASE.replace("\t1\t0\t0\t300", "\t1.5\t0\t0\t300"), "bad value in the case: complex division by zero"),
+        (NO_BUSES.replace("\t1\t0\t0\t300", "\t1.5\t0\t0\t300"), "gen row 1: bus 1.5 is not an integer bus number"),
+        (NO_BUSES.replace("\t100\t1\t250", "\t100\tnan\t250"), "bad value in the case: float division by zero"),
+    ],
+    ids=["bus number of bus row 1", "gen row after bus row 1", "bus number of gen row 1", "status of gen row 1"],
+)
+def test_zero_base_raises_at_the_first_division_in_row_order(text, message):
+    """A row's bus numbers are checked before its first division by the base, its status
+    after it, and all bus rows before the gen rows; the reference reader agrees."""
+    for read in (lambda text: load_case(text, "matpower"), reference_matpower_case):
+        with pytest.raises(CaseError, match=f"^{re.escape(message)}$"):
+            read(text)
 
 
 def test_case_file_that_is_not_utf8_is_a_case_error(tmp_path):
