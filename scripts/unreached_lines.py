@@ -1,6 +1,6 @@
 """Report the src/pfcert lines that no golden command runs, and those that no test runs.
 
-Imports every pfcert module under sys.settrace, then runs the 107 golden CLI
+Imports every pfcert module under sys.settrace, then runs the 108 golden CLI
 commands of tests/test_golden.py and, separately, the tier-1 test suite
 (pytest.main, in this process) under the same tracer. For each of the two runs
 it prints, per module, the executable lines (those the compiled module maps

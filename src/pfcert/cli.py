@@ -5,9 +5,10 @@ one artifact. The reduction (with --known-solution, its copy re-centered on
 the solved base point) forms its Ztilde, the one n x n matrix a command holds,
 on first use; the copy takes the kernel that the base point's solve built.
 Each command defines only the options it reads: all take --case (a .json file
-is read as JSON, any other as MATPOWER), --gen-phasors and --out; solve,
-limits, sweep and bounds also take --out-format {json,csv}, only solve takes
---tol and --max-iter, and sweep takes --points or --direction-file, not both.
+is read as JSON, any other as MATPOWER), --gen-phasors and --out (a .csv path,
+in any case, gets the CSV table, which certify has not; any other path and
+stdout get JSON). Only solve takes --tol and --max-iter, and sweep takes
+--buses A B and --points or --direction-file, not both.
 `limits --with-oracle` prints the nose along the base direction,
 `sweep --with-oracle` one along each swept direction, and `bounds --with-oracle`
 the bus voltage of a Newton chain over the grid; this module, not limits, calls
@@ -24,7 +25,6 @@ values become JSON null, empty CSV cells) and complex values as [re, im].
 from __future__ import annotations
 
 import argparse
-import io
 import itertools
 import json
 import math
@@ -60,13 +60,17 @@ def format_float(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def dumps_stable(obj, indent: int = 0) -> str:
+def dumps_stable(obj) -> str:
     """JSON text with insertion-ordered keys and fixed float formatting.
 
     A complex value prints as the pair [re, im] and is laid out like a
     two-element list, so a list of complex values prints one pair per line.
     """
-    pad = " " * indent
+    return _dumps(obj, "")
+
+
+def _dumps(obj, pad: str) -> str:
+    """dumps_stable of obj nested under the indent pad, one space a level."""
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -83,7 +87,7 @@ def dumps_stable(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = ",\n".join(
-            f"{pad} {dumps_stable(k)}: {dumps_stable(v, indent + 1)}" for k, v in obj.items()
+            f"{pad} {_dumps(k, pad)}: {_dumps(v, pad + ' ')}" for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -91,20 +95,20 @@ def dumps_stable(obj, indent: int = 0) -> str:
         if not seq:
             return "[]"
         if not any(isinstance(v, _BRACKETED) for v in seq):
-            return "[" + ", ".join(dumps_stable(v) for v in seq) + "]"
-        items = ",\n".join(f"{pad} {dumps_stable(v, indent + 1)}" for v in seq)
+            return "[" + ", ".join(_dumps(v, pad) for v in seq) + "]"
+        items = ",\n".join(f"{pad} {_dumps(v, pad + ' ')}" for v in seq)
         return "[\n" + items + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def rows_to_csv(fieldnames: list[str], rows: list[dict]) -> str:
-    """One line per row; each cell is its JSON text, with null left empty."""
-    buf = io.StringIO()
-    buf.write(",".join(fieldnames) + "\n")
+def rows_to_csv(rows: list[dict]) -> str:
+    """The first row's keys as the header, then one line per row; each cell is
+    its JSON text, with null left empty."""
+    lines = [",".join(rows[0])]
     for row in rows:
-        cells = (dumps_stable(row.get(name)) for name in fieldnames)
-        buf.write(",".join("" if cell == "null" else cell for cell in cells) + "\n")
-    return buf.getvalue()
+        cells = (dumps_stable(row.get(name)) for name in rows[0])
+        lines.append(",".join("" if cell == "null" else cell for cell in cells))
+    return "\n".join(lines) + "\n"
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
@@ -153,19 +157,18 @@ def voltage_bounds_to_dict(vb: VoltageBounds) -> dict:
     }
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, doc: dict, rows: list[dict] | None = None) -> None:
+    """The rows as CSV to an --out path ending in .csv, doc as JSON to any other
+    path or to stdout. A command without rows has no CSV form: CaseError, no file."""
+    csv = (args.out or "").lower().endswith(".csv")
+    if csv and rows is None:
+        raise CaseError(f"{args.command} has no CSV form: give --out a path that does not end in .csv")
+    text = rows_to_csv(rows) if csv else dumps_stable(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-
-
-def _emit_table(args, doc: dict, fields: list[str], rows: list[dict]) -> None:
-    """doc as JSON, or with --out-format csv the rows' fields as CSV."""
-    _emit(args, rows_to_csv(fields, rows) if args.out_format == "csv" else dumps_stable(doc))
+        sys.stdout.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +222,7 @@ def cmd_certify(args) -> int:
         doc["meta"]["demand_at_generator_buses_excluded"] = sorted(excluded)
     if cert.holds:
         doc["voltage_bounds"] = voltage_bounds_to_dict(voltage_bounds(cert, red))
-    _emit(args, dumps_stable(doc))
+    _emit(args, doc)
     return EXIT_OK if cert.holds else EXIT_CERT_FAILS
 
 
@@ -251,7 +254,7 @@ def cmd_solve(args) -> int:
         "meta": {"scale": args.scale, "iterations": res.iterations, "residual": res.residual},
         "voltages": rows,
     }
-    _emit_table(args, doc, list(rows[0]), rows)
+    _emit(args, doc, rows)
     return EXIT_OK
 
 
@@ -280,13 +283,11 @@ def cmd_limits(args) -> int:
         doc["lambda_actual"] = actual  # a total scaling from zero load in both modes
         for key, bound in bounds.items():
             doc[f"relative_error_{key}"] = (actual - bound) / actual
-    _emit_table(args, doc, [k for k in doc if k != "meta"], [doc])
+    _emit(args, doc, [{k: v for k, v in doc.items() if k != "meta"}])
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    if (args.bus_a is None) != (args.bus_b is None):
-        raise CaseError("give both --bus-a and --bus-b, or neither for the default pair")
     if args.direction_file:
         with open(args.direction_file, encoding="utf-8") as fh:
             try:
@@ -306,10 +307,7 @@ def cmd_sweep(args) -> int:
     if not pairs:
         raise CaseError("no directions to sweep: --points must be at least 1 and a direction file non-empty")
     case, red, S_base = _load(args)
-    if args.bus_a is None:
-        bus_a, bus_b = limits.default_sweep_buses(red, S_base)
-    else:
-        bus_a, bus_b = args.bus_a, args.bus_b
+    bus_a, bus_b = args.buses or limits.default_sweep_buses(red, S_base)
     magnitude, directions, estimates = limits.direction_sweep(red, S_base, bus_a, bus_b, pairs)
     rows = [
         {
@@ -322,8 +320,7 @@ def cmd_sweep(args) -> int:
         }
         for (phi_a, phi_b), S, est in zip(pairs, directions, estimates)
     ]
-    doc = {"meta": {"bus_a": bus_a, "bus_b": bus_b, "magnitude": magnitude}, "points": rows}
-    _emit_table(args, doc, list(rows[0]), rows)
+    _emit(args, {"meta": {"bus_a": bus_a, "bus_b": bus_b, "magnitude": magnitude}, "points": rows}, rows)
     return EXIT_OK
 
 
@@ -366,7 +363,7 @@ def cmd_bounds(args) -> int:
         {"lambda": lam, "proposed": proposed, "wang": wang, "dvijotham": dvij, "actual": v}
         for lam, (proposed, wang, dvij), v in itertools.zip_longest(grid, bounds, actual)
     ]
-    _emit_table(args, {"meta": {"bus": args.bus}, "profile": rows}, list(rows[0]), rows)
+    _emit(args, {"meta": {"bus": args.bus}, "profile": rows}, rows)
     return EXIT_OK
 
 
@@ -392,13 +389,11 @@ def finite(text: str) -> float:
     return x
 
 
-def _add_common(p: argparse.ArgumentParser, out_format: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--case", required=True, help="case file path (.json: JSON form; otherwise MATPOWER)")
     p.add_argument("--gen-phasors", choices=["case", "solved"], default="case", dest="gen_phasors",
                    help="generator phasor source: case file or solved base case")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
-    if out_format:
-        p.add_argument("--out-format", choices=["json", "csv"], default="json", dest="out_format")
+    p.add_argument("--out", default=None, help="output file (default stdout); a .csv path gets the CSV table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,23 +409,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("solve", help="solve the power flow by certified fixed-point iteration")
-    _add_common(p, out_format=True)
+    _add_common(p)
     p.add_argument("--scale", type=finite, default=1.0)
     p.add_argument("--tol", type=finite, default=1e-10)
     p.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("limits", help="solvability-limit estimates along the base direction")
-    _add_common(p, out_format=True)
+    _add_common(p)
     p.add_argument("--known-solution", action="store_true", dest="known_solution")
     p.add_argument("--with-oracle", action="store_true", dest="with_oracle",
                    help="also locate the true limit (the nose) and report relative errors")
     p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("sweep", help="limit estimates over loading directions of two buses")
-    _add_common(p, out_format=True)
-    p.add_argument("--bus-a", type=int, default=None, dest="bus_a")
-    p.add_argument("--bus-b", type=int, default=None, dest="bus_b")
+    _add_common(p)
+    p.add_argument("--buses", nargs=2, type=int, metavar=("A", "B"),
+                   help="the two load buses to swing (default: the first two with real demand)")
     grid = p.add_mutually_exclusive_group()
     # argparse lets a value that is the default object pass; a str default makes a given --points 36 conflict
     grid.add_argument("--points", type=int, default="36", help="uniform angle grid size")
@@ -440,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bounds", help="voltage bound profile at one bus versus loading")
-    _add_common(p, out_format=True)
+    _add_common(p)
     p.add_argument("--bus", type=int, required=True)
     p.add_argument("--scale-grid", default="1.0:2.5:0.01", dest="scale_grid",
                    help="loading grid start:stop:step")

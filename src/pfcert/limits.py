@@ -152,8 +152,10 @@ def direction_sweep(
     their joint 2-norm matches the remaining loads'), the rest of the system
     stays at base load, and the limits are recomputed per (phi_a, phi_b)
     with the reduction held fixed. Returns M, the load vector of each pair
-    and its lambda_all, in the order of angle_pairs.
+    and its lambda_all, in the order of angle_pairs. S_base must hold one
+    finite entry per load bus (CaseError otherwise).
     """
+    S_base = load_vector(red, S_base, "S_base")
     if bus_a == bus_b:
         raise CaseError("sweep buses must differ")
     ia, ib = red.load_index(bus_a), red.load_index(bus_b)

@@ -172,12 +172,14 @@ def test_zero_max_iter_is_exit_2(two_bus_file, capsys):
         ["certify", "--case", "{case}", "--out", "{tmp}/afile/out.json"],
         ["certify", "--case", "{tmp}/afile/x.m"],
         ["sweep", "--case", "{case}", "--direction-file", "{tmp}/afile/x.json"],
+        ["solve", "--case", "{case}", "--out-format", "csv"],
+        ["sweep", "--case", "{case}", "--bus-a", "5", "--bus-b", "7"],
     ],
     ids=["no command", "certify --tol", "certify --out-format", "limits --max-iter", "bad value",
          "solve --tol -1", "missing case", "grid not a number", "grid not finite", "certify --format",
          "limits --bracket-lo", "limits --bracket-hi", "removed oracle-limit", "removed certify --dump-reduction",
          "case without buses", "case not UTF-8", "output under a file", "case under a file",
-         "direction file under a file"],
+         "direction file under a file", "removed solve --out-format", "removed sweep --bus-a --bus-b"],
 )
 def test_input_errors_are_one_json_line(args, two_bus_file, tmp_path, capsys):
     """Any OSError reading or writing a file is an input error; a path under a regular file raises
@@ -272,10 +274,31 @@ def test_dumps_stable_empty_containers_and_unknown_types():
 
 def test_solve_csv(two_bus_file, tmp_path):
     out = tmp_path / "sol.csv"
-    assert run(["solve", "--case", two_bus_file, "--out", out, "--out-format", "csv"]) == 0
+    assert run(["solve", "--case", two_bus_file, "--out", out]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "bus,magnitude,angle_deg,re,im"
     assert lines[1].startswith("2,0.965925826,")
+
+
+def test_an_upper_case_csv_suffix_gets_csv(two_bus_file, tmp_path):
+    """The --out suffix picks the format in any case, as the --case suffix picks the reader."""
+    upper, lower = tmp_path / "SOL.CSV", tmp_path / "sol.csv"
+    assert run(["solve", "--case", two_bus_file, "--out", upper]) == 0
+    assert run(["solve", "--case", two_bus_file, "--out", lower]) == 0
+    assert upper.read_bytes() == lower.read_bytes()
+    assert upper.read_text().startswith("bus,magnitude,angle_deg,re,im\n")
+
+
+@pytest.mark.parametrize("name", ["cert.csv", "cert.Csv"])
+def test_certify_to_a_csv_path_is_exit_2_and_writes_nothing(name, two_bus_file, tmp_path, capsys):
+    """certify has no table: a .csv file would have held its JSON document."""
+    out = tmp_path / name
+    assert run(["certify", "--case", two_bus_file, "--out", out]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "input", "message": "certify has no CSV form: give --out a path that does not end in .csv"}
 
 
 def test_limits_json_and_determinism(two_bus_file, tmp_path):
@@ -293,8 +316,7 @@ def test_limits_json_and_determinism(two_bus_file, tmp_path):
 def test_limits_csv_is_the_json_without_meta(extra, two_bus_file, tmp_path):
     json_out, csv_out = tmp_path / "l.json", tmp_path / "l.csv"
     assert run(["limits", "--case", two_bus_file, "--with-oracle", *extra, "--out", json_out]) == 0
-    assert run(["limits", "--case", two_bus_file, "--with-oracle", *extra, "--out", csv_out,
-                "--out-format", "csv"]) == 0
+    assert run(["limits", "--case", two_bus_file, "--with-oracle", *extra, "--out", csv_out]) == 0
     doc = json.loads(json_out.read_text())
     header, values = (line.split(",") for line in csv_out.read_text().splitlines())
     assert header == [key for key in doc if key != "meta"]
@@ -346,7 +368,7 @@ def test_limits_where_the_spread_binds_name_no_critical_bus(heavy_case14, tmp_pa
 def test_sweep_on_a_chosen_bus_pair_is_the_library_sweep(tmp_path):
     case = load_case_file(case_path("case9.m"))
     out = tmp_path / "sweep.json"
-    assert run(["sweep", "--case", case_path("case9.m"), "--bus-a", 5, "--bus-b", 7, "--out", out]) == 0
+    assert run(["sweep", "--case", case_path("case9.m"), "--buses", 5, 7, "--out", out]) == 0
     doc = json.loads(out.read_text())
     pairs = [(2.0 * math.pi * k / 36,) * 2 for k in range(36)]
     magnitude, _, estimates = limits.direction_sweep(*limits.prepare(case), 5, 7, pairs)
@@ -373,10 +395,7 @@ def test_sweep_with_direction_file(two_bus_file, tmp_path):
     directions = tmp_path / "dirs.json"
     directions.write_text(json.dumps([[0.0, 0.0], [45.0, 90.0], [180.0, 270.0]]))
     out = tmp_path / "sweep.csv"
-    code = run(
-        ["sweep", "--case", star, "--direction-file", directions, "--out", out, "--out-format", "csv"]
-    )
-    assert code == 0
+    assert run(["sweep", "--case", star, "--direction-file", directions, "--out", out]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "phi_a_deg,phi_b_deg,lambda_p,lambda_w,lambda_d,lambda_actual"
     assert len(lines) == 4
@@ -398,14 +417,14 @@ def test_bad_direction_file_is_exit_2(text, tmp_path, capsys):
     assert err["error"] == "input" and "bad direction file" in err["message"]
 
 
-@pytest.mark.parametrize("bus", [["--bus-a", 9], ["--bus-b", 5]])
+@pytest.mark.parametrize("bus", [["--buses", 9], ["--buses", 9, "--points", 3]])
 def test_sweep_with_one_bus_is_exit_2(bus, capsys):
     """One bus of the pair alone used to be dropped for the default pair."""
     assert run(["sweep", "--case", case_path("case9.m"), *bus]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)
-    assert err["error"] == "input" and "--bus-a and --bus-b" in err["message"]
+    assert err == {"error": "input", "message": "pfcert sweep: argument --buses: expected 2 arguments"}
 
 
 @pytest.mark.parametrize("points", ["5", "36"], ids=["points 5", "points 36, the default"])
@@ -422,11 +441,7 @@ def test_sweep_points_beside_a_direction_file_is_exit_2(points, tmp_path, capsys
 
 def test_bounds_grid(two_bus_file, tmp_path):
     out = tmp_path / "bounds.csv"
-    code = run(
-        ["bounds", "--case", two_bus_file, "--bus", 2, "--scale-grid", "0.0:0.4:0.2",
-         "--out", out, "--out-format", "csv"]
-    )
-    assert code == 0
+    assert run(["bounds", "--case", two_bus_file, "--bus", 2, "--scale-grid", "0.0:0.4:0.2", "--out", out]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "lambda,proposed,wang,dvijotham,actual"
     first = lines[1].split(",")

@@ -49,6 +49,7 @@ def artifacts() -> list[tuple[str, list]]:
         ("case39.bounds.4.json", ["bounds", "--case", DATA_DIR / "case39.m", "--bus", 4, "--with-oracle", "--out", OUT]),
         ("case9.bounds.5.solved.json", ["bounds", "--case", DATA_DIR / "case9.m", "--bus", 5, "--with-oracle",
                                         "--gen-phasors", "solved", "--out", OUT]),
+        ("case9.sweep.csv", ["sweep", "--case", DATA_DIR / "case9.m", "--with-oracle", "--points", 12, "--out", OUT]),
     ]
     return out
 

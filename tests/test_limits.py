@@ -228,6 +228,21 @@ def test_sweep_validation():
         direction_sweep(red, 0 * S, 2, 3, [(0.0, 0.0)])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", ["nan", "inf", "short"])
+def test_direction_sweep_rejects_a_malformed_base_load(bad):
+    """On case9 with buses 8 and 9 a short base load used to raise numpy's IndexError, and an
+    inf or NaN entry a RuntimeWarning or a CaseError about the direction; S_base is checked first."""
+    red, S = prepare(load_case_file(case_path("case9.m")))
+    if bad == "short":
+        S, message = S[:-1], r"^S_base has shape \(5,\), expected \(6,\): one entry per load bus$"
+    else:
+        S, message = S.copy(), "^S_base has a non-finite entry$"
+        S[1] = float(bad)
+    with pytest.raises(CaseError, match=message):
+        direction_sweep(red, S, 8, 9, [(0.0, 0.0), (math.pi / 2, math.pi)])
+
+
 def test_default_sweep_buses_requires_two_active_loads():
     case = make_star(loads=((1.0, 0.2), (0.0, 0.4), (0.0, 0.0)))
     with pytest.raises(CaseError, match="at least two"):

@@ -23,10 +23,8 @@ from pfcert.oracle import (
     newton_solve,
 )
 
-from conftest import case_path, make_star, make_two_bus
+from conftest import BUNDLED, case_path, make_star, make_two_bus
 from reference_values import reference_kernel_arrays, two_bus_analytic
-
-BUNDLED = ("case9", "case14", "case24_ieee_rts", "case30", "case39", "case57", "case118")
 
 
 def test_two_bus_analytic_cases():
