@@ -1,4 +1,4 @@
-"""Report what the Newton oracle's limits cost, in SuperLU factorizations.
+"""Report what the Newton oracle's limits cost, in Jacobian factorizations, and how close they are.
 
 On the 7 base directions it also reports how many limits started from the
 zero-load series, how many took the jump toward the nose the series predicts
@@ -12,7 +12,11 @@ directions (259 limits), and the benchmark's `oracle_limits` inputs. On each
 set it also counts the limits that took each fallback: a refused series start,
 a failed start corrector (both start cold, from bracket[0]), plain continuation
 after the jump (split by its cause: |g| stopped falling, or a corrector
-failed), a polish, and a shrink after a failed corrector in the fold's bracket.
+failed), a polish, and a shrink after a failed corrector in the fold's bracket,
+and how each answer compares with a `tol=1e-13` run along the same direction:
+the largest gap below it, in units of min(1, lambda) as the tolerance is, and
+how many answers lie above it (`actual_limit` promises gaps within its
+`tol=1e-10` and none above).
 
     python scripts/oracle_counts.py
 """
@@ -55,11 +59,18 @@ def fitted(*args):
     return cubic_fold(*args)
 
 
-def factorizations(case, direction, **kwargs) -> int:
+def factorizations(case, direction, **kwargs) -> tuple[int, float]:
+    """The factorizations a limit takes, and its answer."""
     count[0] = 0
     calls.clear()
-    oracle.actual_limit(case, direction=direction, **kwargs)
-    return count[0]
+    lam = oracle.actual_limit(case, direction=direction, **kwargs)
+    return count[0], lam
+
+
+def gap(case, direction, lam: float, **kwargs) -> float:
+    """How far lam lies below the tol=1e-13 answer along direction, in units of min(1, lambda)."""
+    tight = oracle.actual_limit(case, direction=direction, tol=1e-13, **kwargs)
+    return (tight - lam) / min(1.0, tight)
 
 
 def fallbacks() -> list[str]:
@@ -79,6 +90,11 @@ def fallbacks() -> list[str]:
     if any(a == (oracle.FOLD_TOL, False) and b[0] == oracle.FOLD_TOL for a, b in pairs):
         taken.append("shrink")
     return taken
+
+
+def report_gaps(gaps: list[float], label: str) -> None:
+    print(f"Answers against a tol=1e-13 run on {label}: largest gap below it {max(gaps):.2e} "
+          f"(in units of min(1, lambda)), {sum(g < 0 for g in gaps)} above it")
 
 
 def report_paths(paths: list[list[str]], label: str) -> None:
@@ -101,7 +117,7 @@ def main() -> None:
         nets[name] = (case, *limits.prepare(case))
     per_case, jumped, cubic, polished = {}, 0, 0, 0
     for name, (case, red, S) in nets.items():
-        per_case[name] = factorizations(case, S, network=red)
+        per_case[name] = factorizations(case, S, network=red)[0]
         jumped += calls[:2] == [(math.sqrt(oracle.NEWTON_TOL), True), (oracle.NEWTON_TOL, True)]
         cubic += ("cubic", 1.0) in calls
         polished += calls[-2:] == [(oracle.NEWTON_TOL, True), (oracle.FOLD_TOL, True)]
@@ -111,26 +127,33 @@ def main() -> None:
     print("Cubic steps after the jump: %d of %d base directions" % (cubic, len(per_case)))
     print("Limits ending with a polishing corrector: %d of %d base directions" % (polished, len(per_case)))
 
-    swept, paths = [], []
+    swept, paths, gaps = [], [], []
     pairs = [(2.0 * math.pi * k / 36,) * 2 for k in range(36)]
     for case, red, S in nets.values():
         _, directions, _ = limits.direction_sweep(red, S, *limits.default_sweep_buses(red, S), pairs)
         for d in [S] + directions:
-            swept.append(factorizations(case, d, network=red))
+            n, lam = factorizations(case, d, network=red)
+            swept.append(n)
             paths.append(fallbacks())
+            gaps.append(gap(case, d, lam, network=red))
     print("Factorizations per limit on the base and 36-point sweep directions: %.2f over %d limits"
           % (sum(swept) / len(swept), len(swept)))
     report_paths(paths, "the base and 36-point sweep directions")
+    report_gaps(gaps, "the base and 36-point sweep directions")
 
     workload = OracleLimits(ROOT, smoke=False)
     workload.setup(seed=0)
-    bench, paths = [], []
+    bench, paths, gaps = [], [], []
     for name, _, d in workload.inputs:
-        bench.append(factorizations(workload.nets[name][0], d, bracket=(1e-3, None)))
+        case = workload.nets[name][0]
+        n, lam = factorizations(case, d, bracket=(1e-3, None))
+        bench.append(n)
         paths.append(fallbacks())
+        gaps.append(gap(case, d, lam, bracket=(1e-3, None)))
     print("Factorizations per limit on the oracle_limits inputs: %.3f over %d limits"
           % (sum(bench) / len(bench), len(bench)))
     report_paths(paths, "the oracle_limits inputs")
+    report_gaps(gaps, "the oracle_limits inputs")
 
 
 if __name__ == "__main__":

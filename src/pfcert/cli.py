@@ -157,13 +157,15 @@ def voltage_bounds_to_dict(vb: VoltageBounds) -> dict:
     }
 
 
+def _csv(args) -> bool:
+    """Whether --out is a path ending in .csv, in any case."""
+    return (args.out or "").lower().endswith(".csv")
+
+
 def _emit(args, doc: dict, rows: list[dict] | None = None) -> None:
     """The rows as CSV to an --out path ending in .csv, doc as JSON to any other
-    path or to stdout. A command without rows has no CSV form: CaseError, no file."""
-    csv = (args.out or "").lower().endswith(".csv")
-    if csv and rows is None:
-        raise CaseError(f"{args.command} has no CSV form: give --out a path that does not end in .csv")
-    text = rows_to_csv(rows) if csv else dumps_stable(doc)
+    path or to stdout. certify, which has no rows, refuses a .csv path itself, before it loads the case."""
+    text = rows_to_csv(rows) if _csv(args) else dumps_stable(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -207,6 +209,8 @@ def args_case_name(case) -> str:
 
 
 def cmd_certify(args) -> int:
+    if _csv(args):
+        raise CaseError("certify has no CSV form: give --out a path that does not end in .csv")
     case, red, S_base = _load(args)
     cert, wang, dvij = certify_all(red, args.scale * S_base)
     meta = {

@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg._dsolve import _superlu
 
 from .admittance import AdmittanceMatrix, GridReduction, SingularNetworkError, load_vector, reduce_case
@@ -28,6 +30,7 @@ CORRECTOR_MAX_ITER = 40  # iterations per continuation corrector
 SERIES_TERMS = 40  # power-series coefficients of the zero-load start, one Y_LL solve each
 SERIES_FRACTION = 0.95  # the start's loading as a fraction of the nose the series estimates
 FOLD_MAX_PASSES = 60  # passes of the fold's bracket loop, one held s each
+DENSE_MAX = 100  # the largest Jacobian order factored dense, by LAPACK; SuperLU above (scripts/factor_crossover.py)
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,21 @@ class NewtonResult:
     V_L: np.ndarray
     iterations: int
     mismatch_norm: float  # inf-norm of the per-unit power mismatch
+
+
+class _DenseLU:
+    """LAPACK's LU factor (dgetrf) of a Fortran-ordered float64 matrix, factored in place,
+    with the solve(b) of SuperLU's factor. Raises RuntimeError when the matrix is exactly singular."""
+
+    __slots__ = ("lu", "piv")
+
+    def __init__(self, a: np.ndarray):
+        self.lu, self.piv, info = dgetrf(a, overwrite_a=1)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return dgetrs(self.lu, self.piv, b)[0]
 
 
 class _NewtonKernel:
@@ -49,8 +67,12 @@ class _NewtonKernel:
     (V_i, Y_ik U_k, [i=k] conj(I_i) U_i) for dS_i/dVm_k. J is CSC arrays alone:
     the kernel keeps its pattern (indices, indptr), and the caller owns its values,
     one float64 array per solve or limit that every iteration refills; `factor`
-    hands such arrays to SuperLU. The kernel is not written to after it is built,
-    so threads may share it."""
+    factors such arrays, dense with LAPACK when J's order is at most DENSE_MAX and
+    with SuperLU above it, the backend fixed by the order when the kernel is built:
+    at small orders SuperLU's fixed cost per call outweighs LAPACK's n^3 flops. On
+    the bundled cases' Jacobians LAPACK is the faster up to order 106 and SuperLU
+    from 128; sparse work grows with the fill, so a sparser network crosses lower.
+    The kernel is not written to after it is built, so threads may share it."""
 
     def __init__(self, Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray):
         nb, n = Y.shape[0], len(ang) + len(mag)
@@ -78,6 +100,7 @@ class _NewtonKernel:
         self.gather, self.indices = np.concatenate([P, len(i) + Q])[order], rows[order].astype(np.intc)
         self.indptr = np.zeros(n + 1, dtype=np.intc)
         np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
+        self.dense = n <= DENSE_MAX
 
     def jacobian(self, V: np.ndarray, I: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The values of J at bus voltages V with I = Y V, in the pattern (indices, indptr),
@@ -95,10 +118,26 @@ class _NewtonKernel:
         return re_im.take(self.gather, out=out)
 
     def factor(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
-        """SuperLU's LU factor of the square CSC matrix (data, indices, indptr): float64
-        values, np.intc indices, canonical. This is the call scipy 1.17.1's spla.splu makes,
+        """The LU factor of the square CSC matrix (data, indices, indptr), float64 values and
+        np.intc indices, canonical: factor_dense's when the kernel is dense, else factor_sparse's.
+        Either has solve(b) and raises RuntimeError when the matrix is exactly singular."""
+        return (self.factor_dense if self.dense else self.factor_sparse)(data, indices, indptr)
+
+    @staticmethod
+    def factor_dense(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> _DenseLU:
+        """LAPACK's factor of the matrix, its values scattered column-major into a new
+        Fortran-ordered array: scipy.sparse's own scatter, reading the CSC arrays as the CSR
+        arrays of the transpose into a C-ordered one."""
+        n = len(indptr) - 1
+        a = np.zeros((n, n))
+        _sparsetools.csr_todense(n, n, indptr, indices, data, a)
+        return _DenseLU(a.T)
+
+    @staticmethod
+    def factor_sparse(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+        """SuperLU's factor of the matrix. This is the call scipy 1.17.1's spla.splu makes,
         arguments and options alike, without its checks and casts of arrays that are
-        already in this form. Raises RuntimeError when the matrix is exactly singular."""
+        already in this form."""
         return _superlu.gstrf(len(indptr) - 1, len(data), data, indices, indptr, csc_construct_func=sp.csc_array,
                               ilu=False, options=dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None))
 

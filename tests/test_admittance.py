@@ -259,6 +259,17 @@ def test_recentered_ztilde_divides_the_base_ztilde_by_v0():
     assert red2.Ztilde.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_ztilde_is_c_ordered(name):
+    """lu.solve's Z is Fortran-ordered, and BLAS rounds products with a Fortran-ordered
+    Ztilde differently, so the stress measures (and the goldens) depend on Ztilde being
+    a C-ordered array, on a base reduction and on a re-centred copy alike."""
+    red, S = prepare(case_path_case(f"{name}.m"))
+    red2 = renormalize_about_solution(red, newton_solve(red, S).V_L / red.scale, S)
+    for Z in (red.Ztilde, red2.Ztilde):
+        assert Z.flags.c_contiguous and not Z.flags.f_contiguous
+
+
 def test_scale_is_e_times_v0_bit_for_bit():
     """red.scale is the vector product the fixed point and the voltage bounds each formed
     before; on a base reduction (v0 = 1) it is E itself, so the CLI's res.V_L / red.scale

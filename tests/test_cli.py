@@ -301,6 +301,16 @@ def test_certify_to_a_csv_path_is_exit_2_and_writes_nothing(name, two_bus_file, 
         "error": "input", "message": "certify has no CSV form: give --out a path that does not end in .csv"}
 
 
+def test_certify_refuses_a_csv_path_before_any_work(monkeypatch, tmp_path, capsys):
+    """The refusal comes before the case loads: with --known-solution no Newton base solve runs."""
+    calls = []
+    monkeypatch.setattr(oracle, "newton_solve", lambda *a, **k: calls.append(a))
+    out = tmp_path / "x.csv"
+    assert run(["certify", "--case", DATA_DIR / "case118.m", "--known-solution", "--out", out]) == 2
+    assert calls == [] and not out.exists()
+    assert json.loads(capsys.readouterr().err)["message"].startswith("certify has no CSV form")
+
+
 def test_limits_json_and_determinism(two_bus_file, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["limits", "--case", two_bus_file, "--with-oracle", "--out", out1]) == 0

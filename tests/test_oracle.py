@@ -18,6 +18,7 @@ from pfcert.oracle import (
     NEWTON_TOL,
     _NewtonKernel,
     _nose,
+    _series_start,
     actual_limit,
     newton_base_case,
     newton_solve,
@@ -256,21 +257,26 @@ def test_held_column_matches_fresh_matrix(name):
     assert shrunk >= 2 * n
 
 
-@pytest.mark.parametrize("name", BUNDLED)
-def test_factor_is_splu_bit_for_bit(name):
-    """_NewtonKernel.factor calls SuperLU's private entry point the way spla.splu
-    does; if a scipy release changes that call, this test fails first. The matrices
-    are the load-form Jacobian at the no-load voltages, and the same matrix with its
-    column 0 replaced by the base load's loading column."""
+def factored_matrices(name):
+    """The load-form Jacobian at the no-load voltages, and the same matrix with its column 0
+    replaced by the base load's loading column, as (data, indices, indptr)."""
     red, S = limits.prepare(case_path_case(f"{name}.m"))
     kernel = red.kernel
     V = np.concatenate([red.V_G, red.E])
     J = kernel.jacobian(V, red.Y @ V)
-    held = kernel.held_column(0, np.concatenate([S.real, S.imag]))(J)[:3]
+    return [(J, kernel.indices, kernel.indptr), kernel.held_column(0, np.concatenate([S.real, S.imag]))(J)[:3]]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_factor_is_splu_bit_for_bit(name):
+    """_NewtonKernel.factor_sparse calls SuperLU's private entry point the way spla.splu
+    does; if a scipy release changes that call, this test fails first. It is called
+    directly, whichever backend the case's kernel picks, so every case's matrices keep
+    the check."""
     rng = np.random.default_rng(13)
-    for data, indices, indptr in ((J, kernel.indices, kernel.indptr), held):
+    for data, indices, indptr in factored_matrices(name):
         n = len(indptr) - 1
-        ours = kernel.factor(data, indices, indptr)
+        ours = _NewtonKernel.factor_sparse(data, indices, indptr)
         theirs = spla.splu(sp.csc_matrix((data, indices, indptr), shape=(n, n)))
         for a, b in ((ours.perm_r, theirs.perm_r), (ours.perm_c, theirs.perm_c)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -281,15 +287,115 @@ def test_factor_is_splu_bit_for_bit(name):
         assert ours.solve(rhs).tobytes() == theirs.solve(rhs).tobytes()
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_dense_factor_solves_like_splu(name):
+    """LAPACK's factor of the same matrices solves to within 1e-12 of SuperLU's, relative to
+    the solution's largest entry, and leaves the matrix's arrays as they were."""
+    rng = np.random.default_rng(13)
+    for A in factored_matrices(name):
+        before = [a.tobytes() for a in A]
+        n = len(A[2]) - 1
+        rhs = rng.standard_normal(n)
+        x, want = _NewtonKernel.factor_dense(*A).solve(rhs), spla.splu(sp.csc_matrix(A, shape=(n, n))).solve(rhs)
+        assert x.shape == want.shape and np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+        assert [a.tobytes() for a in A] == before
+
+
 def test_factor_raises_on_a_singular_matrix_like_splu():
     """An exactly singular matrix (its middle column zero) raises RuntimeError from
-    both, which the corrector reads as a breakdown."""
+    both backends, and so from the kernel's factor, which the corrector reads as a
+    breakdown."""
     data = np.array([1.0, 2.0, 3.0])
     indices, indptr = np.array([0, 2, 2], dtype=np.intc), np.array([0, 2, 2, 3], dtype=np.intc)
-    with pytest.raises(RuntimeError):
-        reduce_case(make_two_bus()).kernel.factor(data, indices, indptr)
+    for factor in (reduce_case(make_two_bus()).kernel.factor, _NewtonKernel.factor_dense,
+                   _NewtonKernel.factor_sparse):
+        with pytest.raises(RuntimeError):
+            factor(data, indices, indptr)
     with pytest.raises(RuntimeError):
         spla.splu(sp.csc_matrix((data, indices, indptr), shape=(3, 3)))
+
+
+@pytest.mark.parametrize("name, dense", [("case9", True), ("case118", False)])
+def test_kernel_picks_its_backend_by_order(name, dense):
+    """case9's Jacobian (order 12) is factored by LAPACK, case118's (order 128) by SuperLU."""
+    kernel = reduce_case(case_path_case(f"{name}.m")).kernel
+    assert kernel.dense is dense and (len(kernel.indptr) - 1 <= oracle.DENSE_MAX) is dense
+    lu = kernel.factor(*factored_matrices(name)[0])
+    assert isinstance(lu, oracle._DenseLU if dense else spla.SuperLU)
+
+
+class _PoisonedFactor:
+    """A factor whose solve number `bad` (0 is a Newton step's, 1 the tangent's) returns NaN."""
+
+    def __init__(self, lu, bad):
+        self.lu, self.bad, self.calls = lu, bad, 0
+
+    def solve(self, b):
+        self.calls += 1
+        x = self.lu.solve(b)
+        return np.full_like(x, np.nan) if self.calls - 1 == self.bad else x
+
+
+def poison_factors(monkeypatch, bad):
+    factor = _NewtonKernel.factor
+    monkeypatch.setattr(_NewtonKernel, "factor", lambda self, *A: _PoisonedFactor(factor(self, *A), bad))
+
+
+@pytest.mark.parametrize("name", ["case9", "case118"])  # one kernel on each backend
+def test_non_finite_jacobian_or_step_breaks_the_solve(name, monkeypatch):
+    """A non-finite Jacobian value, or a non-finite step, ends the solve at once: not
+    converged after 0 iterations, with the first iterate's finite mismatch."""
+    red, S = limits.prepare(case_path_case(f"{name}.m"))
+    assert newton_solve(red, S).converged
+    with monkeypatch.context() as m:
+        jacobian = _NewtonKernel.jacobian
+        m.setattr(_NewtonKernel, "jacobian", lambda self, *a: np.where(np.arange(len(self.indices)) == 0, np.inf,
+                                                                         jacobian(self, *a)))
+        m.setattr(_NewtonKernel, "factor", lambda *a: pytest.fail("factored a non-finite Jacobian"))
+        broken = newton_solve(red, S)
+        assert not broken.converged and broken.iterations == 0 and math.isfinite(broken.mismatch_norm)
+    poison_factors(monkeypatch, 0)
+    broken = newton_solve(red, S)
+    assert not broken.converged and broken.iterations == 0 and math.isfinite(broken.mismatch_norm)
+
+
+@pytest.mark.parametrize("name", ["case9", "case118"])
+def test_non_finite_tangent_fails_the_corrector(name, monkeypatch):
+    """A corrector whose point converges but whose tangent is not finite returns no tangent
+    and converged=False, so the continuation treats it as a failed corrector."""
+    red, S = limits.prepare(case_path_case(f"{name}.m"))
+    m, n = len(red.generator_ids), len(S)
+    V = np.concatenate([red.V_G, red.E])
+    y, d = np.r_[np.angle(red.E), np.abs(red.E), 1e-3], np.concatenate([np.zeros(m), S])
+    args = (V, np.angle(V), np.abs(V), y, np.zeros_like(V), d, 2 * n, NEWTON_TOL, oracle.CORRECTOR_MAX_ITER)
+    res, _, t = red.kernel.correct(*args)
+    assert res.converged and np.isfinite(t).all()
+    poison_factors(monkeypatch, 1)
+    res, _, t = red.kernel.correct(*args)
+    assert not res.converged and t is None and res.mismatch_norm < NEWTON_TOL
+
+
+class _FixedCoefficients:
+    """A stand-in Y_LL factor whose k-th solve makes the zero-load series' coefficient
+    c_k = coefficient(k) at every load bus, whatever it is asked to solve."""
+
+    def __init__(self, E, coefficient):
+        self.E, self.coefficient, self.k = E, coefficient, 0
+
+    def solve(self, x):
+        self.k += 1
+        return self.coefficient(self.k) * self.E
+
+
+def test_series_start_refuses_a_non_positive_intercept():
+    """Coefficients 1/k!^2 sum to an entire function, with no nose: the ratios |c_k / c_(k-1)| = 1/k^2
+    are convex in 1/k, so the line fitted to them meets 1/k = 0 below zero and the series gives no
+    start. Geometric coefficients 2^-k, with their pole at 2, give 0.95 * 2."""
+    red = reduce_case(make_two_bus())
+    entire = replace(red, lu=_FixedCoefficients(red.E, lambda k: 1 / math.factorial(k) ** 2))
+    assert _series_start(entire, np.array([2.5 + 0j]), 1e-3, None) is None
+    geometric = replace(red, lu=_FixedCoefficients(red.E, lambda k: 2.0**-k))
+    assert _series_start(geometric, np.array([2.5 + 0j]), 1e-3, None)[0] == pytest.approx(1.9, rel=1e-12)
 
 
 def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
