@@ -1,5 +1,8 @@
 """Report what the Newton oracle's limits cost, in Jacobian factorizations, and how close they are.
 
+A Jacobian factorization is a float64 call to `admittance.lu`, the one factor seam; its complex
+calls, the reductions' `Y_LL` factors, are not counted.
+
 On the 7 base directions it also reports how many limits started from the
 zero-load series, how many took the jump toward the nose the series predicts
 (its corrector, each limit's second, solved to NEWTON_TOL after the start's
@@ -28,18 +31,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from pfcert import limits, oracle  # noqa: E402
+from pfcert import admittance, limits, oracle  # noqa: E402
 from pfcert.net_model import load_case_file  # noqa: E402
 from workloads import BUNDLED, OracleLimits  # noqa: E402
 
-factor, series, correct = oracle._NewtonKernel.factor, oracle._series_start, oracle._NewtonKernel.correct
+lu, series, correct = admittance.lu, oracle._series_start, oracle._NewtonKernel.correct
 cubic_fold = oracle._cubic_fold
 count, started, calls = [0], [], []
 
 
-def counted(self, *args):
-    count[0] += 1
-    return factor(self, *args)
+def counted(data, indices, indptr):
+    count[0] += data.dtype.kind == "f"
+    return lu(data, indices, indptr)
 
 
 def watched(*args):
@@ -108,7 +111,8 @@ def report_paths(paths: list[list[str]], label: str) -> None:
 
 
 def main() -> None:
-    oracle._NewtonKernel.factor, oracle._series_start, oracle._NewtonKernel.correct = counted, watched, recorded
+    admittance.lu = oracle.lu = counted
+    oracle._series_start, oracle._NewtonKernel.correct = watched, recorded
     oracle._cubic_fold = fitted
 
     nets = {}

@@ -7,7 +7,8 @@ the load-load admittance block. Normalizing by E (and optionally by a known
 solution) yields the unitless impedance matrix Ztilde the stress measures and
 the fixed-point map are built on. A reduction forms Ztilde and the oracle's
 Newton kernel on first use (a re-centered copy takes its base's kernel if
-built), so touch both before sharing one across threads.
+built), so touch both before sharing one across threads. lu factors every
+matrix pfcert factors, Y_LL and the oracle's Jacobians alike.
 """
 
 from __future__ import annotations
@@ -18,12 +19,15 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
+from scipy.sparse import _sparsetools
+from scipy.sparse.linalg._dsolve import _superlu
 
 from .net_model import CaseError, NetworkCase, generator_phasors, partition_buses
 
 FACTOR_TOL = 1e-10  # max |Y_LL Z - I| accepted from the factorization
 SOLUTION_TOL = 1e-6  # fixed-point residual accepted for a "known solution"
+DENSE_MAX = 100  # the largest order, in real unknowns, that lu factors dense; SuperLU above (scripts/factor_crossover.py)
 
 
 class SingularNetworkError(RuntimeError):
@@ -60,7 +64,7 @@ class GridReduction:
     load_ids: tuple[int, ...]
     Y: sp.csc_matrix  # full admittance, generators first
     Y_LL: sp.csc_matrix
-    lu: spla.SuperLU  # factor of Y_LL
+    lu: _DenseFactor | _superlu.SuperLU  # lu(Y_LL)
     V_G: np.ndarray
     E: np.ndarray  # zero-load load voltages
     v0: np.ndarray
@@ -155,6 +159,49 @@ def build_admittance(case: NetworkCase) -> AdmittanceMatrix:
     return AdmittanceMatrix(matrix=matrix, bus_order=order, n_gen=len(generator_ids))
 
 
+class _DenseFactor:
+    """LAPACK's LU factor (getrf, d or z by dtype) of a square CSC matrix, its values scattered
+    column-major into a new Fortran-ordered array by scipy.sparse's own scatter, which reads the
+    CSC arrays as the CSR arrays of the transpose into a C-ordered one; solve(b) is getrs. scipy's
+    getrs shifts the pivots it is given to 1-based and back in place, outside the GIL, so each
+    solve passes its own copy: threads share a reduction's factor. OpenBLAS's zgetrs rounds one
+    right-hand side differently on one thread than on several, and two columns alike, so a
+    complex vector is solved as two equal columns: answers do not depend on the BLAS thread count."""
+
+    __slots__ = ("getrs", "lu", "piv")
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+        n = len(indptr) - 1
+        a = np.zeros((n, n), dtype=data.dtype)
+        _sparsetools.csr_todense(n, n, indptr, indices, data, a)
+        getrf, self.getrs = (zgetrf, zgetrs) if data.dtype == complex else (dgetrf, dgetrs)
+        self.lu, self.piv, info = getrf(a.T, overwrite_a=1)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if b.ndim == 2 or self.lu.dtype == float:
+            return self.getrs(self.lu, self.piv.copy(), b)[0]
+        x = np.empty((2, len(b)), dtype=complex)
+        x[:] = b
+        return self.getrs(self.lu, self.piv.copy(), x.T, overwrite_b=1)[0][:, 0]
+
+
+def lu(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """The LU factor of the square canonical CSC matrix (data, indices, indptr), float64 or
+    complex128 values and np.intc indices, with solve(b); RuntimeError if it is exactly singular.
+
+    The backend follows the order in real unknowns, twice the order for complex values (a complex
+    n x n system is a real 2n x 2n one): LAPACK up to DENSE_MAX, where SuperLU's fixed cost per
+    call outweighs the dense flops, and SuperLU above, by the call scipy 1.17.1's splu makes,
+    arguments and options alike, without its checks and casts of arrays already in this form."""
+    n = len(indptr) - 1
+    if n * (2 if data.dtype == complex else 1) <= DENSE_MAX:
+        return _DenseFactor(data, indices, indptr)
+    return _superlu.gstrf(n, len(data), data, indices, indptr, csc_construct_func=sp.csc_array,
+                          ilu=False, options=dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None))
+
+
 def reduce_network(Y: AdmittanceMatrix, V_G: np.ndarray) -> GridReduction:
     """Factorize Y_LL once and solve for E, with V_G in Y's generator order.
 
@@ -179,11 +226,11 @@ def reduce_network(Y: AdmittanceMatrix, V_G: np.ndarray) -> GridReduction:
     Y_LL = sp.csc_matrix((vals[load], rows[load] - m, before[Y.matrix.indptr[m:] - start]), shape=(n, n))
 
     try:
-        lu = spla.splu(Y_LL)
+        factor = lu(Y_LL.data, Y_LL.indices, Y_LL.indptr)
     except RuntimeError as exc:
         raise SingularNetworkError(f"Y_LL is singular: {exc}") from exc
 
-    E = lu.solve(-(Y.matrix @ np.concatenate([V_G, np.zeros(n)]))[m:])
+    E = factor.solve(-(Y.matrix @ np.concatenate([V_G, np.zeros(n)]))[m:])
     if not np.isfinite(E).all() or np.any(np.abs(E) < 1e-12):
         raise SingularNetworkError("equivalent voltage E has non-finite or (near-)zero entries")
 
@@ -192,7 +239,7 @@ def reduce_network(Y: AdmittanceMatrix, V_G: np.ndarray) -> GridReduction:
         load_ids=Y.bus_order[m:],
         Y=Y.matrix,
         Y_LL=Y_LL,
-        lu=lu,
+        lu=factor,
         V_G=V_G,
         E=E,
         v0=np.ones(n, dtype=complex),

@@ -65,10 +65,6 @@ def _line_limits(
     """
     x0, X0 = (0.0, 0.0) if m0 is None else (m0.xi, m0.xi_max)
     X1, E1 = m.xi_max, m.eta_max
-    if E1 > X1 * (1.0 + 1e-9):
-        raise RuntimeError(
-            f"eta {E1} exceeds xi {X1}: impossible for sigma = S by the triangle inequality"
-        )
     level = first_positive_roots(
         2.0 * X1 * E1 - m.xi**2 - m.eta_abs**2,
         2.0 * (m.xi + m.eta_complex.real - x0 * m.xi + X0 * E1),

@@ -15,11 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.sparse import _sparsetools
-from scipy.sparse.linalg._dsolve import _superlu
 
-from .admittance import AdmittanceMatrix, GridReduction, SingularNetworkError, load_vector, reduce_case
+from .admittance import AdmittanceMatrix, GridReduction, SingularNetworkError, load_vector, lu, reduce_case
 from .net_model import CaseError, NetworkCase
 from .stress import first_positive_roots
 
@@ -30,7 +27,6 @@ CORRECTOR_MAX_ITER = 40  # iterations per continuation corrector
 SERIES_TERMS = 40  # power-series coefficients of the zero-load start, one Y_LL solve each
 SERIES_FRACTION = 0.95  # the start's loading as a fraction of the nose the series estimates
 FOLD_MAX_PASSES = 60  # passes of the fold's bracket loop, one held s each
-DENSE_MAX = 100  # the largest Jacobian order factored dense, by LAPACK; SuperLU above (scripts/factor_crossover.py)
 
 
 @dataclass(frozen=True)
@@ -39,21 +35,6 @@ class NewtonResult:
     V_L: np.ndarray
     iterations: int
     mismatch_norm: float  # inf-norm of the per-unit power mismatch
-
-
-class _DenseLU:
-    """LAPACK's LU factor (dgetrf) of a Fortran-ordered float64 matrix, factored in place,
-    with the solve(b) of SuperLU's factor. Raises RuntimeError when the matrix is exactly singular."""
-
-    __slots__ = ("lu", "piv")
-
-    def __init__(self, a: np.ndarray):
-        self.lu, self.piv, info = dgetrf(a, overwrite_a=1)
-        if info > 0:
-            raise RuntimeError("Factor is exactly singular")
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return dgetrs(self.lu, self.piv, b)[0]
 
 
 class _NewtonKernel:
@@ -66,13 +47,9 @@ class _NewtonKernel:
     U = V/|V| and (p, q, c) = (j V_i, [i=k] I_i - Y_ik V_k, 0) for dS_i/dVa_k,
     (V_i, Y_ik U_k, [i=k] conj(I_i) U_i) for dS_i/dVm_k. J is CSC arrays alone:
     the kernel keeps its pattern (indices, indptr), and the caller owns its values,
-    one float64 array per solve or limit that every iteration refills; `factor`
-    factors such arrays, dense with LAPACK when J's order is at most DENSE_MAX and
-    with SuperLU above it, the backend fixed by the order when the kernel is built:
-    at small orders SuperLU's fixed cost per call outweighs LAPACK's n^3 flops. On
-    the bundled cases' Jacobians LAPACK is the faster up to order 106 and SuperLU
-    from 128; sparse work grows with the fill, so a sparser network crosses lower.
-    The kernel is not written to after it is built, so threads may share it."""
+    one float64 array per solve or limit that every iteration refills, and
+    admittance.lu factors them. The kernel is not written to after it is built,
+    so threads may share it."""
 
     def __init__(self, Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray):
         nb, n = Y.shape[0], len(ang) + len(mag)
@@ -100,7 +77,6 @@ class _NewtonKernel:
         self.gather, self.indices = np.concatenate([P, len(i) + Q])[order], rows[order].astype(np.intc)
         self.indptr = np.zeros(n + 1, dtype=np.intc)
         np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
-        self.dense = n <= DENSE_MAX
 
     def jacobian(self, V: np.ndarray, I: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The values of J at bus voltages V with I = Y V, in the pattern (indices, indptr),
@@ -116,30 +92,6 @@ class _NewtonKernel:
         p = np.concatenate([1j * V, V])[self.p]
         re_im = np.concatenate([p.real * qr + p.imag * qi + cr, p.imag * qr - p.real * qi + ci])
         return re_im.take(self.gather, out=out)
-
-    def factor(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
-        """The LU factor of the square CSC matrix (data, indices, indptr), float64 values and
-        np.intc indices, canonical: factor_dense's when the kernel is dense, else factor_sparse's.
-        Either has solve(b) and raises RuntimeError when the matrix is exactly singular."""
-        return (self.factor_dense if self.dense else self.factor_sparse)(data, indices, indptr)
-
-    @staticmethod
-    def factor_dense(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> _DenseLU:
-        """LAPACK's factor of the matrix, its values scattered column-major into a new
-        Fortran-ordered array: scipy.sparse's own scatter, reading the CSC arrays as the CSR
-        arrays of the transpose into a C-ordered one."""
-        n = len(indptr) - 1
-        a = np.zeros((n, n))
-        _sparsetools.csr_todense(n, n, indptr, indices, data, a)
-        return _DenseLU(a.T)
-
-    @staticmethod
-    def factor_sparse(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
-        """SuperLU's factor of the matrix. This is the call scipy 1.17.1's spla.splu makes,
-        arguments and options alike, without its checks and casts of arrays that are
-        already in this form."""
-        return _superlu.gstrf(len(indptr) - 1, len(data), data, indices, indptr, csc_construct_func=sp.csc_array,
-                              ilu=False, options=dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None))
 
     def run(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, S_spec: np.ndarray, tol: float) -> NewtonResult:
         """Iterate from the polar start (theta, vm), NEWTON_MAX_ITER times at most, until max
@@ -167,7 +119,7 @@ class _NewtonKernel:
         col = None if d is None else np.concatenate([d.real[self.ang], d.imag[self.mag]])
         refill = None if fixed == lam else self.held_column(fixed, col)
         f, dx = np.empty(lam), np.empty(lam + 1)
-        lu = None
+        factor = None
         mismatch_norm = last = math.inf
         for iteration in range(max_iter + 1):
             theta[self.ang], vm[self.mag] = y[:na], y[na:lam]
@@ -182,8 +134,8 @@ class _NewtonKernel:
             mismatch_norm = float(abs(f).max())
             if mismatch_norm < tol and d is None:
                 return NewtonResult(True, V, iteration, mismatch_norm), y, None
-            if mismatch_norm < tol and lu is not None:
-                tangent = np.concatenate([lu.solve(-held), [1.0]])
+            if mismatch_norm < tol and factor is not None:
+                tangent = np.concatenate([factor.solve(-held), [1.0]])
                 tangent[[fixed, lam]] = tangent[[lam, fixed]]
                 if not np.isfinite(tangent).all():
                     break
@@ -196,10 +148,10 @@ class _NewtonKernel:
                 break
             *A, held = (J, self.indices, self.indptr, col) if refill is None else refill(J)
             try:
-                lu = self.factor(*A)
+                factor = lu(*A)
             except RuntimeError:  # exactly singular
                 break
-            dx[:lam], dx[lam] = lu.solve(-f), 0.0
+            dx[:lam], dx[lam] = factor.solve(-f), 0.0
             if not np.isfinite(dx).all():
                 break
             dx[fixed], dx[lam] = dx[lam], dx[fixed]
@@ -303,9 +255,10 @@ def actual_limit(
     returned, to NEWTON_TOL before. Both bound max(|dP|, |dQ|) over the load-bus
     equations, so the returned point's per-bus |dS| is at most sqrt(2) FOLD_TOL.
     network is the case's reduction, reduce_case(case) if None.
-    Raises CaseError when the nose is at or above bracket[1], when lambda
-    passes 2**60 * bracket[0], when a corrector breaks down, or when the fold's
-    bracket has not closed after FOLD_MAX_PASSES passes.
+    Raises CaseError when the nose is at or above bracket[1] or when lambda
+    passes 2**60 * bracket[0], and RuntimeError, a numerical failure on a valid
+    input, when the continuation or the fold's corrector breaks down, or when
+    the fold's bracket has not closed after FOLD_MAX_PASSES passes.
     """
     net = network if network is not None else reduce_case(case)
     return _nose(net, load_vector(net, direction, "direction"), bracket, tol)[0]
@@ -413,7 +366,7 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
         if not res1.converged or t1[lam] < 0 and t[crit] * t1[crit] <= 0:
             h *= 0.25
             if h < 1e-10 * (1.0 + abs(y[lam])):
-                raise CaseError(f"continuation broke down near lambda={y[lam]}")
+                raise RuntimeError(f"continuation broke down near lambda={y[lam]}")
             continue
         if y1[lam] > 2.0**60 * lo:
             raise CaseError("no nose below 2**60 times the lower bracket end; direction may be unbounded")
@@ -440,12 +393,12 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
                 break
             s = 0.5 * (s + s0)  # shrink toward the end that converged
             if not abs(s - s0) >= 1e-12:  # a NaN s, once the ends have met, stops here too
-                raise CaseError(f"corrector broke down at the nose near lambda={y0[lam]}")
+                raise RuntimeError(f"corrector broke down at the nose near lambda={y0[lam]}")
         side = int((t[lam] > 0) != (ga > 0))
         same = same + 1 if side == last else 1
         last = side
         ends[side] = (y[crit], t[lam], y, t, res)
-    raise CaseError(f"the fold's bracket did not close near lambda={y[lam]}")
+    raise RuntimeError(f"the fold's bracket did not close near lambda={y[lam]}")
 
 
 def _cubic_fold(sa: float, ga: float, la: float, sb: float, gb: float, lb: float, side: float, tol: float) -> float:
@@ -476,8 +429,8 @@ def _series_start(net: GridReduction, direction: np.ndarray, lo: float,
     fitted to the ratios against 1/k over the last half of the series has intercept 1/rho
     (Domb & Sykes 1957). The start is
     lambda = SERIES_FRACTION * rho with the partial sum as u. None when a coefficient is zero
-    or non-finite, when the intercept is not positive, when lambda is not strictly inside
-    the bracket, or when the last term exceeds 1e-2 of the smallest |u|: the sum has not
+    or non-finite, when lambda is not strictly inside the bracket (a negative or NaN intercept
+    puts it below), or when the last term exceeds 1e-2 of the smallest |u|: the sum has not
     converged there, and the estimate may lie past the nose."""
     E, g, inv = net.E, direction.conj() / net.E.conj(), 1.0 / net.E
     nc = np.empty((SERIES_TERMS + 1, len(E)), dtype=complex)  # -conj(c), all that is kept of c
@@ -493,8 +446,6 @@ def _series_start(net: GridReduction, direction: np.ndarray, lo: float,
     inv_k, ratio = 1.0 / k, size[k] / size[k - 1]
     dk = inv_k - inv_k.mean()
     intercept = ratio.mean() - (dk @ ratio) / (dk @ dk) * inv_k.mean()  # of the least-squares line
-    if not intercept > 0:
-        return None
     lam = SERIES_FRACTION / intercept
     if not lo < lam or hi is not None and not lam < hi:
         return None

@@ -1,10 +1,16 @@
 """Admittance assembly, reduction, and renormalization about a known solution."""
 
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pfcert import admittance
 from pfcert.admittance import (
     AdmittanceMatrix,
     NotASolutionError,
@@ -177,6 +183,57 @@ def test_factorization_residual():
     red = reduce_case(case_path_case("case9.m"))
     n = red.n_load
     assert np.abs(red.Y_LL @ red.lu.solve(np.eye(n, dtype=complex)) - np.eye(n)).max() < 1e-10
+
+
+def test_a_shared_factor_solves_alike_across_threads():
+    """Threads share a reduction, and so its Y_LL factor, LAPACK's on case9. scipy's getrs shifts
+    the pivot array it is given to 1-based and back in place, outside the GIL, and concurrent solves
+    on one pivot array corrupted the heap; each solve passes its own copy. Three threads, switching
+    as often as the interpreter allows, get the sequential solve bit for bit, every time."""
+    red = reduce_case(case_path_case("case9.m"))
+    b = np.arange(1, red.n_load + 1) * (1 + 1j)
+    want = red.lu.solve(b).tobytes()
+    bad = []
+
+    def work():
+        for _ in range(20000):
+            if red.lu.solve(b).tobytes() != want:
+                bad.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not bad
+
+
+def test_solves_do_not_depend_on_the_blas_thread_count():
+    """OpenBLAS's zgetrs rounds one right-hand side differently on one thread than on several, which
+    moved the goldens' fixed-point residuals; the dense factor solves a complex vector as two columns.
+    E (a vector solve with Y_LL's factor), a residual and a Newton step with case39's Jacobian read
+    the same bytes with one BLAS thread and with two, each in a fresh process."""
+    code = (
+        "import numpy as np\n"
+        "from pfcert import admittance, limits\n"
+        "from pfcert.net_model import load_case_file\n"
+        f"red, S = limits.prepare(load_case_file({str(case_path('case39.m'))!r}))\n"
+        "kernel, V = red.kernel, np.concatenate([red.V_G, red.E])\n"
+        "J = kernel.jacobian(V, red.Y @ V)\n"
+        "step = admittance.lu(J, kernel.indices, kernel.indptr).solve(np.arange(1.0, len(kernel.indptr)))\n"
+        "print(red.E.tobytes().hex(), admittance.fixed_point_residual(red, red.E, 0.5 * S).hex(), step.tobytes().hex())\n"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(admittance.__file__).parents[1]), OPENBLAS_NUM_THREADS=threads)
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                                   check=True).stdout)
+    assert outs[0] == outs[1]
 
 
 def case_path_case(name):

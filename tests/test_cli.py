@@ -15,7 +15,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-import scipy.sparse.linalg as spla
 
 import pfcert
 from pfcert import admittance, cli, limits, oracle
@@ -578,19 +577,37 @@ COMMANDS = [
 
 @pytest.mark.parametrize("args", COMMANDS, ids=[" ".join(map(str, a)) for a in COMMANDS])
 def test_every_command_factors_y_ll_once(args, tmp_path, monkeypatch):
-    """Y_LL is the only complex matrix pfcert factors; the oracle's Jacobians are real."""
-    splu = spla.splu
+    """Y_LL is the only complex matrix pfcert factors; the oracle's Jacobians are real. Every
+    factor goes through admittance.lu, patched in each pfcert module that binds it."""
+    lu = admittance.lu
     complex_factors = []
 
-    def counted(A, *a, **k):
-        if A.dtype.kind == "c":
-            complex_factors.append(A.shape)
-        return splu(A, *a, **k)
+    def counted(data, indices, indptr):
+        if data.dtype.kind == "c":
+            complex_factors.append((len(indptr) - 1,) * 2)
+        return lu(data, indices, indptr)
 
-    monkeypatch.setattr(spla, "splu", counted)
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "pfcert" and getattr(module, "lu", None) is lu:
+            monkeypatch.setattr(module, "lu", counted)
     command, *rest = args
     assert run([command, "--case", case_path("case39.m"), *rest, "--out", tmp_path / "out"]) == 0
     assert complex_factors == [(29, 29)]
+
+
+def test_oracle_breakdown_exits_3(tmp_path, capsys):
+    """A valid case on which the oracle's corrector breaks down at the nose (case9 with branch
+    1-4's reactance scaled by 1e-4) is a numerical failure, exit 3, not an input error."""
+    text = case_path("case9.m").read_text()
+    old = "\t1\t4\t0\t0.0576\t"
+    assert text.count(old) == 1
+    path = tmp_path / "case9.m"
+    path.write_text(text.replace(old, "\t1\t4\t0\t5.76e-6\t"))
+    assert run(["limits", "--with-oracle", "--case", path, "--out", tmp_path / "o.json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "o.json").exists()
+    err = json.loads(captured.err)
+    assert err["error"] == "numerical" and "broke down" in err["message"]
 
 
 def test_limits_with_oracle_exits_3_on_the_weak_tie(tmp_path, capsys):

@@ -10,8 +10,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from pfcert import limits, oracle
-from pfcert.admittance import build_admittance, fixed_point_residual, reduce_case
+from pfcert import admittance, limits, oracle
+from pfcert.admittance import (
+    AdmittanceMatrix,
+    SingularNetworkError,
+    build_admittance,
+    fixed_point_residual,
+    reduce_case,
+    reduce_network,
+)
 from pfcert.net_model import CaseError, load_power_vector, partition_buses
 from pfcert.oracle import (
     FOLD_TOL,
@@ -186,7 +193,7 @@ def test_newton_kernel_jacobian_matches_central_differences(form):
         fd = np.column_stack([(mismatch(h * e) - mismatch(-h * e)) / (2 * h) for e in np.eye(n)])
         assert np.abs(dense - fd).max() <= 1e-6 * np.abs(dense).max()
         if lu is None:
-            lu = kernel.factor(J, kernel.indices, kernel.indptr)
+            lu = admittance.lu(J, kernel.indices, kernel.indptr)
             x = lu.solve(b)
     assert lu.solve(b).tobytes() == x.tobytes()
 
@@ -258,70 +265,97 @@ def test_held_column_matches_fresh_matrix(name):
 
 
 def factored_matrices(name):
-    """The load-form Jacobian at the no-load voltages, and the same matrix with its column 0
-    replaced by the base load's loading column, as (data, indices, indptr)."""
+    """The matrices a limit factors, as (data, indices, indptr): the load-form Jacobian at the
+    no-load voltages, the same matrix with its column 0 replaced by the base load's loading
+    column, and the complex Y_LL."""
     red, S = limits.prepare(case_path_case(f"{name}.m"))
     kernel = red.kernel
     V = np.concatenate([red.V_G, red.E])
     J = kernel.jacobian(V, red.Y @ V)
-    return [(J, kernel.indices, kernel.indptr), kernel.held_column(0, np.concatenate([S.real, S.imag]))(J)[:3]]
+    return [(J, kernel.indices, kernel.indptr), kernel.held_column(0, np.concatenate([S.real, S.imag]))(J)[:3],
+            (red.Y_LL.data, red.Y_LL.indices, red.Y_LL.indptr)]
+
+
+def backend_factor(A, dense):
+    """admittance.lu's factor of A by the given backend, LAPACK's or SuperLU's, whatever A's order."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(admittance, "DENSE_MAX", math.inf if dense else -1)
+        return admittance.lu(*A)
+
+
+def right_hand_side(rng, A):
+    n = len(A[2]) - 1
+    b = rng.standard_normal(n)
+    return b if A[0].dtype == float else b + 1j * rng.standard_normal(n)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_factor_is_splu_bit_for_bit(name):
-    """_NewtonKernel.factor_sparse calls SuperLU's private entry point the way spla.splu
-    does; if a scipy release changes that call, this test fails first. It is called
-    directly, whichever backend the case's kernel picks, so every case's matrices keep
+    """admittance.lu's SuperLU backend calls SuperLU's private entry point the way spla.splu
+    does; if a scipy release changes that call, this test fails first. It is forced,
+    whichever backend the matrix's order picks, so every case's Jacobians and Y_LL keep
     the check."""
     rng = np.random.default_rng(13)
     for data, indices, indptr in factored_matrices(name):
         n = len(indptr) - 1
-        ours = _NewtonKernel.factor_sparse(data, indices, indptr)
+        ours = backend_factor((data, indices, indptr), dense=False)
         theirs = spla.splu(sp.csc_matrix((data, indices, indptr), shape=(n, n)))
         for a, b in ((ours.perm_r, theirs.perm_r), (ours.perm_c, theirs.perm_c)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         for a, b in ((ours.L, theirs.L), (ours.U, theirs.U)):
             for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        rhs = rng.standard_normal(n)
+        rhs = right_hand_side(rng, (data, indices, indptr))
         assert ours.solve(rhs).tobytes() == theirs.solve(rhs).tobytes()
 
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_dense_factor_solves_like_splu(name):
-    """LAPACK's factor of the same matrices solves to within 1e-12 of SuperLU's, relative to
-    the solution's largest entry, and leaves the matrix's arrays as they were."""
+    """LAPACK's factor of the same matrices, Y_LL included, solves to within 1e-12 of SuperLU's,
+    relative to the solution's largest entry, and leaves the matrix's arrays as they were."""
     rng = np.random.default_rng(13)
     for A in factored_matrices(name):
         before = [a.tobytes() for a in A]
         n = len(A[2]) - 1
-        rhs = rng.standard_normal(n)
-        x, want = _NewtonKernel.factor_dense(*A).solve(rhs), spla.splu(sp.csc_matrix(A, shape=(n, n))).solve(rhs)
-        assert x.shape == want.shape and np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+        rhs = right_hand_side(rng, A)
+        x, want = backend_factor(A, dense=True).solve(rhs), spla.splu(sp.csc_matrix(A, shape=(n, n))).solve(rhs)
+        assert x.dtype == want.dtype and x.shape == want.shape
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
         assert [a.tobytes() for a in A] == before
 
 
 def test_factor_raises_on_a_singular_matrix_like_splu():
-    """An exactly singular matrix (its middle column zero) raises RuntimeError from
-    both backends, and so from the kernel's factor, which the corrector reads as a
-    breakdown."""
-    data = np.array([1.0, 2.0, 3.0])
+    """An exactly singular matrix (its middle column zero), real or complex, raises
+    RuntimeError from both backends, which the corrector reads as a breakdown; as Y_LL,
+    the complex one makes reduce_network raise SingularNetworkError on either backend."""
     indices, indptr = np.array([0, 2, 2], dtype=np.intc), np.array([0, 2, 2, 3], dtype=np.intc)
-    for factor in (reduce_case(make_two_bus()).kernel.factor, _NewtonKernel.factor_dense,
-                   _NewtonKernel.factor_sparse):
+    complex_data = np.array([1.0 + 1j, 2.0, 3j])
+    for data in (np.array([1.0, 2.0, 3.0]), complex_data):
+        for dense in (True, False):
+            with pytest.raises(RuntimeError):
+                backend_factor((data, indices, indptr), dense)
         with pytest.raises(RuntimeError):
-            factor(data, indices, indptr)
-    with pytest.raises(RuntimeError):
-        spla.splu(sp.csc_matrix((data, indices, indptr), shape=(3, 3)))
+            spla.splu(sp.csc_matrix((data, indices, indptr), shape=(3, 3)))
+    Y = np.zeros((4, 4), dtype=complex)  # one generator, then the singular matrix as Y_LL
+    Y[0, 0], Y[0, 1], Y[1, 0] = 1.0, -1.0, -1.0
+    Y[1:, 1:] = sp.csc_matrix((complex_data, indices, indptr), shape=(3, 3)).toarray()
+    for dense in (True, False):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(admittance, "DENSE_MAX", math.inf if dense else -1)
+            with pytest.raises(SingularNetworkError, match="Y_LL is singular"):
+                reduce_network(AdmittanceMatrix(sp.csc_matrix(Y), (1, 2, 3, 4), 1), np.array([1.0 + 0j]))
 
 
-@pytest.mark.parametrize("name, dense", [("case9", True), ("case118", False)])
+@pytest.mark.parametrize("name, dense", [("case9", True), ("case57", True), ("case118", False)])
 def test_kernel_picks_its_backend_by_order(name, dense):
-    """case9's Jacobian (order 12) is factored by LAPACK, case118's (order 128) by SuperLU."""
-    kernel = reduce_case(case_path_case(f"{name}.m")).kernel
-    assert kernel.dense is dense and (len(kernel.indptr) - 1 <= oracle.DENSE_MAX) is dense
-    lu = kernel.factor(*factored_matrices(name)[0])
-    assert isinstance(lu, oracle._DenseLU if dense else spla.SuperLU)
+    """The backend follows the order in real unknowns, twice a complex matrix's order. case9's
+    Jacobian (order 12) and Y_LL (6 complex) and case57's (100, and 50 complex) are factored by
+    LAPACK, case118's (128, and 64 complex) by SuperLU."""
+    for A in factored_matrices(name)[::2]:
+        order = (len(A[2]) - 1) * (2 if A[0].dtype == complex else 1)
+        assert (order <= admittance.DENSE_MAX) is dense
+        assert isinstance(admittance.lu(*A), admittance._DenseFactor if dense else spla.SuperLU)
+    assert isinstance(reduce_case(case_path_case(f"{name}.m")).lu, admittance._DenseFactor if dense else spla.SuperLU)
 
 
 class _PoisonedFactor:
@@ -337,8 +371,7 @@ class _PoisonedFactor:
 
 
 def poison_factors(monkeypatch, bad):
-    factor = _NewtonKernel.factor
-    monkeypatch.setattr(_NewtonKernel, "factor", lambda self, *A: _PoisonedFactor(factor(self, *A), bad))
+    monkeypatch.setattr(oracle, "lu", lambda *A: _PoisonedFactor(admittance.lu(*A), bad))
 
 
 @pytest.mark.parametrize("name", ["case9", "case118"])  # one kernel on each backend
@@ -351,7 +384,7 @@ def test_non_finite_jacobian_or_step_breaks_the_solve(name, monkeypatch):
         jacobian = _NewtonKernel.jacobian
         m.setattr(_NewtonKernel, "jacobian", lambda self, *a: np.where(np.arange(len(self.indices)) == 0, np.inf,
                                                                          jacobian(self, *a)))
-        m.setattr(_NewtonKernel, "factor", lambda *a: pytest.fail("factored a non-finite Jacobian"))
+        m.setattr(oracle, "lu", lambda *a: pytest.fail("factored a non-finite Jacobian"))
         broken = newton_solve(red, S)
         assert not broken.converged and broken.iterations == 0 and math.isfinite(broken.mismatch_norm)
     poison_factors(monkeypatch, 0)
@@ -417,7 +450,7 @@ def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(_NewtonKernel, "factor", counting("factor", _NewtonKernel.factor))
+    monkeypatch.setattr(oracle, "lu", counting("factor", admittance.lu))
     monkeypatch.setattr(sp._base._spbase, "__init__", counting("sparse", sp._base._spbase.__init__))
     actual_limit(case, direction=S, bracket=(1e-3, None), network=red)
     assert counts["factor"] == 8
@@ -704,14 +737,14 @@ def test_actual_limit_corrector_breakdown_raises(monkeypatch):
         return (res, y, t) if len(calls) == 1 else (replace(res, converged=False), y, None)
 
     monkeypatch.setattr(_NewtonKernel, "correct", first_only)
-    with pytest.raises(CaseError, match="broke down"):
+    with pytest.raises(RuntimeError, match="broke down"):
         actual_limit(make_two_bus(p=1.0), np.array([1.0 + 0j]))
 
 
 def test_fold_bracket_that_never_closes_raises(monkeypatch):
     """The fold's bracket returns only a point solved to FOLD_TOL. With every converged corrector reporting a
     mismatch of FOLD_TOL, no point is, so the bracket cannot close: it ends after FOLD_MAX_PASSES passes in a
-    CaseError that names lambda, instead of re-solving one s forever. The patched corrector raises after 1,000
+    RuntimeError that names lambda, instead of re-solving one s forever. The patched corrector raises after 1,000
     calls, so a loop with no exit fails here instead of hanging."""
     case = case_path_case("case9.m")
     red, S = limits.prepare(case)
@@ -726,7 +759,7 @@ def test_fold_bracket_that_never_closes_raises(monkeypatch):
 
     monkeypatch.setattr(oracle, "_series_start", lambda *args: None)  # from bracket[0]: no jump, no polish
     monkeypatch.setattr(_NewtonKernel, "correct", never_tight)
-    with pytest.raises(CaseError, match="bracket did not close near lambda=[0-9]"):
+    with pytest.raises(RuntimeError, match="bracket did not close near lambda=[0-9]"):
         actual_limit(case, S, network=red)
 
 
@@ -749,7 +782,7 @@ def test_fold_bracket_shrink_stops_at_a_nan_step(name, monkeypatch):
 
     monkeypatch.setattr(oracle, "_cubic_fold", lambda *args: math.nan if args[6] < 0 else cubic(*args))
     monkeypatch.setattr(_NewtonKernel, "correct", counted)
-    with pytest.raises(CaseError, match="corrector broke down at the nose near lambda=[0-9]"):
+    with pytest.raises(RuntimeError, match="corrector broke down at the nose near lambda=[0-9]"):
         actual_limit(case, S, network=red)
 
 
@@ -812,7 +845,7 @@ def test_failed_fold_corrector_shrinks_toward_the_nearer_end(name, monkeypatch):
     assert all(tol != FOLD_TOL for tol, _ in calls[:first]) and calls[first + 1][0] == FOLD_TOL
     calls.clear()
     monkeypatch.setattr(_NewtonKernel, "correct", failing(calls, lambda tol, k: tol == FOLD_TOL))
-    with pytest.raises(CaseError, match="corrector broke down at the nose"):
+    with pytest.raises(RuntimeError, match="corrector broke down at the nose"):
         actual_limit(case, S, network=red)
 
 
