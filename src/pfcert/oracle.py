@@ -43,9 +43,10 @@ class _NewtonKernel:
     Unknowns: the angles of the `ang` buses, then the magnitudes of the `mag`
     buses; equations: the active-power balances of `ang`, then the reactive
     ones of `mag`. Jacobian entries are MATPOWER's complex-form dS/dV
-    (Zimmerman, Murillo-Sanchez & Thomas 2011), each p conj(q) + c with I = Y V,
-    U = V/|V| and (p, q, c) = (j V_i, [i=k] I_i - Y_ik V_k, 0) for dS_i/dVa_k,
-    (V_i, Y_ik U_k, [i=k] conj(I_i) U_i) for dS_i/dVm_k. J is CSC arrays alone:
+    (Zimmerman, Murillo-Sanchez & Thomas 2011), with I = Y V and U = V/|V|:
+    dS_i/dVa_k = -j conj(Y_ik) V_i conj(V_k) + [i=k] j V_i conj(I_i) and
+    dS_i/dVm_k = conj(Y_ik) V_i conj(U_k) + [i=k] conj(I_i) U_i, so the kernel keeps
+    each entry's coefficient, -j conj(Y_ik) or conj(Y_ik). J is CSC arrays alone:
     the kernel keeps its pattern (indices, indptr), and the caller owns its values,
     one float64 array per solve or limit that every iteration refills, and
     admittance.lu factors them. The kernel is not written to after it is built,
@@ -65,33 +66,27 @@ class _NewtonKernel:
         parts = (row & (pos_a[Ycol] >= 0), row & (pos_m[Ycol] >= 0))  # the dS/dVa, then the dS/dVm entries
         i, k, y = (np.concatenate([a[part] for part in parts]) for a in (Yrow, Ycol, Ydata))
         dm = np.arange(len(i)) >= np.count_nonzero(parts[0])
-        self.yr, self.yi, self.sign = y.real, y.imag, np.where(dm, 1.0, -1.0)
-        self.p, self.take = i + nb * dm, k + nb * dm  # into [jV, V] and [V, U]
-        self.diag_a = np.where((i == k) & ~dm, i, nb)  # into [I, 0]
-        self.diag_m = np.where((i == k) & dm, i, nb)  # into [conj(I) U, 0]
-        # Re(dS) goes to the P rows, Im(dS) to the Q rows; J's values are positions in [Re, Im]
+        self.coef, self.i = np.where(dm, y.conj(), -1j * y.conj()), i
+        self.take = k + nb * dm  # into [V, U]
+        self.diag = np.where(i == k, i + nb * dm, 2 * nb)  # into [j V conj(I), conj(I) U, 0]
+        # Re(dS) goes to the P rows, Im(dS) to the Q rows; J's values are positions in the entries' (Re, Im) pairs
         P, Q, col = np.flatnonzero(pos_a[i] >= 0), np.flatnonzero(pos_m[i] >= 0), np.where(dm, pos_m[k], pos_a[k])
         rows, cols = np.concatenate([pos_a[i[P]], pos_m[i[Q]]]), np.concatenate([col[P], col[Q]])
         # canonical CSC (by column, rows sorted; each (row, column) once), with the index type SuperLU takes
         order = np.lexsort((rows, cols))
-        self.gather, self.indices = np.concatenate([P, len(i) + Q])[order], rows[order].astype(np.intc)
+        self.gather, self.indices = np.concatenate([2 * P, 2 * Q + 1])[order], rows[order].astype(np.intc)
         self.indptr = np.zeros(n + 1, dtype=np.intc)
         np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
 
     def jacobian(self, V: np.ndarray, I: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The values of J at bus voltages V with I = Y V, in the pattern (indices, indptr),
-        written into out or a new array. Products are spelled out in real arithmetic, unfused
-        like scipy.sparse's, because NumPy's SIMD complex multiply may fuse multiply-adds."""
+        written into out or a new array: coef V_i conj([V, U]_k) plus the diagonal term, in
+        complex arithmetic, elementwise, so the values do not depend on the BLAS thread count."""
         U = V / np.abs(V)
-        x = np.concatenate([V, U])[self.take]
-        wr, wi = self.yr * x.real - self.yi * x.imag, self.yr * x.imag + self.yi * x.real
-        g = np.concatenate([I, [0]])[self.diag_a]
-        qr, qi = self.sign * wr + g.real, self.sign * wi + g.imag
-        cr = np.concatenate([I.real * U.real + I.imag * U.imag, [0]])[self.diag_m]
-        ci = np.concatenate([I.real * U.imag - I.imag * U.real, [0]])[self.diag_m]
-        p = np.concatenate([1j * V, V])[self.p]
-        re_im = np.concatenate([p.real * qr + p.imag * qi + cr, p.imag * qr - p.real * qi + ci])
-        return re_im.take(self.gather, out=out)
+        cI = I.conj()
+        val = self.coef * V[self.i] * np.concatenate([V, U])[self.take].conj()
+        val += np.concatenate([1j * V * cI, cI * U, [0]])[self.diag]
+        return val.view(float).take(self.gather, out=out)
 
     def run(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, S_spec: np.ndarray, tol: float) -> NewtonResult:
         """Iterate from the polar start (theta, vm), NEWTON_MAX_ITER times at most, until max
@@ -423,9 +418,10 @@ def _series_start(net: GridReduction, direction: np.ndarray, lo: float,
 
     With w = sum w_k lambda^k the reciprocal of conj(u), the coefficients are
     c_0 = w_0 = 1, c_k = -Z_E (conj(d) w_{k-1}) and w_k = -sum_{m=1..k} conj(c_m) w_{k-m};
-    Z_E x is lu.solve(x / conj(E)) / E, so no n x n array is formed. The series converges
-    out to its nearest singularity, at radius rho: the nose, a square-root branch point,
-    when nothing lies nearer. There |c_k| / |c_{k-1}| = (1 - 3 / (2k) + ...) / rho, so a line
+    Z_E x is lu.solve(x / conj(E)) / E, so no n x n array is formed. The recurrence keeps -c:
+    w_k is np.vecdot of (-c_k, ..., -c_1) with (w_0, ..., w_{k-1}), which conjugates its first
+    argument. The series converges out to its nearest singularity, at radius rho: the nose, a
+    square-root branch point, when nothing lies nearer. There |c_k| / |c_{k-1}| = (1 - 3 / (2k) + ...) / rho, so a line
     fitted to the ratios against 1/k over the last half of the series has intercept 1/rho
     (Domb & Sykes 1957). The start is
     lambda = SERIES_FRACTION * rho with the partial sum as u. None when a coefficient is zero
@@ -433,13 +429,13 @@ def _series_start(net: GridReduction, direction: np.ndarray, lo: float,
     puts it below), or when the last term exceeds 1e-2 of the smallest |u|: the sum has not
     converged there, and the estimate may lie past the nose."""
     E, g, inv = net.E, direction.conj() / net.E.conj(), 1.0 / net.E
-    nc = np.empty((SERIES_TERMS + 1, len(E)), dtype=complex)  # -conj(c), all that is kept of c
-    w = np.empty_like(nc)
-    nc[0], w[0] = -1.0, 1.0
+    mc = np.empty((SERIES_TERMS + 1, len(E)), dtype=complex)  # -c
+    w = np.empty_like(mc)
+    mc[0], w[0] = -1.0, 1.0
     for k in range(1, SERIES_TERMS + 1):
-        np.conjugate(net.lu.solve(g * w[k - 1]) * inv, out=nc[k])
-        np.einsum("mi,mi->i", nc[k:0:-1], w[:k], out=w[k])
-    size = np.linalg.norm(nc, axis=1)
+        np.multiply(net.lu.solve(g * w[k - 1]), inv, out=mc[k])
+        np.vecdot(mc[k:0:-1], w[:k], axis=0, out=w[k])
+    size = np.linalg.norm(mc, axis=1)
     if not (np.isfinite(size).all() and size.all()):
         return None
     k = np.arange(SERIES_TERMS // 2 + 1, SERIES_TERMS + 1)
@@ -449,7 +445,7 @@ def _series_start(net: GridReduction, direction: np.ndarray, lo: float,
     lam = SERIES_FRACTION / intercept
     if not lo < lam or hi is not None and not lam < hi:
         return None
-    u = -(lam ** np.arange(SERIES_TERMS + 1) @ nc).conj()
-    if not np.abs(nc[-1]).max() * lam**SERIES_TERMS <= 1e-2 * np.abs(u).min():
+    u = -(lam ** np.arange(SERIES_TERMS + 1) @ mc)
+    if not np.abs(mc[-1]).max() * lam**SERIES_TERMS <= 1e-2 * np.abs(u).min():
         return None
     return lam, E * u

@@ -242,10 +242,11 @@ def reference_contraction(m, radii, n_grid=63):
     return best if best < 1.0 else None
 
 
-def reference_kernel_arrays(Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray) -> dict:
-    """The arrays of oracle._NewtonKernel(Y, ang, mag), built through scipy.sparse:
-    Y's entries from tocoo, and J's pattern from the csc_matrix constructor, which
-    sorts each column's rows."""
+def _kernel_entries(Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray, positions) -> tuple:
+    """Y's entries that J keeps, from tocoo: (i, k, y, dm), row, column, value and whether the
+    entry is a dS/dVm one, the dS/dVa ones first; and J as a csc_matrix whose values are
+    positions(P, Q, len(i)), the positions of the P rows' and the Q rows' values among the
+    entries' real and imaginary parts. The csc_matrix constructor sorts each column's rows."""
     nb, n = Y.shape[0], len(ang) + len(mag)
     pos_a, pos_m = np.full(nb, -1), np.full(nb, -1)
     pos_a[ang], pos_m[mag] = np.arange(len(ang)), np.arange(len(ang), n)
@@ -256,11 +257,57 @@ def reference_kernel_arrays(Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray) 
     i, k, y = (np.concatenate([a[part] for part in parts]) for a in (Yc.row, Yc.col, Yc.data))
     dm = np.arange(len(i)) >= np.count_nonzero(parts[0])
     P, Q, col = np.flatnonzero(pos_a[i] >= 0), np.flatnonzero(pos_m[i] >= 0), np.where(dm, pos_m[k], pos_a[k])
-    J = sp.csc_matrix((np.r_[P, len(i) + Q], (np.r_[pos_a[i[P]], pos_m[i[Q]]], np.r_[col[P], col[Q]])), (n, n))
-    return dict(yr=y.real, yi=y.imag, sign=np.where(dm, 1.0, -1.0), p=i + nb * dm, take=k + nb * dm,
-                diag_a=np.where((i == k) & ~dm, i, nb), diag_m=np.where((i == k) & dm, i, nb),
+    J = sp.csc_matrix((positions(P, Q, len(i)), (np.r_[pos_a[i[P]], pos_m[i[Q]]], np.r_[col[P], col[Q]])), (n, n))
+    return i, k, y, dm, J
+
+
+def reference_kernel_arrays(Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray) -> dict:
+    """The arrays of oracle._NewtonKernel(Y, ang, mag), built through scipy.sparse:
+    Y's entries from tocoo, and J's pattern from the csc_matrix constructor, its
+    values positions in the (Re, Im) pairs of the complex entries."""
+    nb = Y.shape[0]
+    i, k, y, dm, J = _kernel_entries(Y, ang, mag, lambda P, Q, m: np.r_[2 * P, 2 * Q + 1])
+    return dict(coef=np.where(dm, y.conj(), -1j * y.conj()), i=i, take=k + nb * dm,
+                diag=np.where(i == k, i + nb * dm, 2 * nb),
                 gather=J.data, indices=J.indices.astype(np.intc), indptr=J.indptr.astype(np.intc),
                 var=np.union1d(ang, mag))
+
+
+def reference_real_jacobian(Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray, V: np.ndarray,
+                            I: np.ndarray) -> np.ndarray:
+    """The values of oracle._NewtonKernel(Y, ang, mag).jacobian(V, I), in its pattern, with the
+    complex products spelled out in real arithmetic: each entry p conj(q) + c with U = V/|V| and
+    (p, q, c) = (j V_i, [i=k] I_i - Y_ik V_k, 0) for dS_i/dVa_k and (V_i, Y_ik U_k, [i=k] conj(I_i) U_i)
+    for dS_i/dVm_k, the real and imaginary parts of each product formed one by one."""
+    nb = Y.shape[0]
+    i, k, y, dm, J = _kernel_entries(Y, ang, mag, lambda P, Q, m: np.r_[P, m + Q])
+    U = V / np.abs(V)
+    x = np.concatenate([V, U])[k + nb * dm]
+    wr, wi = y.real * x.real - y.imag * x.imag, y.real * x.imag + y.imag * x.real
+    g = np.where((i == k) & ~dm, I[i], 0)
+    sign = np.where(dm, 1.0, -1.0)
+    qr, qi = sign * wr + g.real, sign * wi + g.imag
+    cr = np.where((i == k) & dm, (I.real * U.real + I.imag * U.imag)[i], 0.0)
+    ci = np.where((i == k) & dm, (I.real * U.imag - I.imag * U.real)[i], 0.0)
+    p = np.where(dm, V[i], 1j * V[i])
+    return np.concatenate([p.real * qr + p.imag * qi + cr, p.imag * qr - p.real * qi + ci])[J.data]
+
+
+def reference_series(Y_LL: sp.csc_matrix, E: np.ndarray, d: np.ndarray, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of the zero-load power series that oracle._series_start sums, of the
+    fixed-point form u = 1 - lambda Z_E (conj(d) / conj(u)) and of w = 1 / conj(u): c_0 = w_0 = 1,
+    c_k = -Z_E (conj(d) w_{k-1}) and w_k = -sum_{m=1..k} conj(c_m) w_{k-m}, each sum an explicit
+    loop over m, with Z_E x = Z (x / conj(E)) / E and Z a dense inverse of Y_LL. Returns c and w,
+    (terms + 1) x len(E) each."""
+    Z = np.linalg.inv(Y_LL.toarray())
+    c = np.zeros((terms + 1, len(E)), dtype=complex)
+    w = np.zeros_like(c)
+    c[0], w[0] = 1, 1
+    for k in range(1, terms + 1):
+        c[k] = -(Z @ (d.conj() * w[k - 1] / E.conj())) / E
+        for m in range(1, k + 1):
+            w[k] -= c[m].conj() * w[k - m]
+    return c, w
 
 
 def reference_admittance(case: NetworkCase) -> tuple[sp.csc_matrix, np.ndarray]:

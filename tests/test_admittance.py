@@ -228,12 +228,35 @@ def test_solves_do_not_depend_on_the_blas_thread_count():
         "step = admittance.lu(J, kernel.indices, kernel.indptr).solve(np.arange(1.0, len(kernel.indptr)))\n"
         "print(red.E.tobytes().hex(), admittance.fixed_point_residual(red, red.E, 0.5 * S).hex(), step.tobytes().hex())\n"
     )
+    assert_same_output_with_one_and_two_blas_threads(code)
+
+
+def test_the_series_start_and_a_limit_do_not_depend_on_the_blas_thread_count():
+    """The zero-load series' Cauchy products are np.vecdot calls, which may reach a BLAS dot. Its
+    start on case39 (LAPACK's Y_LL factor) and case118 (SuperLU's), and case118's base-direction
+    limit, read the same bytes with one BLAS thread and with two, each in a fresh process."""
+    paths = [str(case_path(f"{name}.m")) for name in ("case39", "case118")]
+    code = (
+        "from pfcert import limits, oracle\n"
+        "from pfcert.net_model import load_case_file\n"
+        f"for path in {paths!r}:\n"
+        "    case = load_case_file(path)\n"
+        "    red, S = limits.prepare(case)\n"
+        "    lam, V = oracle._series_start(red, S, 1e-3, None)\n"
+        "    print(lam.hex(), V.tobytes().hex())\n"
+        "print(oracle.actual_limit(case, S, network=red).hex())\n"
+    )
+    assert_same_output_with_one_and_two_blas_threads(code)
+
+
+def assert_same_output_with_one_and_two_blas_threads(code):
+    """Run code in two fresh processes, with one OpenBLAS thread and with two: it prints the same."""
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(Path(admittance.__file__).parents[1]), OPENBLAS_NUM_THREADS=threads)
         outs.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                                    check=True).stdout)
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] and outs[0]
 
 
 def case_path_case(name):

@@ -32,7 +32,7 @@ from pfcert.oracle import (
 )
 
 from conftest import BUNDLED, case_path, make_star, make_two_bus
-from reference_values import reference_kernel_arrays, two_bus_analytic
+from reference_values import reference_kernel_arrays, reference_real_jacobian, reference_series, two_bus_analytic
 
 
 def test_two_bus_analytic_cases():
@@ -223,6 +223,29 @@ def test_kernel_pattern_matches_the_scipy_build(name):
                 got = getattr(kernel, key)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
     assert len(_NewtonKernel(stored_zero, mag, mag).gather) < len(_NewtonKernel(adm.matrix, mag, mag).gather)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_jacobian_fill_matches_the_real_arithmetic_fill(name):
+    """The kernel forms each Jacobian entry in complex arithmetic; reference_real_jacobian
+    spells the same products out in real arithmetic, one real part at a time. For both
+    solvers' index sets, at the no-load voltages and at two perturbed states, the two
+    fills agree within 4 ulps of max |J|."""
+    case = case_path_case(f"{name}.m")
+    red = reduce_case(case)
+    gens, nb = list(red.generator_ids), red.Y.shape[0]
+    mag = np.arange(len(gens), nb)
+    slack = gens.index(case.slack_bus) if case.slack_bus in gens else 0
+    rng = np.random.default_rng(11)
+    E = np.concatenate([red.V_G, red.E])
+    states = [E] + [E * (1 + 0.05 * rng.standard_normal(nb)) * np.exp(0.2j * rng.standard_normal(nb))
+                    for _ in range(2)]
+    for ang in (mag, np.delete(np.arange(nb), slack)):
+        kernel = _NewtonKernel(red.Y, ang, mag)
+        for V in states:
+            I = red.Y @ V
+            J, want = kernel.jacobian(V, I), reference_real_jacobian(red.Y, ang, mag, V, I)
+            assert np.abs(J - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
 
 def _replace_column(J, k, col):
@@ -418,6 +441,35 @@ class _FixedCoefficients:
     def solve(self, x):
         self.k += 1
         return self.coefficient(self.k) * self.E
+
+
+class _RecordingFactor:
+    """Y_LL's factor, keeping each right-hand side it solves and the solution."""
+
+    def __init__(self, lu):
+        self.lu, self.calls = lu, []
+
+    def solve(self, b):
+        x = self.lu.solve(b)
+        self.calls.append((b.copy(), x.copy()))
+        return x
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_series_coefficients_match_an_explicit_recurrence(name):
+    """The series' k-th solve takes conj(d) w_(k-1) / conj(E) and gives -c_k E, so its calls
+    read off the coefficients _series_start forms: c_1 .. c_40 and conj(d) w_0 .. conj(d) w_39
+    (w_k does not enter c at a bus without load). On the 7 base directions each agrees with
+    reference_series, whose Cauchy products are explicit loops over m and whose Y_LL^-1 is a
+    dense inverse, within 1e-13 of its largest entry."""
+    red, S = limits.prepare(case_path_case(f"{name}.m"))
+    recorder = _RecordingFactor(red.lu)
+    assert _series_start(replace(red, lu=recorder), S, 1e-3, None) is not None
+    c, w = reference_series(red.Y_LL, red.E, S, oracle.SERIES_TERMS)
+    assert len(recorder.calls) == oracle.SERIES_TERMS
+    for k, (b, x) in enumerate(recorder.calls, start=1):
+        for got, want in ((-x / red.E, c[k]), (b * red.E.conj(), S.conj() * w[k - 1])):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), k
 
 
 def test_series_start_refuses_a_non_positive_intercept():
