@@ -1,11 +1,15 @@
 """Time each stage of a Newton-oracle limit on the 7 bundled cases' base directions, one BLAS thread.
 
-The stages, in microseconds per call: `reduce_case` (the reduction with its `Y_LL`
-factor), the kernel build (`_NewtonKernel` over the load buses, which a reduction
-makes on first use), `_series_start` (the zero-load power series, 40 `Y_LL`
-solves), one Jacobian fill (`_NewtonKernel.jacobian` at the no-load voltages),
-one Jacobian factorization (`admittance.lu`), one step solve with that factor,
-and the whole `actual_limit` along the base direction. Each figure is the
+Each row names the case's load-bus count n and the series' path: "operator" on at
+most `SERIES_TERMS` load buses, where the series forms one dense n x n operator by
+one n-column `Y_LL` solve and applies it to each term, and "solves" above, one
+`Y_LL` solve per term. The stages, in microseconds per call: `reduce_case` (the
+reduction with its `Y_LL` factor), the kernel build (`_NewtonKernel` over the load
+buses, which a reduction makes on first use), forming the series' operator (on the
+operator path only), the whole zero-load series (`_series_coefficients`, then
+`_series_start`), one Jacobian fill (`_NewtonKernel.jacobian` at the no-load
+voltages), one Jacobian factorization (`admittance.lu`), one step solve with that
+factor, and the whole `actual_limit` along the base direction. Each figure is the
 minimum over 7 rounds of a `timeit` loop that runs at least 20 ms. The last
 column is the series' share of the limit.
 
@@ -40,9 +44,11 @@ def fastest(f) -> float:
     return 1e6 * min(timeit.repeat(f, number=number, repeat=ROUNDS)) / number
 
 
-def stages(name: str) -> dict[str, float]:
+def stages(name: str) -> tuple[int, dict[str, float | None]]:
+    """The case's load-bus count and each stage's time; None for the operator on the solves path."""
     case = load_case_file(ROOT / "data" / f"{name}.m")
     red, S = limits.prepare(case)
+    g, inv = S.conj() / red.E.conj(), 1.0 / red.E
     kernel = red.kernel
     load = np.arange(len(red.generator_ids), red.Y.shape[0])
     V = np.concatenate([red.V_G, red.E])
@@ -50,10 +56,11 @@ def stages(name: str) -> dict[str, float]:
     J = kernel.jacobian(V, I)
     factor = admittance.lu(J, kernel.indices, kernel.indptr)
     b = np.ones(len(kernel.indptr) - 1)
-    return {
+    return len(S), {
         "reduce_case": fastest(lambda: admittance.reduce_case(case)),
         "kernel": fastest(lambda: oracle._NewtonKernel(red.Y, load, load)),
-        "series": fastest(lambda: oracle._series_start(red, S, 1e-3, None)),
+        "operator": fastest(lambda: red.lu.solve(np.diag(g)) * inv[:, None]) if len(S) <= oracle.SERIES_TERMS else None,
+        "series": fastest(lambda: oracle._series_start(oracle._series_coefficients(red, S), red.E, 1e-3, None)),
         "fill": fastest(lambda: kernel.jacobian(V, I, J)),
         "lu": fastest(lambda: admittance.lu(J, kernel.indices, kernel.indptr)),
         "solve": fastest(lambda: factor.solve(b)),
@@ -65,12 +72,13 @@ def main() -> None:
     print("Oracle stages on the base directions, microseconds per call (timeit minimum, one BLAS thread)")
     print()
     rows = {name: stages(name) for name in BUNDLED}
-    header = list(next(iter(rows.values())))
-    print("| case | " + " | ".join(header) + " | series / limit |")
-    print("| --- |" + " ---: |" * (len(header) + 1))
-    for name, row in rows.items():
-        cells = " | ".join(f"{row[key]:.1f}" for key in header)
-        print(f"| {name} | {cells} | {row['series'] / row['actual_limit']:.0%} |")
+    header = list(next(iter(rows.values()))[1])
+    print("| case | n | series path | " + " | ".join(header) + " | series / limit |")
+    print("| --- | ---: | --- |" + " ---: |" * (len(header) + 1))
+    for name, (n, row) in rows.items():
+        cells = " | ".join("—" if row[key] is None else f"{row[key]:.1f}" for key in header)
+        path = "solves" if row["operator"] is None else "operator"
+        print(f"| {name} | {n} | {path} | {cells} | {row['series'] / row['actual_limit']:.0%} |")
 
 
 if __name__ == "__main__":

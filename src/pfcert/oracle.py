@@ -37,6 +37,12 @@ class NewtonResult:
     mismatch_norm: float  # inf-norm of the per-unit power mismatch
 
 
+def _span(idx: np.ndarray) -> slice | np.ndarray:
+    """idx as a slice, which indexes by a view, when it is a contiguous ascending run; else idx."""
+    run = idx.tolist()
+    return slice(run[0], run[-1] + 1) if run and run == list(range(run[0], run[-1] + 1)) else idx
+
+
 class _NewtonKernel:
     """Polar Newton power flow on a Jacobian sparsity pattern fixed once per network.
 
@@ -54,11 +60,11 @@ class _NewtonKernel:
 
     def __init__(self, Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray):
         nb, n = Y.shape[0], len(ang) + len(mag)
-        self.Y, self.ang, self.mag = Y, ang, mag
         pos_a, pos_m = np.full(nb, -1), np.full(nb, -1)  # row and column of each bus in J
         pos_a[ang], pos_m[mag] = np.arange(len(ang)), np.arange(len(ang), n)
         var = (pos_a >= 0) | (pos_m >= 0)
-        self.var = np.flatnonzero(var)  # the buses in ang or mag, ascending
+        self.Y, self.na, self.ang, self.mag, self.var = Y, len(ang), _span(ang), _span(mag), _span(np.flatnonzero(var))
+        self.fpos = np.concatenate([2 * ang, 2 * mag + 1])  # the equations' entries in the mismatch's (Re, Im) pairs
         # Y's stored nonzeros in storage order, (row, column, value); Y has no duplicate entries
         nz = Y.data != 0
         Yrow, Ycol, Ydata = Y.indices[nz], np.repeat(np.arange(nb), np.diff(Y.indptr))[nz], Y.data[nz]
@@ -99,18 +105,18 @@ class _NewtonKernel:
     def correct(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, y: np.ndarray, S_spec: np.ndarray,
                 d: np.ndarray | None, fixed: int, tol: float, max_iter: int,
                 J: np.ndarray | None = None) -> tuple[NewtonResult, np.ndarray, np.ndarray | None]:
-        """Newton on the mismatch V conj(Y V) - S_spec + lam d in the unknowns
-        y = (theta[ang], vm[mag], lam), holding y[fixed]. The matrix is J with its column
-        `fixed` replaced by the loading column (Re d[ang], Im d[mag]), so the step moves lam in
-        the held unknown's place; with `fixed` = lam's index it is J itself, and d=None is
-        Newton at a fixed loading. Given d, the iteration also gives up once the mismatch stops
-        falling, and a converged result comes with the tangent dy/dy[fixed] of the solution
-        curve (entry `fixed` is 1), solved with the last factor; a tangent needs a factor, so
-        the first iterate is never accepted. Every iteration refills J, the values of J's
-        pattern (a new array when None), so a caller correcting many times can make it once.
-        Returns the result, y and the tangent."""
+        """Newton on the mismatch V conj(Y V) - S_spec + lam d in the unknowns y = (theta[ang], vm[mag], lam),
+        holding y[fixed]. The matrix is J with its column `fixed` replaced by the loading column (Re d[ang],
+        Im d[mag]), so the step moves lam in the held unknown's place; with `fixed` = lam's index it is J
+        itself, and d=None is Newton at a fixed loading. Given d, the iteration also gives up once the
+        mismatch stops falling, and a converged result comes with the tangent dy/dy[fixed] of the solution
+        curve (entry `fixed` is 1), solved with the last factor; a tangent needs a factor, so the first
+        iterate is never accepted. Every iteration refills J, the values of J's pattern (a new array when
+        None), so a caller correcting many times can make it once. The equations' mismatch is one take from
+        the (Re, Im) pairs of the complex one, and ang, mag and their union index by views where they are
+        contiguous runs (the oracle's load buses). Returns the result, y and the tangent."""
         V, theta, vm, y = V.copy(), theta.copy(), vm.copy(), y.copy()
-        na, lam = len(self.ang), len(y) - 1
+        na, lam = self.na, len(y) - 1
         col = None if d is None else np.concatenate([d.real[self.ang], d.imag[self.mag]])
         refill = None if fixed == lam else self.held_column(fixed, col)
         f, dx = np.empty(lam), np.empty(lam + 1)
@@ -119,19 +125,19 @@ class _NewtonKernel:
         for iteration in range(max_iter + 1):
             theta[self.ang], vm[self.mag] = y[:na], y[na:lam]
             V[self.var] = vm[self.var] * np.exp(1j * theta[self.var])
-            if (vm[self.mag] <= 0).any():
+            if (y[na:lam] <= 0).any():
                 return NewtonResult(False, V, iteration, math.inf), y, None
             I = self.Y @ V
             S = V * I.conj() - S_spec
             if d is not None:
                 S += y[lam] * d
-            f[:na], f[na:] = S.real[self.ang], S.imag[self.mag]
+            S.view(float).take(self.fpos, out=f)
             mismatch_norm = float(abs(f).max())
             if mismatch_norm < tol and d is None:
                 return NewtonResult(True, V, iteration, mismatch_norm), y, None
             if mismatch_norm < tol and factor is not None:
                 tangent = np.concatenate([factor.solve(-held), [1.0]])
-                tangent[[fixed, lam]] = tangent[[lam, fixed]]
+                tangent[fixed], tangent[lam] = tangent[lam], tangent[fixed]
                 if not np.isfinite(tangent).all():
                     break
                 return NewtonResult(True, V, iteration, mismatch_norm), y, tangent
@@ -312,14 +318,15 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
             raise CaseError(f"upper bracket end lambda={hi} is feasible; widen the bracket")
         return res, y, t
 
-    start = _series_start(net, direction, lo, hi)
+    start = _series_start(_series_coefficients(net, direction), net.E, lo, hi)
     if start is not None:
-        res, y, t = correct(np.r_[np.angle(start[1]), np.abs(start[1]), start[0]], lam, math.sqrt(NEWTON_TOL))
+        res, y, t = correct(np.concatenate([np.angle(start[1]), np.abs(start[1]), [start[0]]]), lam,
+                            math.sqrt(NEWTON_TOL))
         first = 0.03  # p.u. of load magnitude: the nose is near
         if not res.converged:
             start = None
     if start is None:
-        res, y, t = correct(np.r_[theta[m:], vm[m:], lo], lam)
+        res, y, t = correct(np.concatenate([theta[m:], vm[m:], [lo]]), lam)
         first = 0.1
         if not res.converged:
             raise CaseError(f"lower bracket end lambda={lo} is itself infeasible")
@@ -408,33 +415,41 @@ def _cubic_fold(sa: float, ga: float, la: float, sb: float, gb: float, lb: float
     return peak - math.copysign(math.sqrt(0.5 * tol * abs(h / (gb - ga))), h)
 
 
-@np.errstate(all="ignore")  # overflow and 0/0 surface as the non-finite values checked below
-def _series_start(net: GridReduction, direction: np.ndarray, lo: float,
-                  hi: float | None) -> tuple[float, np.ndarray] | None:
-    """A start for the continuation below the nose: a lambda and the load-bus voltages
-    E u of the high-voltage branch there, from the power series in lambda of the
-    fixed-point form u = 1 - lambda Z_E (conj(d) / conj(u)) about zero load, Z_E being Y_LL^-1
-    normalized by E (holomorphic embedding, Trias 2012), or None.
-
-    With w = sum w_k lambda^k the reciprocal of conj(u), the coefficients are
-    c_0 = w_0 = 1, c_k = -Z_E (conj(d) w_{k-1}) and w_k = -sum_{m=1..k} conj(c_m) w_{k-m};
-    Z_E x is lu.solve(x / conj(E)) / E, so no n x n array is formed. The recurrence keeps -c:
-    w_k is np.vecdot of (-c_k, ..., -c_1) with (w_0, ..., w_{k-1}), which conjugates its first
-    argument. The series converges out to its nearest singularity, at radius rho: the nose, a
-    square-root branch point, when nothing lies nearer. There |c_k| / |c_{k-1}| = (1 - 3 / (2k) + ...) / rho, so a line
-    fitted to the ratios against 1/k over the last half of the series has intercept 1/rho
-    (Domb & Sykes 1957). The start is
-    lambda = SERIES_FRACTION * rho with the partial sum as u. None when a coefficient is zero
-    or non-finite, when lambda is not strictly inside the bracket (a negative or NaN intercept
-    puts it below), or when the last term exceeds 1e-2 of the smallest |u|: the sum has not
-    converged there, and the estimate may lie past the nose."""
-    E, g, inv = net.E, direction.conj() / net.E.conj(), 1.0 / net.E
-    mc = np.empty((SERIES_TERMS + 1, len(E)), dtype=complex)  # -c
-    w = np.empty_like(mc)
+@np.errstate(all="ignore")  # overflow and 0/0 surface as the non-finite values _series_start refuses
+def _series_coefficients(net: GridReduction, direction: np.ndarray) -> np.ndarray:
+    """-c: the coefficients c_0, ..., c_SERIES_TERMS, negated, one row each, of the power series in lambda
+    of the fixed-point form u = 1 - lambda A (1 / conj(u)) about zero load, A = Z_E diag(conj(d)) with Z_E
+    Y_LL^-1 normalized by E (holomorphic embedding, Trias 2012). With w = 1 / conj(u) = sum w_k lambda^k,
+    c_0 = w_0 = 1, c_k = -A w_{k-1} and w_k = -sum_{m=1..k} conj(c_m) w_{k-m}, up to the w_{SERIES_TERMS-1}
+    that the last c needs. A x is lu.solve(x conj(d) / conj(E)) / E. On at most SERIES_TERMS load buses A is
+    formed by one solve of at most SERIES_TERMS columns and a term is one product with it; on more a term is
+    one solve, and no n x n array is formed. w_k is np.vecdot(-c_k..-c_1, w_0..w_{k-1}), which conjugates -c."""
+    n, g, inv = len(net.E), direction.conj() / net.E.conj(), 1.0 / net.E
+    A = net.lu.solve(np.diag(g)) * inv[:, None] if n <= SERIES_TERMS else None
+    mc = np.empty((SERIES_TERMS + 1, n), dtype=complex)
+    w = np.empty((SERIES_TERMS, n), dtype=complex)
     mc[0], w[0] = -1.0, 1.0
     for k in range(1, SERIES_TERMS + 1):
-        np.multiply(net.lu.solve(g * w[k - 1]), inv, out=mc[k])
-        np.vecdot(mc[k:0:-1], w[:k], axis=0, out=w[k])
+        if A is None:
+            np.multiply(net.lu.solve(g * w[k - 1]), inv, out=mc[k])
+        else:
+            np.matmul(A, w[k - 1], out=mc[k])
+        if k < SERIES_TERMS:
+            np.vecdot(mc[k:0:-1], w[:k], axis=0, out=w[k])
+    return mc
+
+
+@np.errstate(all="ignore")  # overflow and 0/0 surface as the non-finite values checked below
+def _series_start(mc: np.ndarray, E: np.ndarray, lo: float, hi: float | None) -> tuple[float, np.ndarray] | None:
+    """A start for the continuation below the nose, estimated from the zero-load series' coefficients
+    mc = -c (_series_coefficients): a lambda and the load-bus voltages E u of the high-voltage branch
+    there, or None. The series converges out to its nearest singularity, at radius rho: the nose, a
+    square-root branch point, when nothing lies nearer. There |c_k| / |c_{k-1}| = (1 - 3 / (2k) + ...) / rho,
+    so a line fitted to the ratios against 1/k over the last half of the series has intercept 1/rho
+    (Domb & Sykes 1957). The start is lambda = SERIES_FRACTION * rho with the partial sum as u. None when
+    a coefficient is zero or non-finite, when lambda is not strictly inside the bracket (a negative or NaN
+    intercept puts it below), or when the last term exceeds 1e-2 of the smallest |u|: the sum has not
+    converged there, and the estimate may lie past the nose."""
     size = np.linalg.norm(mc, axis=1)
     if not (np.isfinite(size).all() and size.all()):
         return None

@@ -294,7 +294,7 @@ def reference_real_jacobian(Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray, 
 
 
 def reference_series(Y_LL: sp.csc_matrix, E: np.ndarray, d: np.ndarray, terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients of the zero-load power series that oracle._series_start sums, of the
+    """The coefficients of the zero-load power series that oracle._series_coefficients forms, of the
     fixed-point form u = 1 - lambda Z_E (conj(d) / conj(u)) and of w = 1 / conj(u): c_0 = w_0 = 1,
     c_k = -Z_E (conj(d) w_{k-1}) and w_k = -sum_{m=1..k} conj(c_m) w_{k-m}, each sum an explicit
     loop over m, with Z_E x = Z (x / conj(E)) / E and Z a dense inverse of Y_LL. Returns c and w,

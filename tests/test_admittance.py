@@ -232,19 +232,20 @@ def test_solves_do_not_depend_on_the_blas_thread_count():
 
 
 def test_the_series_start_and_a_limit_do_not_depend_on_the_blas_thread_count():
-    """The zero-load series' Cauchy products are np.vecdot calls, which may reach a BLAS dot. Its
-    start on case39 (LAPACK's Y_LL factor) and case118 (SuperLU's), and case118's base-direction
-    limit, read the same bytes with one BLAS thread and with two, each in a fresh process."""
-    paths = [str(case_path(f"{name}.m")) for name in ("case39", "case118")]
+    """The zero-load series' Cauchy products are np.vecdot calls, which may reach a BLAS dot, and on at
+    most 40 load buses each term is a matrix-vector product with one dense operator. Its start on case9
+    and case39 (that operator, formed by LAPACK's Y_LL factor) and on case118 (a SuperLU solve per term),
+    and the three cases' base-direction limits, read the same bytes with one BLAS thread and with two,
+    each in a fresh process."""
+    paths = [str(case_path(f"{name}.m")) for name in ("case9", "case39", "case118")]
     code = (
         "from pfcert import limits, oracle\n"
         "from pfcert.net_model import load_case_file\n"
         f"for path in {paths!r}:\n"
         "    case = load_case_file(path)\n"
         "    red, S = limits.prepare(case)\n"
-        "    lam, V = oracle._series_start(red, S, 1e-3, None)\n"
-        "    print(lam.hex(), V.tobytes().hex())\n"
-        "print(oracle.actual_limit(case, S, network=red).hex())\n"
+        "    lam, V = oracle._series_start(oracle._series_coefficients(red, S), red.E, 1e-3, None)\n"
+        "    print(lam.hex(), V.tobytes().hex(), oracle.actual_limit(case, S, network=red).hex())\n"
     )
     assert_same_output_with_one_and_two_blas_threads(code)
 

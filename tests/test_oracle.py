@@ -25,6 +25,7 @@ from pfcert.oracle import (
     NEWTON_TOL,
     _NewtonKernel,
     _nose,
+    _series_coefficients,
     _series_start,
     actual_limit,
     newton_base_case,
@@ -103,6 +104,11 @@ def case_path_case(name):
     from pfcert.net_model import load_case_file
 
     return load_case_file(case_path(name))
+
+
+def series_start(red, direction, lo, hi):
+    """The series start _nose takes: _series_start of _series_coefficients."""
+    return _series_start(_series_coefficients(red, direction), red.E, lo, hi)
 
 
 def test_base_case_keeps_slack_angle():
@@ -221,6 +227,7 @@ def test_kernel_pattern_matches_the_scipy_build(name):
             kernel = _NewtonKernel(Y, ang, mag)
             for key, want in reference_kernel_arrays(Y, ang, mag).items():
                 got = getattr(kernel, key)
+                got = np.arange(nb)[got] if isinstance(got, slice) else got  # a contiguous run is held as a slice
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), key
     assert len(_NewtonKernel(stored_zero, mag, mag).gather) < len(_NewtonKernel(adm.matrix, mag, mag).gather)
 
@@ -431,45 +438,41 @@ def test_non_finite_tangent_fails_the_corrector(name, monkeypatch):
     assert not res.converged and t is None and res.mismatch_norm < NEWTON_TOL
 
 
-class _FixedCoefficients:
-    """A stand-in Y_LL factor whose k-th solve makes the zero-load series' coefficient
-    c_k = coefficient(k) at every load bus, whatever it is asked to solve."""
-
-    def __init__(self, E, coefficient):
-        self.E, self.coefficient, self.k = E, coefficient, 0
-
-    def solve(self, x):
-        self.k += 1
-        return self.coefficient(self.k) * self.E
-
-
 class _RecordingFactor:
-    """Y_LL's factor, keeping each right-hand side it solves and the solution."""
+    """Y_LL's factor, keeping each right-hand side it solves."""
 
     def __init__(self, lu):
         self.lu, self.calls = lu, []
 
     def solve(self, b):
-        x = self.lu.solve(b)
-        self.calls.append((b.copy(), x.copy()))
-        return x
+        self.calls.append(b.copy())
+        return self.lu.solve(b)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_series_coefficients_match_an_explicit_recurrence(name):
-    """The series' k-th solve takes conj(d) w_(k-1) / conj(E) and gives -c_k E, so its calls
-    read off the coefficients _series_start forms: c_1 .. c_40 and conj(d) w_0 .. conj(d) w_39
-    (w_k does not enter c at a bus without load). On the 7 base directions each agrees with
-    reference_series, whose Cauchy products are explicit loops over m and whose Y_LL^-1 is a
+    """_series_coefficients gives -c_0 .. -c_40. On the 7 base directions, on both of its paths (one
+    dense operator on case9 to case39, one Y_LL solve per term on case57 and case118), each c_k agrees
+    with reference_series, whose Cauchy products are explicit loops over m and whose Y_LL^-1 is a
     dense inverse, within 1e-13 of its largest entry."""
     red, S = limits.prepare(case_path_case(f"{name}.m"))
+    mc = _series_coefficients(red, S)
+    c, _ = reference_series(red.Y_LL, red.E, S, oracle.SERIES_TERMS)
+    assert mc.shape == c.shape
+    for k in range(oracle.SERIES_TERMS + 1):
+        assert np.abs(-mc[k] - c[k]).max() <= 1e-13 * np.abs(c[k]).max(), k
+
+
+@pytest.mark.parametrize("name, solves", [("case9", [2]), ("case39", [2]), ("case57", [1] * 40), ("case118", [1] * 40)])
+def test_series_solves_with_y_ll_once_on_at_most_series_terms_load_buses(name, solves):
+    """On at most SERIES_TERMS = 40 load buses (case9 6, case39 29) the series forms its operator
+    by one solve with one column per load bus and applies it 40 times; on more (case57 50, case118
+    64) it makes one vector solve per term. Listed: the dimension of each solve's right-hand side."""
+    red, S = limits.prepare(case_path_case(f"{name}.m"))
     recorder = _RecordingFactor(red.lu)
-    assert _series_start(replace(red, lu=recorder), S, 1e-3, None) is not None
-    c, w = reference_series(red.Y_LL, red.E, S, oracle.SERIES_TERMS)
-    assert len(recorder.calls) == oracle.SERIES_TERMS
-    for k, (b, x) in enumerate(recorder.calls, start=1):
-        for got, want in ((-x / red.E, c[k]), (b * red.E.conj(), S.conj() * w[k - 1])):
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), k
+    _series_coefficients(replace(red, lu=recorder), S)
+    assert [b.ndim for b in recorder.calls] == solves
+    assert all(b.shape[0] == red.n_load for b in recorder.calls) and recorder.calls[0].shape[-1] == red.n_load
 
 
 def test_series_start_refuses_a_non_positive_intercept():
@@ -477,10 +480,12 @@ def test_series_start_refuses_a_non_positive_intercept():
     are convex in 1/k, so the line fitted to them meets 1/k = 0 below zero and the series gives no
     start. Geometric coefficients 2^-k, with their pole at 2, give 0.95 * 2."""
     red = reduce_case(make_two_bus())
-    entire = replace(red, lu=_FixedCoefficients(red.E, lambda k: 1 / math.factorial(k) ** 2))
-    assert _series_start(entire, np.array([2.5 + 0j]), 1e-3, None) is None
-    geometric = replace(red, lu=_FixedCoefficients(red.E, lambda k: 2.0**-k))
-    assert _series_start(geometric, np.array([2.5 + 0j]), 1e-3, None)[0] == pytest.approx(1.9, rel=1e-12)
+
+    def coefficients(c):
+        return np.array([-1.0] + [c(k) for k in range(1, oracle.SERIES_TERMS + 1)], dtype=complex)[:, None]
+
+    assert _series_start(coefficients(lambda k: 1 / math.factorial(k) ** 2), red.E, 1e-3, None) is None
+    assert _series_start(coefficients(lambda k: 2.0**-k), red.E, 1e-3, None)[0] == pytest.approx(1.9, rel=1e-12)
 
 
 def test_actual_limit_builds_one_matrix_per_corrector_call(monkeypatch):
@@ -645,7 +650,7 @@ def test_default_oracle_agrees_with_a_tighter_fold(name, gen_phasors, monkeypatc
     directions = [S] + past + golden_sweep_directions(red, S)
     directions += [sweep[a // 5] for a in ALTERNATING.get(name, ()) + LOW_START.get(name, ())]
     directions += [unity_power_factor_pair(S)] if name == "case24_ieee_rts" else []
-    assert all(oracle._series_start(red, d, 1e-3, None) is not None for d in directions)
+    assert all(series_start(red, d, 1e-3, None) is not None for d in directions)
     calls, refuse = [], False  # (tolerance, converged) of each corrector call of one limit, and the cubic's side
     correct, cubic = _NewtonKernel.correct, oracle._cubic_fold
 
@@ -910,12 +915,12 @@ def test_series_start_refusals(name, monkeypatch):
     case = case_path_case(f"{name}.m")
     red, S = limits.prepare(case)
     tight = actual_limit(case, S, network=red, tol=1e-13)
-    lam, _ = oracle._series_start(red, S, 1e-3, None)
-    assert oracle._series_start(red, S, lam, None) is None
-    assert oracle._series_start(red, S, 1e-3, lam) is None
+    lam, _ = series_start(red, S, 1e-3, None)
+    assert series_start(red, S, lam, None) is None
+    assert series_start(red, S, 1e-3, lam) is None
     assert actual_limit(case, S, network=red, bracket=(lam, None)) == pytest.approx(tight, abs=2e-10)
     monkeypatch.setattr(oracle, "SERIES_FRACTION", 1.5)
-    assert oracle._series_start(red, S, 1e-3, None) is None
+    assert series_start(red, S, 1e-3, None) is None
     assert actual_limit(case, S, network=red) == pytest.approx(tight, abs=2e-10)
 
 
