@@ -6,16 +6,19 @@ the oracle's two kernels: the load form of `newton_solve` and `actual_limit` (it
 Jacobian at the no-load voltages, and that matrix with column 0 held by the base
 load's loading column, as a continuation corrector builds it), and the base-case
 form of `newton_base_case` (its Jacobian at the flat start). Each matrix is
-factored, and the factor solves one right-hand side, by LAPACK and by SuperLU (the
-seam with its backend forced), in alternating rounds; a row gives the fastest round
-of each, in microseconds per call, ordered by the matrix's order in real unknowns
-(twice the order of a complex matrix), the order `lu` compares with DENSE_MAX.
-`ratio` is (dense factor + k dense solves) / (SuperLU factor + k SuperLU solves),
-with the solves a factor makes: a limit solves 1.6 times per Jacobian factorization
-on the oracle_limits inputs (270 solves, 171 factorizations), and 41 times with
-`Y_LL`'s (E and the zero-load series' 40 coefficients). The last lines give each
-kind's crossover: the largest order at which LAPACK is faster and the smallest at
-which SuperLU is.
+factored, and the factor solves one right-hand side (and, for `Y_LL`, one with a
+column per load bus), by LAPACK and by SuperLU (the seam with its backend forced),
+in alternating rounds; a row gives the fastest round of each, in microseconds per
+call, ordered by the matrix's order in real unknowns (twice the order of a complex
+matrix), the order `lu` compares with DENSE_MAX. `ratio` is the dense cost over the
+SuperLU cost of the calls a factor makes as that backend is used. A Jacobian factor
+makes 1.6 vector solves on either backend (the oracle_limits inputs make 270 solves
+per 171 factorizations). A `Y_LL` factor solves for E, and then for the zero-load
+series: LAPACK's by one solve with a column per load bus (the series' dense
+operator), SuperLU's by one vector solve per term, 41 vector solves in all. DENSE_MAX
+decides both at once, since the series takes its path from the factor's backend. The
+last lines give each kind's crossover: the largest order at which LAPACK is faster
+and the smallest at which SuperLU is.
 
     OPENBLAS_NUM_THREADS=1 python scripts/factor_crossover.py
 """
@@ -38,8 +41,11 @@ from pfcert.oracle import _NewtonKernel  # noqa: E402
 from conftest import BUNDLED  # noqa: E402
 
 ROUNDS, NUMBER = 15, 200
-SOLVES = {"Jacobian": 1.6, "Y_LL": 41}
-
+# each kind's solves per factor as each backend is used, one count per right-hand side (a vector, then for
+# Y_LL the n-column one): LAPACK's, then SuperLU's
+USE = {"Jacobian": ((1.6,), (1.6,)), "Y_LL": ((1, 1), (41, 0))}
+LABEL = {"Jacobian": "factor + 1.6 solves", "Y_LL": "LAPACK: factor + 1 solve + 1 n-column solve; "
+                                                    "SuperLU: factor + 41 solves"}
 
 def matrices(name: str):
     """(kind, label, (data, indices, indptr)) of each matrix the case's reduction and kernels factor."""
@@ -74,14 +80,14 @@ def forced(dense: bool):
     return factor
 
 
-def fastest(backends, A, b) -> list[tuple[float, float]]:
-    """Each backend's fastest round: (factor, solve) in microseconds per call."""
-    best = [[np.inf, np.inf] for _ in backends]
+def fastest(backends, A, rhs) -> list[list[float]]:
+    """Each backend's fastest round: the factor, then a solve with each right-hand side, in microseconds per call."""
+    best = [[np.inf] * (1 + len(rhs)) for _ in backends]
     for _ in range(ROUNDS):
         for k, factor in enumerate(backends):
             lu = factor(*A)
-            best[k][0] = min(best[k][0], timeit.timeit(lambda: factor(*A), number=NUMBER) / NUMBER * 1e6)
-            best[k][1] = min(best[k][1], timeit.timeit(lambda: lu.solve(b), number=NUMBER) / NUMBER * 1e6)
+            calls = [lambda: factor(*A)] + [lambda x=x: lu.solve(x) for x in rhs]
+            best[k] = [min(t, timeit.timeit(f, number=NUMBER) / NUMBER * 1e6) for t, f in zip(best[k], calls)]
     return best
 
 
@@ -92,19 +98,22 @@ def main() -> None:
             n = len(A[2]) - 1
             rng = np.random.default_rng(n)
             b = rng.standard_normal(n) if A[0].dtype == float else rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            (df, ds), (sf, ss) = fastest((forced(True), forced(False)), A, b)
-            k = SOLVES[kind]
+            rhs = [b, np.diag(b)] if kind == "Y_LL" else [b]  # the n-column one as the series' operator is formed
+            times = fastest((forced(True), forced(False)), A, rhs)
+            dense, sparse = (t[0] + sum(c * s for c, s in zip(counts, t[1:])) for t, counts in zip(times, USE[kind]))
             order = n * (2 if A[0].dtype == complex else 1)
-            rows.append((order, name, label, kind, df, ds, sf, ss, (df + k * ds) / (sf + k * ss)))
+            rows.append((order, name, label, kind, times, dense / sparse))
     print(f"DENSE_MAX = {DENSE_MAX} real unknowns; microseconds per call, fastest of {ROUNDS} rounds of {NUMBER}")
-    print(f"{'order':>5}  {'case':<16}{'matrix':<12}{'LAPACK factor':>14}{'solve':>7}{'SuperLU factor':>16}"
-          f"{'solve':>7}{'ratio':>7}")
-    for order, name, label, _, df, ds, sf, ss, ratio in sorted(rows):
-        print(f"{order:5d}  {name:<16}{label:<12}{df:14.1f}{ds:7.1f}{sf:16.1f}{ss:7.1f}{ratio:7.2f}")
-    for kind, k in SOLVES.items():
+    print(f"{'order':>5}  {'case':<16}{'matrix':<12}{'LAPACK factor':>14}{'solve':>7}{'n-col':>7}"
+          f"{'SuperLU factor':>16}{'solve':>7}{'n-col':>7}{'ratio':>7}")
+    for order, name, label, _, times, ratio in sorted(rows):
+        cells = "".join(f"{t[0]:{w}.1f}{t[1]:7.1f}" + (f"{t[2]:7.1f}" if len(t) > 2 else f"{'-':>7}")
+                        for t, w in zip(times, (14, 16)))
+        print(f"{order:5d}  {name:<16}{label:<12}{cells}{ratio:7.2f}")
+    for kind in USE:
         dense = [r[0] for r in rows if r[3] == kind and r[-1] < 1]
         sparse = [r[0] for r in rows if r[3] == kind and r[-1] >= 1]
-        print(f"{kind} (factor + {k} solves): LAPACK faster up to order {max(dense, default='-')}, "
+        print(f"{kind} ({LABEL[kind]}): LAPACK faster up to order {max(dense, default='-')}, "
               f"SuperLU from order {min(sparse, default='-')}; lu factors dense up to {DENSE_MAX}")
 
 

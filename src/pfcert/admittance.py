@@ -194,7 +194,8 @@ def lu(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
     The backend follows the order in real unknowns, twice the order for complex values (a complex
     n x n system is a real 2n x 2n one): LAPACK up to DENSE_MAX, where SuperLU's fixed cost per
     call outweighs the dense flops, and SuperLU above, by the call scipy 1.17.1's splu makes,
-    arguments and options alike, without its checks and casts of arrays already in this form."""
+    arguments and options alike, without its checks and casts of arrays already in this form. The
+    oracle's zero-load series takes its path from the backend of Y_LL's factor, so this is the one rule."""
     n = len(indptr) - 1
     if n * (2 if data.dtype == complex else 1) <= DENSE_MAX:
         return _DenseFactor(data, indices, indptr)
@@ -217,14 +218,7 @@ def reduce_network(Y: AdmittanceMatrix, V_G: np.ndarray) -> GridReduction:
     if np.any(V_G == 0):
         raise CaseError("V_G entries must be nonzero")
 
-    # Y_LL from Y's CSC arrays: the entries of the load columns in load rows
-    start = Y.matrix.indptr[m]
-    rows, vals = Y.matrix.indices[start:], Y.matrix.data[start:]
-    load = rows >= m
-    before = np.zeros(len(load) + 1, dtype=np.intc)  # load-row entries before each position
-    np.cumsum(load, out=before[1:])
-    Y_LL = sp.csc_matrix((vals[load], rows[load] - m, before[Y.matrix.indptr[m:] - start]), shape=(n, n))
-
+    Y_LL = Y.matrix[m:, m:]
     try:
         factor = lu(Y_LL.data, Y_LL.indices, Y_LL.indptr)
     except RuntimeError as exc:

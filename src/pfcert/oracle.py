@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .admittance import AdmittanceMatrix, GridReduction, SingularNetworkError, load_vector, lu, reduce_case
+from .admittance import (AdmittanceMatrix, GridReduction, SingularNetworkError, _DenseFactor, load_vector, lu,
+                         reduce_case)
 from .net_model import CaseError, NetworkCase
 from .stress import first_positive_roots
 
@@ -24,7 +25,7 @@ NEWTON_TOL = 1e-8  # max(|dP|, |dQ|) over the equations, per unit, of a converge
 FOLD_TOL = 1e-12  # the same, of the returned fold point (so its per-bus |dS| is at most sqrt(2) FOLD_TOL)
 NEWTON_MAX_ITER = 30  # iterations per solve at a fixed loading
 CORRECTOR_MAX_ITER = 40  # iterations per continuation corrector
-SERIES_TERMS = 40  # power-series coefficients of the zero-load start, one Y_LL solve each
+SERIES_TERMS = 40  # power-series coefficients of the zero-load start
 SERIES_FRACTION = 0.95  # the start's loading as a fraction of the nose the series estimates
 FOLD_MAX_PASSES = 60  # passes of the fold's bracket loop, one held s each
 
@@ -37,12 +38,6 @@ class NewtonResult:
     mismatch_norm: float  # inf-norm of the per-unit power mismatch
 
 
-def _span(idx: np.ndarray) -> slice | np.ndarray:
-    """idx as a slice, which indexes by a view, when it is a contiguous ascending run; else idx."""
-    run = idx.tolist()
-    return slice(run[0], run[-1] + 1) if run and run == list(range(run[0], run[-1] + 1)) else idx
-
-
 class _NewtonKernel:
     """Polar Newton power flow on a Jacobian sparsity pattern fixed once per network.
 
@@ -53,17 +48,16 @@ class _NewtonKernel:
     dS_i/dVa_k = -j conj(Y_ik) V_i conj(V_k) + [i=k] j V_i conj(I_i) and
     dS_i/dVm_k = conj(Y_ik) V_i conj(U_k) + [i=k] conj(I_i) U_i, so the kernel keeps
     each entry's coefficient, -j conj(Y_ik) or conj(Y_ik). J is CSC arrays alone:
-    the kernel keeps its pattern (indices, indptr), and the caller owns its values,
-    one float64 array per solve or limit that every iteration refills, and
-    admittance.lu factors them. The kernel is not written to after it is built,
-    so threads may share it."""
+    the kernel keeps its pattern (indices, indptr), each iteration fills a new
+    values array, and admittance.lu factors them. The kernel is not written to
+    after it is built, so threads may share it."""
 
     def __init__(self, Y: sp.csc_matrix, ang: np.ndarray, mag: np.ndarray):
         nb, n = Y.shape[0], len(ang) + len(mag)
         pos_a, pos_m = np.full(nb, -1), np.full(nb, -1)  # row and column of each bus in J
         pos_a[ang], pos_m[mag] = np.arange(len(ang)), np.arange(len(ang), n)
         var = (pos_a >= 0) | (pos_m >= 0)
-        self.Y, self.na, self.ang, self.mag, self.var = Y, len(ang), _span(ang), _span(mag), _span(np.flatnonzero(var))
+        self.Y, self.na, self.ang, self.mag, self.var = Y, len(ang), ang, mag, np.flatnonzero(var)
         self.fpos = np.concatenate([2 * ang, 2 * mag + 1])  # the equations' entries in the mismatch's (Re, Im) pairs
         # Y's stored nonzeros in storage order, (row, column, value); Y has no duplicate entries
         nz = Y.data != 0
@@ -84,15 +78,15 @@ class _NewtonKernel:
         self.indptr = np.zeros(n + 1, dtype=np.intc)
         np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
 
-    def jacobian(self, V: np.ndarray, I: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The values of J at bus voltages V with I = Y V, in the pattern (indices, indptr),
-        written into out or a new array: coef V_i conj([V, U]_k) plus the diagonal term, in
-        complex arithmetic, elementwise, so the values do not depend on the BLAS thread count."""
+    def jacobian(self, V: np.ndarray, I: np.ndarray) -> np.ndarray:
+        """The values of J at bus voltages V with I = Y V, a new array in the pattern (indices,
+        indptr): coef V_i conj([V, U]_k) plus the diagonal term, in complex arithmetic,
+        elementwise, so the values do not depend on the BLAS thread count."""
         U = V / np.abs(V)
         cI = I.conj()
         val = self.coef * V[self.i] * np.concatenate([V, U])[self.take].conj()
         val += np.concatenate([1j * V * cI, cI * U, [0]])[self.diag]
-        return val.view(float).take(self.gather, out=out)
+        return val.view(float).take(self.gather)
 
     def run(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, S_spec: np.ndarray, tol: float) -> NewtonResult:
         """Iterate from the polar start (theta, vm), NEWTON_MAX_ITER times at most, until max
@@ -103,23 +97,20 @@ class _NewtonKernel:
 
     @np.errstate(all="ignore")  # overflow and 0/0 surface as the non-finite values checked below
     def correct(self, V: np.ndarray, theta: np.ndarray, vm: np.ndarray, y: np.ndarray, S_spec: np.ndarray,
-                d: np.ndarray | None, fixed: int, tol: float, max_iter: int,
-                J: np.ndarray | None = None) -> tuple[NewtonResult, np.ndarray, np.ndarray | None]:
+                d: np.ndarray | None, fixed: int, tol: float,
+                max_iter: int) -> tuple[NewtonResult, np.ndarray, np.ndarray | None]:
         """Newton on the mismatch V conj(Y V) - S_spec + lam d in the unknowns y = (theta[ang], vm[mag], lam),
         holding y[fixed]. The matrix is J with its column `fixed` replaced by the loading column (Re d[ang],
         Im d[mag]), so the step moves lam in the held unknown's place; with `fixed` = lam's index it is J
         itself, and d=None is Newton at a fixed loading. Given d, the iteration also gives up once the
         mismatch stops falling, and a converged result comes with the tangent dy/dy[fixed] of the solution
         curve (entry `fixed` is 1), solved with the last factor; a tangent needs a factor, so the first
-        iterate is never accepted. Every iteration refills J, the values of J's pattern (a new array when
-        None), so a caller correcting many times can make it once. The equations' mismatch is one take from
-        the (Re, Im) pairs of the complex one, and ang, mag and their union index by views where they are
-        contiguous runs (the oracle's load buses). Returns the result, y and the tangent."""
+        iterate is never accepted. Every iteration fills a new J. The equations' mismatch is one take from
+        the (Re, Im) pairs of the complex one. Returns the result, y and the tangent."""
         V, theta, vm, y = V.copy(), theta.copy(), vm.copy(), y.copy()
         na, lam = self.na, len(y) - 1
         col = None if d is None else np.concatenate([d.real[self.ang], d.imag[self.mag]])
         refill = None if fixed == lam else self.held_column(fixed, col)
-        f, dx = np.empty(lam), np.empty(lam + 1)
         factor = None
         mismatch_norm = last = math.inf
         for iteration in range(max_iter + 1):
@@ -131,7 +122,7 @@ class _NewtonKernel:
             S = V * I.conj() - S_spec
             if d is not None:
                 S += y[lam] * d
-            S.view(float).take(self.fpos, out=f)
+            f = S.view(float).take(self.fpos)
             mismatch_norm = float(abs(f).max())
             if mismatch_norm < tol and d is None:
                 return NewtonResult(True, V, iteration, mismatch_norm), y, None
@@ -144,7 +135,7 @@ class _NewtonKernel:
             if iteration == max_iter or not math.isfinite(mismatch_norm) or d is not None and mismatch_norm >= last:
                 break
             last = mismatch_norm
-            J = self.jacobian(V, I, J)
+            J = self.jacobian(V, I)
             if not np.isfinite(J).all():
                 break
             *A, held = (J, self.indices, self.indptr, col) if refill is None else refill(J)
@@ -152,7 +143,7 @@ class _NewtonKernel:
                 factor = lu(*A)
             except RuntimeError:  # exactly singular
                 break
-            dx[:lam], dx[lam] = factor.solve(-f), 0.0
+            dx = np.concatenate([factor.solve(-f), [0.0]])
             if not np.isfinite(dx).all():
                 break
             dx[fixed], dx[lam] = dx[lam], dx[fixed]
@@ -309,11 +300,10 @@ def _nose(net: GridReduction, direction: np.ndarray, bracket: tuple[float, float
     theta, vm = np.angle(V), np.abs(V)
     d = np.concatenate([np.zeros(m), direction])
     lam = 2 * n  # index of lambda in y
-    J = np.empty(len(net.kernel.indices))  # J's values, refilled by every corrector iteration of this limit
 
     def correct(y: np.ndarray, fixed: int,
                 mismatch: float = NEWTON_TOL) -> tuple[NewtonResult, np.ndarray, np.ndarray | None]:
-        res, y, t = net.kernel.correct(V, theta, vm, y, np.zeros_like(V), d, fixed, mismatch, CORRECTOR_MAX_ITER, J)
+        res, y, t = net.kernel.correct(V, theta, vm, y, np.zeros_like(V), d, fixed, mismatch, CORRECTOR_MAX_ITER)
         if res.converged and hi is not None and y[lam] >= hi:
             raise CaseError(f"upper bracket end lambda={hi} is feasible; widen the bracket")
         return res, y, t
@@ -421,11 +411,12 @@ def _series_coefficients(net: GridReduction, direction: np.ndarray) -> np.ndarra
     of the fixed-point form u = 1 - lambda A (1 / conj(u)) about zero load, A = Z_E diag(conj(d)) with Z_E
     Y_LL^-1 normalized by E (holomorphic embedding, Trias 2012). With w = 1 / conj(u) = sum w_k lambda^k,
     c_0 = w_0 = 1, c_k = -A w_{k-1} and w_k = -sum_{m=1..k} conj(c_m) w_{k-m}, up to the w_{SERIES_TERMS-1}
-    that the last c needs. A x is lu.solve(x conj(d) / conj(E)) / E. On at most SERIES_TERMS load buses A is
-    formed by one solve of at most SERIES_TERMS columns and a term is one product with it; on more a term is
-    one solve, and no n x n array is formed. w_k is np.vecdot(-c_k..-c_1, w_0..w_{k-1}), which conjugates -c."""
+    that the last c needs. A x is lu.solve(x conj(d) / conj(E)) / E. Where the reduction's Y_LL factor is
+    LAPACK's (admittance.DENSE_MAX decides) A is formed by one solve with one column per load bus and a term
+    is one product with it; where it is SuperLU's a term is one solve, and no n x n array is formed. w_k is
+    np.vecdot(-c_k..-c_1, w_0..w_{k-1}), which conjugates -c."""
     n, g, inv = len(net.E), direction.conj() / net.E.conj(), 1.0 / net.E
-    A = net.lu.solve(np.diag(g)) * inv[:, None] if n <= SERIES_TERMS else None
+    A = net.lu.solve(np.diag(g)) * inv[:, None] if isinstance(net.lu, _DenseFactor) else None
     mc = np.empty((SERIES_TERMS + 1, n), dtype=complex)
     w = np.empty((SERIES_TERMS, n), dtype=complex)
     mc[0], w[0] = -1.0, 1.0

@@ -232,12 +232,12 @@ def test_solves_do_not_depend_on_the_blas_thread_count():
 
 
 def test_the_series_start_and_a_limit_do_not_depend_on_the_blas_thread_count():
-    """The zero-load series' Cauchy products are np.vecdot calls, which may reach a BLAS dot, and on at
-    most 40 load buses each term is a matrix-vector product with one dense operator. Its start on case9
-    and case39 (that operator, formed by LAPACK's Y_LL factor) and on case118 (a SuperLU solve per term),
-    and the three cases' base-direction limits, read the same bytes with one BLAS thread and with two,
-    each in a fresh process."""
-    paths = [str(case_path(f"{name}.m")) for name in ("case9", "case39", "case118")]
+    """The zero-load series' Cauchy products are np.vecdot calls, which may reach a BLAS dot, and where
+    Y_LL's factor is LAPACK's each term is a matrix-vector product with one dense operator, formed by
+    one multi-column solve. Its start on case9, case39 and case57 (that operator, of 6, 29 and 50 load
+    buses) and on case118 (a SuperLU solve per term), and the four cases' base-direction limits, read
+    the same bytes with one BLAS thread and with two, each in a fresh process."""
+    paths = [str(case_path(f"{name}.m")) for name in ("case9", "case39", "case57", "case118")]
     code = (
         "from pfcert import limits, oracle\n"
         "from pfcert.net_model import load_case_file\n"

@@ -1,13 +1,18 @@
 """Three edits of a case that leave its network unchanged, and so must leave its limits unchanged:
 renumbering every bus, changing the per-unit base, and splitting a branch into two parallel halves.
 Each compares lambda_p, lambda_w, lambda_d, the critical bus and the oracle's lambda_actual along the
-base direction with those of the case as read, on six bundled cases."""
+base direction with those of the case as read, on six bundled cases. Then edits that do change the
+network, to ones real case files hold (series compensation, extreme taps), on which every guarantee
+must still hold."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pfcert import limits, oracle
+from pfcert.certificate import certify_all
+from pfcert.fixed_point import CONTAINMENT_SLACK, solve_fixed_point
 from pfcert.net_model import NetworkCase, load_case_file
 
 from conftest import case_path
@@ -79,3 +84,37 @@ def test_splitting_a_branch_into_two_parallel_halves(name):
     split = replace(case, branches=(half, half) + case.branches[1:])
     (est, actual), (got, got_actual) = limits_of(case), limits_of(split)
     assert got == est and got_actual == actual
+
+
+TRANSFORMS = {
+    "negated reactance": lambda br: replace(br, series_impedance=br.series_impedance.conjugate()),
+    "series over-compensation": lambda br: replace(
+        br, series_impedance=complex(br.series_impedance.real, -0.2 * br.series_impedance.imag)),
+    "tap 0.05": lambda br: replace(br, tap_ratio=0.05),
+    "tap 5": lambda br: replace(br, tap_ratio=5.0),
+}
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS)
+@pytest.mark.parametrize("name", ["case9", "case39"])
+def test_transformed_networks_keep_every_guarantee(name, transform):
+    """One edit of one branch, on each of four in-service branches drawn by a fixed seed: its
+    reactance negated (x -> -x) or over-compensated (x -> -0.2 x), or its tap set to 0.05 or 5.
+    Each edited case answers with no error along its base direction, lambda_p <= lambda_actual,
+    the certificate holds at 0.99 lambda_p, and the fixed point there converges inside its
+    polydisc."""
+    case = load_case_file(case_path(f"{name}.m"))
+    in_service = [k for k, br in enumerate(case.branches) if br.in_service]
+    for k in np.random.default_rng(20).choice(in_service, 4, replace=False):
+        branches = list(case.branches)
+        branches[k] = TRANSFORMS[transform](branches[k])
+        edited = replace(case, branches=tuple(branches))
+        red, S = limits.prepare(edited)
+        lambda_p = limits.lambda_all(red, S).lambda_p
+        assert 0 < lambda_p <= oracle.actual_limit(edited, S, network=red), k
+        load = 0.99 * lambda_p * S
+        cert, _, _ = certify_all(red, load)
+        assert cert.holds, k
+        res = solve_fixed_point(red, load, certificate=cert)
+        assert res.converged, k
+        assert (np.abs(res.u - cert.disc_centers) - cert.disc_radii).max() <= CONTAINMENT_SLACK, k
